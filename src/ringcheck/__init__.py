@@ -8,8 +8,10 @@ insertion in a raced sequential flavor and a correct parallel one, failure
 recovery over recorded second-right neighbors, a circulating ring trace, and
 a token barrier across a manager ring. explorer turns any of these into a
 checkable transition system: depth-first search over every handler
-interleaving with state hashing, plus seeded random simulation and schedule
-replay over the exact same step relation.
+interleaving with state hashing, plus one walk loop over the exact same step
+relation that serves both seeded random simulation and schedule replay. A
+walk stops at the first failure and keeps the failing step in its trace, so
+the trace replays to the same failure.
 """
 
 from .errors import (
@@ -29,15 +31,15 @@ from .explorer import (
     GlobalState,
     Property,
     ScheduleStep,
-    SimulationReport,
     VerificationReport,
+    WalkReport,
     apply,
     enabled_steps,
     encode,
     explore,
-    replay_iter,
-    replay_outcome,
+    replay,
     simulate,
+    walk,
 )
 from .scenarios import ALGORITHMS, Scenario, ScenarioConfig, build_scenario
 
@@ -59,16 +61,16 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "ScheduleStep",
-    "SimulationReport",
     "VERIFIED",
     "VIOLATION",
     "VerificationReport",
+    "WalkReport",
     "apply",
     "build_scenario",
     "enabled_steps",
     "encode",
     "explore",
-    "replay_iter",
-    "replay_outcome",
+    "replay",
     "simulate",
+    "walk",
 ]

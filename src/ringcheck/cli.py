@@ -14,23 +14,13 @@ schedule step by step. Exit codes are part of the interface:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import __version__
-from .errors import CheckError, ContractViolation, ScenarioError
-from .explorer import (
-    EVERY_STATE,
-    QUIESCENCE_ONLY,
-    RESOURCE_LIMIT,
-    VERIFIED,
-    VIOLATION,
-    apply,
-    enabled_steps,
-    explore,
-    run_properties,
-    simulate,
-)
+from .errors import ContractViolation, ScenarioError
+from .explorer import RESOURCE_LIMIT, VERIFIED, VIOLATION, explore, replay, simulate
 from .scenarios import ALGORITHMS, ScenarioConfig, build_scenario
 from .traceio import TraceFormatError, read_trace, write_trace
 
@@ -152,6 +142,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps=args.max_steps,
     )
+    failures = [] if result.violation is None else [result.violation]
     if args.trace_out:
         write_trace(args.trace_out, scenario, result.trace,
                     outcome="SIMULATED", violation=None)
@@ -161,18 +152,18 @@ def _cmd_simulate(args) -> int:
             "schema": "ringcheck-simulation-1",
             "scenario": scenario.config_fields() | {"total": scenario.total},
             "seed": args.seed,
-            "steps_taken": result.steps_taken,
+            "steps_taken": len(result.trace),
             "quiescent": result.quiescent,
-            "failures": list(result.failures),
+            "failures": failures,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"seed {args.seed}: {result.steps_taken} steps, "
+        print(f"seed {args.seed}: {len(result.trace)} steps, "
               f"{'quiescent' if result.quiescent else 'step budget exhausted'}")
-        for failure in result.failures:
+        for failure in failures:
             print(f"failure: {failure}")
         print(result.final_state.dump())
-    return EX_OK if not result.failures else EX_VIOLATION
+    return EX_OK if not failures else EX_VIOLATION
 
 
 def _dump_delta(pre: str, post: str) -> list[str]:
@@ -195,35 +186,25 @@ def _cmd_replay(args) -> int:
         print(f"ringcheck replay: trace names an unbuildable scenario: {e}",
               file=sys.stderr)
         return EX_TRACE
-    properties = scenario.default_properties()
-    g = scenario.initial_state()
-    for idx, step in enumerate(steps, start=1):
-        if step not in enabled_steps(g):
-            print(f"step {idx} is not enabled here: {step.render()}", file=sys.stderr)
-            print("the trace does not fit this scenario", file=sys.stderr)
-            return EX_TRACE
-        pre = g.dump()
-        try:
-            g = apply(g, step, check=False)
-        except CheckError as e:
-            print(f"step {idx}: {step.render()}")
-            print(f"violation reproduced at step {idx}: {e}")
-            return EX_VIOLATION
-        print(f"step {idx}: {step.render()}")
-        if not args.quiet:
-            for line in _dump_delta(pre, g.dump()):
+    count = itertools.count(1)
+
+    def show(step, before, after):
+        print(f"step {next(count)}: {step.render()}")
+        if after is not None and not args.quiet:
+            for line in _dump_delta(before.dump(), after.dump()):
                 print(line)
-        try:
-            run_properties(g, properties, EVERY_STATE)
-        except CheckError as e:
-            print(f"violation reproduced at step {idx}: {e}")
-            return EX_VIOLATION
-    if not enabled_steps(g):
-        try:
-            run_properties(g, properties, QUIESCENCE_ONLY)
-        except CheckError as e:
-            print(f"violation reproduced at quiescence: {e}")
-            return EX_VIOLATION
+
+    try:
+        result = replay(scenario, steps, scenario.default_properties(), show)
+    except ContractViolation as e:
+        print(e, file=sys.stderr)
+        print("the trace does not fit this scenario", file=sys.stderr)
+        return EX_TRACE
+    if result.violation is not None:
+        where = "quiescence" if result.quiescent else f"step {len(result.trace)}"
+        print(f"violation reproduced at {where}: {result.violation}")
+        return EX_VIOLATION
+    if result.quiescent:
         print("replay complete: quiescent, all properties hold")
     else:
         print("replay complete: schedule ends before quiescence")

@@ -26,8 +26,6 @@ from dataclasses import replace
 from . import sockets
 from .errors import ProtocolViolation
 from .messages import (
-    BARRIER_IN,
-    BARRIER_OUT,
     NEW_LHS,
     NEW_RHS,
     RECONNECT_RHS,
@@ -48,12 +46,10 @@ PARALLEL = "par"
 # Phases.
 IDLE = 0
 ENTERING_LHS = 1
-ENTERING_RHS = 2  # reserved: both variants attach lhs and rhs in one handler
 IN_RING = 3
 DEAD = 4
 
-PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", ENTERING_RHS: "entering_rhs",
-               IN_RING: "in_ring", DEAD: "dead"}
+PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", IN_RING: "in_ring", DEAD: "dead"}
 
 
 class DaemonState:
@@ -70,7 +66,7 @@ class DaemonState:
     __slots__ = (
         "pid", "identity", "variant", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
-        "await_cmd", "pending_requesters", "pending_rhs2_for", "shutdown_notice",
+        "await_cmd", "pending_requesters", "pending_rhs2_for",
     )
 
     def __init__(self, pid: int, identity: Identity, variant: str):
@@ -86,7 +82,6 @@ class DaemonState:
         self.await_cmd: str | None = None
         self.pending_requesters: tuple[int, ...] = ()
         self.pending_rhs2_for: Identity | None = None
-        self.shutdown_notice = False
 
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
@@ -102,7 +97,6 @@ class DaemonState:
         d.await_cmd = self.await_cmd
         d.pending_requesters = self.pending_requesters
         d.pending_rhs2_for = self.pending_rhs2_for
-        d.shutdown_notice = self.shutdown_notice
         return d
 
     def canon(self, reg) -> tuple:
@@ -118,7 +112,6 @@ class DaemonState:
             self.await_cmd or "",
             self.pending_requesters,
             reg.key(self.pending_rhs2_for),
-            int(self.shutdown_notice),
         )
 
     def summary(self, reg) -> str:
@@ -450,8 +443,6 @@ def _on_eof(g, d, fd):
         d.rhs_fd = INVALID_FD
         if d.variant == SEQUENTIAL:
             return  # keeps no neighbor state, so there is nothing to recover with
-        if d.shutdown_notice:
-            return  # announced departure, not a failure
         _recover_rhs(g, d)
     elif fd == d.lhs_fd:
         # Left side vanished. Free the slot and wait: either a new_lhs
@@ -496,10 +487,3 @@ _DISPATCH = {
     TRACE_REQ: _on_trace_req,
     TRACE_DONE: _on_trace_done,
 }
-
-# Barrier commands are handled by the manager module; seeing one here means
-# the scenario wired a daemon where a manager belongs.
-for _cmd in (BARRIER_IN, BARRIER_OUT):
-    _DISPATCH[_cmd] = lambda g, d, fd, msg: (_ for _ in ()).throw(
-        ProtocolViolation(f"daemon received barrier command {msg.cmd}")
-    )

@@ -14,8 +14,11 @@ the end-state properties are evaluated; a state with undeliverable or
 unconsumed messages is never quiescent and therefore never satisfies a
 quiescence-only property by accident.
 
-Verification is a depth-first search with state hashing; simulation is a
-seeded uniform random walk over the same step relation.
+Verification is a depth-first search with state hashing. Every other run of
+a schedule is a walk: one loop that asks a chooser for the next step, refuses
+a step that is not enabled, and stops at the first handler error or property
+failure, keeping the failing step in its trace. Simulation walks with a seeded
+uniform random chooser; replay walks a recorded schedule.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def state_digest(g: GlobalState) -> bytes:
     so exhaustiveness is not meaningfully weakened; the digest is still
     deterministic, so equal states always coincide.
     """
-    return hashlib.blake2b(marshal.dumps(g.canon(), 2), digest_size=16).digest()
+    return hashlib.blake2b(encode(g), digest_size=16).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +188,13 @@ def enabled_steps(g: GlobalState) -> list[ScheduleStep]:
     return steps
 
 
-def apply(g: GlobalState, step: ScheduleStep, *, check: bool = True) -> GlobalState:
+def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     """Execute one step on a copy of g and return the successor.
 
-    With check enabled the step must currently be in enabled_steps(g); the
-    explorer itself passes steps it just enumerated and skips the recheck.
-    Handler failures propagate as CheckError for the caller to classify.
+    The step must be one of enabled_steps(g); its callers, explore and walk,
+    only pass steps they have checked. Handler failures propagate as
+    CheckError for the caller to classify.
     """
-    if check and step not in enabled_steps(g):
-        raise ContractViolation(f"step not enabled here: {step.render()}")
     h = g.clone()
     p = h.procs[step.pid]
     if step.kind == KIND_ACTION:
@@ -276,6 +277,9 @@ def explore(
     Stops at the first violation and returns the schedule that produced it.
     If a resource limit truncates the search the outcome is RESOURCE_LIMIT
     even when no violation was seen, because unexplored states remain.
+
+    Properties run only on newly stored states, after the visited-set
+    lookup, which is why the search does not share walk's loop.
     """
     t0 = time.perf_counter()
     init = scenario.initial_state()
@@ -307,50 +311,44 @@ def explore(
                 on_quiescent(state)
 
     init_steps = enabled_steps(init)
-    try:
-        inspect(init, init_steps)
-    except CheckError as e:
-        return report(VIOLATION, violation=str(e), trace=())
-
     # Each frame: (state, its enabled steps, index of the next step to try).
     stack: list[list] = [[init, init_steps, 0]]
-    while stack:
-        frame = stack[-1]
-        state, steps, idx = frame
-        if idx >= len(steps):
-            stack.pop()
-            if path:
+    try:
+        inspect(init, init_steps)
+        while stack:
+            frame = stack[-1]
+            state, steps, idx = frame
+            if idx >= len(steps):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            frame[2] += 1
+            step = steps[idx]
+            path.append(step)
+            succ = apply(state, step)
+            key = state_digest(succ)
+            if key in visited:
+                matched += 1
                 path.pop()
-            continue
-        frame[2] += 1
-        step = steps[idx]
-        path.append(step)
-        try:
-            succ = apply(state, step, check=False)
-        except CheckError as e:
-            return report(VIOLATION, violation=str(e), trace=tuple(path))
-        key = state_digest(succ)
-        if key in visited:
-            matched += 1
-            path.pop()
-            continue
-        visited.add(key)
-        stored += 1
-        if len(path) > deepest:
-            deepest = len(path)
-        succ_steps = enabled_steps(succ)
-        try:
+                continue
+            visited.add(key)
+            stored += 1
+            if len(path) > deepest:
+                deepest = len(path)
+            succ_steps = enabled_steps(succ)
             inspect(succ, succ_steps)
-        except CheckError as e:
-            return report(VIOLATION, violation=str(e), trace=tuple(path))
-        if stored >= max_states:
-            return report(RESOURCE_LIMIT, violation="state budget exhausted",
-                          trace=tuple(path))
-        if succ_steps and len(path) >= max_depth:
-            truncated = True  # do not expand deeper; search stays incomplete
-            path.pop()
-            continue
-        stack.append([succ, succ_steps, 0])
+            if stored >= max_states:
+                return report(RESOURCE_LIMIT, violation="state budget exhausted",
+                              trace=tuple(path))
+            if succ_steps and len(path) >= max_depth:
+                truncated = True  # do not expand deeper; search stays incomplete
+                path.pop()
+                continue
+            stack.append([succ, succ_steps, 0])
+    except CheckError as e:
+        # path is the schedule to the failing handler or state, () for the root.
+        return report(VIOLATION, violation=str(e), trace=tuple(path))
 
     if truncated:
         return report(RESOURCE_LIMIT, violation="depth budget exhausted")
@@ -358,101 +356,81 @@ def explore(
 
 
 # ---------------------------------------------------------------------------
-# random walk
+# walks: simulation and replay
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SimulationReport:
-    quiescent: bool
-    steps_taken: int
-    trace: tuple[ScheduleStep, ...]
-    failures: tuple[str, ...]  # property failures observed, never fatal
-    final_state: GlobalState
+class WalkReport:
+    """Where one walk ended: a simulation or a replay."""
+
+    trace: tuple[ScheduleStep, ...]  # steps taken, a failing step included
+    final_state: GlobalState  # the state before the failing step if a handler raised
+    quiescent: bool  # final_state has no enabled step
+    violation: str | None = None  # the first failure; None if every check held
+
+
+def walk(
+    scenario,
+    properties: tuple[Property, ...],
+    choose: Callable[[list[ScheduleStep]], ScheduleStep | None],
+    on_step: Callable[[ScheduleStep, GlobalState, GlobalState | None], None] | None = None,
+) -> WalkReport:
+    """Run one schedule from the initial state, checking every state reached.
+
+    choose(steps) gets the enabled steps of the current state and returns
+    the next step, or None to stop. A step that is not enabled, including
+    any step after quiescence, raises ContractViolation before it runs.
+    on_step(step, before, after) sees each step once it has run, with
+    after=None when the handler raised. The walk stops at the first handler
+    error or property failure and keeps the failing step in its trace, so
+    replaying that trace reproduces the failure.
+    """
+    g = scenario.initial_state()
+    taken: list[ScheduleStep] = []
+    try:
+        while True:
+            steps = enabled_steps(g)
+            run_properties(g, properties, EVERY_STATE)
+            if not steps:
+                run_properties(g, properties, QUIESCENCE_ONLY)
+            step = choose(steps)
+            if step is None:
+                return WalkReport(tuple(taken), g, not steps)
+            if step not in steps:
+                break  # raised below, where the handler-error net cannot catch it
+            taken.append(step)
+            after = None
+            try:
+                after = apply(g, step)
+            finally:
+                if on_step is not None:
+                    on_step(step, g, after)
+            g = after
+    except CheckError as e:
+        return WalkReport(tuple(taken), g, not steps, str(e))
+    raise ContractViolation(f"step {len(taken) + 1} is not enabled here: {step.render()}")
 
 
 def simulate(scenario, properties: tuple[Property, ...] = (), *, seed: int = 0,
-             max_steps: int = 100_000) -> SimulationReport:
-    """One seeded uniform random walk to quiescence (or the step budget).
+             max_steps: int = 100_000) -> WalkReport:
+    """One seeded uniform random walk to quiescence, a failure or the step budget.
 
-    Equal seeds walk identical paths. Property failures are collected and
-    reported rather than aborting the walk, so a simulation always yields a
-    final state to examine.
+    Equal seeds walk identical paths.
     """
     rng = random.Random(seed)
-    g = scenario.initial_state()
-    taken: list[ScheduleStep] = []
-    failures: list[str] = []
-    for _ in range(max_steps):
-        steps = enabled_steps(g)
-        if not steps:
-            break
-        step = steps[rng.randrange(len(steps))]
-        taken.append(step)
-        try:
-            g = apply(g, step, check=False)
-        except CheckError as e:
-            failures.append(str(e))
-            taken.pop()
-            break
-        try:
-            run_properties(g, properties, EVERY_STATE)
-        except CheckError as e:
-            failures.append(str(e))
-    quiescent = not enabled_steps(g)
-    if quiescent:
-        try:
-            run_properties(g, properties, QUIESCENCE_ONLY)
-        except CheckError as e:
-            failures.append(str(e))
-    return SimulationReport(
-        quiescent=quiescent,
-        steps_taken=len(taken),
-        trace=tuple(taken),
-        failures=tuple(failures),
-        final_state=g,
-    )
+    budget = iter(range(max_steps))
+
+    def choose(steps):
+        if not steps or next(budget, None) is None:
+            return None
+        return steps[rng.randrange(len(steps))]
+
+    return walk(scenario, properties, choose)
 
 
-# ---------------------------------------------------------------------------
-# replay
-# ---------------------------------------------------------------------------
-
-
-def replay_iter(scenario, steps: Iterable[ScheduleStep]):
-    """Re-execute a schedule step by step, yielding (step, before, after).
-
-    Raises ContractViolation if a step is not enabled where the schedule
-    claims it was; a CheckError from the step itself propagates unchanged so
-    the caller sees the original violation at the original position.
-    """
-    g = scenario.initial_state()
-    for step in steps:
-        if step not in enabled_steps(g):
-            raise ContractViolation(f"trace step not enabled here: {step.render()}")
-        before = g
-        g = apply(g, step, check=False)
-        yield step, before, g
-
-
-def replay_outcome(scenario, steps: Iterable[ScheduleStep],
-                   properties: tuple[Property, ...] = ()) -> tuple[str, str | None, GlobalState]:
-    """Outcome of re-running a schedule: (outcome, violation, final state)."""
-    g = scenario.initial_state()
-    for step in steps:
-        if step not in enabled_steps(g):
-            raise ContractViolation(f"trace step not enabled here: {step.render()}")
-        try:
-            g = apply(g, step, check=False)
-        except CheckError as e:
-            return VIOLATION, str(e), g
-        try:
-            run_properties(g, properties, EVERY_STATE)
-        except CheckError as e:
-            return VIOLATION, str(e), g
-    if not enabled_steps(g):
-        try:
-            run_properties(g, properties, QUIESCENCE_ONLY)
-        except CheckError as e:
-            return VIOLATION, str(e), g
-    return VERIFIED, None, g
+def replay(scenario, schedule: Iterable[ScheduleStep], properties: tuple[Property, ...] = (),
+           on_step=None) -> WalkReport:
+    """Re-execute a recorded schedule; see walk for on_step and what stops it."""
+    remaining = iter(schedule)
+    return walk(scenario, properties, lambda steps: next(remaining, None), on_step)

@@ -8,9 +8,9 @@ directly and plants an AWAIT_ACCEPT descriptor on it.
 
 Readiness is derived from the table on demand instead of being stored:
 a process has a pending wake exactly when one of its descriptors satisfies a
-wake condition. Deriving rather than storing makes re-running ``select`` after
-no state change trivially return the same events, and removes any possibility
-of a wake bit disagreeing with the condition behind it.
+wake condition. Deriving rather than storing makes re-running ``ready_events``
+after no state change trivially return the same events, and removes any
+possibility of a wake bit disagreeing with the condition behind it.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -245,14 +245,6 @@ class SocketTable:
             elif self.other[fd] == INVALID_FD:
                 events.append(ReadyEvent(fd, EOF))
         return events
-
-    def select(self, pid: int) -> list[ReadyEvent]:
-        """Poll pid's readiness. An empty result means the process is blocked.
-
-        Because readiness is derived, running select twice in a row returns
-        the same events; the wake condition, not a stored bit, is authoritative.
-        """
-        return self.ready_events(pid)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -180,8 +180,8 @@ class Driver:
         assert not missing, f"pid {pid} lost wakes: {sorted(missing)}"
         assert not bogus, f"pid {pid} woken without cause: {sorted(bogus)}"
         # derived readiness: polling again must be a no-op
-        again = {(e.fd, e.reason) for e in t.select(pid)}
-        assert again == got, "select is not idempotent"
+        again = {(e.fd, e.reason) for e in t.ready_events(pid)}
+        assert again == got, "ready_events is not idempotent"
 
     # -- random stepping ------------------------------------------------------
 

@@ -56,7 +56,7 @@ def bfs_quiescent_encodings(scenario, depth_bound: int = 64) -> set[bytes]:
                 quiescent.add(encode(state))
                 continue
             for step in steps:
-                nxt.append(apply(state, step, check=False))
+                nxt.append(apply(state, step))
         frontier = nxt
     raise AssertionError(
         f"paths still alive after {depth_bound} steps; oracle enumeration incomplete"

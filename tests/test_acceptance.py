@@ -30,7 +30,7 @@ from ringcheck.explorer import (
     enabled_steps,
     encode,
     explore,
-    replay_iter,
+    replay,
     simulate,
 )
 from ringcheck.messages import RHS_INFO_REQUEST, RHS_INFO_RETURN, Message
@@ -172,12 +172,13 @@ def test_criterion_01_sequential_insertion_breaks_the_ring():
     # is told about the entry daemon's right-hand side.
     sched = _race_schedule(sc)
     received = {}
-    final = None
-    for step, before, after in replay_iter(sc, sched):
+
+    def watch(step, before, after):
         if (step.kind == KIND_EVENT and step.cmd == RHS_INFO_RETURN
                 and step.pid in (2, 3)):
             received[step.pid] = before.sockets.queue_of(step.fd)[0].a
-        final = after
+
+    final = replay(sc, sched, on_step=watch).final_state
     expected = sc.registry.identity_of(1)
     assert received == {2: expected, 3: expected}, (
         "both inserters should have been handed identical coordinates")

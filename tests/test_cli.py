@@ -1,10 +1,13 @@
 """Command line behavior: exit codes, report shapes, trace round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import ringcheck
 
 
 def test_verified_run_exits_zero(run_cli):
@@ -124,6 +127,54 @@ def test_replay_reproduces_the_violation(run_cli, tmp_path):
     assert "violation reproduced" in r.out
 
 
+def test_simulated_handler_error_replays_to_the_same_violation(run_cli, tmp_path):
+    path = tmp_path / "walk.trace"
+    walk = run_cli("simulate", "ring-seq", "--size", "2", "--inserters", "4",
+                   "--seed", "2", "--trace-out", str(path), "--json")
+    doc = json.loads(walk.out)
+    assert walk.code == 1
+    assert doc["quiescent"] is False and len(doc["failures"]) == 1
+    r = run_cli("replay", str(path), "--quiet")
+    assert r.code == 1
+    steps = doc["steps_taken"]
+    assert r.out.splitlines()[-2].startswith(f"step {steps}: ")
+    assert r.out.splitlines()[-1] == (
+        f"violation reproduced at step {steps}: {doc['failures'][0]}")
+
+
+def test_quiet_replay_never_dumps_a_state(run_cli, tmp_path, monkeypatch):
+    from ringcheck.explorer import GlobalState
+
+    path = tmp_path / "walk.trace"
+    run_cli("simulate", "recovery", "--size", "3", "--seed", "2",
+            "--trace-out", str(path))
+    dumps = []
+    real_dump = GlobalState.dump
+    monkeypatch.setattr(GlobalState, "dump",
+                        lambda self: dumps.append(1) or real_dump(self))
+    assert run_cli("replay", str(path), "--quiet").code == 0
+    assert dumps == []
+    assert run_cli("replay", str(path)).code == 0
+    assert dumps
+
+
+def test_replay_rejects_a_step_after_quiescence(run_cli, tmp_path):
+    path = tmp_path / "walk.trace"
+    run_cli("simulate", "ring-par", "--size", "2", "--inserters", "1",
+            "--seed", "0", "--trace-out", str(path))
+    lines = path.read_text().splitlines()
+    steps = int(next(line for line in lines if line.startswith("steps="))[6:])
+    lines = [f"steps={steps + 1}" if line.startswith("steps=") else line
+             for line in lines] + [lines[-1]]
+    extended = tmp_path / "extended.trace"
+    extended.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", str(path)).code == 0
+    r = run_cli("replay", str(extended))
+    assert r.code == 65
+    assert f"step {steps + 1} is not enabled here" in r.err
+    assert "the trace does not fit this scenario" in r.err
+
+
 def test_replay_rejects_damaged_traces(run_cli, tmp_path):
     path = tmp_path / "mangled.trace"
     path.write_text("ringcheck-trace v1\nalgorithm=ring-par\n")
@@ -158,10 +209,14 @@ def test_version_flag(run_cli):
 
 
 def test_module_entry_point_smoke():
+    # The child imports the same ringcheck as this test run, installed or not.
+    src = os.path.dirname(os.path.dirname(ringcheck.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ringcheck", "verify", "ring-par",
          "--size", "1", "--inserters", "1"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "outcome: VERIFIED" in proc.stdout

@@ -374,16 +374,6 @@ class TestFailureRecovery:
         assert d.rhs_fd == INVALID_FD
         assert queued_cmds(g, 2) == []  # no bridge was attempted
 
-    def test_shutdown_notice_suppresses_recovery(self):
-        scenario, g = ring_state("recovery", 3)
-        g.procs[0].shutdown_notice = True
-        inject_failure(g, 1)
-        d = g.procs[0]
-        ev = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
-        handle_event(g, d, ev[0])
-        assert d.rhs_fd == INVALID_FD
-        assert queued_cmds(g, 2) == []
-
     def test_missing_rhs2_is_a_violation(self):
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = None
@@ -427,5 +417,5 @@ class TestFailureRecovery:
 def test_barrier_command_reaching_a_daemon_is_a_violation():
     scenario, g = ring_state("ring-par", 2)
     g.sockets.write(0, g.procs[0].rhs_fd, Message(BARRIER_IN))
-    with pytest.raises(ProtocolViolation, match="barrier command"):
+    with pytest.raises(ProtocolViolation, match="unexpected command"):
         deliver(g, 1, cmd=BARRIER_IN)

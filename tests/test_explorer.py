@@ -17,10 +17,10 @@ from ringcheck.explorer import (
     enabled_steps,
     encode,
     explore,
-    replay_iter,
-    replay_outcome,
+    replay,
     simulate,
     state_digest,
+    walk,
 )
 from ringcheck.messages import RECONNECT_RHS
 from ringcheck.scenarios import ScenarioConfig, build_scenario
@@ -96,17 +96,11 @@ class TestApply:
         assert encode(g) != encode(h)
         assert enabled_steps(g) == [ScheduleStep(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION)]
 
-    def test_apply_rejects_steps_not_enabled(self):
-        sc = scenario_for("ring-par", size=2, inserters=1)
-        g = sc.initial_state()
-        with pytest.raises(ContractViolation, match="not enabled"):
-            apply(g, ScheduleStep(0, KIND_EVENT, 0, "new_rhs"))
-
     def test_apply_rejects_unknown_actions(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         g = sc.initial_state()
         with pytest.raises(ContractViolation):
-            apply(g, ScheduleStep(0, KIND_ACTION, -1, "reboot"), check=False)
+            apply(g, ScheduleStep(0, KIND_ACTION, -1, "reboot"))
 
 
 class TestEncoding:
@@ -126,7 +120,7 @@ class TestEncoding:
         # suite (state counts, probe counts) must be re-derived.
         ring = scenario_for("ring-par", size=2, inserters=1)
         assert state_digest(ring.initial_state()).hex() == (
-            "3ba19cc403a5774da7d99112928971c9")
+            "03efd16c3c2b394c349499f4b1ca303d")
         barrier = scenario_for("barrier", size=2)
         assert state_digest(barrier.initial_state()).hex() == (
             "237f34f4b92dbcf275b55d871c962e3c")
@@ -166,9 +160,8 @@ class TestExplore:
         assert report.outcome == VIOLATION
         assert report.violation
         assert report.trace
-        outcome, violation, _ = replay_outcome(sc, report.trace, sc.default_properties())
-        assert outcome == VIOLATION
-        assert violation == report.violation
+        result = replay(sc, report.trace, sc.default_properties())
+        assert result.violation == report.violation
 
 
 class TestSimulate:
@@ -178,7 +171,7 @@ class TestSimulate:
         b = simulate(sc, sc.default_properties(), seed=11)
         assert a.trace == b.trace
         assert a.quiescent and b.quiescent
-        assert a.failures == b.failures == ()
+        assert a.violation is None and b.violation is None
         assert encode(a.final_state) == encode(b.final_state)
 
     def test_seeds_pick_different_walks(self):
@@ -189,35 +182,77 @@ class TestSimulate:
     def test_step_budget_stops_the_walk(self):
         sc = scenario_for("ring-par", size=2, inserters=2)
         r = simulate(sc, seed=0, max_steps=2)
-        assert r.steps_taken == 2
+        assert len(r.trace) == 2
         assert not r.quiescent
+
+    def test_walk_stops_at_a_handler_error_and_keeps_the_step(self):
+        sc = scenario_for("ring-seq", size=2, inserters=4)
+        r = simulate(sc, sc.default_properties(), seed=2)
+        assert r.violation and not r.quiescent
+        # The failing step is the last one taken, and it is enabled where it ran.
+        assert r.trace[-1] in enabled_steps(r.final_state)
+        afters = []
+        again = replay(sc, r.trace, sc.default_properties(),
+                       lambda step, before, after: afters.append(after))
+        assert again.trace == r.trace
+        assert again.violation == r.violation
+        assert afters[-1] is None and None not in afters[:-1]
+
+
+class TestWalk:
+    def test_walk_rejects_steps_not_enabled(self):
+        sc = scenario_for("ring-par", size=2, inserters=1)
+        with pytest.raises(ContractViolation, match="step 1 is not enabled"):
+            walk(sc, (), lambda steps: ScheduleStep(0, KIND_EVENT, 0, "new_rhs"))
+        # Nothing is enabled after quiescence, so any further step is refused.
+        run = simulate(sc, seed=1)
+        assert run.quiescent
+        extra = [*run.trace, run.trace[-1]]
+        with pytest.raises(ContractViolation, match=f"step {len(extra)} is not enabled"):
+            replay(sc, extra)
+
+    def test_chooser_sees_the_enabled_steps(self):
+        sc = scenario_for("ring-par", size=2, inserters=2)
+        offered = []
+
+        def first(steps):
+            offered.append(steps)
+            return steps[0] if steps else None
+
+        r = walk(sc, sc.default_properties(), first)
+        assert r.quiescent and r.violation is None
+        assert offered[0] == enabled_steps(sc.initial_state())
+        assert offered[-1] == [] and len(offered) == len(r.trace) + 1
 
 
 class TestReplay:
-    def test_replay_iter_yields_before_and_after(self):
+    def test_replay_on_step_sees_before_and_after(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         run = simulate(sc, seed=3)
-        count = 0
-        for step, before, after in replay_iter(sc, run.trace):
+        seen = []
+
+        def on_step(step, before, after):
             assert step in enabled_steps(before)
             assert encode(before) != encode(after)
-            count += 1
-        assert count == run.steps_taken
+            seen.append(step)
+
+        replay(sc, run.trace, on_step=on_step)
+        assert tuple(seen) == run.trace
 
     def test_replay_rejects_foreign_steps(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         bogus = [ScheduleStep(0, KIND_EVENT, 7, "new_rhs")]
         with pytest.raises(ContractViolation, match="not enabled"):
-            list(replay_iter(sc, bogus))
+            replay(sc, bogus)
 
     def test_replay_outcome_verifies_a_clean_walk(self):
         sc = scenario_for("trace", size=2)
         run = simulate(sc, sc.default_properties(), seed=5)
         assert run.quiescent
-        outcome, violation, final = replay_outcome(sc, run.trace, sc.default_properties())
-        assert outcome == VERIFIED
-        assert violation is None
-        assert encode(final) == encode(run.final_state)
+        result = replay(sc, run.trace, sc.default_properties())
+        assert result.quiescent
+        assert result.violation is None
+        assert encode(result.final_state) == encode(run.final_state)
 
 
 def test_global_state_dump_mentions_processes_and_sockets():

@@ -199,10 +199,10 @@ class TestReadiness:
         cfd = t.connect(1, 2)
         t.accept(2)
         t.write(2, t.other_of(cfd), Message(NEW_RHS))
-        first = t.select(1)
-        assert t.select(1) == first == [ReadyEvent(cfd, MESSAGE)]
+        first = t.ready_events(1)
+        assert t.ready_events(1) == first == [ReadyEvent(cfd, MESSAGE)]
         t.read(1, cfd)
-        assert t.select(1) == []
+        assert t.ready_events(1) == []
 
     def test_events_ordered_by_fd(self):
         t = make_table()
