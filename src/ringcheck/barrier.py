@@ -19,8 +19,10 @@ from .sockets import CONNECT_PENDING, EOF, INVALID_FD, ReadyEvent
 
 
 class ManagerState:
+    """Per-manager record; canon memoises its tuple until the next clone()."""
+
     __slots__ = ("pid", "rank", "lhs_fd", "rhs_fd", "holding_barrier_in",
-                 "sent_barrier_in", "sent_barrier_out")
+                 "sent_barrier_in", "sent_barrier_out", "_canon")
 
     def __init__(self, pid: int, rank: int):
         self.pid = pid
@@ -32,6 +34,7 @@ class ManagerState:
         # exactly once per episode; a second send trips a violation.
         self.sent_barrier_in = False
         self.sent_barrier_out = False
+        self._canon: tuple | None = None
 
     @property
     def is_leader(self) -> bool:
@@ -46,12 +49,15 @@ class ManagerState:
         m.holding_barrier_in = self.holding_barrier_in
         m.sent_barrier_in = self.sent_barrier_in
         m.sent_barrier_out = self.sent_barrier_out
+        m._canon = None
         return m
 
     def canon(self, reg) -> tuple:
         # Ring wiring is static; only the episode progress is state.
-        return (int(self.holding_barrier_in), int(self.sent_barrier_in),
-                int(self.sent_barrier_out))
+        if self._canon is None:
+            self._canon = (int(self.holding_barrier_in), int(self.sent_barrier_in),
+                           int(self.sent_barrier_out))
+        return self._canon
 
     def summary(self, reg) -> str:
         return (f"m{self.pid} rank={self.rank} holding={int(self.holding_barrier_in)} "

@@ -144,8 +144,9 @@ def _cmd_simulate(args) -> int:
     )
     failures = [] if result.violation is None else [result.violation]
     if args.trace_out:
+        outcome = "SIMULATED" if result.violation is None else VIOLATION
         write_trace(args.trace_out, scenario, result.trace,
-                    outcome="SIMULATED", violation=None)
+                    outcome=outcome, violation=result.violation)
         print(f"schedule written to {args.trace_out}", file=sys.stderr)
     if args.json:
         doc = {
@@ -158,8 +159,13 @@ def _cmd_simulate(args) -> int:
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"seed {args.seed}: {len(result.trace)} steps, "
-              f"{'quiescent' if result.quiescent else 'step budget exhausted'}")
+        if result.quiescent:
+            ending = "quiescent"
+        elif result.violation is not None:
+            ending = "stopped at a violation"
+        else:
+            ending = "step budget exhausted"
+        print(f"seed {args.seed}: {len(result.trace)} steps, {ending}")
         for failure in failures:
             print(f"failure: {failure}")
         print(result.final_state.dump())

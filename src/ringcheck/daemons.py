@@ -61,12 +61,16 @@ class DaemonState:
     sequential variant's FIFO of fds awaiting a relayed coordinate answer.
     pending_rhs2_for holds a left neighbor that attached before this daemon
     knew its own right side; the deferred update is sent once it does.
+
+    canon memoises its tuple in _canon. A record is mutated only between its
+    creation or clone() (which clears the memo) and its first canon call, so
+    the memo never goes stale.
     """
 
     __slots__ = (
         "pid", "identity", "variant", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
-        "await_cmd", "pending_requesters", "pending_rhs2_for",
+        "await_cmd", "pending_requesters", "pending_rhs2_for", "_canon",
     )
 
     def __init__(self, pid: int, identity: Identity, variant: str):
@@ -82,6 +86,7 @@ class DaemonState:
         self.await_cmd: str | None = None
         self.pending_requesters: tuple[int, ...] = ()
         self.pending_rhs2_for: Identity | None = None
+        self._canon: tuple | None = None
 
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
@@ -97,22 +102,25 @@ class DaemonState:
         d.await_cmd = self.await_cmd
         d.pending_requesters = self.pending_requesters
         d.pending_rhs2_for = self.pending_rhs2_for
+        d._canon = None
         return d
 
     def canon(self, reg) -> tuple:
         # pid, identity and variant are scenario constants; only the mutable
         # fields participate in the state encoding.
-        return (
-            self.phase,
-            self.lhs_fd,
-            self.rhs_fd,
-            reg.key(self.lhs_id),
-            reg.key(self.rhs_id),
-            reg.key(self.rhs2_id),
-            self.await_cmd or "",
-            self.pending_requesters,
-            reg.key(self.pending_rhs2_for),
-        )
+        if self._canon is None:
+            self._canon = (
+                self.phase,
+                self.lhs_fd,
+                self.rhs_fd,
+                reg.key(self.lhs_id),
+                reg.key(self.rhs_id),
+                reg.key(self.rhs2_id),
+                self.await_cmd or "",
+                self.pending_requesters,
+                reg.key(self.pending_rhs2_for),
+            )
+        return self._canon
 
     def summary(self, reg) -> str:
         def k(i):

@@ -5,6 +5,14 @@ table, all per-process records and the episode bookkeeping. States are
 canonically encodable; the encoding is injective over the scenario's state
 space, so the visited set prunes exactly the states already expanded.
 
+A step costs what it changes, not the number of processes. Handlers only
+ever mutate the acting process, so a successor shares every other process
+record with its predecessor (copy on write: apply copies the acting one) and
+each record memoises its canonical tuple until it is copied again, in the
+spirit of SPIN's COLLAPSE component sharing (Holzmann, "State compression in
+SPIN", 1997). The ready events of all processes come from one pass over the
+descriptor table.
+
 The unit of interleaving is one handler invocation. enabled_steps lists, in a
 fixed deterministic order, every ready event of every live process plus every
 spontaneous action not yet fired. Trace starts are timeout actions: they only
@@ -80,10 +88,11 @@ class GlobalState:
         self.bits = bits
 
     def clone(self) -> "GlobalState":
+        """A successor to mutate; process records stay shared, see apply."""
         g = GlobalState.__new__(GlobalState)
         g.scenario = self.scenario
         g.sockets = self.sockets.clone()
-        g.procs = [p.clone() for p in self.procs]
+        g.procs = self.procs[:]
         g.trace = self.trace.clone() if self.trace is not None else None
         g.bits = self.bits.clone() if self.bits is not None else None
         return g
@@ -92,7 +101,7 @@ class GlobalState:
         reg = self.scenario.registry
         return (
             self.sockets.canon(reg),
-            tuple(p.canon(reg) for p in self.procs),
+            tuple([p.canon(reg) for p in self.procs]),
             self.trace.canon(reg) if self.trace is not None else (),
             self.bits.canon() if self.bits is not None else (),
         )
@@ -153,10 +162,11 @@ def enabled_steps(g: GlobalState) -> list[ScheduleStep]:
         and sc.kind == "ring"
         and not any(p.phase == daemons_mod.DEAD for p in g.procs)
     )
+    ready = g.sockets.ready_events()
     for p in g.procs:
         if sc.kind == "ring" and p.phase == daemons_mod.DEAD:
             continue
-        events = g.sockets.ready_events(p.pid)
+        events = ready.get(p.pid, ())
         if sc.kind == "ring" and p.await_cmd is not None:
             # Blocking-read surrogate: only the awaited reply may be handled.
             events = [
@@ -194,9 +204,12 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     The step must be one of enabled_steps(g); its callers, explore and walk,
     only pass steps they have checked. Handler failures propagate as
     CheckError for the caller to classify.
+
+    Only the acting process is copied: every handler and action mutates
+    h.procs[step.pid] alone, and the other records stay shared with g.
     """
     h = g.clone()
-    p = h.procs[step.pid]
+    p = h.procs[step.pid] = h.procs[step.pid].clone()
     if step.kind == KIND_ACTION:
         if step.cmd == ACT_BEGIN_INSERTION:
             daemons_mod.begin_insertion(h, p)

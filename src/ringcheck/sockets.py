@@ -8,9 +8,11 @@ directly and plants an AWAIT_ACCEPT descriptor on it.
 
 Readiness is derived from the table on demand instead of being stored:
 a process has a pending wake exactly when one of its descriptors satisfies a
-wake condition. Deriving rather than storing makes re-running ``ready_events``
-after no state change trivially return the same events, and removes any
-possibility of a wake bit disagreeing with the condition behind it.
+wake condition. ``ready_events`` finds the wakes of every process in one pass
+over the table, so listing them costs the table's size, not its size times
+the number of processes. Deriving rather than storing makes re-running
+``ready_events`` after no state change trivially return the same events, and
+removes any possibility of a wake bit disagreeing with the condition behind it.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -221,29 +223,35 @@ class SocketTable:
 
     # -- readiness ----------------------------------------------------------
 
-    def ready_events(self, pid: int) -> list[ReadyEvent]:
-        """Every pending wake for pid, ordered by fd index.
+    def ready_events(self) -> dict[int, list[ReadyEvent]]:
+        """Every pending wake of every process, found in one pass over the table.
 
-        Exactly one CONNECT_PENDING event is surfaced per process (for its
-        lowest AWAIT_ACCEPT descriptor) because accept itself always claims
-        the lowest pending slot. Message and EOF events are per descriptor;
-        EOF requires a drained channel, message readiness requires the
-        descriptor to have been accepted.
+        Maps each pid that has a wake to its events, ordered by fd index;
+        a pid with none is absent. Exactly one CONNECT_PENDING event is
+        surfaced per process (for its lowest AWAIT_ACCEPT descriptor) because
+        accept itself always claims the lowest pending slot. Message and EOF
+        events are per descriptor; EOF requires a drained channel, message
+        readiness requires the descriptor to have been accepted.
         """
-        events = []
-        connect_seen = False
-        for fd in range(self.conn_max):
-            if self.owner[fd] != pid or self.flag[fd] == FREE:
+        events: dict[int, list[ReadyEvent]] = {}
+        connecting = set()  # pids whose CONNECT_PENDING event is already listed
+        owner, other, queues = self.owner, self.other, self.queues
+        for fd, flag in enumerate(self.flag):
+            if flag == FREE:
                 continue
-            if self.flag[fd] == AWAIT_ACCEPT:
-                if not connect_seen:
-                    events.append(ReadyEvent(fd, CONNECT_PENDING))
-                    connect_seen = True
+            pid = owner[fd]
+            if flag == AWAIT_ACCEPT:
+                if pid in connecting:
+                    continue
+                connecting.add(pid)
+                reason = CONNECT_PENDING
+            elif queues[fd]:
+                reason = MESSAGE
+            elif other[fd] == INVALID_FD:
+                reason = EOF
+            else:
                 continue
-            if self.queues[fd]:
-                events.append(ReadyEvent(fd, MESSAGE))
-            elif self.other[fd] == INVALID_FD:
-                events.append(ReadyEvent(fd, EOF))
+            events.setdefault(pid, []).append(ReadyEvent(fd, reason))
         return events
 
     # -- diagnostics ---------------------------------------------------------

@@ -153,14 +153,18 @@ class Driver:
             f"conservation broke: sent={self.sent} read={self.read_count} "
             f"discarded={self.discarded} queued={queued}"
         )
-        # wake soundness and completeness, per process
+        # wake soundness and completeness, per process, from one table pass
+        ready = t.ready_events()
+        assert set(ready) <= set(range(self.n_pids)), f"wakes for unknown pids: {sorted(ready)}"
+        assert all(ready.values()), "a pid is listed with no events"
         for pid in range(self.n_pids):
-            self._check_wakes(pid)
+            self._check_wakes(pid, ready.get(pid, []))
+        # derived readiness: polling again must be a no-op
+        assert t.ready_events() == ready, "ready_events is not idempotent"
         # the table's own structural check must agree
         t.check_invariants(dead_pids=frozenset(self.dead))
 
-    def _check_wakes(self, pid: int) -> None:
-        t = self.table
+    def _check_wakes(self, pid: int, events: list) -> None:
         expected = set()
         pending = sorted(
             fd for fd, s in self.slots.items() if s.owner == pid and not s.accepted
@@ -174,14 +178,13 @@ class Driver:
                 expected.add((fd, MESSAGE))
             elif slot.peer_closed:
                 expected.add((fd, EOF))
-        got = {(e.fd, e.reason) for e in t.ready_events(pid)}
+        got = {(e.fd, e.reason) for e in events}
         missing = expected - got
         bogus = got - expected
         assert not missing, f"pid {pid} lost wakes: {sorted(missing)}"
         assert not bogus, f"pid {pid} woken without cause: {sorted(bogus)}"
-        # derived readiness: polling again must be a no-op
-        again = {(e.fd, e.reason) for e in t.ready_events(pid)}
-        assert again == got, "ready_events is not idempotent"
+        fds = [e.fd for e in events]
+        assert fds == sorted(set(fds)), f"pid {pid} events not in strict fd order: {events}"
 
     # -- random stepping ------------------------------------------------------
 

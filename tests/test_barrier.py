@@ -16,7 +16,7 @@ def barrier_state(n):
 
 
 def deliver(g, pid):
-    evs = g.sockets.ready_events(pid)
+    evs = g.sockets.ready_events().get(pid, [])
     assert evs, f"manager {pid} has nothing to read"
     handle_event(g, g.procs[pid], evs[0])
 
@@ -63,7 +63,7 @@ class TestTokens:
             moved = False
             for pid in range(3):
                 before = g.bits.client_barrier_out
-                if g.sockets.ready_events(pid):
+                if g.sockets.ready_events().get(pid, []):
                     deliver(g, pid)
                     moved = True
                     after = g.bits.client_barrier_out

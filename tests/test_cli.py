@@ -142,6 +142,45 @@ def test_simulated_handler_error_replays_to_the_same_violation(run_cli, tmp_path
         f"violation reproduced at step {steps}: {doc['failures'][0]}")
 
 
+def test_simulate_says_a_failing_walk_stopped_at_the_violation(run_cli):
+    r = run_cli("simulate", "ring-seq", "--size", "2", "--inserters", "2", "--seed", "26")
+    assert r.code == 1
+    lines = r.out.splitlines()
+    assert lines[0] == "seed 26: 12 steps, stopped at a violation"
+    assert lines[1] == "failure: write on fd 0: peer endpoint is closed"
+    assert "step budget exhausted" not in r.out
+
+
+def test_simulate_budget_stop_is_labelled_as_such(run_cli):
+    r = run_cli("simulate", "ring-par", "--size", "2", "--inserters", "2",
+                "--seed", "9", "--max-steps", "3")
+    assert r.code == 0
+    assert r.out.splitlines()[0] == "seed 9: 3 steps, step budget exhausted"
+
+
+def test_failing_walk_trace_names_its_violation(run_cli, tmp_path):
+    path = tmp_path / "walk.trace"
+    walk = run_cli("simulate", "ring-seq", "--size", "2", "--inserters", "2",
+                   "--seed", "26", "--trace-out", str(path), "--json")
+    assert walk.code == 1
+    failure = json.loads(walk.out)["failures"][0]
+    header = path.read_text().splitlines()
+    assert "outcome=VIOLATION" in header
+    assert f"violation={failure}" in header
+    r = run_cli("replay", str(path), "--quiet")
+    assert r.code == 1
+    assert r.out.splitlines()[-1] == f"violation reproduced at step 12: {failure}"
+
+
+def test_clean_walk_trace_has_no_violation_line(run_cli, tmp_path):
+    path = tmp_path / "walk.trace"
+    assert run_cli("simulate", "recovery", "--size", "3", "--seed", "2",
+                   "--trace-out", str(path)).code == 0
+    header = path.read_text().splitlines()
+    assert "outcome=SIMULATED" in header
+    assert not any(line.startswith("violation=") for line in header)
+
+
 def test_quiet_replay_never_dumps_a_state(run_cli, tmp_path, monkeypatch):
     from ringcheck.explorer import GlobalState
 

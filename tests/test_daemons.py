@@ -46,7 +46,7 @@ def ring_state(algorithm, size, inserters=0, **kw):
 
 def deliver(g, pid, cmd=None):
     """Run the first ready event of pid (optionally the one carrying cmd)."""
-    for ev in g.sockets.ready_events(pid):
+    for ev in g.sockets.ready_events().get(pid, []):
         if cmd is not None:
             q = g.sockets.queue_of(ev.fd)
             if not (ev.reason == MESSAGE and q and q[0].cmd == cmd):
@@ -348,7 +348,7 @@ class TestFailureRecovery:
         inject_failure(g, 1)
         assert g.procs[1].phase == DEAD
         d = g.procs[0]
-        ev = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
+        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         assert ev and ev[0].fd == d.rhs_fd
         handle_event(g, d, ev[0])
         assert d.rhs_id == scenario.registry.identity_of(2)
@@ -360,7 +360,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         inject_failure(g, 1)
         d = g.procs[2]
-        ev = [e for e in g.sockets.ready_events(2) if e.reason == EOF]
+        ev = [e for e in g.sockets.ready_events().get(2, []) if e.reason == EOF]
         handle_event(g, d, ev[0])
         assert d.lhs_fd == INVALID_FD
         assert d.rhs_id == scenario.registry.identity_of(0)  # untouched
@@ -369,7 +369,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("ring-seq", 3)
         inject_failure(g, 1)
         d = g.procs[0]
-        ev = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
+        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         handle_event(g, d, ev[0])
         assert d.rhs_fd == INVALID_FD
         assert queued_cmds(g, 2) == []  # no bridge was attempted
@@ -378,7 +378,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = None
         inject_failure(g, 1)
-        ev = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
+        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         with pytest.raises(ProtocolViolation, match="no rhs2"):
             handle_event(g, g.procs[0], ev[0])
 
@@ -386,7 +386,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 4)
         inject_failure(g, 1)
         inject_failure(g, 2)
-        ev = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
+        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         with pytest.raises(ProtocolViolation, match="both right-hand neighbors"):
             handle_event(g, g.procs[0], ev[0])
 
@@ -395,12 +395,12 @@ class TestFailureRecovery:
         inject_failure(g, 1)
         d = g.procs[0]
         for _ in range(2):  # EOF on both sides of the dead neighbor
-            evs = [e for e in g.sockets.ready_events(0) if e.reason == EOF]
+            evs = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
             if not evs:
                 break
             handle_event(g, d, evs[0])
         # d reconnected to itself via rhs2; finish its own handshake.
-        while g.sockets.ready_events(0):
+        while g.sockets.ready_events().get(0, []):
             deliver(g, 0)
         assert d.rhs_id == d.identity
         assert d.lhs_id == d.identity

@@ -2,11 +2,15 @@
 
 import pytest
 
-from ringcheck.errors import ContractViolation
+from ringcheck import barrier as barrier_mod
+from ringcheck import daemons as daemons_mod
+from ringcheck.errors import CheckError, ContractViolation
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
     ACT_INJECT_FAILURE,
     ACT_START_TRACE,
+    EVENT_CONNECT,
+    EVENT_EOF,
     KIND_ACTION,
     KIND_EVENT,
     RESOURCE_LIMIT,
@@ -22,7 +26,7 @@ from ringcheck.explorer import (
     state_digest,
     walk,
 )
-from ringcheck.messages import RECONNECT_RHS
+from ringcheck.messages import NEW_RHS, RECONNECT_RHS
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 
 
@@ -47,6 +51,28 @@ class TestEnabledSteps:
             assert steps == enabled_steps(g)
             assert steps == sorted(steps, key=lambda s: (s.pid, s.fd))
             g = apply(g, steps[0])
+
+    def test_steps_are_ordered_by_pid_then_fd_across_processes(self):
+        # Three pending splices at the entry daemon of a ring of one: pid 0
+        # has two events, pids 1 and 2 one each, and pid 4 has not started.
+        sc = scenario_for("ring-par", size=1, inserters=4)
+        begin = [ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION) for pid in (1, 2, 3)]
+        schedule = [
+            begin[0], begin[1],
+            ScheduleStep(0, KIND_EVENT, 2, EVENT_CONNECT),
+            begin[2],
+            ScheduleStep(0, KIND_EVENT, 4, EVENT_CONNECT),
+            ScheduleStep(0, KIND_EVENT, 4, NEW_RHS),
+            ScheduleStep(0, KIND_EVENT, 2, NEW_RHS),
+        ]
+        g = replay(sc, schedule).final_state
+        assert enabled_steps(g) == [
+            ScheduleStep(0, KIND_EVENT, 0, EVENT_EOF),
+            ScheduleStep(0, KIND_EVENT, 6, EVENT_CONNECT),
+            ScheduleStep(1, KIND_EVENT, 3, RECONNECT_RHS),
+            ScheduleStep(2, KIND_EVENT, 5, RECONNECT_RHS),
+            ScheduleStep(4, KIND_ACTION, -1, ACT_BEGIN_INSERTION),
+        ]
 
     def test_awaiting_daemon_sees_only_the_awaited_reply(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
@@ -101,6 +127,88 @@ class TestApply:
         g = sc.initial_state()
         with pytest.raises(ContractViolation):
             apply(g, ScheduleStep(0, KIND_ACTION, -1, "reboot"))
+
+
+def check_copy_on_write(scenario) -> int:
+    """Search every reachable state, checking each transition's sharing.
+
+    apply(g, step) must leave encode(g) unchanged, failing handlers
+    included, and every process record's memoised canon must equal a fresh
+    one computed by a clone, which starts without a memo. Properties are not run, so the search goes on past violations.
+    Returns the number of transitions checked.
+    """
+    reg = scenario.registry
+
+    def memos_are_fresh(g, where):
+        for p in g.procs:
+            fresh = p.clone()
+            assert fresh._canon is None, f"{where}: clone kept the memo of pid {p.pid}"
+            assert p.canon(reg) == fresh.canon(reg), f"{where}: stale canon of pid {p.pid}"
+
+    init = scenario.initial_state()
+    seen = {encode(init)}
+    stack = [init]
+    transitions = 0
+    while stack:
+        g = stack.pop()
+        before = encode(g)
+        for step in enabled_steps(g):
+            transitions += 1
+            try:
+                h = apply(g, step)
+            except CheckError:
+                h = None
+            where = f"after {step.render()}"
+            assert encode(g) == before, f"{where}: the predecessor changed"
+            memos_are_fresh(g, where)
+            if h is None:
+                continue
+            memos_are_fresh(h, where)
+            key = encode(h)
+            if key not in seen:
+                seen.add(key)
+                stack.append(h)
+    return transitions
+
+
+COPY_ON_WRITE_MODELS = [
+    ("ring-seq", {"size": 2, "inserters": 2}),
+    ("ring-par", {"size": 1, "inserters": 2}),
+    ("trace", {"size": 3}),
+    ("recovery", {"size": 4}),
+    ("barrier", {"size": 4}),
+]
+
+
+class TestCopyOnWrite:
+    @pytest.mark.parametrize("algorithm,kw", COPY_ON_WRITE_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in COPY_ON_WRITE_MODELS])
+    def test_steps_never_touch_the_predecessor(self, algorithm, kw):
+        assert check_copy_on_write(scenario_for(algorithm, **kw)) > 0
+
+    def test_a_handler_writing_another_process_is_caught(self, monkeypatch):
+        real = daemons_mod._DISPATCH[RECONNECT_RHS]
+
+        def meddling(g, d, fd, msg):
+            real(g, d, fd, msg)
+            other = g.procs[(d.pid + 1) % len(g.procs)]
+            other.pending_requesters = other.pending_requesters + (fd,)
+
+        monkeypatch.setitem(daemons_mod._DISPATCH, RECONNECT_RHS, meddling)
+        with pytest.raises(AssertionError, match="stale canon|predecessor changed"):
+            check_copy_on_write(scenario_for("ring-par", size=1, inserters=2))
+
+    def test_a_barrier_handler_writing_another_manager_is_caught(self, monkeypatch):
+        real = barrier_mod._on_barrier_in
+
+        def meddling(g, m):
+            real(g, m)
+            g.procs[(m.pid + 1) % len(g.procs)].holding_barrier_in = True
+
+        monkeypatch.setattr(barrier_mod, "_on_barrier_in", meddling)
+        with pytest.raises(AssertionError, match="stale canon|predecessor changed"):
+            check_copy_on_write(scenario_for("barrier", size=4))
 
 
 class TestEncoding:

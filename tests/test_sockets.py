@@ -145,9 +145,9 @@ class TestClose:
         sfd = t.accept(2)
         t.write(1, cfd, Message(NEW_RHS))
         t.close(1, cfd)
-        assert t.ready_events(2) == [ReadyEvent(sfd, MESSAGE)]
+        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
         t.read(2, sfd)
-        assert t.ready_events(2) == [ReadyEvent(sfd, EOF)]
+        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, EOF)]
 
     def test_close_wrong_owner_raises(self):
         t = make_table()
@@ -172,7 +172,7 @@ class TestClose:
         t.close(2, sfd)
         assert t.flag_of(sfd) == FREE
         assert t.other_of(cfd) == INVALID_FD
-        assert t.ready_events(1) == [ReadyEvent(cfd, EOF)]
+        assert t.ready_events().get(1, []) == [ReadyEvent(cfd, EOF)]
 
 
 class TestReadiness:
@@ -181,28 +181,28 @@ class TestReadiness:
         c1 = t.connect(1, 3)
         c2 = t.connect(2, 3)
         s1, s2 = t.other_of(c1), t.other_of(c2)
-        assert t.ready_events(3) == [ReadyEvent(s1, CONNECT_PENDING)]
+        assert t.ready_events().get(3, []) == [ReadyEvent(s1, CONNECT_PENDING)]
         t.accept(3)
-        assert t.ready_events(3) == [ReadyEvent(s2, CONNECT_PENDING)]
+        assert t.ready_events().get(3, []) == [ReadyEvent(s2, CONNECT_PENDING)]
 
     def test_message_not_ready_before_accept(self):
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
         t.write(1, cfd, Message(NEW_RHS))
-        assert t.ready_events(2) == [ReadyEvent(sfd, CONNECT_PENDING)]
+        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, CONNECT_PENDING)]
         t.accept(2)
-        assert t.ready_events(2) == [ReadyEvent(sfd, MESSAGE)]
+        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
 
     def test_select_is_derived_and_idempotent(self):
         t = make_table()
         cfd = t.connect(1, 2)
         t.accept(2)
         t.write(2, t.other_of(cfd), Message(NEW_RHS))
-        first = t.ready_events(1)
-        assert t.ready_events(1) == first == [ReadyEvent(cfd, MESSAGE)]
+        first = t.ready_events()
+        assert t.ready_events() == first == {1: [ReadyEvent(cfd, MESSAGE)]}
         t.read(1, cfd)
-        assert t.ready_events(1) == []
+        assert t.ready_events() == {}
 
     def test_events_ordered_by_fd(self):
         t = make_table()
@@ -212,7 +212,7 @@ class TestReadiness:
         t.accept(2)
         t.write(2, t.other_of(c1), Message(NEW_RHS))
         t.write(2, t.other_of(c2), Message(NEW_RHS))
-        evs = t.ready_events(1)
+        evs = t.ready_events().get(1, [])
         assert evs == sorted(evs, key=lambda e: e.fd)
         assert [e.reason for e in evs] == [MESSAGE, MESSAGE]
 
