@@ -14,15 +14,15 @@ barrier_out returns, so it is the last one out.
 from __future__ import annotations
 
 from .errors import ProtocolViolation
-from .messages import BARRIER_IN, BARRIER_OUT, Message
+from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from .sockets import CONNECT_PENDING, EOF, INVALID_FD, ReadyEvent
 
 
 class ManagerState:
-    """Per-manager record; canon memoises its tuple until the next clone()."""
+    """Per-manager record."""
 
     __slots__ = ("pid", "rank", "lhs_fd", "rhs_fd", "holding_barrier_in",
-                 "sent_barrier_in", "sent_barrier_out", "_canon")
+                 "sent_barrier_in", "sent_barrier_out")
 
     def __init__(self, pid: int, rank: int):
         self.pid = pid
@@ -34,7 +34,6 @@ class ManagerState:
         # exactly once per episode; a second send trips a violation.
         self.sent_barrier_in = False
         self.sent_barrier_out = False
-        self._canon: tuple | None = None
 
     @property
     def is_leader(self) -> bool:
@@ -49,17 +48,14 @@ class ManagerState:
         m.holding_barrier_in = self.holding_barrier_in
         m.sent_barrier_in = self.sent_barrier_in
         m.sent_barrier_out = self.sent_barrier_out
-        m._canon = None
         return m
 
-    def canon(self, reg) -> tuple:
+    def canon(self) -> tuple:
         # Ring wiring is static; only the episode progress is state.
-        if self._canon is None:
-            self._canon = (int(self.holding_barrier_in), int(self.sent_barrier_in),
-                           int(self.sent_barrier_out))
-        return self._canon
+        return (int(self.holding_barrier_in), int(self.sent_barrier_in),
+                int(self.sent_barrier_out))
 
-    def summary(self, reg) -> str:
+    def summary(self) -> str:
         return (f"m{self.pid} rank={self.rank} holding={int(self.holding_barrier_in)} "
                 f"sent_in={int(self.sent_barrier_in)} sent_out={int(self.sent_barrier_out)}")
 
@@ -98,7 +94,7 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
         if m.sent_barrier_out:
             raise ProtocolViolation(f"m{m.pid}: second barrier_out on one channel")
         m.sent_barrier_out = True
-    g.sockets.write(m.pid, m.rhs_fd, Message(cmd))
+    g.sockets.write(m.pid, m.rhs_fd, message(cmd))
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
@@ -141,10 +137,10 @@ def _on_barrier_out(g, m: ManagerState) -> None:
 def handle_event(g, m: ManagerState, ev: ReadyEvent) -> None:
     if ev.reason in (CONNECT_PENDING, EOF):
         raise ProtocolViolation(f"m{m.pid}: unexpected {ev.reason} event on manager ring")
-    msg = g.sockets.read(m.pid, ev.fd)
-    if msg.cmd == BARRIER_IN:
+    cmd = command_of(g.sockets.read(m.pid, ev.fd))
+    if cmd == BARRIER_IN:
         _on_barrier_in(g, m)
-    elif msg.cmd == BARRIER_OUT:
+    elif cmd == BARRIER_OUT:
         _on_barrier_out(g, m)
     else:
-        raise ProtocolViolation(f"m{m.pid}: unexpected command {msg.cmd!r}")
+        raise ProtocolViolation(f"m{m.pid}: unexpected command {cmd!r}")

@@ -12,6 +12,11 @@ Every handler runs atomically between two scheduling points: it consumes one
 ready event, performs its reads, writes, connects and closes, and returns.
 Interleaving happens only between handler invocations.
 
+Daemons name each other by pid: the neighbor fields, the trace collection
+and every message payload hold pids, -1 for "nobody", so a record's
+canonical tuple is just its own fields. Identities only appear in rendered
+text, through the scenario's registry.
+
 Correctness of the second-right (rhs2) bookkeeping under concurrent insertion
 is not obvious from the handlers alone; the arbiter is the neighbor-state
 property evaluated at quiescence, which demands that every daemon's recorded
@@ -21,21 +26,24 @@ structures.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from . import sockets
 from .errors import ProtocolViolation
 from .messages import (
+    A,
+    ABSENT,
+    B,
+    HOPS,
+    IDS,
     NEW_LHS,
     NEW_RHS,
+    ORIGIN,
     RECONNECT_RHS,
     RHS2INFO,
     RHS_INFO_REQUEST,
     RHS_INFO_RETURN,
     TRACE_DONE,
     TRACE_REQ,
-    Identity,
-    Message,
+    command_of,
+    message,
 )
 from .sockets import CONNECT_PENDING, EOF, INVALID_FD, LHS, NEW, RHS, ReadyEvent
 
@@ -55,43 +63,38 @@ PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", IN_RING: "in_ring", D
 class DaemonState:
     """Mutable per-daemon record.
 
-    lhs_id is the identity of the daemon on the left, learned from new_lhs
-    messages (and from ring construction); it is what makes the addressed
-    counterclockwise rhs2info sends expressible. pending_requesters is the
-    sequential variant's FIFO of fds awaiting a relayed coordinate answer.
-    pending_rhs2_for holds a left neighbor that attached before this daemon
-    knew its own right side; the deferred update is sent once it does.
-
-    canon memoises its tuple in _canon. A record is mutated only between its
-    creation or clone() (which clears the memo) and its first canon call, so
-    the memo never goes stale.
+    lhs_id, rhs_id and rhs2_id are the pids of the daemons on the left, on
+    the right and two hops right, -1 while unknown. lhs_id is learned from
+    new_lhs messages (and from ring construction); it is what makes the
+    addressed counterclockwise rhs2info sends expressible. pending_requesters
+    is the sequential variant's FIFO of fds awaiting a relayed coordinate
+    answer. pending_rhs2_for holds the pid of a left neighbor that attached
+    before this daemon knew its own right side; the deferred update is sent
+    once it does.
     """
 
     __slots__ = (
-        "pid", "identity", "variant", "phase",
+        "pid", "variant", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
-        "await_cmd", "pending_requesters", "pending_rhs2_for", "_canon",
+        "await_cmd", "pending_requesters", "pending_rhs2_for",
     )
 
-    def __init__(self, pid: int, identity: Identity, variant: str):
+    def __init__(self, pid: int, variant: str):
         self.pid = pid
-        self.identity = identity
         self.variant = variant
         self.phase = IDLE
         self.lhs_fd = INVALID_FD
         self.rhs_fd = INVALID_FD
-        self.lhs_id: Identity | None = None
-        self.rhs_id: Identity | None = None
-        self.rhs2_id: Identity | None = None
+        self.lhs_id = ABSENT
+        self.rhs_id = ABSENT
+        self.rhs2_id = ABSENT
         self.await_cmd: str | None = None
         self.pending_requesters: tuple[int, ...] = ()
-        self.pending_rhs2_for: Identity | None = None
-        self._canon: tuple | None = None
+        self.pending_rhs2_for = ABSENT
 
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
         d.pid = self.pid
-        d.identity = self.identity
         d.variant = self.variant
         d.phase = self.phase
         d.lhs_fd = self.lhs_fd
@@ -102,29 +105,26 @@ class DaemonState:
         d.await_cmd = self.await_cmd
         d.pending_requesters = self.pending_requesters
         d.pending_rhs2_for = self.pending_rhs2_for
-        d._canon = None
         return d
 
-    def canon(self, reg) -> tuple:
-        # pid, identity and variant are scenario constants; only the mutable
-        # fields participate in the state encoding.
-        if self._canon is None:
-            self._canon = (
-                self.phase,
-                self.lhs_fd,
-                self.rhs_fd,
-                reg.key(self.lhs_id),
-                reg.key(self.rhs_id),
-                reg.key(self.rhs2_id),
-                self.await_cmd or "",
-                self.pending_requesters,
-                reg.key(self.pending_rhs2_for),
-            )
-        return self._canon
+    def canon(self) -> tuple:
+        # pid and variant are scenario constants; only the mutable fields
+        # participate in the state encoding.
+        return (
+            self.phase,
+            self.lhs_fd,
+            self.rhs_fd,
+            self.lhs_id,
+            self.rhs_id,
+            self.rhs2_id,
+            self.await_cmd or "",
+            self.pending_requesters,
+            self.pending_rhs2_for,
+        )
 
-    def summary(self, reg) -> str:
-        def k(i):
-            return "-" if i is None else f"n{reg.key(i)}"
+    def summary(self) -> str:
+        def k(pid):
+            return "-" if pid < 0 else f"n{pid}"
 
         return (
             f"d{self.pid} phase={PHASE_NAMES[self.phase]} lhs_fd={self.lhs_fd} "
@@ -134,14 +134,14 @@ class DaemonState:
 
 
 class TraceState:
-    """Bookkeeping for one ring trace episode."""
+    """Bookkeeping for one ring trace episode; collected holds pids."""
 
     __slots__ = ("started", "initiator", "collected", "done")
 
     def __init__(self):
         self.started = False
         self.initiator = -1
-        self.collected: tuple[Identity, ...] = ()
+        self.collected: tuple[int, ...] = ()
         self.done = False
 
     def clone(self) -> "TraceState":
@@ -152,13 +152,8 @@ class TraceState:
         t.done = self.done
         return t
 
-    def canon(self, reg) -> tuple:
-        return (
-            int(self.started),
-            self.initiator,
-            tuple(reg.key(i) for i in self.collected),
-            int(self.done),
-        )
+    def canon(self) -> tuple:
+        return (int(self.started), self.initiator, self.collected, int(self.done))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +175,7 @@ def first_daemon_init(g, d: DaemonState) -> None:
     g.sockets.set_flag(server_fd, LHS)
     d.rhs_fd = client_fd
     d.lhs_fd = server_fd
-    d.rhs_id = d.identity
-    d.rhs2_id = d.identity
-    d.lhs_id = d.identity
+    d.rhs_id = d.rhs2_id = d.lhs_id = d.pid
     d.phase = IN_RING
 
 
@@ -196,20 +189,19 @@ def begin_insertion(g, d: DaemonState) -> None:
     if d.phase != IDLE:
         raise ProtocolViolation(f"d{d.pid}: begin_insertion outside IDLE")
     entry_pid = g.scenario.entry_pid
-    entry_identity = g.scenario.registry.identity_of(entry_pid)
     fd = g.sockets.connect(d.pid, entry_pid)
     g.sockets.set_flag(fd, LHS)
     d.lhs_fd = fd
-    d.lhs_id = entry_identity
+    d.lhs_id = entry_pid
     if d.variant == PARALLEL:
-        g.sockets.write(d.pid, fd, Message(NEW_RHS, a=d.identity))
+        g.sockets.write(d.pid, fd, message(NEW_RHS, a=d.pid))
         # The entry handshake is synchronous in the joining daemon: it reads
         # nothing else until the splice reply arrives. Without this, a later
         # newcomer's new_lhs could displace the entry connection while the
         # reply is still queued on it, and the reply would be lost.
         d.await_cmd = RECONNECT_RHS
     else:
-        g.sockets.write(d.pid, fd, Message(RHS_INFO_REQUEST))
+        g.sockets.write(d.pid, fd, message(RHS_INFO_REQUEST))
         if g.scenario.seq_blocking:
             d.await_cmd = RHS_INFO_RETURN
     d.phase = ENTERING_LHS
@@ -237,7 +229,7 @@ def start_trace(g) -> None:
     g.sockets.write(
         initiator.pid,
         initiator.rhs_fd,
-        Message(TRACE_REQ, origin=initiator.identity, ids=(initiator.identity,)),
+        message(TRACE_REQ, origin=initiator.pid, ids=(initiator.pid,)),
     )
 
 
@@ -254,9 +246,10 @@ def handle_event(g, d: DaemonState, ev: ReadyEvent) -> None:
         _on_eof(g, d, ev.fd)
         return
     msg = g.sockets.read(d.pid, ev.fd)
-    handler = _DISPATCH.get(msg.cmd)
+    cmd = command_of(msg)
+    handler = _DISPATCH.get(cmd)
     if handler is None:
-        raise ProtocolViolation(f"d{d.pid}: unexpected command {msg.cmd!r}")
+        raise ProtocolViolation(f"d{d.pid}: unexpected command {cmd!r}")
     handler(g, d, ev.fd, msg)
 
 
@@ -264,7 +257,7 @@ def _live_count(g) -> int:
     return sum(1 for p in g.procs if p.phase != DEAD)
 
 
-def _send_rhs2_to_lhs(g, d: DaemonState, value: Identity) -> None:
+def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
     """Tell the daemon on d's left that its second-right neighbor is now value.
 
     Skipped when the left side is d itself (a ring of one, or a ring still
@@ -273,7 +266,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: Identity) -> None:
     replaced, and the replacement learns its rhs2 from the update triggered
     by its own new_lhs instead.
     """
-    if d.lhs_id is None or d.lhs_id == d.identity:
+    if d.lhs_id < 0 or d.lhs_id == d.pid:
         return
     if d.lhs_fd == INVALID_FD or not g.sockets.is_allocated(d.lhs_fd):
         return
@@ -282,7 +275,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: Identity) -> None:
     g.sockets.write(
         d.pid,
         d.lhs_fd,
-        Message(RHS2INFO, a=d.lhs_id, b=value, hops=g.scenario.hop_budget),
+        message(RHS2INFO, a=d.lhs_id, b=value, hops=g.scenario.hop_budget),
     )
 
 
@@ -305,87 +298,88 @@ def _on_new_rhs(g, d, fd, msg):
     # Reply with the splice target first; the old right connection is then
     # retired and the new daemon becomes both rhs and, for the left neighbor,
     # the new second-right hop.
-    g.sockets.write(d.pid, fd, Message(RECONNECT_RHS, a=old_rhs_id))
+    g.sockets.write(d.pid, fd, message(RECONNECT_RHS, a=old_rhs_id))
     _close_if_open(g, d, d.rhs_fd)
     g.sockets.set_flag(fd, RHS)
     d.rhs_fd = fd
     d.rhs2_id = old_rhs_id
-    d.rhs_id = msg.a
-    _send_rhs2_to_lhs(g, d, msg.a)
+    d.rhs_id = msg[A]
+    _send_rhs2_to_lhs(g, d, msg[A])
 
 
 def _on_reconnect_rhs(g, d, fd, msg):
     if d.variant != PARALLEL or d.phase != ENTERING_LHS:
         raise ProtocolViolation(f"d{d.pid}: unexpected reconnect_rhs")
-    if msg.a is None or msg.a == d.identity:
+    target = msg[A]
+    if target < 0 or target == d.pid:
         raise ProtocolViolation(f"d{d.pid}: reconnect_rhs names myself")
-    if msg.a not in g.scenario.registry:
+    if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: reconnect_rhs to unknown identity")
-    target = g.scenario.registry.pid_of(msg.a)
     nfd = g.sockets.connect(d.pid, target)
     g.sockets.set_flag(nfd, RHS)
     d.rhs_fd = nfd
-    d.rhs_id = msg.a
-    g.sockets.write(d.pid, nfd, Message(NEW_LHS, a=d.identity))
+    d.rhs_id = target
+    g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
     d.phase = IN_RING
     d.await_cmd = None
-    if d.pending_rhs2_for is not None:
+    if d.pending_rhs2_for >= 0:
         # A left neighbor attached while this daemon's right side was still
         # unknown; deliver the deferred second-right update now.
         if d.lhs_fd != INVALID_FD and g.sockets.other_of(d.lhs_fd) != INVALID_FD:
             g.sockets.write(
                 d.pid,
                 d.lhs_fd,
-                Message(RHS2INFO, a=d.pending_rhs2_for, b=d.rhs_id,
+                message(RHS2INFO, a=d.pending_rhs2_for, b=d.rhs_id,
                         hops=g.scenario.hop_budget),
             )
-        d.pending_rhs2_for = None
+        d.pending_rhs2_for = ABSENT
 
 
 def _on_new_lhs(g, d, fd, msg):
     _close_if_open(g, d, d.lhs_fd)  # stale remnant of the replaced connection
     g.sockets.set_flag(fd, LHS)
     d.lhs_fd = fd
-    d.lhs_id = msg.a
+    d.lhs_id = msg[A]
     if d.variant != PARALLEL:
         return
-    if d.rhs_id is not None:
+    if d.rhs_id >= 0:
         # The newcomer's second-right neighbor is this daemon's right.
         g.sockets.write(
             d.pid, fd,
-            Message(RHS2INFO, a=msg.a, b=d.rhs_id, hops=g.scenario.hop_budget),
+            message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=g.scenario.hop_budget),
         )
     else:
-        d.pending_rhs2_for = msg.a
+        d.pending_rhs2_for = msg[A]
 
 
 def _on_rhs2info(g, d, fd, msg):
-    if msg.a == d.identity:
-        d.rhs2_id = msg.b
+    if msg[A] == d.pid:
+        d.rhs2_id = msg[B]
         return
-    if msg.hops <= 0:
-        raise ProtocolViolation(f"d{d.pid}: rhs2info for {msg.a} exceeded hop budget")
+    if msg[HOPS] <= 0:
+        target = g.scenario.registry.name(msg[A])
+        raise ProtocolViolation(f"d{d.pid}: rhs2info for {target} exceeded hop budget")
     if d.lhs_fd == INVALID_FD or g.sockets.other_of(d.lhs_fd) == INVALID_FD:
         raise ProtocolViolation(f"d{d.pid}: cannot forward rhs2info, left side gone")
-    g.sockets.write(d.pid, d.lhs_fd, replace(msg, hops=msg.hops - 1))
+    g.sockets.write(d.pid, d.lhs_fd, msg[:HOPS] + (msg[HOPS] - 1,))
 
 
 def _on_rhs_info_request(g, d, fd, msg):
     if d.variant == PARALLEL:
         # Recovery query: a new left neighbor wants my right-hand identity.
-        if d.rhs_id is None:
+        if d.rhs_id < 0:
             raise ProtocolViolation(f"d{d.pid}: asked for rhs while unknown")
-        g.sockets.write(d.pid, fd, Message(RHS_INFO_RETURN, a=d.rhs_id))
+        g.sockets.write(d.pid, fd, message(RHS_INFO_RETURN, a=d.rhs_id))
         return
     if fd == d.lhs_fd:
         # Forwarded identity query from my left: answer with my coordinates.
-        g.sockets.write(d.pid, fd, Message(RHS_INFO_RETURN, a=d.identity))
+        g.sockets.write(d.pid, fd, message(RHS_INFO_RETURN, a=d.pid))
     elif g.sockets.flag_of(fd) == NEW:
         # An entering daemon asks who sits on my right. Pass the question on
         # and remember the asker; answers are relayed strictly in FIFO order,
         # with nothing stopping two pending askers from getting the same
         # coordinates.
-        g.sockets.write(d.pid, d.rhs_fd, Message(RHS_INFO_REQUEST))
+        g.sockets.write(d.pid, d.rhs_fd, message(RHS_INFO_REQUEST))
         d.pending_requesters = d.pending_requesters + (fd,)
         if g.scenario.seq_blocking:
             d.await_cmd = RHS_INFO_RETURN
@@ -395,19 +389,19 @@ def _on_rhs_info_request(g, d, fd, msg):
 
 def _on_rhs_info_return(g, d, fd, msg):
     if d.variant == PARALLEL:
-        d.rhs2_id = msg.a  # recovery refresh of the second-right neighbor
+        d.rhs2_id = msg[A]  # recovery refresh of the second-right neighbor
         return
     if d.phase == ENTERING_LHS and fd == d.lhs_fd:
         # My coordinates arrived: declare myself the entry daemon's new right
         # neighbor, then attach to the daemon those coordinates name.
-        g.sockets.write(d.pid, fd, Message(NEW_RHS, a=d.identity))
-        if msg.a not in g.scenario.registry:
+        g.sockets.write(d.pid, fd, message(NEW_RHS, a=d.pid))
+        target = msg[A]
+        if not 0 <= target < len(g.procs):
             raise ProtocolViolation(f"d{d.pid}: returned identity is unknown")
-        target = g.scenario.registry.pid_of(msg.a)
         nfd = g.sockets.connect(d.pid, target)
         g.sockets.set_flag(nfd, RHS)
         d.rhs_fd = nfd
-        g.sockets.write(d.pid, nfd, Message(NEW_LHS, a=d.identity))
+        g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
         d.phase = IN_RING
         d.await_cmd = None
     elif fd == d.rhs_fd:
@@ -415,7 +409,7 @@ def _on_rhs_info_return(g, d, fd, msg):
             raise ProtocolViolation(f"d{d.pid}: rhs_info_return with nobody waiting")
         req_fd = d.pending_requesters[0]
         d.pending_requesters = d.pending_requesters[1:]
-        g.sockets.write(d.pid, req_fd, Message(RHS_INFO_RETURN, a=msg.a))
+        g.sockets.write(d.pid, req_fd, message(RHS_INFO_RETURN, a=msg[A]))
         if g.scenario.seq_blocking:
             d.await_cmd = NEW_RHS
     else:
@@ -427,15 +421,15 @@ def _on_trace_req(g, d, fd, msg):
     if t is None or not t.started:
         raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
     if t.initiator == d.pid:
-        t.collected = msg.ids
+        t.collected = msg[IDS]
         t.done = True
-        g.sockets.write(d.pid, d.rhs_fd, Message(TRACE_DONE, origin=msg.origin, ids=msg.ids))
+        g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))
         return
-    if len(msg.ids) >= _live_count(g):
+    if len(msg[IDS]) >= _live_count(g):
         raise ProtocolViolation(f"d{d.pid}: trace_req circulated past every daemon")
     g.sockets.write(
         d.pid, d.rhs_fd,
-        Message(TRACE_REQ, origin=msg.origin, ids=msg.ids + (d.identity,)),
+        message(TRACE_REQ, origin=msg[ORIGIN], ids=msg[IDS] + (d.pid,)),
     )
 
 
@@ -470,18 +464,20 @@ def _recover_rhs(g, d):
     its second-right hop has changed. The known-neighbors record is thereby
     repaired for every daemon the failure affected.
     """
-    if d.rhs2_id is None:
+    target = d.rhs2_id
+    if target < 0:
         raise ProtocolViolation(f"d{d.pid}: right neighbor lost with no rhs2 recorded")
-    target = g.scenario.registry.pid_of(d.rhs2_id)
+    if target >= len(g.procs):
+        raise ProtocolViolation(f"d{d.pid}: recorded rhs2 is an unknown identity")
     if g.procs[target].phase == DEAD:
         raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
-    d.rhs_id = d.rhs2_id
-    d.rhs2_id = None  # refreshed by the query below
+    d.rhs_id = target
+    d.rhs2_id = ABSENT  # refreshed by the query below
     nfd = g.sockets.connect(d.pid, target)
     g.sockets.set_flag(nfd, RHS)
     d.rhs_fd = nfd
-    g.sockets.write(d.pid, nfd, Message(NEW_LHS, a=d.identity))
-    g.sockets.write(d.pid, nfd, Message(RHS_INFO_REQUEST))
+    g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
+    g.sockets.write(d.pid, nfd, message(RHS_INFO_REQUEST))
     _send_rhs2_to_lhs(g, d, d.rhs_id)
 
 

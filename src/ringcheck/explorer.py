@@ -5,12 +5,22 @@ table, all per-process records and the episode bookkeeping. States are
 canonically encodable; the encoding is injective over the scenario's state
 space, so the visited set prunes exactly the states already expanded.
 
+The model already holds its canonical form, in the manner of SPIN's flat
+state vector (Holzmann, "State compression in SPIN", 1997): daemons name
+each other by pid, and a queued message is a plain int tuple
+(cmd index, a, b, origin, ids, hops) with -1 for an absent party. A state's
+encoding is therefore the marshal of its own fields:
+
+    (sockets: (other, owner, flag, queues),
+     processes: (one field tuple per pid),
+     trace: (started, initiator, collected pids, done) or (),
+     barrier bits: (client_barrier_in, client_barrier_out) or ())
+
 A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
-record with its predecessor (copy on write: apply copies the acting one) and
-each record memoises its canonical tuple until it is copied again, in the
-spirit of SPIN's COLLAPSE component sharing (Holzmann, "State compression in
-SPIN", 1997). The ready events of all processes come from one pass over the
+record with its predecessor (copy on write: apply copies the acting one),
+and its process tuple is the predecessor's with the acting pid's entry
+replaced. The ready events of all processes come from one pass over the
 descriptor table.
 
 The unit of interleaving is one handler invocation. enabled_steps lists, in a
@@ -41,6 +51,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import barrier as barrier_mod
 from . import daemons as daemons_mod
 from .errors import CheckError, ContractViolation, PropertyViolation
+from .messages import command_of
 from .sockets import CONNECT_PENDING, EOF, MESSAGE, ReadyEvent
 
 # Outcomes.
@@ -76,9 +87,16 @@ class ScheduleStep(NamedTuple):
 
 
 class GlobalState:
-    """Everything mutable in one scenario instant."""
+    """Everything mutable in one scenario instant.
 
-    __slots__ = ("scenario", "sockets", "procs", "trace", "bits")
+    canon memoises the process part of the encoding in _procs_canon. apply
+    leaves the successor a _basis, the predecessor's memoised process tuple
+    and the acting pid, so the successor's tuple replaces one entry instead
+    of encoding every process. A state is mutated only between its creation
+    and its first canon call, so the memo never goes stale.
+    """
+
+    __slots__ = ("scenario", "sockets", "procs", "trace", "bits", "_procs_canon", "_basis")
 
     def __init__(self, scenario, sockets, procs, trace=None, bits=None):
         self.scenario = scenario  # static, shared across all derived states
@@ -86,6 +104,8 @@ class GlobalState:
         self.procs = procs
         self.trace = trace
         self.bits = bits
+        self._procs_canon = None
+        self._basis = None
 
     def clone(self) -> "GlobalState":
         """A successor to mutate; process records stay shared, see apply."""
@@ -95,14 +115,24 @@ class GlobalState:
         g.procs = self.procs[:]
         g.trace = self.trace.clone() if self.trace is not None else None
         g.bits = self.bits.clone() if self.bits is not None else None
+        g._procs_canon = None
+        g._basis = None
         return g
 
     def canon(self) -> tuple:
-        reg = self.scenario.registry
+        procs = self._procs_canon
+        if procs is None:
+            if self._basis is None:
+                procs = tuple([p.canon() for p in self.procs])
+            else:
+                prev, pid = self._basis
+                procs = prev[:pid] + (self.procs[pid].canon(),) + prev[pid + 1:]
+                self._basis = None
+            self._procs_canon = procs
         return (
-            self.sockets.canon(reg),
-            tuple([p.canon(reg) for p in self.procs]),
-            self.trace.canon(reg) if self.trace is not None else (),
+            self.sockets.canon(),
+            procs,
+            self.trace.canon() if self.trace is not None else (),
             self.bits.canon() if self.bits is not None else (),
         )
 
@@ -110,15 +140,14 @@ class GlobalState:
         return [p for p in self.procs if getattr(p, "phase", None) != daemons_mod.DEAD]
 
     def dump(self) -> str:
-        reg = self.scenario.registry
-        lines = [p.summary(reg) for p in self.procs]
+        lines = [p.summary() for p in self.procs]
         if self.bits is not None:
             lines.append(
                 f"bits in={self.bits.client_barrier_in:0{self.bits.n}b} "
                 f"out={self.bits.client_barrier_out:0{self.bits.n}b}"
             )
         if self.trace is not None and self.trace.started:
-            ids = ",".join(f"n{reg.key(i)}" for i in self.trace.collected)
+            ids = ",".join(f"n{pid}" for pid in self.trace.collected)
             lines.append(f"trace initiator={self.trace.initiator} done={int(self.trace.done)} "
                          f"collected=[{ids}]")
         sock = self.sockets.dump()
@@ -171,11 +200,11 @@ def enabled_steps(g: GlobalState) -> list[ScheduleStep]:
             # Blocking-read surrogate: only the awaited reply may be handled.
             events = [
                 e for e in events
-                if e.reason == MESSAGE and g.sockets.queue_of(e.fd)[0].cmd == p.await_cmd
+                if e.reason == MESSAGE and command_of(g.sockets.queue_of(e.fd)[0]) == p.await_cmd
             ]
         for e in events:
             if e.reason == MESSAGE:
-                cmd = g.sockets.queue_of(e.fd)[0].cmd
+                cmd = command_of(g.sockets.queue_of(e.fd)[0])
             elif e.reason == CONNECT_PENDING:
                 cmd = EVENT_CONNECT
             else:
@@ -206,10 +235,14 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     CheckError for the caller to classify.
 
     Only the acting process is copied: every handler and action mutates
-    h.procs[step.pid] alone, and the other records stay shared with g.
+    h.procs[step.pid] alone, and the other records stay shared with g. For
+    the same reason, once g's process tuple is encoded, h's differs from it
+    only at step.pid.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
+    if g._procs_canon is not None:
+        h._basis = (g._procs_canon, step.pid)
     if step.kind == KIND_ACTION:
         if step.cmd == ACT_BEGIN_INSERTION:
             daemons_mod.begin_insertion(h, p)

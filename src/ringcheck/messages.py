@@ -1,8 +1,12 @@
-"""Message vocabulary and process identities for the ring protocols."""
+"""Message vocabulary and process identities for the ring protocols.
+
+Messages are flat int tuples that name daemons by pid, so a queued message is
+already in the canonical form a state encoding stores; nothing re-encodes it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Ring maintenance commands.
 RHS_INFO_REQUEST = "rhs_info_request"
@@ -43,32 +47,38 @@ class Identity:
     port: int
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One protocol message.
+# A message is a plain tuple (CMD_INDEX[cmd], a, b, origin, ids, hops), which
+# is also its canonical form. The parties a, b and origin are daemon pids, -1
+# when absent, and ids is a tuple of pids. Handlers read fields by the
+# position names below. It stays a plain tuple, not a NamedTuple, because
+# marshal rejects tuple subclasses. The payload slots are used per command:
+#   new_rhs, new_lhs   a = the sender
+#   reconnect_rhs      a = the daemon to attach to on the right
+#   rhs2info           a = target daemon, b = its new second-right neighbor,
+#                      hops = remaining counterclockwise forwarding budget
+#   rhs_info_return    a = the daemon being answered
+#   trace_req/done     origin = initiator, ids = daemons collected so far
+CMD, A, B, ORIGIN, IDS, HOPS = range(6)
+ABSENT = -1
 
-    The payload slots are used per command:
-      new_rhs, new_lhs   a = sender's identity
-      reconnect_rhs      a = identity of the daemon to attach to on the right
-      rhs2info           a = target daemon, b = its new second-right neighbor,
-                         hops = remaining counterclockwise forwarding budget
-      rhs_info_return    a = the identity being answered
-      trace_req/done     origin = initiator, ids = identities collected so far
-    """
 
-    cmd: str
-    a: Identity | None = None
-    b: Identity | None = None
-    origin: Identity | None = None
-    ids: tuple[Identity, ...] = ()
-    hops: int = 0
+def message(cmd: str, a: int = ABSENT, b: int = ABSENT, origin: int = ABSENT,
+            ids: tuple[int, ...] = (), hops: int = 0) -> tuple:
+    """Build the message tuple for the command named cmd."""
+    return (CMD_INDEX[cmd], a, b, origin, ids, hops)
+
+
+def command_of(m: tuple) -> str:
+    """The command name a message carries."""
+    return ALL_COMMANDS[m[CMD]]
 
 
 class Registry:
     """Static mapping between process ids and daemon identities.
 
     Built once per scenario and never mutated, so it is shared by every state
-    the explorer produces rather than cloned with them.
+    the explorer produces rather than cloned with them. States and messages
+    name daemons by pid; identities appear only here and in rendered text.
     """
 
     def __init__(self, identities: list[Identity]):
@@ -80,38 +90,28 @@ class Registry:
     def identity_of(self, pid: int) -> Identity:
         return self._by_pid[pid]
 
+    def name(self, pid: int) -> Identity | None:
+        """The identity a pid stands for in rendered text; None for -1."""
+        return None if pid < 0 else self._by_pid[pid]
+
     def pid_of(self, identity: Identity) -> int:
         return self._by_identity[identity]
 
     def key(self, identity: Identity | None) -> int:
-        """Canonical small-int stand-in for an identity (-1 for absent)."""
-        if identity is None:
-            return -1
-        # Hot path of state encoding: identities inside states are the
-        # registry's own objects, so an identity check beats hashing.
-        k = identity.port - 9000
-        by_pid = self._by_pid
-        if 0 <= k < len(by_pid) and by_pid[k] is identity:
-            return k
-        return self._by_identity[identity]
+        """The pid an identity stands for, -1 for absent: pid_of at the edges."""
+        return -1 if identity is None else self._by_identity[identity]
 
     def __len__(self) -> int:
         return len(self._by_pid)
 
-    def __contains__(self, identity: Identity) -> bool:
-        return identity in self._by_identity
 
+def canon_message(m: tuple, reg: Registry) -> tuple:
+    """Canonical tuple for a message: the message itself, already canonical.
 
-def canon_message(m: Message, reg: Registry) -> tuple:
-    """Canonical tuple for a message; equal messages map to equal tuples."""
-    return (
-        CMD_INDEX[m.cmd],
-        reg.key(m.a),
-        reg.key(m.b),
-        reg.key(m.origin),
-        tuple(reg.key(i) for i in m.ids),
-        m.hops,
-    )
+    The checker does not call it; it stays because the benchmark's tracer
+    wraps it by name.
+    """
+    return m
 
 
 def make_identities(n: int) -> list[Identity]:

@@ -2,9 +2,9 @@
 
 Structural properties never trust a daemon's own bookkeeping: the ring walk
 follows descriptor links (rhs_fd, the table's cross-link, the peer's owner)
-and only then compares what it found against the identities the daemons
-recorded. A daemon can therefore not satisfy a property by merely believing
-the right thing.
+and only then compares what it found against the neighbor pids the daemons
+recorded; violation texts render those pids as identities. A daemon can
+therefore not satisfy a property by merely believing the right thing.
 
 Quiescence-only properties describe finished episodes: a settled ring, a
 completed trace, a released barrier. Every-state properties are inductive
@@ -110,22 +110,23 @@ def check_ring_topology(g) -> None:
 def check_neighbor_state(g) -> None:
     """Recorded identities must match actual one- and two-hop ring walks."""
     order = ring_order(g)
+    name = g.scenario.registry.name
     n = len(order)
     for i, d in enumerate(order):
         r1 = order[(i + 1) % n]
         r2 = order[(i + 2) % n]
         l1 = order[(i - 1) % n]
-        if d.rhs_id != r1.identity:
+        if d.rhs_id != r1.pid:
             raise PropertyViolation(
-                f"d{d.pid} records rhs {d.rhs_id} but its right neighbor is d{r1.pid}"
+                f"d{d.pid} records rhs {name(d.rhs_id)} but its right neighbor is d{r1.pid}"
             )
-        if d.rhs2_id != r2.identity:
+        if d.rhs2_id != r2.pid:
             raise PropertyViolation(
-                f"d{d.pid} records rhs2 {d.rhs2_id} but two hops right sits d{r2.pid}"
+                f"d{d.pid} records rhs2 {name(d.rhs2_id)} but two hops right sits d{r2.pid}"
             )
-        if d.lhs_id != l1.identity:
+        if d.lhs_id != l1.pid:
             raise PropertyViolation(
-                f"d{d.pid} records lhs {d.lhs_id} but its left neighbor is d{l1.pid}"
+                f"d{d.pid} records lhs {name(d.lhs_id)} but its left neighbor is d{l1.pid}"
             )
 
 
@@ -141,10 +142,11 @@ def check_trace_completion(g) -> None:
     if initiator.phase == daemons_mod.DEAD:
         raise PropertyViolation("trace initiator is dead")
     i = next(k for k, d in enumerate(order) if d.pid == t.initiator)
-    expected = tuple(d.identity for d in order[i:] + order[:i])
+    expected = tuple(d.pid for d in order[i:] + order[:i])
     if t.collected != expected:
-        got = ",".join(str(x) for x in t.collected)
-        want = ",".join(str(x) for x in expected)
+        name = g.scenario.registry.name
+        got = ",".join(str(name(x)) for x in t.collected)
+        want = ",".join(str(name(x)) for x in expected)
         raise PropertyViolation(f"trace collected [{got}] but the ring is [{want}]")
 
 

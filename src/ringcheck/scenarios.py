@@ -106,12 +106,8 @@ class Scenario:
         return self._initial_ring()
 
     def _initial_ring(self) -> GlobalState:
-        reg = self.registry
         table = SocketTable(self.conn_max, self.qsz)
-        procs = [
-            DaemonState(i, reg.identity_of(i), self.variant)
-            for i in range(self.total)
-        ]
+        procs = [DaemonState(i, self.variant) for i in range(self.total)]
         g = GlobalState(self, table, procs, trace=TraceState(), bits=None)
         m = self.n_initial
         if m == 1:
@@ -127,9 +123,9 @@ class Scenario:
                 procs[j].lhs_fd = sfd
             for i in range(m):
                 d = procs[i]
-                d.rhs_id = reg.identity_of((i + 1) % m)
-                d.rhs2_id = reg.identity_of((i + 2) % m)
-                d.lhs_id = reg.identity_of((i - 1) % m)
+                d.rhs_id = (i + 1) % m
+                d.rhs2_id = (i + 2) % m
+                d.lhs_id = (i - 1) % m
                 d.phase = IN_RING
         return g
 

@@ -29,6 +29,7 @@ from .errors import (
     InvariantViolation,
     ModelSizingError,
 )
+from .messages import command_of
 
 INVALID_FD = -1
 UNOWNED = -1
@@ -87,16 +88,9 @@ class SocketTable:
         t.queues = self.queues[:]
         return t
 
-    def canon(self, reg) -> tuple:
-        from .messages import canon_message
-
-        # Queues are empty in most reachable states; avoid a generator pass
-        # per empty queue on the encoding hot path.
-        qs = [
-            tuple(canon_message(m, reg) for m in q) if q else ()
-            for q in self.queues
-        ]
-        return (tuple(self.other), tuple(self.owner), tuple(self.flag), tuple(qs))
+    def canon(self) -> tuple:
+        # Queued messages are plain int tuples, already canonical.
+        return (tuple(self.other), tuple(self.owner), tuple(self.flag), tuple(self.queues))
 
     # -- small accessors ----------------------------------------------------
 
@@ -264,7 +258,7 @@ class SocketTable:
                 continue
             other = self.other[fd]
             other_s = str(other) if other != INVALID_FD else "-"
-            cmds = ",".join(m.cmd for m in self.queues[fd])
+            cmds = ",".join(command_of(m) for m in self.queues[fd])
             lines.append(
                 f"fd={fd} other={other_s} owner={self.owner[fd]} "
                 f"flag={FLAG_NAMES[self.flag[fd]]} queue=[{cmds}]"
@@ -279,20 +273,20 @@ class SocketTable:
         nothing. Wake soundness needs no check here: events are computed from
         these same structures, so it holds by construction once they do.
         """
-        for fd in range(self.conn_max):
-            if self.flag[fd] == FREE:
-                if self.owner[fd] != UNOWNED or self.other[fd] != INVALID_FD or self.queues[fd]:
+        flag, other, qsz, n = self.flag, self.other, self.qsz, self.conn_max
+        for fd, (f, owner, peer, q) in enumerate(zip(flag, self.owner, other, self.queues)):
+            if f == FREE:
+                if owner != UNOWNED or peer != INVALID_FD or q:
                     raise InvariantViolation(f"free slot {fd} is not clean")
                 continue
-            if self.owner[fd] == UNOWNED:
+            if owner == UNOWNED:
                 raise InvariantViolation(f"allocated fd {fd} has no owner")
-            if self.owner[fd] in dead_pids:
-                raise InvariantViolation(f"fd {fd} owned by dead pid {self.owner[fd]}")
-            if len(self.queues[fd]) > self.qsz:
+            if owner in dead_pids:
+                raise InvariantViolation(f"fd {fd} owned by dead pid {owner}")
+            if len(q) > qsz:
                 raise InvariantViolation(f"channel of fd {fd} over capacity")
-            peer = self.other[fd]
             if peer != INVALID_FD:
-                if not (0 <= peer < self.conn_max) or self.flag[peer] == FREE:
+                if not (0 <= peer < n) or flag[peer] == FREE:
                     raise InvariantViolation(f"fd {fd} links to unallocated fd {peer}")
-                if self.other[peer] != fd:
+                if other[peer] != fd:
                     raise InvariantViolation(f"asymmetric link {fd} -> {peer}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 
-from ringcheck.messages import Message, NEW_RHS
+from ringcheck.messages import HOPS, NEW_RHS, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
     CONNECT_PENDING,
@@ -85,7 +85,7 @@ class Driver:
     def op_write(self, pid: int, fd: int) -> None:
         serial = self.next_serial
         self.next_serial += 1
-        self.table.write(pid, fd, Message(NEW_RHS, hops=serial))
+        self.table.write(pid, fd, message(NEW_RHS, hops=serial))
         peer = self.slots[fd].peer
         self.slots[peer].serials.append(serial)
         self.sent += 1
@@ -93,8 +93,8 @@ class Driver:
     def op_read(self, pid: int, fd: int) -> None:
         msg = self.table.read(pid, fd)
         expect = self.slots[fd].serials.pop(0)
-        assert msg.hops == expect, (
-            f"fd {fd} delivered serial {msg.hops}, FIFO order demands {expect}"
+        assert msg[HOPS] == expect, (
+            f"fd {fd} delivered serial {msg[HOPS]}, FIFO order demands {expect}"
         )
         self.read_count += 1
 
@@ -144,7 +144,7 @@ class Driver:
         # conservation, per fd and in total
         queued = 0
         for fd, slot in self.slots.items():
-            got = tuple(m.hops for m in t.queue_of(fd))
+            got = tuple(m[HOPS] for m in t.queue_of(fd))
             assert got == tuple(slot.serials), (
                 f"fd {fd} queue {got} != ledger {tuple(slot.serials)}"
             )

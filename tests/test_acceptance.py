@@ -33,7 +33,7 @@ from ringcheck.explorer import (
     replay,
     simulate,
 )
-from ringcheck.messages import RHS_INFO_REQUEST, RHS_INFO_RETURN, Message
+from ringcheck.messages import A, RHS_INFO_REQUEST, RHS_INFO_RETURN, message
 from ringcheck.properties import check_ring_topology, ring_order
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import SocketTable
@@ -176,17 +176,17 @@ def test_criterion_01_sequential_insertion_breaks_the_ring():
     def watch(step, before, after):
         if (step.kind == KIND_EVENT and step.cmd == RHS_INFO_RETURN
                 and step.pid in (2, 3)):
-            received[step.pid] = before.sockets.queue_of(step.fd)[0].a
+            received[step.pid] = before.sockets.queue_of(step.fd)[0][A]
 
     final = replay(sc, sched, on_step=watch).final_state
-    expected = sc.registry.identity_of(1)
+    expected = 1  # the pid of the entry daemon's right-hand neighbor
     assert received == {2: expected, 3: expected}, (
         "both inserters should have been handed identical coordinates")
     assert not enabled_steps(final)
     with pytest.raises(PropertyViolation, match="ring closes after 3 of 4"):
         check_ring_topology(final)
     record(1, f"VIOLATION in {report.elapsed:.2f}s; replay shows both inserters "
-              f"told {expected} and a final ring of 3, not 4")
+              f"told {sc.registry.identity_of(expected)} and a final ring of 3, not 4")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def test_criterion_06_ten_thousand_random_socket_sequences():
     sfd = t.accept(2)
     t.close(2, sfd)
     with pytest.raises(BrokenConnectionError):
-        t.write(1, cfd, Message("new_rhs"))  # write after close
+        t.write(1, cfd, message("new_rhs"))  # write after close
 
     t2 = SocketTable(8, 4)
     c2 = t2.connect(1, 2)

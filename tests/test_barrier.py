@@ -5,7 +5,7 @@ import pytest
 from ringcheck.barrier import client_reaches_barrier, handle_event
 from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
-from ringcheck.messages import BARRIER_IN, BARRIER_OUT, Message
+from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import CONNECT_PENDING, MESSAGE, ReadyEvent
 
@@ -28,7 +28,7 @@ class TestTokens:
         assert g.bits.client_barrier_in == 0b001
         assert g.procs[0].sent_barrier_in
         q = g.sockets.queue_of(g.procs[1].lhs_fd)
-        assert [m.cmd for m in q] == [BARRIER_IN]
+        assert [command_of(m) for m in q] == [BARRIER_IN]
 
     def test_follower_arrival_alone_sends_nothing(self):
         scenario, g = barrier_state(3)
@@ -44,7 +44,7 @@ class TestTokens:
         assert not g.procs[1].sent_barrier_in
         client_reaches_barrier(g, g.procs[1])
         assert not g.procs[1].holding_barrier_in
-        assert [m.cmd for m in g.sockets.queue_of(g.procs[2].lhs_fd)] == [BARRIER_IN]
+        assert [command_of(m) for m in g.sockets.queue_of(g.procs[2].lhs_fd)] == [BARRIER_IN]
 
     def test_token_passes_straight_through_an_arrived_manager(self):
         scenario, g = barrier_state(3)
@@ -86,13 +86,13 @@ class TestTokens:
         m = g.procs[1]
         g.bits.client_barrier_in = g.bits.all_bits
         g.bits.client_barrier_out = 1 << 1
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(BARRIER_OUT))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_OUT))
         with pytest.raises(ProtocolViolation, match="barrier_out arrived twice"):
             deliver(g, 1)
 
     def test_release_before_arrival_is_a_violation(self):
         scenario, g = barrier_state(2)
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(BARRIER_OUT))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_OUT))
         with pytest.raises(ProtocolViolation, match="before my client arrived"):
             deliver(g, 1)
 
@@ -105,7 +105,7 @@ class TestTokens:
 
     def test_ring_command_on_manager_is_a_violation(self):
         scenario, g = barrier_state(2)
-        g.sockets.write(0, g.procs[0].rhs_fd, Message("new_rhs"))
+        g.sockets.write(0, g.procs[0].rhs_fd, message("new_rhs"))
         with pytest.raises(ProtocolViolation, match="unexpected command"):
             deliver(g, 1)
 

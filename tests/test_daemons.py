@@ -32,8 +32,11 @@ from ringcheck.messages import (
     RHS_INFO_RETURN,
     TRACE_DONE,
     TRACE_REQ,
-    Identity,
-    Message,
+    A,
+    B,
+    HOPS,
+    command_of,
+    message,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import EOF, INVALID_FD, LHS, MESSAGE, RHS, ReadyEvent
@@ -49,7 +52,7 @@ def deliver(g, pid, cmd=None):
     for ev in g.sockets.ready_events().get(pid, []):
         if cmd is not None:
             q = g.sockets.queue_of(ev.fd)
-            if not (ev.reason == MESSAGE and q and q[0].cmd == cmd):
+            if not (ev.reason == MESSAGE and q and command_of(q[0]) == cmd):
                 continue
         handle_event(g, g.procs[pid], ev)
         return ev
@@ -59,7 +62,7 @@ def deliver(g, pid, cmd=None):
 def queued_cmds(g, pid):
     out = []
     for fd in g.sockets.owned_by(pid):
-        out += [m.cmd for m in g.sockets.queue_of(fd)]
+        out += [command_of(m) for m in g.sockets.queue_of(fd)]
     return out
 
 
@@ -68,7 +71,7 @@ class TestBootstrap:
         scenario, g = ring_state("ring-par", 1)
         d = g.procs[0]
         assert d.phase == IN_RING
-        assert d.rhs_id == d.rhs2_id == d.lhs_id == d.identity
+        assert d.rhs_id == d.rhs2_id == d.lhs_id == d.pid
         assert g.sockets.other_of(d.rhs_fd) == d.lhs_fd
         assert g.sockets.flag_of(d.rhs_fd) == RHS
         assert g.sockets.flag_of(d.lhs_fd) == LHS
@@ -87,10 +90,10 @@ class TestBeginInsertion:
         assert d.phase == ENTERING_LHS
         assert d.await_cmd == RECONNECT_RHS
         assert g.sockets.flag_of(d.lhs_fd) == LHS
-        assert d.lhs_id == scenario.registry.identity_of(scenario.entry_pid)
+        assert d.lhs_id == scenario.entry_pid
         entry_queue = g.sockets.queue_of(g.sockets.other_of(d.lhs_fd))
-        assert [m.cmd for m in entry_queue] == [NEW_RHS]
-        assert entry_queue[0].a == d.identity
+        assert [command_of(m) for m in entry_queue] == [NEW_RHS]
+        assert entry_queue[0][A] == d.pid
 
     def test_sequential_asks_for_coordinates_first(self):
         scenario, g = ring_state("ring-seq", 2, inserters=1)
@@ -98,7 +101,7 @@ class TestBeginInsertion:
         begin_insertion(g, d)
         assert d.await_cmd is None  # select mode keeps reading everything
         entry_queue = g.sockets.queue_of(g.sockets.other_of(d.lhs_fd))
-        assert [m.cmd for m in entry_queue] == [RHS_INFO_REQUEST]
+        assert [command_of(m) for m in entry_queue] == [RHS_INFO_REQUEST]
 
     def test_sequential_blocking_mode_awaits_the_answer(self):
         scenario, g = ring_state("ring-seq", 2, inserters=1, blocking=True)
@@ -127,10 +130,11 @@ class TestParallelSplice:
         old_rhs_id = entry.rhs_id
         deliver(g, 0, cmd=NEW_RHS)
         # The reply reached the inserter even though the old edge is gone.
-        assert [m.cmd for m in g.sockets.queue_of(self.inserter.lhs_fd)] == [RECONNECT_RHS]
-        assert g.sockets.queue_of(self.inserter.lhs_fd)[0].a == old_rhs_id
+        reply = g.sockets.queue_of(self.inserter.lhs_fd)
+        assert [command_of(m) for m in reply] == [RECONNECT_RHS]
+        assert reply[0][A] == old_rhs_id
         assert not g.sockets.is_allocated(old_rhs_fd)
-        assert entry.rhs_id == self.inserter.identity
+        assert entry.rhs_id == self.inserter.pid
         assert entry.rhs2_id == old_rhs_id
         assert g.sockets.flag_of(entry.rhs_fd) == RHS
 
@@ -139,11 +143,11 @@ class TestParallelSplice:
         deliver(g, 0, cmd=NEW_RHS)
         # Entry pid 0's left neighbor is pid 2; the update is addressed to it.
         updates = [m for fd in g.sockets.owned_by(2)
-                   for m in g.sockets.queue_of(fd) if m.cmd == RHS2INFO]
+                   for m in g.sockets.queue_of(fd) if command_of(m) == RHS2INFO]
         assert len(updates) == 1
-        assert updates[0].a == g.procs[2].identity
-        assert updates[0].b == self.inserter.identity
-        assert updates[0].hops == self.scenario.hop_budget
+        assert updates[0][A] == 2
+        assert updates[0][B] == self.inserter.pid
+        assert updates[0][HOPS] == self.scenario.hop_budget
 
     def test_inserter_attaches_right_on_reconnect(self):
         g = self.g
@@ -152,17 +156,17 @@ class TestParallelSplice:
         d = self.inserter
         assert d.phase == IN_RING
         assert d.await_cmd is None
-        assert d.rhs_id == self.scenario.registry.identity_of(1)
+        assert d.rhs_id == 1
         assert g.sockets.flag_of(d.rhs_fd) == RHS
         # The spliced-out neighbor is greeted so it can swap its left side.
         peer_queue = g.sockets.queue_of(g.sockets.other_of(d.rhs_fd))
-        assert [m.cmd for m in peer_queue] == [NEW_LHS]
+        assert [command_of(m) for m in peer_queue] == [NEW_LHS]
 
     def test_new_rhs_outside_the_ring_is_a_violation(self):
         g = self.g
         d = self.inserter  # still ENTERING_LHS
         fd = d.lhs_fd
-        g.sockets.write(0, g.sockets.other_of(fd), Message(NEW_RHS, a=g.procs[1].identity))
+        g.sockets.write(0, g.sockets.other_of(fd), message(NEW_RHS, a=1))
         with pytest.raises(ProtocolViolation):
             handle_event(g, d, ReadyEvent(fd, MESSAGE))
 
@@ -177,23 +181,23 @@ class TestReconnectValidation:
 
     def feed_reply(self, g, d, target):
         entry_fd = g.sockets.other_of(d.lhs_fd)
-        g.sockets.write(0, entry_fd, Message(RECONNECT_RHS, a=target))
+        g.sockets.write(0, entry_fd, message(RECONNECT_RHS, a=target))
         handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
 
     def test_reply_naming_the_inserter_itself_is_rejected(self):
         scenario, g, d = self.make_entering()
         with pytest.raises(ProtocolViolation, match="myself"):
-            self.feed_reply(g, d, d.identity)
+            self.feed_reply(g, d, d.pid)
 
     def test_reply_naming_a_stranger_is_rejected(self):
         scenario, g, d = self.make_entering()
         with pytest.raises(ProtocolViolation, match="unknown"):
-            self.feed_reply(g, d, Identity("intruder", 1))
+            self.feed_reply(g, d, len(g.procs))
 
     def test_reconnect_in_ring_is_rejected(self):
         scenario, g = ring_state("ring-par", 2)
         d = g.procs[1]
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(RECONNECT_RHS, a=g.procs[0].identity))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(RECONNECT_RHS, a=0))
         with pytest.raises(ProtocolViolation, match="unexpected reconnect_rhs"):
             handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
 
@@ -204,16 +208,16 @@ class TestNewLhs:
         d = g.procs[1]
         stale = d.lhs_fd
         nfd = g.sockets.connect(3, 1)
-        g.sockets.write(3, nfd, Message(NEW_LHS, a=g.procs[3].identity))
+        g.sockets.write(3, nfd, message(NEW_LHS, a=3))
         deliver(g, 1)  # accept
         deliver(g, 1, cmd=NEW_LHS)
         assert not g.sockets.is_allocated(stale)
-        assert d.lhs_id == g.procs[3].identity
+        assert d.lhs_id == 3
         assert g.sockets.flag_of(d.lhs_fd) == LHS
         # The greeter is told its second-right neighbor straight away.
         reply = g.sockets.queue_of(nfd)
-        assert [m.cmd for m in reply] == [RHS2INFO]
-        assert reply[0].a == g.procs[3].identity and reply[0].b == d.rhs_id
+        assert [command_of(m) for m in reply] == [RHS2INFO]
+        assert reply[0][A] == 3 and reply[0][B] == d.rhs_id
 
     def test_defers_the_update_until_own_rhs_is_known(self):
         scenario, g = ring_state("ring-par", 2, inserters=2)
@@ -223,48 +227,51 @@ class TestNewLhs:
         # handshake normally shields d from this interleaving; the handler
         # keeps the deferral as a defensive path, so drive it directly.
         nfd = g.sockets.connect(3, 2)
-        g.sockets.write(3, nfd, Message(NEW_LHS, a=g.procs[3].identity))
+        g.sockets.write(3, nfd, message(NEW_LHS, a=3))
         g.sockets.accept(2)
         sfd = [fd for fd in g.sockets.owned_by(2) if g.sockets.queue_of(fd)][0]
         handle_event(g, d, ReadyEvent(sfd, MESSAGE))
-        assert d.pending_rhs2_for == g.procs[3].identity
+        assert d.pending_rhs2_for == 3
         assert g.sockets.queue_of(nfd) == ()
         # Once a splice reply lands, the deferred update goes out to whoever
         # now holds d's left side.
-        g.sockets.write(3, nfd, Message(RECONNECT_RHS, a=g.procs[1].identity))
+        g.sockets.write(3, nfd, message(RECONNECT_RHS, a=1))
         handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
-        assert d.pending_rhs2_for is None
-        assert [m.cmd for m in g.sockets.queue_of(nfd)] == [RHS2INFO]
-        assert g.sockets.queue_of(nfd)[0].b == g.procs[1].identity
+        assert d.pending_rhs2_for == -1
+        assert [command_of(m) for m in g.sockets.queue_of(nfd)] == [RHS2INFO]
+        assert g.sockets.queue_of(nfd)[0][B] == 1
 
 
 class TestRhs2Info:
     def test_addressed_update_is_applied(self):
         scenario, g = ring_state("ring-par", 3)
         d = g.procs[1]
-        g.sockets.write(2, g.procs[2].lhs_fd, Message(
-            RHS2INFO, a=d.identity, b=g.procs[0].identity, hops=1))
+        g.sockets.write(2, g.procs[2].lhs_fd, message(
+            RHS2INFO, a=d.pid, b=0, hops=1))
         deliver(g, 1, cmd=RHS2INFO)
-        assert d.rhs2_id == g.procs[0].identity
+        assert d.rhs2_id == 0
 
     def test_unaddressed_update_is_forwarded_counterclockwise(self):
         scenario, g = ring_state("ring-par", 3)
-        target = g.procs[0].identity
-        g.sockets.write(2, g.procs[2].lhs_fd, Message(
-            RHS2INFO, a=target, b=g.procs[2].identity, hops=3))
+        target = 0
+        g.sockets.write(2, g.procs[2].lhs_fd, message(
+            RHS2INFO, a=target, b=2, hops=3))
         deliver(g, 1, cmd=RHS2INFO)
-        assert g.procs[1].rhs2_id == g.procs[0].identity  # unchanged prewiring
+        assert g.procs[1].rhs2_id == 0  # unchanged prewiring
         # Writes on a daemon's left side land on its left neighbor's right fd.
         forwarded = list(g.sockets.queue_of(g.procs[0].rhs_fd))
-        assert [m.cmd for m in forwarded] == [RHS2INFO]
-        assert forwarded[0].hops == 2
+        assert [command_of(m) for m in forwarded] == [RHS2INFO]
+        assert forwarded[0][HOPS] == 2
 
     def test_exhausted_hop_budget_is_a_violation(self):
         scenario, g = ring_state("ring-par", 3)
-        g.sockets.write(2, g.procs[2].lhs_fd, Message(
-            RHS2INFO, a=g.procs[0].identity, b=g.procs[2].identity, hops=0))
-        with pytest.raises(ProtocolViolation, match="hop budget"):
+        g.sockets.write(2, g.procs[2].lhs_fd, message(
+            RHS2INFO, a=0, b=2, hops=0))
+        with pytest.raises(ProtocolViolation) as e:
             deliver(g, 1, cmd=RHS2INFO)
+        # The target pid is rendered as its identity, as in every violation text.
+        assert str(e.value) == (
+            "d1: rhs2info for Identity(host='node0', port=9000) exceeded hop budget")
 
 
 class TestSequentialEntry:
@@ -286,23 +293,23 @@ class TestSequentialEntry:
         deliver(g, 0, cmd=RHS_INFO_RETURN)
         assert entry.pending_requesters == ()
         # The overlap hands both inserters the same coordinates.
-        answers = [m.a for pid in (2, 3) for fd in g.sockets.owned_by(pid)
-                   for m in g.sockets.queue_of(fd) if m.cmd == RHS_INFO_RETURN]
-        assert answers == [g.procs[1].identity, g.procs[1].identity]
+        answers = [m[A] for pid in (2, 3) for fd in g.sockets.owned_by(pid)
+                   for m in g.sockets.queue_of(fd) if command_of(m) == RHS_INFO_RETURN]
+        assert answers == [1, 1]
 
     def test_query_on_own_lhs_answers_own_identity(self):
         scenario, g = ring_state("ring-seq", 2)
         d = g.procs[1]
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(RHS_INFO_REQUEST))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(RHS_INFO_REQUEST))
         deliver(g, 1, cmd=RHS_INFO_REQUEST)
         returned = g.sockets.queue_of(g.procs[0].rhs_fd)
-        assert [m.cmd for m in returned] == [RHS_INFO_RETURN]
-        assert returned[0].a == d.identity
+        assert [command_of(m) for m in returned] == [RHS_INFO_RETURN]
+        assert returned[0][A] == d.pid
 
     def test_unsolicited_return_is_a_violation(self):
         scenario, g = ring_state("ring-seq", 2)
-        g.sockets.write(1, g.procs[1].lhs_fd, Message(
-            RHS_INFO_RETURN, a=g.procs[1].identity))
+        g.sockets.write(1, g.procs[1].lhs_fd, message(
+            RHS_INFO_RETURN, a=1))
         with pytest.raises(ProtocolViolation, match="nobody waiting"):
             deliver(g, 0, cmd=RHS_INFO_RETURN)
 
@@ -316,8 +323,7 @@ class TestTrace:
         deliver(g, 2, cmd=TRACE_REQ)
         deliver(g, 0, cmd=TRACE_REQ)
         assert g.trace.done
-        assert g.trace.collected == tuple(
-            scenario.registry.identity_of(i) for i in (0, 1, 2))
+        assert g.trace.collected == (0, 1, 2)
         # The completion report circulates once and is absorbed.
         deliver(g, 1, cmd=TRACE_DONE)
         deliver(g, 2, cmd=TRACE_DONE)
@@ -328,16 +334,16 @@ class TestTrace:
         scenario, g = ring_state("trace", 2)
         g.trace.started = True
         g.trace.initiator = 0
-        ids = (g.procs[0].identity, g.procs[1].identity)
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(
-            TRACE_REQ, origin=g.procs[0].identity, ids=ids))
+        ids = (0, 1)
+        g.sockets.write(0, g.procs[0].rhs_fd, message(
+            TRACE_REQ, origin=0, ids=ids))
         with pytest.raises(ProtocolViolation, match="past every daemon"):
             deliver(g, 1, cmd=TRACE_REQ)
 
     def test_trace_req_without_episode_is_a_violation(self):
         scenario, g = ring_state("trace", 2)
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(
-            TRACE_REQ, origin=g.procs[0].identity, ids=(g.procs[0].identity,)))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(
+            TRACE_REQ, origin=0, ids=(0,)))
         with pytest.raises(ProtocolViolation, match="outside a trace episode"):
             deliver(g, 1, cmd=TRACE_REQ)
 
@@ -351,10 +357,10 @@ class TestFailureRecovery:
         ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         assert ev and ev[0].fd == d.rhs_fd
         handle_event(g, d, ev[0])
-        assert d.rhs_id == scenario.registry.identity_of(2)
-        assert d.rhs2_id is None  # refreshed by the in-flight query
+        assert d.rhs_id == 2
+        assert d.rhs2_id == -1  # refreshed by the in-flight query
         greeting = g.sockets.queue_of(g.sockets.other_of(d.rhs_fd))
-        assert [m.cmd for m in greeting] == [NEW_LHS, RHS_INFO_REQUEST]
+        assert [command_of(m) for m in greeting] == [NEW_LHS, RHS_INFO_REQUEST]
 
     def test_left_eof_only_frees_the_slot(self):
         scenario, g = ring_state("recovery", 3)
@@ -363,7 +369,7 @@ class TestFailureRecovery:
         ev = [e for e in g.sockets.ready_events().get(2, []) if e.reason == EOF]
         handle_event(g, d, ev[0])
         assert d.lhs_fd == INVALID_FD
-        assert d.rhs_id == scenario.registry.identity_of(0)  # untouched
+        assert d.rhs_id == 0  # untouched
 
     def test_sequential_daemons_do_not_recover(self):
         scenario, g = ring_state("ring-seq", 3)
@@ -376,10 +382,18 @@ class TestFailureRecovery:
 
     def test_missing_rhs2_is_a_violation(self):
         scenario, g = ring_state("recovery", 3)
-        g.procs[0].rhs2_id = None
+        g.procs[0].rhs2_id = -1
         inject_failure(g, 1)
         ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
         with pytest.raises(ProtocolViolation, match="no rhs2"):
+            handle_event(g, g.procs[0], ev[0])
+
+    def test_unknown_rhs2_is_a_violation(self):
+        scenario, g = ring_state("recovery", 3)
+        g.procs[0].rhs2_id = len(g.procs)  # names no daemon of this scenario
+        inject_failure(g, 1)
+        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
+        with pytest.raises(ProtocolViolation, match="unknown identity"):
             handle_event(g, g.procs[0], ev[0])
 
     def test_dead_rhs2_is_a_violation(self):
@@ -402,8 +416,8 @@ class TestFailureRecovery:
         # d reconnected to itself via rhs2; finish its own handshake.
         while g.sockets.ready_events().get(0, []):
             deliver(g, 0)
-        assert d.rhs_id == d.identity
-        assert d.lhs_id == d.identity
+        assert d.rhs_id == d.pid
+        assert d.lhs_id == d.pid
         assert g.sockets.other_of(d.rhs_fd) == d.lhs_fd
 
     def test_double_injection_is_idempotent(self):
@@ -416,6 +430,6 @@ class TestFailureRecovery:
 
 def test_barrier_command_reaching_a_daemon_is_a_violation():
     scenario, g = ring_state("ring-par", 2)
-    g.sockets.write(0, g.procs[0].rhs_fd, Message(BARRIER_IN))
+    g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_IN))
     with pytest.raises(ProtocolViolation, match="unexpected command"):
         deliver(g, 1, cmd=BARRIER_IN)

@@ -1,9 +1,12 @@
 """Explorer mechanics: step enumeration, state encoding, search, replay."""
 
+import marshal
+
 import pytest
 
 from ringcheck import barrier as barrier_mod
 from ringcheck import daemons as daemons_mod
+from ringcheck import explorer as explorer_mod
 from ringcheck.errors import CheckError, ContractViolation
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
@@ -16,6 +19,7 @@ from ringcheck.explorer import (
     RESOURCE_LIMIT,
     VERIFIED,
     VIOLATION,
+    GlobalState,
     ScheduleStep,
     apply,
     enabled_steps,
@@ -26,7 +30,7 @@ from ringcheck.explorer import (
     state_digest,
     walk,
 )
-from ringcheck.messages import NEW_RHS, RECONNECT_RHS
+from ringcheck.messages import ALL_COMMANDS, CMD, NEW_RHS, RECONNECT_RHS, TRACE_REQ
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 
 
@@ -129,22 +133,21 @@ class TestApply:
             apply(g, ScheduleStep(0, KIND_ACTION, -1, "reboot"))
 
 
+def fresh_encode(g) -> bytes:
+    """encode(g) without its memo: every record is encoded afresh."""
+    return encode(GlobalState(g.scenario, g.sockets, g.procs, g.trace, g.bits))
+
+
 def check_copy_on_write(scenario) -> int:
     """Search every reachable state, checking each transition's sharing.
 
-    apply(g, step) must leave encode(g) unchanged, failing handlers
-    included, and every process record's memoised canon must equal a fresh
-    one computed by a clone, which starts without a memo. Properties are not run, so the search goes on past violations.
-    Returns the number of transitions checked.
+    apply(g, step) must leave g unchanged, failing handlers included: both
+    its memoised encoding and a fresh one must equal the encoding taken
+    before the step. A successor's encoding, whose process tuple is g's with
+    the acting pid's entry replaced, must equal a fresh one. Properties are
+    not run, so the search goes on past violations. Returns the number of
+    transitions checked.
     """
-    reg = scenario.registry
-
-    def memos_are_fresh(g, where):
-        for p in g.procs:
-            fresh = p.clone()
-            assert fresh._canon is None, f"{where}: clone kept the memo of pid {p.pid}"
-            assert p.canon(reg) == fresh.canon(reg), f"{where}: stale canon of pid {p.pid}"
-
     init = scenario.initial_state()
     seen = {encode(init)}
     stack = [init]
@@ -160,11 +163,11 @@ def check_copy_on_write(scenario) -> int:
                 h = None
             where = f"after {step.render()}"
             assert encode(g) == before, f"{where}: the predecessor changed"
-            memos_are_fresh(g, where)
+            assert fresh_encode(g) == before, f"{where}: the predecessor changed"
             if h is None:
                 continue
-            memos_are_fresh(h, where)
             key = encode(h)
+            assert key == fresh_encode(h), f"{where}: stale canon of the successor"
             if key not in seen:
                 seen.add(key)
                 stack.append(h)
@@ -223,6 +226,31 @@ class TestEncoding:
         h = apply(g, enabled_steps(g)[0])
         assert state_digest(g) != state_digest(h)
 
+    # Initial states have empty queues and no trace ids, so their digests
+    # never see a message payload. These replayed states do: a queued new_rhs
+    # naming its sender; a queued rhs2info (target, value, hop budget) beside
+    # a reconnect_rhs; a trace_req carrying its origin and three ids; and,
+    # after the circuit closes, a collected trace beside the queued
+    # trace_done. The last two cannot be one state: the initiator records the
+    # collection when it consumes the trace_req.
+    MESSAGE_DIGESTS = [
+        (("ring-par", {"size": 2, "inserters": 1}),
+         [(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION), (0, KIND_EVENT, 4, EVENT_CONNECT)],
+         "33f2f11f85c6347bd7fc804261307fd8"),
+        (("ring-par", {"size": 2, "inserters": 1}),
+         [(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION), (0, KIND_EVENT, 4, EVENT_CONNECT),
+          (0, KIND_EVENT, 4, NEW_RHS)],
+         "c97e973b42e0edc80c011424f1c4b7f2"),
+        (("trace", {"size": 3}),
+         [(0, KIND_ACTION, -1, ACT_START_TRACE), (1, KIND_EVENT, 0, TRACE_REQ),
+          (2, KIND_EVENT, 2, TRACE_REQ)],
+         "8a32e5022fea75c613879417388f6f16"),
+        (("trace", {"size": 3}),
+         [(0, KIND_ACTION, -1, ACT_START_TRACE), (1, KIND_EVENT, 0, TRACE_REQ),
+          (2, KIND_EVENT, 2, TRACE_REQ), (0, KIND_EVENT, 4, TRACE_REQ)],
+         "42bb0c5b12f9d16b2d49cf74dde7bf67"),
+    ]
+
     def test_digest_regression_values(self):
         # Frozen encodings: a change here means every stored baseline in this
         # suite (state counts, probe counts) must be re-derived.
@@ -232,6 +260,51 @@ class TestEncoding:
         barrier = scenario_for("barrier", size=2)
         assert state_digest(barrier.initial_state()).hex() == (
             "237f34f4b92dbcf275b55d871c962e3c")
+        for (algorithm, kw), schedule, digest in self.MESSAGE_DIGESTS:
+            run = replay(scenario_for(algorithm, **kw), [ScheduleStep(*s) for s in schedule])
+            assert len(run.trace) == len(schedule) and run.violation is None
+            assert state_digest(run.final_state).hex() == digest, schedule[-1]
+
+
+ENCODING_MODELS = [
+    ("ring-seq", {"size": 2, "inserters": 2}),
+    ("ring-par", {"size": 1, "inserters": 2}),
+    ("trace", {"size": 3}),
+    ("recovery", {"size": 3}),
+    ("barrier", {"size": 3}),
+]
+
+
+class TestEncodingIsTheState:
+    """The visited set stores 16-byte digests in place of full encodings.
+
+    Over whole searches the two visited sets must agree, and every encoding
+    must be the marshal of the state's own plain tuples.
+    """
+
+    @pytest.mark.parametrize("algorithm,kw", ENCODING_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in ENCODING_MODELS])
+    def test_full_encodings_give_the_digest_search(self, algorithm, kw, monkeypatch):
+        sc = scenario_for(algorithm, **kw)
+        by_digest = explore(sc, sc.default_properties())
+
+        def full_key(g):
+            # Every state the search stores or matches passes through here.
+            key = encode(g)
+            assert marshal.loads(key) == g.canon()
+            for q in g.sockets.queues:
+                for m in q:
+                    assert type(m) is tuple and len(m) == 6
+                    assert type(m[CMD]) is int and 0 <= m[CMD] < len(ALL_COMMANDS)
+            return key
+
+        monkeypatch.setattr(explorer_mod, "state_digest", full_key)
+        by_encoding = explore(sc, sc.default_properties())
+        assert (by_encoding.outcome, by_encoding.states_stored, by_encoding.states_matched,
+                by_encoding.max_depth) == (by_digest.outcome, by_digest.states_stored,
+                                           by_digest.states_matched, by_digest.max_depth)
+        assert by_encoding.states_stored > 1
 
 
 class TestExplore:

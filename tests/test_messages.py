@@ -1,16 +1,27 @@
-"""Registry and message canonicalisation."""
+"""Registry, message layout and message canonicalisation."""
+
+import marshal
 
 import pytest
 
 from ringcheck.messages import (
+    ALL_COMMANDS,
+    CMD,
+    CMD_INDEX,
+    HOPS,
+    IDS,
     NEW_RHS,
+    ORIGIN,
     RHS2INFO,
     TRACE_REQ,
+    A,
+    B,
     Identity,
-    Message,
     Registry,
     canon_message,
+    command_of,
     make_identities,
+    message,
 )
 
 
@@ -28,7 +39,6 @@ def test_registry_roundtrip():
         assert reg.identity_of(pid) is ident
         assert reg.pid_of(ident) == pid
         assert reg.key(ident) == pid
-        assert ident in reg
     assert len(reg) == 3
     assert reg.key(None) == -1
 
@@ -58,24 +68,37 @@ def test_registry_rejects_duplicates():
         Registry([dup, dup])
 
 
+def test_registry_names_pids_for_rendering():
+    reg = Registry(make_identities(3))
+    assert reg.name(2) is reg.identity_of(2)
+    assert reg.name(-1) is None
+
+
+def test_message_is_a_flat_tuple_of_ints():
+    m = message(TRACE_REQ, origin=1, ids=(1, 2))
+    assert type(m) is tuple
+    assert m == (CMD_INDEX[TRACE_REQ], -1, -1, 1, (1, 2), 0)
+    assert (m[CMD], m[A], m[B], m[ORIGIN], m[IDS], m[HOPS]) == m
+    assert command_of(m) == TRACE_REQ == ALL_COMMANDS[m[CMD]]
+    assert marshal.loads(marshal.dumps(m)) == m
+
+
 def test_canon_message_separates_distinct_messages():
     reg = Registry(make_identities(3))
-    a, b, c = (reg.identity_of(i) for i in range(3))
-    m1 = Message(RHS2INFO, a=a, b=b, hops=2)
-    m2 = Message(RHS2INFO, a=a, b=c, hops=2)
-    m3 = Message(RHS2INFO, a=a, b=b, hops=1)
+    m1 = message(RHS2INFO, a=0, b=1, hops=2)
+    m2 = message(RHS2INFO, a=0, b=2, hops=2)
+    m3 = message(RHS2INFO, a=0, b=1, hops=1)
     t1, t2, t3 = (canon_message(m, reg) for m in (m1, m2, m3))
     assert len({t1, t2, t3}) == 3
 
 
 def test_canon_message_equal_for_equal_messages():
     reg = Registry(make_identities(2))
-    a = reg.identity_of(0)
-    build = lambda: Message(TRACE_REQ, origin=a, ids=(a, reg.identity_of(1)))
+    build = lambda: message(TRACE_REQ, origin=0, ids=(0, 1))
     assert canon_message(build(), reg) == canon_message(build(), reg)
 
 
 def test_messages_are_immutable():
-    m = Message(NEW_RHS)
-    with pytest.raises(AttributeError):
-        m.cmd = "other"
+    m = message(NEW_RHS)
+    with pytest.raises(TypeError):
+        m[CMD] = 0

@@ -103,10 +103,10 @@ class TestRingTopology:
         check_ring_topology(ring(3))
 
     def test_undelivered_message_fails(self):
-        from ringcheck.messages import NEW_RHS, Message
+        from ringcheck.messages import NEW_RHS, message
 
         g = ring(3)
-        g.sockets.write(0, g.procs[0].rhs_fd, Message(NEW_RHS))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(NEW_RHS))
         with pytest.raises(PropertyViolation, match="undelivered"):
             check_ring_topology(g)
 
@@ -117,15 +117,32 @@ class TestNeighborState:
 
     def test_wrong_rhs2_fails(self):
         g = ring(4)
-        g.procs[2].rhs2_id = g.procs[2].identity
+        g.procs[2].rhs2_id = 2
         with pytest.raises(PropertyViolation, match="rhs2"):
             check_neighbor_state(g)
 
     def test_wrong_lhs_fails(self):
         g = ring(4)
-        g.procs[0].lhs_id = g.procs[1].identity
+        g.procs[0].lhs_id = 1
         with pytest.raises(PropertyViolation, match="left neighbor"):
             check_neighbor_state(g)
+
+    # The exact violation texts below are part of the verify output and of
+    # counterexample files, so they are pinned byte for byte.
+    def test_rhs_violation_text_names_the_recorded_identity(self):
+        g = ring(4)
+        g.procs[1].rhs_id = 3
+        with pytest.raises(PropertyViolation) as e:
+            check_neighbor_state(g)
+        assert str(e.value) == (
+            "d1 records rhs Identity(host='node3', port=9003) but its right neighbor is d2")
+
+    def test_rhs2_violation_text_says_none_when_unrecorded(self):
+        g = ring(4)
+        g.procs[2].rhs2_id = -1
+        with pytest.raises(PropertyViolation) as e:
+            check_neighbor_state(g)
+        assert str(e.value) == "d2 records rhs2 None but two hops right sits d0"
 
 
 class TestTraceCompletion:
@@ -135,7 +152,7 @@ class TestTraceCompletion:
         t.started = True
         t.done = True
         t.initiator = 0
-        t.collected = tuple(d.identity for d in self.g.procs)
+        t.collected = tuple(d.pid for d in self.g.procs)
 
     def test_complete_episode_passes(self):
         check_trace_completion(self.g)
@@ -144,9 +161,18 @@ class TestTraceCompletion:
         self.g.trace.initiator = 1
         with pytest.raises(PropertyViolation, match="trace collected"):
             check_trace_completion(self.g)
-        self.g.trace.collected = tuple(
-            self.g.procs[i].identity for i in (1, 2, 0))
+        self.g.trace.collected = (1, 2, 0)
         check_trace_completion(self.g)
+
+    def test_violation_text_lists_identities(self):
+        self.g.trace.initiator = 1
+        with pytest.raises(PropertyViolation) as e:
+            check_trace_completion(self.g)
+        assert str(e.value) == (
+            "trace collected [Identity(host='node0', port=9000),"
+            "Identity(host='node1', port=9001),Identity(host='node2', port=9002)] "
+            "but the ring is [Identity(host='node1', port=9001),"
+            "Identity(host='node2', port=9002),Identity(host='node0', port=9000)]")
 
     def test_unstarted_episode_fails(self):
         self.g.trace.started = False

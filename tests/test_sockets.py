@@ -8,7 +8,7 @@ from ringcheck.errors import (
     InvariantViolation,
     ModelSizingError,
 )
-from ringcheck.messages import NEW_LHS, NEW_RHS, Message
+from ringcheck.messages import HOPS, NEW_LHS, NEW_RHS, command_of, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
     CONNECT_PENDING,
@@ -20,6 +20,7 @@ from ringcheck.sockets import (
     NEW,
     RHS,
     ReadyEvent,
+    UNOWNED,
     SocketTable,
 )
 
@@ -44,11 +45,11 @@ class TestConnectAccept:
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
-        t.write(1, cfd, Message(NEW_RHS))
-        assert [m.cmd for m in t.queue_of(sfd)] == [NEW_RHS]
+        t.write(1, cfd, message(NEW_RHS))
+        assert [command_of(m) for m in t.queue_of(sfd)] == [NEW_RHS]
         fd = t.accept(2)
         assert fd == sfd
-        assert t.read(2, sfd).cmd == NEW_RHS
+        assert command_of(t.read(2, sfd)) == NEW_RHS
 
     def test_accept_claims_lowest_pending(self):
         t = make_table()
@@ -69,7 +70,7 @@ class TestConnectAccept:
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
         with pytest.raises(ContractViolation):
-            t.write(2, sfd, Message(NEW_RHS))
+            t.write(2, sfd, message(NEW_RHS))
         with pytest.raises(ContractViolation):
             t.read(2, sfd)
 
@@ -96,34 +97,34 @@ class TestReadWrite:
         self.sfd = self.t.accept(2)
 
     def test_fifo_order(self):
-        self.t.write(1, self.cfd, Message(NEW_RHS, hops=1))
-        self.t.write(1, self.cfd, Message(NEW_LHS, hops=2))
-        assert self.t.read(2, self.sfd).hops == 1
-        assert self.t.read(2, self.sfd).hops == 2
+        self.t.write(1, self.cfd, message(NEW_RHS, hops=1))
+        self.t.write(1, self.cfd, message(NEW_LHS, hops=2))
+        assert self.t.read(2, self.sfd)[HOPS] == 1
+        assert self.t.read(2, self.sfd)[HOPS] == 2
 
     def test_read_empty_raises(self):
         with pytest.raises(ContractViolation):
             self.t.read(2, self.sfd)
 
     def test_read_wrong_owner_raises(self):
-        self.t.write(1, self.cfd, Message(NEW_RHS))
+        self.t.write(1, self.cfd, message(NEW_RHS))
         with pytest.raises(ContractViolation):
             self.t.read(1, self.sfd)
 
     def test_write_full_channel_is_a_sizing_error(self):
         for i in range(self.t.qsz):
-            self.t.write(1, self.cfd, Message(NEW_RHS, hops=i))
+            self.t.write(1, self.cfd, message(NEW_RHS, hops=i))
         with pytest.raises(ModelSizingError):
-            self.t.write(1, self.cfd, Message(NEW_RHS))
+            self.t.write(1, self.cfd, message(NEW_RHS))
 
     def test_write_after_peer_close_raises_broken_connection(self):
         self.t.close(2, self.sfd)
         with pytest.raises(BrokenConnectionError):
-            self.t.write(1, self.cfd, Message(NEW_RHS))
+            self.t.write(1, self.cfd, message(NEW_RHS))
 
     def test_write_on_unallocated_fd_raises(self):
         with pytest.raises(ContractViolation):
-            self.t.write(1, INVALID_FD, Message(NEW_RHS))
+            self.t.write(1, INVALID_FD, message(NEW_RHS))
 
 
 class TestClose:
@@ -131,19 +132,19 @@ class TestClose:
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.accept(2)
-        t.write(2, sfd, Message(NEW_RHS))   # toward the client
-        t.write(1, cfd, Message(NEW_LHS))   # toward the server
+        t.write(2, sfd, message(NEW_RHS))   # toward the client
+        t.write(1, cfd, message(NEW_LHS))   # toward the server
         t.close(1, cfd)
         assert t.flag_of(cfd) == FREE
         assert t.queue_of(cfd) == ()        # inbound to the closer: gone
         assert t.other_of(sfd) == INVALID_FD
-        assert [m.cmd for m in t.queue_of(sfd)] == [NEW_LHS]  # survivor keeps its queue
+        assert [command_of(m) for m in t.queue_of(sfd)] == [NEW_LHS]  # survivor keeps its queue
 
     def test_eof_only_after_queue_drains(self):
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.accept(2)
-        t.write(1, cfd, Message(NEW_RHS))
+        t.write(1, cfd, message(NEW_RHS))
         t.close(1, cfd)
         assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
         t.read(2, sfd)
@@ -189,7 +190,7 @@ class TestReadiness:
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
-        t.write(1, cfd, Message(NEW_RHS))
+        t.write(1, cfd, message(NEW_RHS))
         assert t.ready_events().get(2, []) == [ReadyEvent(sfd, CONNECT_PENDING)]
         t.accept(2)
         assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
@@ -198,7 +199,7 @@ class TestReadiness:
         t = make_table()
         cfd = t.connect(1, 2)
         t.accept(2)
-        t.write(2, t.other_of(cfd), Message(NEW_RHS))
+        t.write(2, t.other_of(cfd), message(NEW_RHS))
         first = t.ready_events()
         assert t.ready_events() == first == {1: [ReadyEvent(cfd, MESSAGE)]}
         t.read(1, cfd)
@@ -210,8 +211,8 @@ class TestReadiness:
         c2 = t.connect(1, 2)
         t.accept(2)
         t.accept(2)
-        t.write(2, t.other_of(c1), Message(NEW_RHS))
-        t.write(2, t.other_of(c2), Message(NEW_RHS))
+        t.write(2, t.other_of(c1), message(NEW_RHS))
+        t.write(2, t.other_of(c2), message(NEW_RHS))
         evs = t.ready_events().get(1, [])
         assert evs == sorted(evs, key=lambda e: e.fd)
         assert [e.reason for e in evs] == [MESSAGE, MESSAGE]
@@ -223,29 +224,25 @@ class TestCloneAndCanon:
         cfd = t.connect(1, 2)
         t.accept(2)
         u = t.clone()
-        t.write(1, cfd, Message(NEW_RHS))
+        t.write(1, cfd, message(NEW_RHS))
         assert u.queue_of(u.other_of(cfd)) == ()
         assert t.queue_of(t.other_of(cfd)) != ()
 
     def test_canon_equal_for_equal_tables(self):
-        from ringcheck.messages import Registry, make_identities
-
-        reg = Registry(make_identities(4))
-
         def build():
             t = make_table()
             c = t.connect(1, 2)
             t.accept(2)
-            t.write(1, c, Message(NEW_RHS, hops=3))
+            t.write(1, c, message(NEW_RHS, hops=3))
             return t
 
-        assert build().canon(reg) == build().canon(reg)
+        assert build().canon() == build().canon()
 
     def test_dump_names_every_allocated_fd(self):
         t = make_table()
         cfd = t.connect(1, 2)
         t.accept(2)
-        t.write(1, cfd, Message(NEW_RHS))
+        t.write(1, cfd, message(NEW_RHS))
         text = t.dump()
         sfd = t.other_of(cfd)
         assert f"fd={cfd}" in text
@@ -253,13 +250,77 @@ class TestCloneAndCanon:
         assert "queue=[new_rhs]" in text
 
 
+def _dirty_free_slot(t):
+    t.owner[5] = 3
+
+
+def _unowned_fd(t):
+    t.connect(1, 2)
+    t.owner[1] = UNOWNED
+
+
+def _overfull_channel(t):
+    t.connect(1, 2)
+    t.accept(2)
+    t.queues[0] = (message(NEW_RHS),) * (t.qsz + 1)
+
+
+def _link_to_free_slot(t):
+    t.connect(1, 2)
+    t.other[0] = 6
+
+
+def _link_out_of_range(t):
+    t.connect(1, 2)
+    t.other[0] = t.conn_max
+
+
+def _asymmetric_link(t):
+    t.connect(1, 2)
+    t.connect(3, 4)
+    t.other[1] = 2
+
+
+# Each corruption of a fresh table and the exact report it must produce.
+CORRUPTIONS = [
+    (_dirty_free_slot, frozenset(), "free slot 5 is not clean"),
+    (_unowned_fd, frozenset(), "allocated fd 1 has no owner"),
+    (lambda t: t.connect(1, 2), frozenset([2]), "fd 0 owned by dead pid 2"),
+    (_overfull_channel, frozenset(), "channel of fd 0 over capacity"),
+    (_link_to_free_slot, frozenset(), "fd 0 links to unallocated fd 6"),
+    (_link_out_of_range, frozenset(), "fd 0 links to unallocated fd 8"),
+    (_asymmetric_link, frozenset(), "asymmetric link 0 -> 1"),
+]
+
+
 class TestInvariantChecker:
+    @pytest.mark.parametrize("corrupt,dead,text", CORRUPTIONS,
+                             ids=[c[2] for c in CORRUPTIONS])
+    def test_each_violation_is_reported_by_name(self, corrupt, dead, text):
+        t = make_table()
+        corrupt(t)
+        with pytest.raises(InvariantViolation) as e:
+            t.check_invariants(dead_pids=dead)
+        assert str(e.value) == text
+
+    def test_first_failure_wins_by_fd_then_check(self):
+        t = make_table()
+        _dirty_free_slot(t)
+        _asymmetric_link(t)
+        with pytest.raises(InvariantViolation, match="asymmetric link 0 -> 1"):
+            t.check_invariants()
+        # One fd failing two checks reports the earlier one.
+        u = make_table()
+        _overfull_channel(u)
+        with pytest.raises(InvariantViolation, match="fd 0 owned by dead pid 2"):
+            u.check_invariants(dead_pids=frozenset([2]))
+
     def test_fresh_and_active_tables_pass(self):
         t = make_table()
         t.check_invariants()
         cfd = t.connect(1, 2)
         t.accept(2)
-        t.write(1, cfd, Message(NEW_RHS))
+        t.write(1, cfd, message(NEW_RHS))
         t.check_invariants()
 
     def test_detects_asymmetric_links(self):
