@@ -3,15 +3,18 @@
 The model is three layers. sockets simulates the Unix-domain plumbing a
 process manager would use: a descriptor table of cross-linked endpoint pairs,
 bounded FIFO channels, and readiness derived from the table rather than
-stored. daemons and barrier put protocol state machines on top: ring
-insertion in a raced sequential flavor and a correct parallel one, failure
-recovery over recorded second-right neighbors, a circulating ring trace, and
-a token barrier across a manager ring. explorer turns any of these into a
-checkable transition system: depth-first search over every handler
-interleaving with state hashing, plus one walk loop over the exact same step
-relation that serves both seeded random simulation and schedule replay. A
-walk stops at the first failure and keeps the failing step in its trace, so
-the trace replays to the same failure.
+stored, each wake already named as the schedule step that handles it.
+daemons and barrier put protocol state machines on top: ring insertion in a
+raced sequential flavor and a correct parallel one, failure recovery over
+recorded second-right neighbors, a circulating ring trace, and a token
+barrier across a manager ring. Each protocol module lists its own enabled
+steps (steps) and runs them (act, handle_event). explorer imports neither:
+it runs whichever protocol the scenario names as a checkable transition
+system, with depth-first search over every handler interleaving with state
+hashing, plus one walk loop over the exact same step relation that serves
+both seeded random simulation and schedule replay. A walk stops at the first
+failure and keeps the failing step in its trace, so the trace replays to the
+same failure.
 """
 
 from .errors import (

@@ -13,9 +13,10 @@ barrier_out returns, so it is the last one out.
 
 from __future__ import annotations
 
-from .errors import ProtocolViolation
+from .errors import ContractViolation, ProtocolViolation
+from .explorer import ACT_CLIENT_ARRIVAL, KIND_ACTION, KIND_EVENT, ScheduleStep
 from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
-from .sockets import CONNECT_PENDING, EOF, INVALID_FD, ReadyEvent
+from .sockets import EVENT_CONNECT, EVENT_EOF, INVALID_FD
 
 
 class ManagerState:
@@ -134,10 +135,36 @@ def _on_barrier_out(g, m: ManagerState) -> None:
     # The leader absorbs the token, releasing its own client last.
 
 
-def handle_event(g, m: ManagerState, ev: ReadyEvent) -> None:
-    if ev.reason in (CONNECT_PENDING, EOF):
-        raise ProtocolViolation(f"m{m.pid}: unexpected {ev.reason} event on manager ring")
-    cmd = command_of(g.sockets.read(m.pid, ev.fd))
+def steps(g) -> list[ScheduleStep]:
+    """Every step the barrier can take from g, in a fixed order.
+
+    By pid, each manager offers its wakes by descriptor index, then its
+    client's arrival while that client has not arrived.
+    """
+    ready = g.sockets.ready_events()
+    arrived = g.bits.client_barrier_in
+    out: list[ScheduleStep] = []
+    for m in g.procs:
+        pid = m.pid
+        for fd, name in ready.get(pid, ()):
+            out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+        if not (arrived >> pid) & 1:
+            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+    return out
+
+
+def act(g, m: ManagerState, action: str) -> None:
+    """Run the spontaneous action named action of manager m."""
+    if action != ACT_CLIENT_ARRIVAL:
+        raise ContractViolation(f"unknown action {action!r}")
+    client_reaches_barrier(g, m)
+
+
+def handle_event(g, m: ManagerState, fd: int, name: str) -> None:
+    """Handle the wake named name on m's descriptor fd."""
+    if name in (EVENT_CONNECT, EVENT_EOF):
+        raise ProtocolViolation(f"m{m.pid}: unexpected {name} event on manager ring")
+    cmd = command_of(g.sockets.read(m.pid, fd))
     if cmd == BARRIER_IN:
         _on_barrier_in(g, m)
     elif cmd == BARRIER_OUT:

@@ -7,7 +7,7 @@ schedule step by step. Exit codes are part of the interface:
     0   verified, or a clean simulation/replay
     1   a violation was found (verify writes the counterexample schedule)
     2   a resource limit truncated the search
-    64  usage or configuration error
+    64  usage or configuration error, or a trace file that cannot be written
     65  trace file is malformed or does not fit its scenario
 """
 
@@ -102,6 +102,10 @@ def _report_table(scenario, report, stable: bool) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_states < 1 or args.max_depth < 0:
+        print("ringcheck verify: error: --max-states must be at least 1 "
+              "and --max-depth at least 0", file=sys.stderr)
+        return EX_USAGE
     try:
         scenario = _build(args)
     except ScenarioError as e:
@@ -114,12 +118,18 @@ def _cmd_verify(args) -> int:
         max_states=args.max_states,
     )
     trace_steps = None
+    code = _OUTCOME_EXIT[report.outcome]
     if report.outcome == VIOLATION:
         path = args.trace_out or f"{scenario.algorithm}-counterexample.trace"
-        write_trace(path, scenario, report.trace,
-                    outcome=report.outcome, violation=report.violation)
         trace_steps = report.trace
-        print(f"counterexample written to {path}", file=sys.stderr)
+        try:
+            write_trace(path, scenario, report.trace,
+                        outcome=report.outcome, violation=report.violation)
+        except OSError as e:
+            print(f"ringcheck verify: error: cannot write trace: {e}", file=sys.stderr)
+            code = EX_USAGE
+        else:
+            print(f"counterexample written to {path}", file=sys.stderr)
     elif args.trace_out:
         # Nothing to record for a clean or truncated search.
         print("no counterexample to write", file=sys.stderr)
@@ -127,7 +137,7 @@ def _cmd_verify(args) -> int:
         print(_report_json(scenario, report, trace_steps, args.stable_output))
     else:
         print(_report_table(scenario, report, args.stable_output))
-    return _OUTCOME_EXIT[report.outcome]
+    return code
 
 
 def _cmd_simulate(args) -> int:
@@ -143,11 +153,17 @@ def _cmd_simulate(args) -> int:
         max_steps=args.max_steps,
     )
     failures = [] if result.violation is None else [result.violation]
+    code = EX_OK if not failures else EX_VIOLATION
     if args.trace_out:
         outcome = "SIMULATED" if result.violation is None else VIOLATION
-        write_trace(args.trace_out, scenario, result.trace,
-                    outcome=outcome, violation=result.violation)
-        print(f"schedule written to {args.trace_out}", file=sys.stderr)
+        try:
+            write_trace(args.trace_out, scenario, result.trace,
+                        outcome=outcome, violation=result.violation)
+        except OSError as e:
+            print(f"ringcheck simulate: error: cannot write trace: {e}", file=sys.stderr)
+            code = EX_USAGE
+        else:
+            print(f"schedule written to {args.trace_out}", file=sys.stderr)
     if args.json:
         doc = {
             "schema": "ringcheck-simulation-1",
@@ -169,7 +185,7 @@ def _cmd_simulate(args) -> int:
         for failure in failures:
             print(f"failure: {failure}")
         print(result.final_state.dump())
-    return EX_OK if not failures else EX_VIOLATION
+    return code
 
 
 def _dump_delta(pre: str, post: str) -> list[str]:

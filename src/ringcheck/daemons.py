@@ -26,7 +26,15 @@ structures.
 
 from __future__ import annotations
 
-from .errors import ProtocolViolation
+from .errors import ContractViolation, ProtocolViolation
+from .explorer import (
+    ACT_BEGIN_INSERTION,
+    ACT_INJECT_FAILURE,
+    ACT_START_TRACE,
+    KIND_ACTION,
+    KIND_EVENT,
+    ScheduleStep,
+)
 from .messages import (
     A,
     ABSENT,
@@ -45,11 +53,14 @@ from .messages import (
     command_of,
     message,
 )
-from .sockets import CONNECT_PENDING, EOF, INVALID_FD, LHS, NEW, RHS, ReadyEvent
+from .sockets import EVENT_CONNECT, EVENT_EOF, INVALID_FD, LHS, NEW, RHS
 
 # Variants.
 SEQUENTIAL = "seq"
 PARALLEL = "par"
+
+# Failure policy: any one live daemon may fail. An int victim pid fixes it.
+FAIL_NONDET = "nondet"
 
 # Phases.
 IDLE = 0
@@ -161,24 +172,6 @@ class TraceState:
 # ---------------------------------------------------------------------------
 
 
-def first_daemon_init(g, d: DaemonState) -> None:
-    """Bootstrap a ring of one: the daemon connects to its own port.
-
-    Both endpoints of the self-connection are owned by d; the server half is
-    accepted immediately so the loop is usable without a scheduling round.
-    """
-    if d.phase != IDLE:
-        raise ProtocolViolation(f"d{d.pid}: first_daemon_init outside IDLE")
-    client_fd = g.sockets.connect(d.pid, d.pid)
-    server_fd = g.sockets.accept(d.pid)
-    g.sockets.set_flag(client_fd, RHS)
-    g.sockets.set_flag(server_fd, LHS)
-    d.rhs_fd = client_fd
-    d.lhs_fd = server_fd
-    d.rhs_id = d.rhs2_id = d.lhs_id = d.pid
-    d.phase = IN_RING
-
-
 def begin_insertion(g, d: DaemonState) -> None:
     """Open the entry connection and ask to be spliced into the ring.
 
@@ -218,19 +211,56 @@ def inject_failure(g, pid: int) -> None:
     g.sockets.inject_failure(pid)
 
 
-def start_trace(g) -> None:
-    """Launch a ring trace from the lowest-pid live daemon."""
-    live = [p for p in g.procs if p.phase != DEAD]
-    if not live:
-        raise ProtocolViolation("start_trace with no live daemon")
-    initiator = live[0]
+def start_trace(g, d: DaemonState) -> None:
+    """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
     g.trace.started = True
-    g.trace.initiator = initiator.pid
-    g.sockets.write(
-        initiator.pid,
-        initiator.rhs_fd,
-        message(TRACE_REQ, origin=initiator.pid, ids=(initiator.pid,)),
-    )
+    g.trace.initiator = d.pid
+    g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
+
+
+def steps(g) -> list[ScheduleStep]:
+    """Every step a ring can take from g, in a fixed order.
+
+    By pid, each live daemon offers its wakes by descriptor index (only the
+    awaited reply while it blocks on one), then its insertion while it is an
+    idle inserter, then its failure while no daemon has failed yet. The
+    trace start is a timeout: it is offered, by the lowest-pid live daemon,
+    only when no other step is, so a trace runs on a settled ring.
+    """
+    sc = g.scenario
+    failure = sc.failure
+    armed = failure is not None and not any(p.phase == DEAD for p in g.procs)
+    ready = g.sockets.ready_events()
+    out: list[ScheduleStep] = []
+    for p in g.procs:
+        if p.phase == DEAD:
+            continue
+        pid = p.pid
+        for fd, name in ready.get(pid, ()):
+            # Blocking-read surrogate: an awaiting daemon handles only the reply.
+            if p.await_cmd is None or name == p.await_cmd:
+                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+        if p.phase == IDLE and pid in sc.inserter_pids:
+            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
+        if armed and (failure == FAIL_NONDET or failure == pid):
+            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+    if not out and sc.trace_enabled and not g.trace.started:
+        live = [p.pid for p in g.procs if p.phase != DEAD]
+        if live:
+            out.append(ScheduleStep(live[0], KIND_ACTION, -1, ACT_START_TRACE))
+    return out
+
+
+def act(g, d: DaemonState, action: str) -> None:
+    """Run the spontaneous action named action of daemon d."""
+    if action == ACT_BEGIN_INSERTION:
+        begin_insertion(g, d)
+    elif action == ACT_INJECT_FAILURE:
+        inject_failure(g, d.pid)
+    elif action == ACT_START_TRACE:
+        start_trace(g, d)
+    else:
+        raise ContractViolation(f"unknown action {action!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +268,20 @@ def start_trace(g) -> None:
 # ---------------------------------------------------------------------------
 
 
-def handle_event(g, d: DaemonState, ev: ReadyEvent) -> None:
-    if ev.reason == CONNECT_PENDING:
+def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
+    """Handle the wake named name on d's descriptor fd."""
+    if name == EVENT_CONNECT:
         g.sockets.accept(d.pid)
         return
-    if ev.reason == EOF:
-        _on_eof(g, d, ev.fd)
+    if name == EVENT_EOF:
+        _on_eof(g, d, fd)
         return
-    msg = g.sockets.read(d.pid, ev.fd)
+    msg = g.sockets.read(d.pid, fd)
     cmd = command_of(msg)
     handler = _DISPATCH.get(cmd)
     if handler is None:
         raise ProtocolViolation(f"d{d.pid}: unexpected command {cmd!r}")
-    handler(g, d, ev.fd, msg)
+    handler(g, d, fd, msg)
 
 
 def _live_count(g) -> int:

@@ -23,14 +23,15 @@ and its process tuple is the predecessor's with the acting pid's entry
 replaced. The ready events of all processes come from one pass over the
 descriptor table.
 
-The unit of interleaving is one handler invocation. enabled_steps lists, in a
-fixed deterministic order, every ready event of every live process plus every
-spontaneous action not yet fired. Trace starts are timeout actions: they only
-become enabled once nothing else is, matching the intent that a trace runs on
-a settled ring. Quiescence is the absence of any step at all, and is where
-the end-state properties are evaluated; a state with undeliverable or
-unconsumed messages is never quiescent and therefore never satisfies a
-quiescence-only property by accident.
+The unit of interleaving is one handler invocation. Like SPIN's search
+engine, the explorer knows nothing of the protocol it runs: the scenario's
+protocol module (daemons or barrier) lists a state's enabled steps in a
+fixed order (steps) and runs one (act for a spontaneous action, handle_event
+for a wake, whose step cmd is the name the socket table gave the wake).
+Quiescence is the absence of any step at all, and is where the end-state
+properties are evaluated; a state with undeliverable or unconsumed messages
+is never quiescent and therefore never satisfies a quiescence-only property
+by accident.
 
 Verification is a depth-first search with state hashing. Every other run of
 a schedule is a walk: one loop that asks a chooser for the next step, refuses
@@ -48,11 +49,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from . import barrier as barrier_mod
-from . import daemons as daemons_mod
 from .errors import CheckError, ContractViolation, PropertyViolation
-from .messages import command_of
-from .sockets import CONNECT_PENDING, EOF, MESSAGE, ReadyEvent
+from .sockets import EVENT_CONNECT, EVENT_EOF  # noqa: F401 (wake step names)
 
 # Outcomes.
 VERIFIED = "VERIFIED"
@@ -66,11 +64,6 @@ ACT_BEGIN_INSERTION = "begin_insertion"
 ACT_CLIENT_ARRIVAL = "client_arrival"
 ACT_INJECT_FAILURE = "inject_failure"
 ACT_START_TRACE = "start_trace"
-
-# Event cmd labels for non-message events; message events carry the command
-# at the head of the channel. No protocol command collides with these.
-EVENT_CONNECT = "connect"
-EVENT_EOF = "eof"
 
 
 class ScheduleStep(NamedTuple):
@@ -136,9 +129,6 @@ class GlobalState:
             self.bits.canon() if self.bits is not None else (),
         )
 
-    def live_daemons(self) -> list:
-        return [p for p in self.procs if getattr(p, "phase", None) != daemons_mod.DEAD]
-
     def dump(self) -> str:
         lines = [p.summary() for p in self.procs]
         if self.bits is not None:
@@ -178,53 +168,11 @@ def state_digest(g: GlobalState) -> bytes:
 
 
 def enabled_steps(g: GlobalState) -> list[ScheduleStep]:
-    """All steps executable from g, in a deterministic order.
+    """All steps executable from g, in the protocol's deterministic order.
 
-    Ordering is by pid, then descriptor index for events, then action name;
-    timeout actions (the trace start) appear only when the list would
-    otherwise be empty. Verification never randomizes this order.
+    Verification never randomizes this order.
     """
-    sc = g.scenario
-    steps: list[ScheduleStep] = []
-    failure_armed = (
-        sc.failure is not None
-        and sc.kind == "ring"
-        and not any(p.phase == daemons_mod.DEAD for p in g.procs)
-    )
-    ready = g.sockets.ready_events()
-    for p in g.procs:
-        if sc.kind == "ring" and p.phase == daemons_mod.DEAD:
-            continue
-        events = ready.get(p.pid, ())
-        if sc.kind == "ring" and p.await_cmd is not None:
-            # Blocking-read surrogate: only the awaited reply may be handled.
-            events = [
-                e for e in events
-                if e.reason == MESSAGE and command_of(g.sockets.queue_of(e.fd)[0]) == p.await_cmd
-            ]
-        for e in events:
-            if e.reason == MESSAGE:
-                cmd = command_of(g.sockets.queue_of(e.fd)[0])
-            elif e.reason == CONNECT_PENDING:
-                cmd = EVENT_CONNECT
-            else:
-                cmd = EVENT_EOF
-            steps.append(ScheduleStep(p.pid, KIND_EVENT, e.fd, cmd))
-        if sc.kind == "ring":
-            if p.phase == daemons_mod.IDLE and p.pid in sc.inserter_pids:
-                steps.append(ScheduleStep(p.pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
-            if failure_armed and p.phase != daemons_mod.DEAD and (
-                sc.failure == "nondet" or sc.failure == p.pid
-            ):
-                steps.append(ScheduleStep(p.pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
-        else:
-            if not (g.bits.client_barrier_in >> p.pid) & 1:
-                steps.append(ScheduleStep(p.pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
-    if not steps and sc.trace_enabled and g.trace is not None and not g.trace.started:
-        live = g.live_daemons()
-        if live:
-            steps.append(ScheduleStep(live[0].pid, KIND_ACTION, -1, ACT_START_TRACE))
-    return steps
+    return g.scenario.protocol.steps(g)
 
 
 def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
@@ -244,27 +192,9 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     if g._procs_canon is not None:
         h._basis = (g._procs_canon, step.pid)
     if step.kind == KIND_ACTION:
-        if step.cmd == ACT_BEGIN_INSERTION:
-            daemons_mod.begin_insertion(h, p)
-        elif step.cmd == ACT_CLIENT_ARRIVAL:
-            barrier_mod.client_reaches_barrier(h, p)
-        elif step.cmd == ACT_INJECT_FAILURE:
-            daemons_mod.inject_failure(h, step.pid)
-        elif step.cmd == ACT_START_TRACE:
-            daemons_mod.start_trace(h)
-        else:
-            raise ContractViolation(f"unknown action {step.cmd!r}")
-        return h
-    if step.cmd == EVENT_CONNECT:
-        ev = ReadyEvent(step.fd, CONNECT_PENDING)
-    elif step.cmd == EVENT_EOF:
-        ev = ReadyEvent(step.fd, EOF)
+        h.scenario.protocol.act(h, p, step.cmd)
     else:
-        ev = ReadyEvent(step.fd, MESSAGE)
-    if h.scenario.kind == "ring":
-        daemons_mod.handle_event(h, p, ev)
-    else:
-        barrier_mod.handle_event(h, p, ev)
+        h.scenario.protocol.handle_event(h, p, step.fd, step.cmd)
     return h
 
 
@@ -322,7 +252,9 @@ def explore(
 
     Stops at the first violation and returns the schedule that produced it.
     If a resource limit truncates the search the outcome is RESOURCE_LIMIT
-    even when no violation was seen, because unexplored states remain.
+    even when no violation was seen, because unexplored states remain. The
+    budgets count the initial state like any other: it is stored state 1
+    and sits at depth 0.
 
     Properties run only on newly stored states, after the visited-set
     lookup, which is why the search does not share walk's loop.
@@ -356,42 +288,48 @@ def explore(
             if on_quiescent is not None:
                 on_quiescent(state)
 
-    init_steps = enabled_steps(init)
     # Each frame: (state, its enabled steps, index of the next step to try).
-    stack: list[list] = [[init, init_steps, 0]]
+    stack: list[list] = []
+    state = init  # newly stored, reached by path; the root is no exception
     try:
-        inspect(init, init_steps)
-        while stack:
-            frame = stack[-1]
-            state, steps, idx = frame
-            if idx >= len(steps):
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            frame[2] += 1
-            step = steps[idx]
-            path.append(step)
-            succ = apply(state, step)
-            key = state_digest(succ)
-            if key in visited:
-                matched += 1
-                path.pop()
-                continue
-            visited.add(key)
-            stored += 1
-            if len(path) > deepest:
-                deepest = len(path)
-            succ_steps = enabled_steps(succ)
-            inspect(succ, succ_steps)
+        while True:
+            steps = enabled_steps(state)
+            inspect(state, steps)
             if stored >= max_states:
                 return report(RESOURCE_LIMIT, violation="state budget exhausted",
                               trace=tuple(path))
-            if succ_steps and len(path) >= max_depth:
+            if steps and len(path) >= max_depth:
                 truncated = True  # do not expand deeper; search stays incomplete
-                path.pop()
-                continue
-            stack.append([succ, succ_steps, 0])
+                if path:
+                    path.pop()
+            else:
+                stack.append([state, steps, 0])
+            # Find the next state not yet stored.
+            while stack:
+                frame = stack[-1]
+                state, steps, idx = frame
+                if idx >= len(steps):
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+                frame[2] += 1
+                step = steps[idx]
+                path.append(step)
+                succ = apply(state, step)
+                key = state_digest(succ)
+                if key in visited:
+                    matched += 1
+                    path.pop()
+                    continue
+                visited.add(key)
+                stored += 1
+                if len(path) > deepest:
+                    deepest = len(path)
+                state = succ
+                break
+            else:
+                break  # every stored state is expanded
     except CheckError as e:
         # path is the schedule to the failing handler or state, () for the root.
         return report(VIOLATION, violation=str(e), trace=tuple(path))

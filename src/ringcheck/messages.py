@@ -101,9 +101,6 @@ class Registry:
         """The pid an identity stands for, -1 for absent: pid_of at the edges."""
         return -1 if identity is None else self._by_identity[identity]
 
-    def __len__(self) -> int:
-        return len(self._by_pid)
-
 
 def canon_message(m: tuple, reg: Registry) -> tuple:
     """Canonical tuple for a message: the message itself, already canonical.

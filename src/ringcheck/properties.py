@@ -27,7 +27,7 @@ SOCKET_INVARIANTS = "socket_invariants"
 
 
 def dead_pids(g) -> frozenset[int]:
-    if g.scenario.kind != "ring":
+    if g.scenario.protocol is not daemons_mod:
         return frozenset()
     return frozenset(p.pid for p in g.procs if p.phase == daemons_mod.DEAD)
 

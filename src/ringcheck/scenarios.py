@@ -17,26 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import barrier, daemons
 from . import properties as props
 from .barrier import BarrierBits, ManagerState
-from .daemons import (
-    IDLE,
-    IN_RING,
-    PARALLEL,
-    SEQUENTIAL,
-    DaemonState,
-    TraceState,
-    first_daemon_init,
-)
+from .daemons import FAIL_NONDET, IN_RING, PARALLEL, SEQUENTIAL, DaemonState, TraceState
 from .errors import ScenarioError
 from .explorer import GlobalState, Property
 from .messages import Registry, make_identities
 from .sockets import LHS, RHS, SocketTable
 
 ALGORITHMS = ("ring-seq", "ring-par", "trace", "recovery", "barrier")
-
-# Failure policy markers; an int means a fixed victim pid.
-FAIL_NONDET = "nondet"
 
 
 @dataclass(frozen=True)
@@ -54,14 +44,14 @@ class Scenario:
     """Static description shared by every state of one exploration."""
 
     __slots__ = (
-        "kind", "algorithm", "variant", "n_initial", "n_inserters",
+        "protocol", "algorithm", "variant", "n_initial", "n_inserters",
         "inserter_pids", "entry_pid", "seq_blocking", "failure",
         "trace_enabled", "conn_max", "qsz", "hop_budget", "registry",
     )
 
-    def __init__(self, *, kind, algorithm, variant, n_initial, n_inserters,
+    def __init__(self, *, protocol, algorithm, variant, n_initial, n_inserters,
                  seq_blocking, failure, trace_enabled):
-        self.kind = kind
+        self.protocol = protocol  # the daemons or barrier module: steps, act, handle_event
         self.algorithm = algorithm
         self.variant = variant
         self.n_initial = n_initial
@@ -82,12 +72,7 @@ class Scenario:
         return self.n_initial + self.n_inserters
 
     def config_fields(self) -> dict:
-        if self.failure is None:
-            failure = "none"
-        elif self.failure == FAIL_NONDET:
-            failure = FAIL_NONDET
-        else:
-            failure = str(self.failure)
+        failure = "none" if self.failure is None else str(self.failure)
         return {
             "algorithm": self.algorithm,
             "size": self.n_initial,
@@ -101,46 +86,28 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def initial_state(self) -> GlobalState:
-        if self.kind == "barrier":
+        if self.protocol is barrier:
             return self._initial_barrier()
         return self._initial_ring()
 
     def _initial_ring(self) -> GlobalState:
         table = SocketTable(self.conn_max, self.qsz)
         procs = [DaemonState(i, self.variant) for i in range(self.total)]
-        g = GlobalState(self, table, procs, trace=TraceState(), bits=None)
         m = self.n_initial
-        if m == 1:
-            first_daemon_init(g, procs[0])
-        else:
-            for i in range(m):
-                j = (i + 1) % m
-                cfd = table.connect(i, j)
-                table.set_flag(cfd, RHS)
-                sfd = table.accept(j)
-                table.set_flag(sfd, LHS)
-                procs[i].rhs_fd = cfd
-                procs[j].lhs_fd = sfd
-            for i in range(m):
-                d = procs[i]
-                d.rhs_id = (i + 1) % m
-                d.rhs2_id = (i + 2) % m
-                d.lhs_id = (i - 1) % m
-                d.phase = IN_RING
-        return g
+        _wire_ring(table, procs[:m])
+        for i in range(m):
+            d = procs[i]
+            d.rhs_id = (i + 1) % m
+            d.rhs2_id = (i + 2) % m
+            d.lhs_id = (i - 1) % m
+            d.phase = IN_RING
+        return GlobalState(self, table, procs, trace=TraceState(), bits=None)
 
     def _initial_barrier(self) -> GlobalState:
         n = self.n_initial
         table = SocketTable(self.conn_max, self.qsz)
         procs = [ManagerState(i, rank=i) for i in range(n)]
-        for i in range(n):
-            j = (i + 1) % n
-            cfd = table.connect(i, j)
-            table.set_flag(cfd, RHS)
-            sfd = table.accept(j)
-            table.set_flag(sfd, LHS)
-            procs[i].rhs_fd = cfd
-            procs[j].lhs_fd = sfd
+        _wire_ring(table, procs)
         return GlobalState(self, table, procs, trace=None, bits=BarrierBits(n))
 
     # ------------------------------------------------------------------
@@ -148,7 +115,7 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def default_properties(self) -> tuple[Property, ...]:
-        if self.kind == "barrier":
+        if self.protocol is barrier:
             return (
                 props.socket_invariants(),
                 props.barrier_invariant(),
@@ -160,6 +127,22 @@ class Scenario:
         if self.trace_enabled:
             checks.append(props.trace_completion())
         return tuple(checks)
+
+
+def _wire_ring(table: SocketTable, procs: list) -> None:
+    """Connect procs clockwise: each one's rhs_fd reaches the next one's lhs_fd.
+
+    A ring of one is a daemon connected to its own port.
+    """
+    n = len(procs)
+    for i, p in enumerate(procs):
+        q = procs[(i + 1) % n]
+        cfd = table.connect(p.pid, q.pid)
+        table.set_flag(cfd, RHS)
+        sfd = table.accept(q.pid)
+        table.set_flag(sfd, LHS)
+        p.rhs_fd = cfd
+        q.lhs_fd = sfd
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -181,7 +164,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         if cfg.inserters:
             raise ScenarioError("the barrier scenario has no inserters")
         return Scenario(
-            kind="barrier", algorithm=cfg.algorithm, variant=None,
+            protocol=barrier, algorithm=cfg.algorithm, variant=None,
             n_initial=cfg.size, n_inserters=0, seq_blocking=False,
             failure=None, trace_enabled=False,
         )
@@ -195,14 +178,14 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             raise ScenarioError(f"fail-pid {cfg.fail_pid} is not a ring member")
         failure = FAIL_NONDET if cfg.fail_pid is None else cfg.fail_pid
         return Scenario(
-            kind="ring", algorithm=cfg.algorithm, variant=PARALLEL,
+            protocol=daemons, algorithm=cfg.algorithm, variant=PARALLEL,
             n_initial=cfg.size, n_inserters=0, seq_blocking=False,
             failure=failure, trace_enabled=True,
         )
 
     variant = SEQUENTIAL if cfg.algorithm == "ring-seq" else PARALLEL
     return Scenario(
-        kind="ring", algorithm=cfg.algorithm, variant=variant,
+        protocol=daemons, algorithm=cfg.algorithm, variant=variant,
         n_initial=cfg.size, n_inserters=cfg.inserters,
         seq_blocking=cfg.blocking, failure=None,
         trace_enabled=(cfg.algorithm == "trace"),
@@ -219,12 +202,7 @@ def config_from_fields(fields: dict) -> ScenarioConfig:
         failure = fields["failure"]
     except (KeyError, ValueError) as e:
         raise ScenarioError(f"incomplete scenario description: {e}") from e
-    if failure == "none":
-        fail_pid = None
-    elif failure == FAIL_NONDET:
-        fail_pid = None
-    else:
-        fail_pid = int(failure)
+    fail_pid = None if failure in ("none", FAIL_NONDET) else int(failure)
     return ScenarioConfig(
         algorithm=algorithm, size=size, inserters=inserters,
         blocking=blocking, fail_pid=fail_pid,

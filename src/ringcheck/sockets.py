@@ -10,9 +10,13 @@ Readiness is derived from the table on demand instead of being stored:
 a process has a pending wake exactly when one of its descriptors satisfies a
 wake condition. ``ready_events`` finds the wakes of every process in one pass
 over the table, so listing them costs the table's size, not its size times
-the number of processes. Deriving rather than storing makes re-running
-``ready_events`` after no state change trivially return the same events, and
-removes any possibility of a wake bit disagreeing with the condition behind it.
+the number of processes. Each wake is an ``(fd, name)`` pair whose name is
+already the schedule step's command: ``connect`` for a pending accept, ``eof``
+for a drained half-closed descriptor, otherwise the command of the message at
+the head of the channel. The protocol modules schedule and handle wakes by
+that one name. Deriving rather than storing makes re-running ``ready_events``
+after no state change trivially return the same events, and removes any
+possibility of a wake bit disagreeing with the condition behind it.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -20,8 +24,6 @@ before the hangup is observable.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import (
     BrokenConnectionError,
@@ -46,15 +48,10 @@ RHS = 4
 
 FLAG_NAMES = {FREE: "free", AWAIT_ACCEPT: "await_accept", NEW: "new", LHS: "lhs", RHS: "rhs"}
 
-# ReadyEvent reasons.
-MESSAGE = "message"
-CONNECT_PENDING = "connect"
-EOF = "eof"
-
-
-class ReadyEvent(NamedTuple):
-    fd: int
-    reason: str
+# Wake names that are not message commands; a message wake is named by the
+# command at the head of its channel. No protocol command collides with these.
+EVENT_CONNECT = "connect"
+EVENT_EOF = "eof"
 
 
 class SocketTable:
@@ -108,9 +105,6 @@ class SocketTable:
 
     def queue_of(self, fd: int) -> tuple:
         return self.queues[fd]
-
-    def allocated_count(self) -> int:
-        return sum(1 for f in self.flag if f != FREE)
 
     def owned_by(self, pid: int) -> list[int]:
         return [fd for fd in range(self.conn_max) if self.owner[fd] == pid]
@@ -217,18 +211,19 @@ class SocketTable:
 
     # -- readiness ----------------------------------------------------------
 
-    def ready_events(self) -> dict[int, list[ReadyEvent]]:
+    def ready_events(self) -> dict[int, list[tuple[int, str]]]:
         """Every pending wake of every process, found in one pass over the table.
 
-        Maps each pid that has a wake to its events, ordered by fd index;
-        a pid with none is absent. Exactly one CONNECT_PENDING event is
+        Maps each pid that has a wake to its (fd, name) pairs, ordered by fd
+        index; a pid with none is absent. Exactly one connect wake is
         surfaced per process (for its lowest AWAIT_ACCEPT descriptor) because
         accept itself always claims the lowest pending slot. Message and EOF
-        events are per descriptor; EOF requires a drained channel, message
-        readiness requires the descriptor to have been accepted.
+        wakes are per descriptor; EOF requires a drained channel, message
+        readiness requires the descriptor to have been accepted. A message
+        wake is named by the command of the message at its channel's head.
         """
-        events: dict[int, list[ReadyEvent]] = {}
-        connecting = set()  # pids whose CONNECT_PENDING event is already listed
+        events: dict[int, list[tuple[int, str]]] = {}
+        connecting = set()  # pids whose connect wake is already listed
         owner, other, queues = self.owner, self.other, self.queues
         for fd, flag in enumerate(self.flag):
             if flag == FREE:
@@ -238,14 +233,14 @@ class SocketTable:
                 if pid in connecting:
                     continue
                 connecting.add(pid)
-                reason = CONNECT_PENDING
+                name = EVENT_CONNECT
             elif queues[fd]:
-                reason = MESSAGE
+                name = command_of(queues[fd][0])
             elif other[fd] == INVALID_FD:
-                reason = EOF
+                name = EVENT_EOF
             else:
                 continue
-            events.setdefault(pid, []).append(ReadyEvent(fd, reason))
+            events.setdefault(pid, []).append((fd, name))
         return events
 
     # -- diagnostics ---------------------------------------------------------

@@ -111,4 +111,8 @@ def parse_trace(text: str) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], di
 
 def read_trace(path) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise TraceFormatError(f"not a trace file (not UTF-8 text: {e})") from e
+    return parse_trace(text)

@@ -24,11 +24,10 @@ import random
 from ringcheck.messages import HOPS, NEW_RHS, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
-    CONNECT_PENDING,
-    EOF,
+    EVENT_CONNECT,
+    EVENT_EOF,
     FREE,
     INVALID_FD,
-    MESSAGE,
     SocketTable,
     UNOWNED,
 )
@@ -170,20 +169,20 @@ class Driver:
             fd for fd, s in self.slots.items() if s.owner == pid and not s.accepted
         )
         if pending:
-            expected.add((pending[0], CONNECT_PENDING))
+            expected.add((pending[0], EVENT_CONNECT))
         for fd, slot in self.slots.items():
             if slot.owner != pid or not slot.accepted:
                 continue
             if slot.serials:
-                expected.add((fd, MESSAGE))
+                expected.add((fd, NEW_RHS))  # every driver message is a new_rhs
             elif slot.peer_closed:
-                expected.add((fd, EOF))
-        got = {(e.fd, e.reason) for e in events}
+                expected.add((fd, EVENT_EOF))
+        got = set(events)
         missing = expected - got
         bogus = got - expected
         assert not missing, f"pid {pid} lost wakes: {sorted(missing)}"
         assert not bogus, f"pid {pid} woken without cause: {sorted(bogus)}"
-        fds = [e.fd for e in events]
+        fds = [fd for fd, _ in events]
         assert fds == sorted(set(fds)), f"pid {pid} events not in strict fd order: {events}"
 
     # -- random stepping ------------------------------------------------------

@@ -7,7 +7,7 @@ from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import CONNECT_PENDING, MESSAGE, ReadyEvent
+from ringcheck.sockets import EVENT_CONNECT
 
 
 def barrier_state(n):
@@ -18,7 +18,7 @@ def barrier_state(n):
 def deliver(g, pid):
     evs = g.sockets.ready_events().get(pid, [])
     assert evs, f"manager {pid} has nothing to read"
-    handle_event(g, g.procs[pid], evs[0])
+    handle_event(g, g.procs[pid], *evs[0])
 
 
 class TestTokens:
@@ -112,7 +112,7 @@ class TestTokens:
     def test_connect_event_on_manager_ring_is_a_violation(self):
         scenario, g = barrier_state(2)
         with pytest.raises(ProtocolViolation, match="unexpected"):
-            handle_event(g, g.procs[0], ReadyEvent(0, CONNECT_PENDING))
+            handle_event(g, g.procs[0], 0, EVENT_CONNECT)
 
 
 class TestBarrierExploration:

@@ -8,6 +8,10 @@ any other test. The tracer is loaded from its source text, so the test
 writes nothing under perfbench/.
 """
 
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,7 +20,8 @@ import pytest
 from ringcheck import explorer
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +66,37 @@ def test_explore_applies_each_transition_once_through_the_module_global(monkeypa
     report = explorer.explore(build_scenario(ScenarioConfig("ring-par", size=1, inserters=2)))
     assert report.outcome == explorer.VERIFIED
     assert len(calls) == report.states_stored - 1 + report.states_matched
+
+
+# Runs in a child process because installing the tracer rebinds program
+# functions for the rest of the interpreter's life.
+TRACED_SEARCHES = """
+import json, sys, types
+tracer = types.ModuleType("perfbench_tracer")
+exec(compile(open(sys.argv[1], encoding="utf-8").read(), sys.argv[1], "exec"), tracer.__dict__)
+spans = tracer.Tracer()
+spans.install()
+from ringcheck import explorer
+from ringcheck.scenarios import ScenarioConfig, build_scenario
+for cfg in (ScenarioConfig("ring-par", size=1, inserters=2), ScenarioConfig("recovery", size=3),
+            ScenarioConfig("barrier", size=3)):
+    sc = build_scenario(cfg)
+    assert explorer.explore(sc, sc.default_properties()).outcome == explorer.VERIFIED
+print(json.dumps(spans.metrics()))
+"""
+
+
+def test_traced_searches_reach_every_protocol_layer(tracer):
+    before = sorted(p.name for p in TRACER.parent.iterdir())
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", TRACED_SEARCHES, str(TRACER)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    metrics = json.loads(run.stdout)
+    for group in ("daemons.handle_event", "daemons.actions", "barrier.handle_event",
+                  "barrier.arrival", "explorer.enabled_steps", "sockets.ready_events"):
+        assert metrics[f"{group}.calls"] > 0, group
+    transitions = sum(v for k, v in metrics.items() if k.startswith("explorer.transitions."))
+    assert metrics["explorer.apply.calls"] == transitions > 0
+    assert sorted(p.name for p in TRACER.parent.iterdir()) == before

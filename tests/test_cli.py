@@ -55,6 +55,27 @@ def test_usage_errors_exit_sixty_four(run_cli):
     assert "error" in r.err
 
 
+def test_budgets_below_one_state_or_below_depth_zero_are_usage_errors(run_cli):
+    for budget in (["--max-states", "0"], ["--max-states", "-1"], ["--max-depth", "-1"]):
+        r = run_cli("verify", "ring-par", "--size", "1", "--inserters", "1", *budget)
+        assert r.code == 64, budget
+        assert r.out == "" and "error" in r.err
+
+
+@pytest.mark.parametrize("command,report", [("verify", "outcome: VIOLATION"),
+                                            ("simulate", "seed 0: ")], ids=["verify", "simulate"])
+def test_unwritable_trace_out_still_reports_and_exits_sixty_four(run_cli, tmp_path,
+                                                                 command, report):
+    target = tmp_path / "absent" / "x.trace"
+    r = run_cli(command, "ring-seq", "--size", "2", "--inserters", "2",
+                "--trace-out", str(target))
+    assert r.code == 64
+    assert report in r.out
+    assert r.err.startswith(f"ringcheck {command}: error: cannot write trace: ")
+    assert len(r.err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_blocking_flag_fixes_the_sequential_race(run_cli):
     r = run_cli("verify", "ring-seq", "--size", "2", "--inserters", "2",
                 "--blocking")
@@ -229,6 +250,14 @@ def test_replay_rejects_damaged_traces(run_cli, tmp_path):
     r = run_cli("replay", str(wrong))
     assert r.code == 65
     assert "not enabled" in r.err
+
+
+def test_replay_rejects_a_file_that_is_not_text(run_cli, tmp_path):
+    path = tmp_path / "binary.trace"
+    path.write_bytes(b"\xd0\x00")
+    r = run_cli("replay", str(path))
+    assert r.code == 65
+    assert "bad trace" in r.err
 
 
 def test_replay_rejects_unbuildable_scenarios(run_cli, tmp_path):

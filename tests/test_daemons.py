@@ -16,7 +16,6 @@ from ringcheck.daemons import (
     PARALLEL,
     SEQUENTIAL,
     begin_insertion,
-    first_daemon_init,
     handle_event,
     inject_failure,
     start_trace,
@@ -39,7 +38,7 @@ from ringcheck.messages import (
     message,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import EOF, INVALID_FD, LHS, MESSAGE, RHS, ReadyEvent
+from ringcheck.sockets import EVENT_EOF, INVALID_FD, LHS, RHS
 
 
 def ring_state(algorithm, size, inserters=0, **kw):
@@ -49,13 +48,11 @@ def ring_state(algorithm, size, inserters=0, **kw):
 
 def deliver(g, pid, cmd=None):
     """Run the first ready event of pid (optionally the one carrying cmd)."""
-    for ev in g.sockets.ready_events().get(pid, []):
-        if cmd is not None:
-            q = g.sockets.queue_of(ev.fd)
-            if not (ev.reason == MESSAGE and q and command_of(q[0]) == cmd):
-                continue
-        handle_event(g, g.procs[pid], ev)
-        return ev
+    for fd, name in g.sockets.ready_events().get(pid, []):
+        if cmd is not None and name != cmd:
+            continue
+        handle_event(g, g.procs[pid], fd, name)
+        return fd, name
     raise AssertionError(f"pid {pid} has no matching ready event")
 
 
@@ -75,11 +72,6 @@ class TestBootstrap:
         assert g.sockets.other_of(d.rhs_fd) == d.lhs_fd
         assert g.sockets.flag_of(d.rhs_fd) == RHS
         assert g.sockets.flag_of(d.lhs_fd) == LHS
-
-    def test_first_daemon_init_requires_idle(self):
-        scenario, g = ring_state("ring-par", 2)
-        with pytest.raises(ProtocolViolation):
-            first_daemon_init(g, g.procs[0])
 
 
 class TestBeginInsertion:
@@ -168,7 +160,7 @@ class TestParallelSplice:
         fd = d.lhs_fd
         g.sockets.write(0, g.sockets.other_of(fd), message(NEW_RHS, a=1))
         with pytest.raises(ProtocolViolation):
-            handle_event(g, d, ReadyEvent(fd, MESSAGE))
+            handle_event(g, d, fd, NEW_RHS)
 
 
 class TestReconnectValidation:
@@ -182,7 +174,7 @@ class TestReconnectValidation:
     def feed_reply(self, g, d, target):
         entry_fd = g.sockets.other_of(d.lhs_fd)
         g.sockets.write(0, entry_fd, message(RECONNECT_RHS, a=target))
-        handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
+        handle_event(g, d, d.lhs_fd, RECONNECT_RHS)
 
     def test_reply_naming_the_inserter_itself_is_rejected(self):
         scenario, g, d = self.make_entering()
@@ -199,7 +191,7 @@ class TestReconnectValidation:
         d = g.procs[1]
         g.sockets.write(0, g.procs[0].rhs_fd, message(RECONNECT_RHS, a=0))
         with pytest.raises(ProtocolViolation, match="unexpected reconnect_rhs"):
-            handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
+            handle_event(g, d, d.lhs_fd, RECONNECT_RHS)
 
 
 class TestNewLhs:
@@ -230,13 +222,13 @@ class TestNewLhs:
         g.sockets.write(3, nfd, message(NEW_LHS, a=3))
         g.sockets.accept(2)
         sfd = [fd for fd in g.sockets.owned_by(2) if g.sockets.queue_of(fd)][0]
-        handle_event(g, d, ReadyEvent(sfd, MESSAGE))
+        handle_event(g, d, sfd, NEW_LHS)
         assert d.pending_rhs2_for == 3
         assert g.sockets.queue_of(nfd) == ()
         # Once a splice reply lands, the deferred update goes out to whoever
         # now holds d's left side.
         g.sockets.write(3, nfd, message(RECONNECT_RHS, a=1))
-        handle_event(g, d, ReadyEvent(d.lhs_fd, MESSAGE))
+        handle_event(g, d, d.lhs_fd, RECONNECT_RHS)
         assert d.pending_rhs2_for == -1
         assert [command_of(m) for m in g.sockets.queue_of(nfd)] == [RHS2INFO]
         assert g.sockets.queue_of(nfd)[0][B] == 1
@@ -317,7 +309,7 @@ class TestSequentialEntry:
 class TestTrace:
     def test_full_circuit_collects_identities_in_ring_order(self):
         scenario, g = ring_state("trace", 3)
-        start_trace(g)
+        start_trace(g, g.procs[0])
         assert g.trace.started and g.trace.initiator == 0
         deliver(g, 1, cmd=TRACE_REQ)
         deliver(g, 2, cmd=TRACE_REQ)
@@ -354,9 +346,9 @@ class TestFailureRecovery:
         inject_failure(g, 1)
         assert g.procs[1].phase == DEAD
         d = g.procs[0]
-        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
-        assert ev and ev[0].fd == d.rhs_fd
-        handle_event(g, d, ev[0])
+        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        assert ev and ev[0] == d.rhs_fd
+        handle_event(g, d, ev[0], EVENT_EOF)
         assert d.rhs_id == 2
         assert d.rhs2_id == -1  # refreshed by the in-flight query
         greeting = g.sockets.queue_of(g.sockets.other_of(d.rhs_fd))
@@ -366,8 +358,8 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         inject_failure(g, 1)
         d = g.procs[2]
-        ev = [e for e in g.sockets.ready_events().get(2, []) if e.reason == EOF]
-        handle_event(g, d, ev[0])
+        ev = [fd for fd, name in g.sockets.ready_events().get(2, []) if name == EVENT_EOF]
+        handle_event(g, d, ev[0], EVENT_EOF)
         assert d.lhs_fd == INVALID_FD
         assert d.rhs_id == 0  # untouched
 
@@ -375,8 +367,8 @@ class TestFailureRecovery:
         scenario, g = ring_state("ring-seq", 3)
         inject_failure(g, 1)
         d = g.procs[0]
-        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
-        handle_event(g, d, ev[0])
+        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        handle_event(g, d, ev[0], EVENT_EOF)
         assert d.rhs_fd == INVALID_FD
         assert queued_cmds(g, 2) == []  # no bridge was attempted
 
@@ -384,35 +376,35 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = -1
         inject_failure(g, 1)
-        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
+        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="no rhs2"):
-            handle_event(g, g.procs[0], ev[0])
+            handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
     def test_unknown_rhs2_is_a_violation(self):
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = len(g.procs)  # names no daemon of this scenario
         inject_failure(g, 1)
-        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
+        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="unknown identity"):
-            handle_event(g, g.procs[0], ev[0])
+            handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
     def test_dead_rhs2_is_a_violation(self):
         scenario, g = ring_state("recovery", 4)
         inject_failure(g, 1)
         inject_failure(g, 2)
-        ev = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
+        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="both right-hand neighbors"):
-            handle_event(g, g.procs[0], ev[0])
+            handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
     def test_ring_of_two_collapses_to_self_loop(self):
         scenario, g = ring_state("recovery", 2)
         inject_failure(g, 1)
         d = g.procs[0]
         for _ in range(2):  # EOF on both sides of the dead neighbor
-            evs = [e for e in g.sockets.ready_events().get(0, []) if e.reason == EOF]
+            evs = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
             if not evs:
                 break
-            handle_event(g, d, evs[0])
+            handle_event(g, d, evs[0], EVENT_EOF)
         # d reconnected to itself via rhs2; finish its own handshake.
         while g.sockets.ready_events().get(0, []):
             deliver(g, 0)

@@ -1,6 +1,8 @@
 """Explorer mechanics: step enumeration, state encoding, search, replay."""
 
+import hashlib
 import marshal
+from collections import deque
 
 import pytest
 
@@ -116,6 +118,41 @@ class TestEnabledSteps:
         g = sc.initial_state()
         g = apply(g, ScheduleStep(1, KIND_ACTION, -1, ACT_INJECT_FAILURE))
         assert all(s.pid != 1 for s in enabled_steps(g))
+
+    # Frozen before the protocol modules took over listing their own steps:
+    # a change here means some reachable state offers other steps, or offers
+    # them in another order.
+    STEP_ORDER_DIGESTS = [
+        (("ring-par", {"size": 1, "inserters": 2}), "d75469c8b31f7a777355102485a33b02"),
+        (("ring-seq", {"size": 2, "inserters": 2, "blocking": True}),
+         "03396ddfa906c47b8b385dd94fe7bfc4"),
+        (("trace", {"size": 3}), "88c16cb6689e7fd58983416b4825a91a"),
+        (("recovery", {"size": 4}), "3c79f14bc5e2dc43dd71b469dd993ed0"),
+        (("barrier", {"size": 4}), "3ad118f9a1c45a7d6197475fccb4b5aa"),
+    ]
+
+    @pytest.mark.parametrize("model,digest", STEP_ORDER_DIGESTS,
+                             ids=[m[0] for m, _ in STEP_ORDER_DIGESTS])
+    def test_step_order_regression_values(self, model, digest):
+        # Every reachable state's encoding, then its rendered enabled steps,
+        # hashed in breadth-first order.
+        algorithm, kw = model
+        h = hashlib.blake2b(digest_size=16)
+        init = scenario_for(algorithm, **kw).initial_state()
+        seen = {encode(init)}
+        frontier = deque([init])
+        while frontier:
+            g = frontier.popleft()
+            steps = enabled_steps(g)
+            h.update(encode(g))
+            h.update("\n".join(s.render() for s in steps).encode())
+            for step in steps:
+                succ = apply(g, step)
+                key = encode(succ)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(succ)
+        assert h.hexdigest() == digest
 
 
 class TestApply:
@@ -260,6 +297,13 @@ class TestEncoding:
         barrier = scenario_for("barrier", size=2)
         assert state_digest(barrier.initial_state()).hex() == (
             "237f34f4b92dbcf275b55d871c962e3c")
+        # Rings of one: a daemon, and a manager, wired to itself.
+        ring_of_one = scenario_for("ring-par", size=1)
+        assert state_digest(ring_of_one.initial_state()).hex() == (
+            "00f6fd74f8a18daad2dd3e2d057c16c9")
+        barrier_of_one = scenario_for("barrier", size=1)
+        assert state_digest(barrier_of_one.initial_state()).hex() == (
+            "60152aa308ab7d9d43cc6c89100d7b97")
         for (algorithm, kw), schedule, digest in self.MESSAGE_DIGESTS:
             run = replay(scenario_for(algorithm, **kw), [ScheduleStep(*s) for s in schedule])
             assert len(run.trace) == len(schedule) and run.violation is None
@@ -327,6 +371,27 @@ class TestExplore:
         sc = scenario_for("ring-par", size=2, inserters=1)
         report = explore(sc, sc.default_properties(), max_depth=2)
         assert report.outcome == RESOURCE_LIMIT
+
+    def test_budgets_count_the_initial_state(self):
+        sc = scenario_for("ring-par", size=1, inserters=1)
+        props = sc.default_properties()
+        report = explore(sc, props, max_states=1)
+        assert (report.outcome, report.states_stored, report.max_depth, report.trace) == (
+            RESOURCE_LIMIT, 1, 0, ())
+        report = explore(sc, props, max_depth=0)
+        assert (report.outcome, report.states_stored, report.max_depth, report.violation) == (
+            RESOURCE_LIMIT, 1, 0, "depth budget exhausted")
+        quiet = scenario_for("ring-par", size=1)  # no step at all: nothing is cut
+        assert explore(quiet, quiet.default_properties(), max_depth=0).outcome == VERIFIED
+
+    def test_larger_budgets_keep_their_counts(self):
+        # (stored, matched, depth) taken before the initial state obeyed the budgets.
+        sc = scenario_for("ring-par", size=2, inserters=1)
+        for budget, counts in [({"max_states": 2}, (2, 0, 1)), ({"max_states": 7}, (7, 0, 6)),
+                               ({"max_depth": 1}, (2, 0, 1)), ({"max_depth": 3}, (4, 0, 3))]:
+            report = explore(sc, sc.default_properties(), **budget)
+            assert report.outcome == RESOURCE_LIMIT, budget
+            assert (report.states_stored, report.states_matched, report.max_depth) == counts
 
     def test_quiescent_hook_sees_every_quiescent_state(self):
         sc = scenario_for("ring-par", size=1, inserters=1)

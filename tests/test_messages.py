@@ -39,7 +39,8 @@ def test_registry_roundtrip():
         assert reg.identity_of(pid) is ident
         assert reg.pid_of(ident) == pid
         assert reg.key(ident) == pid
-    assert len(reg) == 3
+    with pytest.raises(IndexError):
+        reg.identity_of(3)
     assert reg.key(None) == -1
 
 

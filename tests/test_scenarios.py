@@ -77,7 +77,9 @@ class TestSizing:
         assert sc.conn_max == 2 * total + 2 * inserters
         assert sc.qsz == max(1, total)
         assert sc.hop_budget == total
-        assert len(sc.registry) == total
+        assert sc.registry.identity_of(total - 1) is not None
+        with pytest.raises(IndexError):
+            sc.registry.identity_of(total)
         assert sc.inserter_pids == tuple(range(size, total))
 
     def test_entry_is_the_first_daemon(self):

@@ -11,15 +11,13 @@ from ringcheck.errors import (
 from ringcheck.messages import HOPS, NEW_LHS, NEW_RHS, command_of, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
-    CONNECT_PENDING,
-    EOF,
+    EVENT_CONNECT,
+    EVENT_EOF,
     FREE,
     INVALID_FD,
     LHS,
-    MESSAGE,
     NEW,
     RHS,
-    ReadyEvent,
     UNOWNED,
     SocketTable,
 )
@@ -146,9 +144,9 @@ class TestClose:
         sfd = t.accept(2)
         t.write(1, cfd, message(NEW_RHS))
         t.close(1, cfd)
-        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
+        assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
         t.read(2, sfd)
-        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, EOF)]
+        assert t.ready_events().get(2, []) == [(sfd, EVENT_EOF)]
 
     def test_close_wrong_owner_raises(self):
         t = make_table()
@@ -173,7 +171,7 @@ class TestClose:
         t.close(2, sfd)
         assert t.flag_of(sfd) == FREE
         assert t.other_of(cfd) == INVALID_FD
-        assert t.ready_events().get(1, []) == [ReadyEvent(cfd, EOF)]
+        assert t.ready_events().get(1, []) == [(cfd, EVENT_EOF)]
 
 
 class TestReadiness:
@@ -182,18 +180,18 @@ class TestReadiness:
         c1 = t.connect(1, 3)
         c2 = t.connect(2, 3)
         s1, s2 = t.other_of(c1), t.other_of(c2)
-        assert t.ready_events().get(3, []) == [ReadyEvent(s1, CONNECT_PENDING)]
+        assert t.ready_events().get(3, []) == [(s1, EVENT_CONNECT)]
         t.accept(3)
-        assert t.ready_events().get(3, []) == [ReadyEvent(s2, CONNECT_PENDING)]
+        assert t.ready_events().get(3, []) == [(s2, EVENT_CONNECT)]
 
     def test_message_not_ready_before_accept(self):
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
         t.write(1, cfd, message(NEW_RHS))
-        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, CONNECT_PENDING)]
+        assert t.ready_events().get(2, []) == [(sfd, EVENT_CONNECT)]
         t.accept(2)
-        assert t.ready_events().get(2, []) == [ReadyEvent(sfd, MESSAGE)]
+        assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
 
     def test_select_is_derived_and_idempotent(self):
         t = make_table()
@@ -201,7 +199,7 @@ class TestReadiness:
         t.accept(2)
         t.write(2, t.other_of(cfd), message(NEW_RHS))
         first = t.ready_events()
-        assert t.ready_events() == first == {1: [ReadyEvent(cfd, MESSAGE)]}
+        assert t.ready_events() == first == {1: [(cfd, NEW_RHS)]}
         t.read(1, cfd)
         assert t.ready_events() == {}
 
@@ -214,8 +212,8 @@ class TestReadiness:
         t.write(2, t.other_of(c1), message(NEW_RHS))
         t.write(2, t.other_of(c2), message(NEW_RHS))
         evs = t.ready_events().get(1, [])
-        assert evs == sorted(evs, key=lambda e: e.fd)
-        assert [e.reason for e in evs] == [MESSAGE, MESSAGE]
+        assert evs == sorted(evs)
+        assert [name for _, name in evs] == [NEW_RHS, NEW_RHS]
 
 
 class TestCloneAndCanon:
