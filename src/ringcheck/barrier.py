@@ -25,6 +25,8 @@ class ManagerState:
     __slots__ = ("pid", "rank", "lhs_fd", "rhs_fd", "holding_barrier_in",
                  "sent_barrier_in", "sent_barrier_out")
 
+    dead = False  # managers never fail
+
     def __init__(self, pid: int, rank: int):
         self.pid = pid
         self.rank = rank
@@ -62,7 +64,12 @@ class ManagerState:
 
 
 class BarrierBits:
-    """Global client bit vectors for one barrier episode."""
+    """Global client bit vectors for one barrier episode.
+
+    States share one record until a step writes it; the writer,
+    client_reaches_barrier or _on_barrier_out, replaces g.bits with a clone
+    first.
+    """
 
     __slots__ = ("n", "client_barrier_in", "client_barrier_out")
 
@@ -99,7 +106,7 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
-    bits = g.bits
+    bits = g.bits = g.bits.clone()
     bit = 1 << m.pid
     if bits.client_barrier_in & bit:
         raise ProtocolViolation(f"m{m.pid}: client arrived twice in one episode")
@@ -122,7 +129,7 @@ def _on_barrier_in(g, m: ManagerState) -> None:
 
 
 def _on_barrier_out(g, m: ManagerState) -> None:
-    bits = g.bits
+    bits = g.bits = g.bits.clone()
     bit = 1 << m.pid
     if bits.client_barrier_out & bit:
         raise ProtocolViolation(f"m{m.pid}: barrier_out arrived twice")

@@ -141,6 +141,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.max_steps < 0:
+        print("ringcheck simulate: error: --max-steps must be at least 0", file=sys.stderr)
+        return EX_USAGE
     try:
         scenario = _build(args)
     except ScenarioError as e:

@@ -118,6 +118,10 @@ class DaemonState:
         d.pending_rhs2_for = self.pending_rhs2_for
         return d
 
+    @property
+    def dead(self) -> bool:
+        return self.phase == DEAD
+
     def canon(self) -> tuple:
         # pid and variant are scenario constants; only the mutable fields
         # participate in the state encoding.
@@ -145,7 +149,11 @@ class DaemonState:
 
 
 class TraceState:
-    """Bookkeeping for one ring trace episode; collected holds pids."""
+    """Bookkeeping for one ring trace episode; collected holds pids.
+
+    States share one record until a step writes it; the writer, start_trace
+    or the initiator's _on_trace_req, replaces g.trace with a clone first.
+    """
 
     __slots__ = ("started", "initiator", "collected", "done")
 
@@ -213,8 +221,9 @@ def inject_failure(g, pid: int) -> None:
 
 def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
-    g.trace.started = True
-    g.trace.initiator = d.pid
+    t = g.trace = g.trace.clone()
+    t.started = True
+    t.initiator = d.pid
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
 
 
@@ -225,17 +234,24 @@ def steps(g) -> list[ScheduleStep]:
     awaited reply while it blocks on one), then its insertion while it is an
     idle inserter, then its failure while no daemon has failed yet. The
     trace start is a timeout: it is offered, by the lowest-pid live daemon,
-    only when no other step is, so a trace runs on a settled ring.
+    only when no other step is, so a trace runs on a settled ring. Once no
+    insertion or failure can happen, only the pids with a wake are visited.
     """
     sc = g.scenario
+    procs = g.procs
+    dead = g.dead_pids()
     failure = sc.failure
-    armed = failure is not None and not any(p.phase == DEAD for p in g.procs)
+    armed = failure is not None and not dead
     ready = g.sockets.ready_events()
+    if armed or any(procs[pid].phase == IDLE for pid in sc.inserter_pids):
+        pids = range(len(procs))
+    else:
+        pids = sorted(ready)
     out: list[ScheduleStep] = []
-    for p in g.procs:
-        if p.phase == DEAD:
+    for pid in pids:
+        if pid in dead:
             continue
-        pid = p.pid
+        p = procs[pid]
         for fd, name in ready.get(pid, ()):
             # Blocking-read surrogate: an awaiting daemon handles only the reply.
             if p.await_cmd is None or name == p.await_cmd:
@@ -245,9 +261,9 @@ def steps(g) -> list[ScheduleStep]:
         if armed and (failure == FAIL_NONDET or failure == pid):
             out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
     if not out and sc.trace_enabled and not g.trace.started:
-        live = [p.pid for p in g.procs if p.phase != DEAD]
-        if live:
-            out.append(ScheduleStep(live[0], KIND_ACTION, -1, ACT_START_TRACE))
+        first = next((pid for pid in range(len(procs)) if pid not in dead), None)
+        if first is not None:
+            out.append(ScheduleStep(first, KIND_ACTION, -1, ACT_START_TRACE))
     return out
 
 
@@ -285,7 +301,7 @@ def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
 
 
 def _live_count(g) -> int:
-    return sum(1 for p in g.procs if p.phase != DEAD)
+    return len(g.procs) - len(g.dead_pids())
 
 
 def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
@@ -452,6 +468,7 @@ def _on_trace_req(g, d, fd, msg):
     if t is None or not t.started:
         raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
     if t.initiator == d.pid:
+        t = g.trace = t.clone()
         t.collected = msg[IDS]
         t.done = True
         g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))

@@ -20,8 +20,17 @@ A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
 record with its predecessor (copy on write: apply copies the acting one),
 and its process tuple is the predecessor's with the acting pid's entry
-replaced. The ready events of all processes come from one pass over the
-descriptor table.
+replaced. The episode records, the trace and the barrier bits, are shared
+the same way: the few handlers that write one copy it first. The ready
+events of all processes come from one pass over the descriptor table.
+
+What a state knows about its step is kept to check it cheaply. apply
+derives the successor's set of dead pids from the predecessor's, updated at
+the acting pid, so no check scans every process for failures; and the
+successor's socket table logs the fds the step wrote, so the every-state
+socket check reads those fds and their peers instead of the whole table. A
+state that apply did not make, or whose step killed a process, is checked
+whole.
 
 The unit of interleaving is one handler invocation. Like SPIN's search
 engine, the explorer knows nothing of the protocol it runs: the scenario's
@@ -87,9 +96,14 @@ class GlobalState:
     and the acting pid, so the successor's tuple replaces one entry instead
     of encoding every process. A state is mutated only between its creation
     and its first canon call, so the memo never goes stale.
+
+    derived_dead is the set of dead pids as apply derived it from the
+    predecessor's. It is None on a state apply did not make, and on one
+    whose step changed the set; such a state scans its records for it.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "trace", "bits", "_procs_canon", "_basis")
+    __slots__ = ("scenario", "sockets", "procs", "trace", "bits", "derived_dead",
+                 "_procs_canon", "_basis")
 
     def __init__(self, scenario, sockets, procs, trace=None, bits=None):
         self.scenario = scenario  # static, shared across all derived states
@@ -97,20 +111,29 @@ class GlobalState:
         self.procs = procs
         self.trace = trace
         self.bits = bits
+        self.derived_dead = None
         self._procs_canon = None
         self._basis = None
 
     def clone(self) -> "GlobalState":
-        """A successor to mutate; process records stay shared, see apply."""
+        """A successor to mutate; records stay shared, see apply."""
         g = GlobalState.__new__(GlobalState)
         g.scenario = self.scenario
         g.sockets = self.sockets.clone()
         g.procs = self.procs[:]
-        g.trace = self.trace.clone() if self.trace is not None else None
-        g.bits = self.bits.clone() if self.bits is not None else None
+        g.trace = self.trace  # copied by the handler that writes it
+        g.bits = self.bits  # likewise
+        g.derived_dead = None
         g._procs_canon = None
         g._basis = None
         return g
+
+    def dead_pids(self) -> frozenset[int]:
+        """The pids of the processes that have failed."""
+        dead = self.derived_dead
+        if dead is None:
+            return frozenset([p.pid for p in self.procs if p.dead])
+        return dead
 
     def canon(self) -> tuple:
         procs = self._procs_canon
@@ -185,16 +208,20 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     Only the acting process is copied: every handler and action mutates
     h.procs[step.pid] alone, and the other records stay shared with g. For
     the same reason, once g's process tuple is encoded, h's differs from it
-    only at step.pid.
+    only at step.pid, and h's dead set differs from g's at most there.
     """
     h = g.clone()
-    p = h.procs[step.pid] = h.procs[step.pid].clone()
+    pid = step.pid
+    p = h.procs[pid] = h.procs[pid].clone()
     if g._procs_canon is not None:
-        h._basis = (g._procs_canon, step.pid)
+        h._basis = (g._procs_canon, pid)
+    dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
     if step.kind == KIND_ACTION:
         h.scenario.protocol.act(h, p, step.cmd)
     else:
         h.scenario.protocol.handle_event(h, p, step.fd, step.cmd)
+    if p.dead != (pid in dead):
+        h.derived_dead = None  # the step killed pid: h is checked as a fresh state
     return h
 
 

@@ -26,12 +26,6 @@ BARRIER_INVARIANT = "barrier_invariant"
 SOCKET_INVARIANTS = "socket_invariants"
 
 
-def dead_pids(g) -> frozenset[int]:
-    if g.scenario.protocol is not daemons_mod:
-        return frozenset()
-    return frozenset(p.pid for p in g.procs if p.phase == daemons_mod.DEAD)
-
-
 def ring_order(g) -> list:
     """Live daemons in clockwise order, derived purely from descriptors.
 
@@ -41,7 +35,8 @@ def ring_order(g) -> list:
     PropertyViolation unless the walk closes into a single ring covering
     every live daemon.
     """
-    live = [p for p in g.procs if p.phase != daemons_mod.DEAD]
+    dead = g.dead_pids()
+    live = [p for p in g.procs if p.pid not in dead]
     if not live:
         raise PropertyViolation("no live daemon remains")
     for p in live:
@@ -97,7 +92,7 @@ def check_ring_topology(g) -> None:
     ring_order(g)
     # A settled ring has nothing in flight on live connections.
     sock = g.sockets
-    dead = dead_pids(g)
+    dead = g.dead_pids()
     for fd in range(sock.conn_max):
         if sock.is_allocated(fd) and sock.owner_of(fd) not in dead:
             q = sock.queue_of(fd)
@@ -179,7 +174,17 @@ def check_barrier_invariant(g) -> None:
 
 
 def check_socket_invariants(g) -> None:
-    g.sockets.check_invariants(dead_pids=dead_pids(g))
+    """The socket table's structural invariant, read where the last step wrote.
+
+    The invariant is inductive, so on a state apply made from a checked
+    predecessor, with no process killed on the way, only the fds the step
+    touched and their peers can break it. Any other state is checked whole.
+    """
+    dead = g.derived_dead
+    if dead is None:
+        g.sockets.check_invariants(dead_pids=g.dead_pids())
+    else:
+        g.sockets.check_touched(dead_pids=dead)
 
 
 def make(kind: str, when: str) -> Property:

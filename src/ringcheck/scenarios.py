@@ -28,6 +28,10 @@ from .sockets import LHS, RHS, SocketTable
 
 ALGORITHMS = ("ring-seq", "ring-par", "trace", "recovery", "barrier")
 
+# Far beyond any model an exhaustive search finishes, yet cheap to build; it
+# stops a trace header from naming a size that takes minutes to set up.
+MAX_PROCESSES = 1000
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -155,6 +159,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         raise ScenarioError("size must be at least 1")
     if cfg.inserters < 0:
         raise ScenarioError("inserters must be non-negative")
+    if cfg.size + cfg.inserters > MAX_PROCESSES:
+        raise ScenarioError(f"size plus inserters must be at most {MAX_PROCESSES}")
     if cfg.blocking and cfg.algorithm != "ring-seq":
         raise ScenarioError("blocking applies to the sequential insertion algorithm only")
     if cfg.fail_pid is not None and cfg.algorithm != "recovery":
@@ -202,6 +208,11 @@ def config_from_fields(fields: dict) -> ScenarioConfig:
         failure = fields["failure"]
     except (KeyError, ValueError) as e:
         raise ScenarioError(f"incomplete scenario description: {e}") from e
+    if algorithm == "recovery":
+        if failure == "none":
+            raise ScenarioError("the recovery scenario needs failure=nondet or a victim pid")
+    elif failure != "none":
+        raise ScenarioError(f"failure={failure} applies to the recovery scenario only")
     fail_pid = None if failure in ("none", FAIL_NONDET) else int(failure)
     return ScenarioConfig(
         algorithm=algorithm, size=size, inserters=inserters,

@@ -21,6 +21,17 @@ possibility of a wake bit disagreeing with the condition behind it.
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
 before the hangup is observable.
+
+Every operation logs the descriptors whose slots it writes in ``touched``.
+The log starts empty in a new table and in every ``clone()``; a clone is the
+table of one successor state, so its log names the fds one step wrote.
+``check_touched`` checks the structural invariant on those fds and their
+peers alone. That suffices when the table the clone was taken from passed
+``check_invariants`` and the step killed no process. A slot's checks read
+only the slot, its peer's slot and whether its owner is dead, so an
+unwritten fd u can only break through a written peer p. Before the step p
+linked back to u; if it still does, p's own link check covers u's, and if
+it no longer does, the close that unlinked them wrote u's slot too.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("conn_max", "qsz", "other", "owner", "flag", "queues")
+    __slots__ = ("conn_max", "qsz", "other", "owner", "flag", "queues", "touched")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
@@ -72,6 +83,7 @@ class SocketTable:
         self.owner = [UNOWNED] * conn_max
         self.flag = [FREE] * conn_max
         self.queues: list[tuple] = [()] * conn_max
+        self.touched: list[int] = []  # fds written since construction or clone()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -83,6 +95,7 @@ class SocketTable:
         t.owner = self.owner[:]
         t.flag = self.flag[:]
         t.queues = self.queues[:]
+        t.touched = []
         return t
 
     def canon(self) -> tuple:
@@ -113,6 +126,7 @@ class SocketTable:
         if not self.is_allocated(fd):
             raise ContractViolation(f"set_flag on unallocated fd {fd}")
         self.flag[fd] = flag
+        self.touched.append(fd)
 
     def _check_owner(self, pid: int, fd: int, op: str) -> None:
         if not (0 <= fd < self.conn_max) or self.flag[fd] == FREE:
@@ -147,6 +161,7 @@ class SocketTable:
         self.owner[client_fd] = client_pid
         self.other[server_fd] = client_fd
         self.other[client_fd] = server_fd
+        self.touched += (server_fd, client_fd)
         return client_fd
 
     def accept(self, pid: int) -> int:
@@ -154,6 +169,7 @@ class SocketTable:
         for fd in range(self.conn_max):
             if self.owner[fd] == pid and self.flag[fd] == AWAIT_ACCEPT:
                 self.flag[fd] = NEW
+                self.touched.append(fd)
                 return fd
         raise ContractViolation(f"accept by pid {pid} with no pending connection")
 
@@ -170,6 +186,7 @@ class SocketTable:
                 f"channel of fd {peer} full (qsz={self.qsz}); size the model larger"
             )
         self.queues[peer] = q + (msg,)
+        self.touched.append(peer)
 
     def read(self, pid: int, fd: int):
         self._check_owner(pid, fd, "read")
@@ -179,6 +196,7 @@ class SocketTable:
         if not q:
             raise ContractViolation(f"read on fd {fd} with empty channel")
         self.queues[fd] = q[1:]
+        self.touched.append(fd)
         return q[0]
 
     def close(self, pid: int, fd: int) -> None:
@@ -204,10 +222,12 @@ class SocketTable:
             # Half-close the survivor; its EOF becomes observable once its
             # channel drains. Messages it already holds stay readable.
             self.other[peer] = INVALID_FD
+            self.touched.append(peer)
         self.other[fd] = INVALID_FD
         self.owner[fd] = UNOWNED
         self.flag[fd] = FREE
         self.queues[fd] = ()  # undelivered inbound messages are discarded
+        self.touched.append(fd)
 
     # -- readiness ----------------------------------------------------------
 
@@ -268,8 +288,32 @@ class SocketTable:
         nothing. Wake soundness needs no check here: events are computed from
         these same structures, so it holds by construction once they do.
         """
-        flag, other, qsz, n = self.flag, self.other, self.qsz, self.conn_max
-        for fd, (f, owner, peer, q) in enumerate(zip(flag, self.owner, other, self.queues)):
+        self._check_fds(range(self.conn_max), dead_pids)
+
+    def check_touched(self, dead_pids: frozenset[int] = frozenset()) -> None:
+        """check_invariants on the fds written since clone() and their peers.
+
+        Sound only on a clone of a table that passed check_invariants, when
+        the step that wrote it left dead_pids unchanged (see the module
+        docstring). Fds are checked in index order, so the first failure
+        found is the one the whole-table check would report first among them.
+        """
+        touched = self.touched
+        if not touched:
+            return
+        other, n = self.other, self.conn_max
+        fds = set(touched)
+        for fd in touched:
+            peer = other[fd]
+            if 0 <= peer < n:
+                fds.add(peer)
+        self._check_fds(sorted(fds), dead_pids)
+
+    def _check_fds(self, fds, dead_pids: frozenset[int]) -> None:
+        flag, owners, other, queues = self.flag, self.owner, self.other, self.queues
+        qsz, n = self.qsz, self.conn_max
+        for fd in fds:
+            f, owner, peer, q = flag[fd], owners[fd], other[fd], queues[fd]
             if f == FREE:
                 if owner != UNOWNED or peer != INVALID_FD or q:
                     raise InvariantViolation(f"free slot {fd} is not clean")

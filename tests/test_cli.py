@@ -62,6 +62,20 @@ def test_budgets_below_one_state_or_below_depth_zero_are_usage_errors(run_cli):
         assert r.out == "" and "error" in r.err
 
 
+def test_negative_step_budget_is_a_usage_error(run_cli):
+    r = run_cli("simulate", "ring-par", "--size", "1", "--inserters", "1", "--max-steps", "-3")
+    assert r.code == 64
+    assert r.out == ""
+    assert r.err == "ringcheck simulate: error: --max-steps must be at least 0\n"
+    assert run_cli("simulate", "ring-par", "--size", "1", "--max-steps", "0").code == 0
+
+
+def test_verify_refuses_a_model_past_the_process_bound(run_cli):
+    r = run_cli("verify", "ring-par", "--size", "100000000")
+    assert r.code == 64
+    assert r.out == "" and r.err.startswith("ringcheck verify: error: size plus inserters")
+
+
 @pytest.mark.parametrize("command,report", [("verify", "outcome: VIOLATION"),
                                             ("simulate", "seed 0: ")], ids=["verify", "simulate"])
 def test_unwritable_trace_out_still_reports_and_exits_sixty_four(run_cli, tmp_path,
@@ -268,6 +282,28 @@ def test_replay_rejects_unbuildable_scenarios(run_cli, tmp_path):
     r = run_cli("replay", str(path))
     assert r.code == 65
     assert "unbuildable" in r.err
+
+
+def test_replay_refuses_a_header_past_the_process_bound_at_once(run_cli, tmp_path):
+    path = tmp_path / "huge.trace"
+    path.write_text(
+        "ringcheck-trace v1\nalgorithm=ring-par\nsize=100000000\ninserters=0\n"
+        "blocking=0\nfailure=none\nsteps=0\n")
+    r = run_cli("replay", str(path))
+    assert r.code == 65
+    assert "unbuildable" in r.err and "at most" in r.err
+
+
+@pytest.mark.parametrize("algorithm,failure", [("ring-par", "nondet"), ("recovery", "none")])
+def test_replay_rejects_a_failure_policy_its_algorithm_lacks(run_cli, tmp_path,
+                                                            algorithm, failure):
+    path = tmp_path / "policy.trace"
+    path.write_text(
+        f"ringcheck-trace v1\nalgorithm={algorithm}\nsize=2\ninserters=0\n"
+        f"blocking=0\nfailure={failure}\nsteps=0\n")
+    r = run_cli("replay", str(path))
+    assert r.code == 65
+    assert r.out == "" and "failure" in r.err
 
 
 def test_version_flag(run_cli):

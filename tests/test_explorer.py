@@ -9,7 +9,8 @@ import pytest
 from ringcheck import barrier as barrier_mod
 from ringcheck import daemons as daemons_mod
 from ringcheck import explorer as explorer_mod
-from ringcheck.errors import CheckError, ContractViolation
+from ringcheck import properties as properties_mod
+from ringcheck.errors import CheckError, ContractViolation, InvariantViolation
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
     ACT_INJECT_FAILURE,
@@ -32,7 +33,15 @@ from ringcheck.explorer import (
     state_digest,
     walk,
 )
-from ringcheck.messages import ALL_COMMANDS, CMD, NEW_RHS, RECONNECT_RHS, TRACE_REQ
+from ringcheck.messages import (
+    ALL_COMMANDS,
+    CMD,
+    NEW_LHS,
+    NEW_RHS,
+    RECONNECT_RHS,
+    RHS_INFO_RETURN,
+    TRACE_REQ,
+)
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 
 
@@ -250,6 +259,18 @@ class TestCopyOnWrite:
         with pytest.raises(AssertionError, match="stale canon|predecessor changed"):
             check_copy_on_write(scenario_for("barrier", size=4))
 
+    @pytest.mark.parametrize("algorithm,kw,record", [
+        ("trace", {"size": 3}, daemons_mod.TraceState),
+        ("barrier", {"size": 4}, barrier_mod.BarrierBits),
+    ], ids=["trace", "bits"])
+    def test_an_episode_record_written_without_a_copy_is_caught(
+            self, monkeypatch, algorithm, kw, record):
+        # The writers of g.trace and g.bits copy the shared record first;
+        # with a copy that returns the record itself, they write it in place.
+        monkeypatch.setattr(record, "clone", lambda self: self)
+        with pytest.raises(AssertionError, match="predecessor changed"):
+            check_copy_on_write(scenario_for(algorithm, **kw))
+
 
 class TestEncoding:
     def test_equal_construction_equal_bytes(self):
@@ -349,6 +370,99 @@ class TestEncodingIsTheState:
                 by_encoding.max_depth) == (by_digest.outcome, by_digest.states_stored,
                                            by_digest.states_matched, by_digest.max_depth)
         assert by_encoding.states_stored > 1
+
+
+def fresh_dead(g) -> frozenset:
+    """The dead pids by a scan of every record's phase."""
+    return frozenset(p.pid for p in g.procs if getattr(p, "phase", None) == daemons_mod.DEAD)
+
+
+def both_socket_checks(g) -> bool:
+    """Run the socket check two ways on g; True if the touched-fd one ran.
+
+    The property's own check reads only the fds the producing step touched
+    where it can; the whole-table check takes a fresh scan of the dead pids.
+    Both must pass or both must fail (the first error is raised), and the
+    derived dead set must equal the scan.
+    """
+    assert g.dead_pids() == fresh_dead(g), "derived dead set differs from a scan"
+    errors = []
+    for check in (properties_mod.check_socket_invariants,
+                  lambda g: g.sockets.check_invariants(dead_pids=fresh_dead(g))):
+        try:
+            check(g)
+        except InvariantViolation as e:
+            errors.append(e)
+    assert len(errors) in (0, 2), f"only one socket check failed: {errors}"
+    if errors:
+        raise errors[0]
+    return g.derived_dead is not None
+
+
+def check_incrementally(scenario) -> tuple[int, int]:
+    """Search every reachable state, running both_socket_checks on each.
+
+    Like check_copy_on_write, the search goes on past handler errors, and
+    a state is checked before its successors are made from it, as explore
+    and walk do. Returns (states, states the touched-fd check covered).
+    """
+    init = scenario.initial_state()
+    seen = {encode(init)}
+    stack = [init]
+    incremental = int(both_socket_checks(init))
+    while stack:
+        g = stack.pop()
+        for step in enabled_steps(g):
+            try:
+                h = apply(g, step)
+            except CheckError:
+                continue
+            key = encode(h)
+            if key not in seen:
+                seen.add(key)
+                incremental += both_socket_checks(h)
+                stack.append(h)
+    return len(seen), incremental
+
+
+INCREMENTAL_MODELS = ENCODING_MODELS + [("recovery", {"size": 4})]
+
+
+class TestIncrementalChecks:
+    """A stored state is checked where its step wrote, not over the whole state."""
+
+    @pytest.mark.parametrize("algorithm,kw", INCREMENTAL_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in INCREMENTAL_MODELS])
+    def test_touched_fd_check_and_dead_set_agree_with_full_scans(self, algorithm, kw):
+        states, incremental = check_incrementally(scenario_for(algorithm, **kw))
+        # Only the root and the states right after a failure are checked whole.
+        failures = kw["size"] if algorithm == "recovery" else 0
+        assert states > 1 and incremental == states - 1 - failures
+
+    def test_a_one_way_link_is_caught_by_both_checks(self, monkeypatch):
+        real = daemons_mod._DISPATCH[NEW_LHS]
+
+        def one_way(g, d, fd, msg):
+            real(g, d, fd, msg)  # reads and flags fd, so fd is touched
+            peer = g.sockets.other[fd]
+            if peer >= 0:
+                g.sockets.other[peer] = -1  # the peer forgets the link, fd does not
+
+        monkeypatch.setitem(daemons_mod._DISPATCH, NEW_LHS, one_way)
+        with pytest.raises(InvariantViolation, match="asymmetric link"):
+            check_incrementally(scenario_for("ring-par", size=1, inserters=2))
+
+    def test_a_death_that_keeps_its_fds_is_caught_by_both_checks(self, monkeypatch):
+        real = daemons_mod._DISPATCH[RHS_INFO_RETURN]
+
+        def dies(g, d, fd, msg):
+            real(g, d, fd, msg)
+            d.phase = daemons_mod.DEAD  # no close: the table still lists its fds
+
+        monkeypatch.setitem(daemons_mod._DISPATCH, RHS_INFO_RETURN, dies)
+        with pytest.raises(InvariantViolation, match="owned by dead pid"):
+            check_incrementally(scenario_for("recovery", size=4))
 
 
 class TestExplore:
