@@ -234,8 +234,9 @@ def steps(g) -> list[ScheduleStep]:
     awaited reply while it blocks on one), then its insertion while it is an
     idle inserter, then its failure while no daemon has failed yet. The
     trace start is a timeout: it is offered, by the lowest-pid live daemon,
-    only when no other step is, so a trace runs on a settled ring. Once no
-    insertion or failure can happen, only the pids with a wake are visited.
+    only when no other step is, so a trace runs on a settled ring. In a
+    scenario with no inserters, once no failure can happen, only the pids
+    with a wake are visited.
     """
     sc = g.scenario
     procs = g.procs
@@ -243,7 +244,7 @@ def steps(g) -> list[ScheduleStep]:
     failure = sc.failure
     armed = failure is not None and not dead
     ready = g.sockets.ready_events()
-    if armed or any(procs[pid].phase == IDLE for pid in sc.inserter_pids):
+    if armed or sc.inserter_pids:
         pids = range(len(procs))
     else:
         pids = sorted(ready)

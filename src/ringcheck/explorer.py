@@ -18,11 +18,21 @@ encoding is therefore the marshal of its own fields:
 
 A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
-record with its predecessor (copy on write: apply copies the acting one),
-and its process tuple is the predecessor's with the acting pid's entry
-replaced. The episode records, the trace and the barrier bits, are shared
-the same way: the few handlers that write one copy it first. The ready
-events of all processes come from one pass over the descriptor table.
+record with its predecessor (copy on write: apply copies the acting one).
+The episode records, the trace and the barrier bits, are shared the same
+way: the few handlers that write one copy it first. The ready events of all
+processes come from one pass over the descriptor table.
+
+The visited set does not store encodings. It stores a 128-bit key that is
+the sum, mod 2**128, of one hash per component of the state: each fd slot,
+each process record and each episode record, hashed with its position
+(state_key). A successor's key is its predecessor's plus the difference of
+the hashes of the components its step replaced: the fds its socket table
+logged as written, the acting pid's record, and an episode record the step
+swapped for a copy. So a stored state costs what its step touched, in the
+manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008).
+encode(g) stays the definition of state equality: two states get one key
+exactly when their encodings are equal, up to a 128-bit hash collision.
 
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
@@ -91,19 +101,19 @@ class ScheduleStep(NamedTuple):
 class GlobalState:
     """Everything mutable in one scenario instant.
 
-    canon memoises the process part of the encoding in _procs_canon. apply
-    leaves the successor a _basis, the predecessor's memoised process tuple
-    and the acting pid, so the successor's tuple replaces one entry instead
-    of encoding every process. A state is mutated only between its creation
-    and its first canon call, so the memo never goes stale.
-
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
+
+    _key is the state's visited key once state_key has computed it. apply
+    leaves a successor of a keyed state a _link, (predecessor, acting pid),
+    from which state_key updates the predecessor's key; state_key drops it.
+    A state is mutated only between its creation and its first state_key
+    call, so a computed key never goes stale.
     """
 
     __slots__ = ("scenario", "sockets", "procs", "trace", "bits", "derived_dead",
-                 "_procs_canon", "_basis")
+                 "_key", "_link")
 
     def __init__(self, scenario, sockets, procs, trace=None, bits=None):
         self.scenario = scenario  # static, shared across all derived states
@@ -112,8 +122,8 @@ class GlobalState:
         self.trace = trace
         self.bits = bits
         self.derived_dead = None
-        self._procs_canon = None
-        self._basis = None
+        self._key = None
+        self._link = None
 
     def clone(self) -> "GlobalState":
         """A successor to mutate; records stay shared, see apply."""
@@ -124,8 +134,8 @@ class GlobalState:
         g.trace = self.trace  # copied by the handler that writes it
         g.bits = self.bits  # likewise
         g.derived_dead = None
-        g._procs_canon = None
-        g._basis = None
+        g._key = None
+        g._link = None
         return g
 
     def dead_pids(self) -> frozenset[int]:
@@ -136,18 +146,9 @@ class GlobalState:
         return dead
 
     def canon(self) -> tuple:
-        procs = self._procs_canon
-        if procs is None:
-            if self._basis is None:
-                procs = tuple([p.canon() for p in self.procs])
-            else:
-                prev, pid = self._basis
-                procs = prev[:pid] + (self.procs[pid].canon(),) + prev[pid + 1:]
-                self._basis = None
-            self._procs_canon = procs
         return (
             self.sockets.canon(),
-            procs,
+            tuple([p.canon() for p in self.procs]),
             self.trace.canon() if self.trace is not None else (),
             self.bits.canon() if self.bits is not None else (),
         )
@@ -175,14 +176,94 @@ def encode(g: GlobalState) -> bytes:
 
 
 def state_digest(g: GlobalState) -> bytes:
-    """128-bit digest of the canonical encoding, for visited-set storage.
+    """The reference digest: 128-bit blake2b of the full canonical encoding.
 
-    Cuts per-state memory to a third of the full encoding. At 128 bits the
-    chance of any collision across even 10**9 stored states is below 1e-20,
-    so exhaustiveness is not meaningfully weakened; the digest is still
-    deterministic, so equal states always coincide.
+    The search keys states by state_key instead; this digest names a state
+    independently of how it was reached, for tests and tools that compare
+    states across runs.
     """
     return hashlib.blake2b(encode(g), digest_size=16).digest()
+
+
+# The hash memo is cleared at this size: unbounded, it grew peak RSS by
+# 1.6 MB on barrier 13, whose bits record is almost unique per state.
+MEMO_LIMIT = 1024
+
+_KEY_MASK = (1 << 128) - 1
+TRACE_POS = -1
+BITS_POS = -2
+
+
+def _component_hash(pos: int, c: tuple, memo: dict) -> int:
+    """128-bit blake2b of one component at its position, memoised in memo.
+
+    Components hold only ints, strs and tuples of them, so equal values as
+    dict keys are equal marshal bytes.
+    """
+    item = (pos, c)
+    h = memo.get(item)
+    if h is None:
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        h = memo[item] = int.from_bytes(
+            hashlib.blake2b(marshal.dumps(item, 2), digest_size=16).digest(), "little")
+    return h
+
+
+def _slot(t, fd: int) -> tuple:
+    return (t.other[fd], t.owner[fd], t.flag[fd], t.queues[fd])
+
+
+def state_key(g: GlobalState, memo: dict) -> int:
+    """The visited key of g: the sum mod 2**128 of its component hashes.
+
+    The components are each fd slot at position fd, each process record at
+    position conn_max + pid, and the trace and the barrier bits, when the
+    state has them, at positions -1 and -2. A state with a _link updates its
+    predecessor's key at the components its step may have replaced: the fds
+    its table logged in touched, the acting pid's record, and an episode
+    record that is no longer the predecessor's object. Any other state sums
+    every component. memo maps (position, component) to its hash; one
+    search shares one memo. Unequal states collide with chance 2**-128 per
+    pair, below 1e-20 across even 10**9 stored states, so exhaustiveness is
+    not meaningfully weakened.
+    """
+    key = g._key
+    if key is not None:
+        return key
+    t = g.sockets
+    base = t.conn_max
+    link = g._link
+    if link is None:
+        key = 0
+        for fd in range(base):
+            key += _component_hash(fd, _slot(t, fd), memo)
+        for pid, p in enumerate(g.procs):
+            key += _component_hash(base + pid, p.canon(), memo)
+        if g.trace is not None:
+            key += _component_hash(TRACE_POS, g.trace.canon(), memo)
+        if g.bits is not None:
+            key += _component_hash(BITS_POS, g.bits.canon(), memo)
+    else:
+        g._link = None
+        prev, pid = link
+        key = prev._key
+        old = prev.sockets
+        for fd in set(t.touched):
+            key += _component_hash(fd, _slot(t, fd), memo) - _component_hash(
+                fd, _slot(old, fd), memo)
+        pos = base + pid
+        key += _component_hash(pos, g.procs[pid].canon(), memo) - _component_hash(
+            pos, prev.procs[pid].canon(), memo)
+        if g.trace is not prev.trace:
+            key += _component_hash(TRACE_POS, g.trace.canon(), memo) - _component_hash(
+                TRACE_POS, prev.trace.canon(), memo)
+        if g.bits is not prev.bits:
+            key += _component_hash(BITS_POS, g.bits.canon(), memo) - _component_hash(
+                BITS_POS, prev.bits.canon(), memo)
+    key &= _KEY_MASK
+    g._key = key
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +288,15 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
 
     Only the acting process is copied: every handler and action mutates
     h.procs[step.pid] alone, and the other records stay shared with g. For
-    the same reason, once g's process tuple is encoded, h's differs from it
-    only at step.pid, and h's dead set differs from g's at most there.
+    the same reason h's dead set differs from g's at most at step.pid, and
+    once g is keyed, h's key differs from g's only at what the step touched
+    (see state_key).
     """
     h = g.clone()
     pid = step.pid
     p = h.procs[pid] = h.procs[pid].clone()
-    if g._procs_canon is not None:
-        h._basis = (g._procs_canon, pid)
+    if g._key is not None:
+        h._link = (g, pid)
     dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
     if step.kind == KIND_ACTION:
         h.scenario.protocol.act(h, p, step.cmd)
@@ -288,7 +370,8 @@ def explore(
     """
     t0 = time.perf_counter()
     init = scenario.initial_state()
-    visited = {state_digest(init)}
+    memo: dict = {}  # component hashes, see state_key
+    visited = {state_key(init, memo)}
     stored = 1
     matched = 0
     deepest = 0
@@ -344,7 +427,7 @@ def explore(
                 step = steps[idx]
                 path.append(step)
                 succ = apply(state, step)
-                key = state_digest(succ)
+                key = state_key(succ, memo)
                 if key in visited:
                     matched += 1
                     path.pop()

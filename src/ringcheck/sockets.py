@@ -32,6 +32,10 @@ only the slot, its peer's slot and whether its owner is dead, so an
 unwritten fd u can only break through a written peer p. Before the step p
 linked back to u; if it still does, p's own link check covers u's, and if
 it no longer does, the close that unlinked them wrote u's slot too.
+
+Every slot write must be logged, a ``read`` included, though a read breaks
+no invariant: the explorer's visited key re-hashes only the logged slots,
+so an unlogged write would leave the slot's old hash in the successor's key.
 """
 
 from __future__ import annotations
