@@ -16,15 +16,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from ringcheck.cli import TABLE_HEADER
 from ringcheck.explorer import explore
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 
-HEADER = (f"{'Algorithm':<12} {'Model Size':>10} {'Time (s)':>10} "
-          f"{'States Stored/Matched':>24} {'Search Depth':>13}")
-
 
 def sweep(rows):
-    print(HEADER)
+    print(TABLE_HEADER)
     for cfg in rows:
         scenario = build_scenario(cfg)
         t0 = time.perf_counter()

@@ -7,8 +7,10 @@ stored, each wake already named as the schedule step that handles it.
 daemons and barrier put protocol state machines on top: ring insertion in a
 raced sequential flavor and a correct parallel one, failure recovery over
 recorded second-right neighbors, a circulating ring trace, and a token
-barrier across a manager ring. Each protocol module lists its own enabled
-steps (steps) and runs them (act, handle_event). explorer imports neither:
+barrier across a manager ring. Each protocol module owns its whole model:
+it builds the initial state (initial_state), lists the properties to check
+(properties), lists its enabled steps (steps) and runs them (act,
+handle_event). scenarios only validates and sizes. explorer imports neither:
 it runs whichever protocol the scenario names as a checkable transition
 system, with depth-first search over every handler interleaving with state
 hashing, plus one walk loop over the exact same step relation that serves

@@ -1,35 +1,41 @@
 """Manager ring barrier.
 
-N managers sit on a hard-wired ring; manager rank 0 is the leader. Each
-manager fronts one client, tracked as two global bit vectors: client_barrier_in
-(the client reached the barrier) and client_barrier_out (the client was
-released). The barrier_in token leaves the leader when its own client arrives
-and travels clockwise; a manager whose client has not arrived parks the token
-(holding_barrier_in) and releases it on arrival. When the token returns to the
-leader everyone has arrived, and a barrier_out token makes one clockwise
-circuit releasing each client. The leader releases its own client when
-barrier_out returns, so it is the last one out.
+N managers sit on a hard-wired ring; a manager's rank is its pid, and
+manager 0 is the leader. Each manager fronts one client, tracked as two
+global bit vectors: client_barrier_in (the client reached the barrier) and
+client_barrier_out (the client was released). The barrier_in token leaves
+the leader when its own client arrives and travels clockwise; a manager
+whose client has not arrived parks the token (holding_barrier_in) and
+releases it on arrival. When the token returns to the leader everyone has
+arrived, and a barrier_out token makes one clockwise circuit releasing each
+client. The leader releases its own client when barrier_out returns, so it
+is the last one out.
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, ProtocolViolation
-from .explorer import ACT_CLIENT_ARRIVAL, KIND_ACTION, KIND_EVENT, ScheduleStep
+from .explorer import (ACT_CLIENT_ARRIVAL, EVERY_STATE, KIND_ACTION, KIND_EVENT, QUIESCENCE_ONLY,
+                       GlobalState, ScheduleStep)
 from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
-from .sockets import EVENT_CONNECT, EVENT_EOF, INVALID_FD
+from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, SocketTable,
+                      wire_ring)
+
+# Property kinds; the properties module holds their checks.
+BARRIER_INVARIANT = "barrier_invariant"
+BARRIER_END = "barrier_end"
 
 
 class ManagerState:
     """Per-manager record."""
 
-    __slots__ = ("pid", "rank", "lhs_fd", "rhs_fd", "holding_barrier_in",
+    __slots__ = ("pid", "lhs_fd", "rhs_fd", "holding_barrier_in",
                  "sent_barrier_in", "sent_barrier_out")
 
     dead = False  # managers never fail
 
-    def __init__(self, pid: int, rank: int):
+    def __init__(self, pid: int):
         self.pid = pid
-        self.rank = rank
         self.lhs_fd = INVALID_FD
         self.rhs_fd = INVALID_FD
         self.holding_barrier_in = False
@@ -40,12 +46,11 @@ class ManagerState:
 
     @property
     def is_leader(self) -> bool:
-        return self.rank == 0
+        return self.pid == 0
 
     def clone(self) -> "ManagerState":
         m = ManagerState.__new__(ManagerState)
         m.pid = self.pid
-        m.rank = self.rank
         m.lhs_fd = self.lhs_fd
         m.rhs_fd = self.rhs_fd
         m.holding_barrier_in = self.holding_barrier_in
@@ -59,7 +64,7 @@ class ManagerState:
                 int(self.sent_barrier_out))
 
     def summary(self) -> str:
-        return (f"m{self.pid} rank={self.rank} holding={int(self.holding_barrier_in)} "
+        return (f"m{self.pid} rank={self.pid} holding={int(self.holding_barrier_in)} "
                 f"sent_in={int(self.sent_barrier_in)} sent_out={int(self.sent_barrier_out)}")
 
 
@@ -91,6 +96,23 @@ class BarrierBits:
 
     def canon(self) -> tuple:
         return (self.client_barrier_in, self.client_barrier_out)
+
+
+def initial_state(sc) -> GlobalState:
+    """n_initial managers wired into a ring, no client arrived yet."""
+    table = SocketTable(sc.conn_max, sc.qsz)
+    procs = [ManagerState(i) for i in range(sc.n_initial)]
+    wire_ring(table, procs)
+    return GlobalState(sc, table, procs, trace=None, bits=BarrierBits(sc.n_initial))
+
+
+def properties(sc) -> tuple[tuple[str, str], ...]:
+    """The (kind, when) pairs the barrier checks, in evaluation order."""
+    return (
+        (SOCKET_INVARIANTS, EVERY_STATE),
+        (BARRIER_INVARIANT, EVERY_STATE),
+        (BARRIER_END, QUIESCENCE_ONLY),
+    )
 
 
 def _send_token(g, m: ManagerState, cmd: str) -> None:

@@ -60,7 +60,8 @@ def _add_output_args(p: _Parser) -> None:
                    help="where to write the schedule file")
 
 
-def _build(args) -> object:
+def _build(args):
+    """The scenario args describe, or None once the reason it cannot be built is printed."""
     cfg = ScenarioConfig(
         algorithm=args.algorithm,
         size=args.size,
@@ -68,7 +69,22 @@ def _build(args) -> object:
         blocking=args.blocking,
         fail_pid=args.fail_pid,
     )
-    return build_scenario(cfg)
+    try:
+        return build_scenario(cfg)
+    except ScenarioError as e:
+        print(f"ringcheck {args.command}: error: {e}", file=sys.stderr)
+        return None
+
+
+def _save_trace(args, path, scenario, steps, outcome, violation, what) -> bool:
+    """Write a trace file and say so on stderr; False if it could not be written."""
+    try:
+        write_trace(path, scenario, steps, outcome=outcome, violation=violation)
+    except OSError as e:
+        print(f"ringcheck {args.command}: error: cannot write trace: {e}", file=sys.stderr)
+        return False
+    print(f"{what} written to {path}", file=sys.stderr)
+    return True
 
 
 def _report_json(scenario, report, steps, stable: bool) -> str:
@@ -88,14 +104,16 @@ def _report_json(scenario, report, steps, stable: bool) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+TABLE_HEADER = (f"{'Algorithm':<12} {'Model Size':>10} {'Time (s)':>10} "
+                f"{'States Stored/Matched':>24} {'Search Depth':>13}")
+
+
 def _report_table(scenario, report, stable: bool) -> str:
-    header = f"{'Algorithm':<12} {'Model Size':>10} {'Time (s)':>10} " \
-             f"{'States Stored/Matched':>24} {'Search Depth':>13}"
     elapsed = 0.0 if stable else report.elapsed
     counts = f"{report.states_stored}/{report.states_matched}"
     row = f"{scenario.algorithm:<12} {scenario.total:>10} {elapsed:>10.2f} " \
           f"{counts:>24} {report.max_depth:>13}"
-    lines = [header, row, f"outcome: {report.outcome}"]
+    lines = [TABLE_HEADER, row, f"outcome: {report.outcome}"]
     if report.violation:
         lines.append(f"violation: {report.violation}")
     return "\n".join(lines)
@@ -106,10 +124,8 @@ def _cmd_verify(args) -> int:
         print("ringcheck verify: error: --max-states must be at least 1 "
               "and --max-depth at least 0", file=sys.stderr)
         return EX_USAGE
-    try:
-        scenario = _build(args)
-    except ScenarioError as e:
-        print(f"ringcheck verify: error: {e}", file=sys.stderr)
+    scenario = _build(args)
+    if scenario is None:
         return EX_USAGE
     report = explore(
         scenario,
@@ -122,14 +138,9 @@ def _cmd_verify(args) -> int:
     if report.outcome == VIOLATION:
         path = args.trace_out or f"{scenario.algorithm}-counterexample.trace"
         trace_steps = report.trace
-        try:
-            write_trace(path, scenario, report.trace,
-                        outcome=report.outcome, violation=report.violation)
-        except OSError as e:
-            print(f"ringcheck verify: error: cannot write trace: {e}", file=sys.stderr)
+        if not _save_trace(args, path, scenario, report.trace, report.outcome,
+                           report.violation, "counterexample"):
             code = EX_USAGE
-        else:
-            print(f"counterexample written to {path}", file=sys.stderr)
     elif args.trace_out:
         # Nothing to record for a clean or truncated search.
         print("no counterexample to write", file=sys.stderr)
@@ -144,10 +155,8 @@ def _cmd_simulate(args) -> int:
     if args.max_steps < 0:
         print("ringcheck simulate: error: --max-steps must be at least 0", file=sys.stderr)
         return EX_USAGE
-    try:
-        scenario = _build(args)
-    except ScenarioError as e:
-        print(f"ringcheck simulate: error: {e}", file=sys.stderr)
+    scenario = _build(args)
+    if scenario is None:
         return EX_USAGE
     result = simulate(
         scenario,
@@ -159,14 +168,9 @@ def _cmd_simulate(args) -> int:
     code = EX_OK if not failures else EX_VIOLATION
     if args.trace_out:
         outcome = "SIMULATED" if result.violation is None else VIOLATION
-        try:
-            write_trace(args.trace_out, scenario, result.trace,
-                        outcome=outcome, violation=result.violation)
-        except OSError as e:
-            print(f"ringcheck simulate: error: cannot write trace: {e}", file=sys.stderr)
+        if not _save_trace(args, args.trace_out, scenario, result.trace, outcome,
+                           result.violation, "schedule"):
             code = EX_USAGE
-        else:
-            print(f"schedule written to {args.trace_out}", file=sys.stderr)
     if args.json:
         doc = {
             "schema": "ringcheck-simulation-1",

@@ -31,8 +31,11 @@ from .explorer import (
     ACT_BEGIN_INSERTION,
     ACT_INJECT_FAILURE,
     ACT_START_TRACE,
+    EVERY_STATE,
     KIND_ACTION,
     KIND_EVENT,
+    QUIESCENCE_ONLY,
+    GlobalState,
     ScheduleStep,
 )
 from .messages import (
@@ -53,7 +56,8 @@ from .messages import (
     command_of,
     message,
 )
-from .sockets import EVENT_CONNECT, EVENT_EOF, INVALID_FD, LHS, NEW, RHS
+from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, LHS, NEW, RHS, SOCKET_INVARIANTS,
+                      SocketTable, wire_ring)
 
 # Variants.
 SEQUENTIAL = "seq"
@@ -61,6 +65,14 @@ PARALLEL = "par"
 
 # Failure policy: any one live daemon may fail. An int victim pid fixes it.
 FAIL_NONDET = "nondet"
+
+# Every inserter enters the ring through this daemon.
+ENTRY_PID = 0
+
+# Property kinds; the properties module holds their checks.
+RING_TOPOLOGY = "ring_topology"
+NEIGHBOR_STATE = "neighbor_state"
+TRACE_COMPLETION = "trace_completion"
 
 # Phases.
 IDLE = 0
@@ -85,14 +97,13 @@ class DaemonState:
     """
 
     __slots__ = (
-        "pid", "variant", "phase",
+        "pid", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
         "await_cmd", "pending_requesters", "pending_rhs2_for",
     )
 
-    def __init__(self, pid: int, variant: str):
+    def __init__(self, pid: int):
         self.pid = pid
-        self.variant = variant
         self.phase = IDLE
         self.lhs_fd = INVALID_FD
         self.rhs_fd = INVALID_FD
@@ -106,7 +117,6 @@ class DaemonState:
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
         d.pid = self.pid
-        d.variant = self.variant
         d.phase = self.phase
         d.lhs_fd = self.lhs_fd
         d.rhs_fd = self.rhs_fd
@@ -123,8 +133,8 @@ class DaemonState:
         return self.phase == DEAD
 
     def canon(self) -> tuple:
-        # pid and variant are scenario constants; only the mutable fields
-        # participate in the state encoding.
+        # pid is a scenario constant; only the mutable fields participate in
+        # the state encoding.
         return (
             self.phase,
             self.lhs_fd,
@@ -175,6 +185,31 @@ class TraceState:
         return (int(self.started), self.initiator, self.collected, int(self.done))
 
 
+def initial_state(sc) -> GlobalState:
+    """The first n_initial daemons wired into a settled ring, the inserters idle."""
+    table = SocketTable(sc.conn_max, sc.qsz)
+    procs = [DaemonState(i) for i in range(sc.total)]
+    m = sc.n_initial
+    wire_ring(table, procs[:m])
+    for i in range(m):
+        d = procs[i]
+        d.rhs_id = (i + 1) % m
+        d.rhs2_id = (i + 2) % m
+        d.lhs_id = (i - 1) % m
+        d.phase = IN_RING
+    return GlobalState(sc, table, procs, trace=TraceState(), bits=None)
+
+
+def properties(sc) -> tuple[tuple[str, str], ...]:
+    """The (kind, when) pairs a ring scenario checks, in evaluation order."""
+    pairs = [(SOCKET_INVARIANTS, EVERY_STATE), (RING_TOPOLOGY, QUIESCENCE_ONLY)]
+    if sc.variant == PARALLEL:
+        pairs.append((NEIGHBOR_STATE, QUIESCENCE_ONLY))
+    if sc.trace_enabled:
+        pairs.append((TRACE_COMPLETION, QUIESCENCE_ONLY))
+    return tuple(pairs)
+
+
 # ---------------------------------------------------------------------------
 # spontaneous actions
 # ---------------------------------------------------------------------------
@@ -189,12 +224,11 @@ def begin_insertion(g, d: DaemonState) -> None:
     """
     if d.phase != IDLE:
         raise ProtocolViolation(f"d{d.pid}: begin_insertion outside IDLE")
-    entry_pid = g.scenario.entry_pid
-    fd = g.sockets.connect(d.pid, entry_pid)
+    fd = g.sockets.connect(d.pid, ENTRY_PID)
     g.sockets.set_flag(fd, LHS)
     d.lhs_fd = fd
-    d.lhs_id = entry_pid
-    if d.variant == PARALLEL:
+    d.lhs_id = ENTRY_PID
+    if g.scenario.variant == PARALLEL:
         g.sockets.write(d.pid, fd, message(NEW_RHS, a=d.pid))
         # The entry handshake is synchronous in the joining daemon: it reads
         # nothing else until the splice reply arrives. Without this, a later
@@ -244,7 +278,7 @@ def steps(g) -> list[ScheduleStep]:
     failure = sc.failure
     armed = failure is not None and not dead
     ready = g.sockets.ready_events()
-    if armed or sc.inserter_pids:
+    if armed or sc.n_inserters:
         pids = range(len(procs))
     else:
         pids = sorted(ready)
@@ -257,7 +291,7 @@ def steps(g) -> list[ScheduleStep]:
             # Blocking-read surrogate: an awaiting daemon handles only the reply.
             if p.await_cmd is None or name == p.await_cmd:
                 out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
-        if p.phase == IDLE and pid in sc.inserter_pids:
+        if p.phase == IDLE and pid >= sc.n_initial:
             out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
         if armed and (failure == FAIL_NONDET or failure == pid):
             out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
@@ -323,7 +357,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
     g.sockets.write(
         d.pid,
         d.lhs_fd,
-        message(RHS2INFO, a=d.lhs_id, b=value, hops=g.scenario.hop_budget),
+        message(RHS2INFO, a=d.lhs_id, b=value, hops=len(g.procs)),
     )
 
 
@@ -333,7 +367,7 @@ def _close_if_open(g, d: DaemonState, fd: int) -> None:
 
 
 def _on_new_rhs(g, d, fd, msg):
-    if d.variant == SEQUENTIAL:
+    if g.scenario.variant == SEQUENTIAL:
         # The inserter, armed with coordinates, claims the right-hand slot.
         _close_if_open(g, d, d.rhs_fd)
         g.sockets.set_flag(fd, RHS)
@@ -356,7 +390,7 @@ def _on_new_rhs(g, d, fd, msg):
 
 
 def _on_reconnect_rhs(g, d, fd, msg):
-    if d.variant != PARALLEL or d.phase != ENTERING_LHS:
+    if g.scenario.variant != PARALLEL or d.phase != ENTERING_LHS:
         raise ProtocolViolation(f"d{d.pid}: unexpected reconnect_rhs")
     target = msg[A]
     if target < 0 or target == d.pid:
@@ -378,7 +412,7 @@ def _on_reconnect_rhs(g, d, fd, msg):
                 d.pid,
                 d.lhs_fd,
                 message(RHS2INFO, a=d.pending_rhs2_for, b=d.rhs_id,
-                        hops=g.scenario.hop_budget),
+                        hops=len(g.procs)),
             )
         d.pending_rhs2_for = ABSENT
 
@@ -388,13 +422,13 @@ def _on_new_lhs(g, d, fd, msg):
     g.sockets.set_flag(fd, LHS)
     d.lhs_fd = fd
     d.lhs_id = msg[A]
-    if d.variant != PARALLEL:
+    if g.scenario.variant != PARALLEL:
         return
     if d.rhs_id >= 0:
         # The newcomer's second-right neighbor is this daemon's right.
         g.sockets.write(
             d.pid, fd,
-            message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=g.scenario.hop_budget),
+            message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=len(g.procs)),
         )
     else:
         d.pending_rhs2_for = msg[A]
@@ -413,7 +447,7 @@ def _on_rhs2info(g, d, fd, msg):
 
 
 def _on_rhs_info_request(g, d, fd, msg):
-    if d.variant == PARALLEL:
+    if g.scenario.variant == PARALLEL:
         # Recovery query: a new left neighbor wants my right-hand identity.
         if d.rhs_id < 0:
             raise ProtocolViolation(f"d{d.pid}: asked for rhs while unknown")
@@ -436,7 +470,7 @@ def _on_rhs_info_request(g, d, fd, msg):
 
 
 def _on_rhs_info_return(g, d, fd, msg):
-    if d.variant == PARALLEL:
+    if g.scenario.variant == PARALLEL:
         d.rhs2_id = msg[A]  # recovery refresh of the second-right neighbor
         return
     if d.phase == ENTERING_LHS and fd == d.lhs_fd:
@@ -466,7 +500,7 @@ def _on_rhs_info_return(g, d, fd, msg):
 
 def _on_trace_req(g, d, fd, msg):
     t = g.trace
-    if t is None or not t.started:
+    if not t.started:
         raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
     if t.initiator == d.pid:
         t = g.trace = t.clone()
@@ -483,7 +517,7 @@ def _on_trace_req(g, d, fd, msg):
 
 
 def _on_trace_done(g, d, fd, msg):
-    if g.trace is None or g.trace.initiator == d.pid:
+    if g.trace.initiator == d.pid:
         return  # completion report absorbed after its full circuit
     g.sockets.write(d.pid, d.rhs_fd, msg)
 
@@ -492,7 +526,7 @@ def _on_eof(g, d, fd):
     if fd == d.rhs_fd:
         g.sockets.close(d.pid, fd)
         d.rhs_fd = INVALID_FD
-        if d.variant == SEQUENTIAL:
+        if g.scenario.variant == SEQUENTIAL:
             return  # keeps no neighbor state, so there is nothing to recover with
         _recover_rhs(g, d)
     elif fd == d.lhs_fd:

@@ -44,9 +44,11 @@ whole.
 
 The unit of interleaving is one handler invocation. Like SPIN's search
 engine, the explorer knows nothing of the protocol it runs: the scenario's
-protocol module (daemons or barrier) lists a state's enabled steps in a
-fixed order (steps) and runs one (act for a spontaneous action, handle_event
-for a wake, whose step cmd is the name the socket table gave the wake).
+protocol module (daemons or barrier) builds the initial state
+(initial_state), lists the properties to check (properties), lists a
+state's enabled steps in a fixed order (steps) and runs one (act for a
+spontaneous action, handle_event for a wake, whose step cmd is the name the
+socket table gave the wake).
 Quiescence is the absence of any step at all, and is where the end-state
 properties are evaluated; a state with undeliverable or unconsumed messages
 is never quiescent and therefore never satisfies a quiescence-only property

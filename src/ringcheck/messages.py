@@ -55,7 +55,8 @@ class Identity:
 #   new_rhs, new_lhs   a = the sender
 #   reconnect_rhs      a = the daemon to attach to on the right
 #   rhs2info           a = target daemon, b = its new second-right neighbor,
-#                      hops = remaining counterclockwise forwarding budget
+#                      hops = remaining counterclockwise forwarding budget,
+#                      at first the number of processes
 #   rhs_info_return    a = the daemon being answered
 #   trace_req/done     origin = initiator, ids = daemons collected so far
 CMD, A, B, ORIGIN, IDS, HOPS = range(6)
@@ -87,18 +88,12 @@ class Registry:
         if len(self._by_identity) != len(self._by_pid):
             raise ValueError("duplicate identities in registry")
 
-    def identity_of(self, pid: int) -> Identity:
-        return self._by_pid[pid]
-
     def name(self, pid: int) -> Identity | None:
         """The identity a pid stands for in rendered text; None for -1."""
         return None if pid < 0 else self._by_pid[pid]
 
-    def pid_of(self, identity: Identity) -> int:
-        return self._by_identity[identity]
-
     def key(self, identity: Identity | None) -> int:
-        """The pid an identity stands for, -1 for absent: pid_of at the edges."""
+        """The pid an identity stands for; -1 for None, the inverse of name."""
         return -1 if identity is None else self._by_identity[identity]
 
 

@@ -13,17 +13,10 @@ invariants that no reachable state may break.
 
 from __future__ import annotations
 
-from . import daemons as daemons_mod
+from .barrier import BARRIER_END, BARRIER_INVARIANT
+from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
 from .errors import PropertyViolation
-from .explorer import EVERY_STATE, QUIESCENCE_ONLY, Property
-from .sockets import INVALID_FD, LHS, RHS
-
-RING_TOPOLOGY = "ring_topology"
-NEIGHBOR_STATE = "neighbor_state"
-TRACE_COMPLETION = "trace_completion"
-BARRIER_END = "barrier_end"
-BARRIER_INVARIANT = "barrier_invariant"
-SOCKET_INVARIANTS = "socket_invariants"
+from .sockets import INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
 
 
 def ring_order(g) -> list:
@@ -40,10 +33,10 @@ def ring_order(g) -> list:
     if not live:
         raise PropertyViolation("no live daemon remains")
     for p in live:
-        if p.phase != daemons_mod.IN_RING:
+        if p.phase != IN_RING:
             raise PropertyViolation(
                 f"d{p.pid} is live but stuck in phase "
-                f"{daemons_mod.PHASE_NAMES[p.phase]}"
+                f"{PHASE_NAMES[p.phase]}"
             )
         if p.await_cmd is not None:
             raise PropertyViolation(f"d{p.pid} still awaits {p.await_cmd}")
@@ -128,13 +121,13 @@ def check_neighbor_state(g) -> None:
 def check_trace_completion(g) -> None:
     """A finished episode carries every live daemon exactly once, in ring order."""
     t = g.trace
-    if t is None or not t.started:
+    if not t.started:
         raise PropertyViolation("trace episode never started")
     if not t.done:
         raise PropertyViolation("trace episode started but never completed")
     order = ring_order(g)
     initiator = g.procs[t.initiator]
-    if initiator.phase == daemons_mod.DEAD:
+    if initiator.phase == DEAD:
         raise PropertyViolation("trace initiator is dead")
     i = next(k for k, d in enumerate(order) if d.pid == t.initiator)
     expected = tuple(d.pid for d in order[i:] + order[:i])
@@ -187,10 +180,8 @@ def check_socket_invariants(g) -> None:
         g.sockets.check_touched(dead_pids=dead)
 
 
-def make(kind: str, when: str) -> Property:
-    return Property(kind=kind, when=when, fn=_CHECKS[kind])
-
-
+# The check of each property kind; the protocol modules list which kinds a
+# scenario checks, and when.
 _CHECKS = {
     RING_TOPOLOGY: check_ring_topology,
     NEIGHBOR_STATE: check_neighbor_state,
@@ -199,27 +190,3 @@ _CHECKS = {
     BARRIER_INVARIANT: check_barrier_invariant,
     SOCKET_INVARIANTS: check_socket_invariants,
 }
-
-
-def socket_invariants() -> Property:
-    return make(SOCKET_INVARIANTS, EVERY_STATE)
-
-
-def ring_topology() -> Property:
-    return make(RING_TOPOLOGY, QUIESCENCE_ONLY)
-
-
-def neighbor_state() -> Property:
-    return make(NEIGHBOR_STATE, QUIESCENCE_ONLY)
-
-
-def trace_completion() -> Property:
-    return make(TRACE_COMPLETION, QUIESCENCE_ONLY)
-
-
-def barrier_end() -> Property:
-    return make(BARRIER_END, QUIESCENCE_ONLY)
-
-
-def barrier_invariant() -> Property:
-    return make(BARRIER_INVARIANT, EVERY_STATE)

@@ -1,9 +1,12 @@
-"""Scenario construction: sizing, initial wiring and property selection.
+"""Scenario construction: validation and sizing.
 
 A scenario is the static half of the model: which algorithm runs, how many
-processes exist, where newcomers enter, what may fail. The dynamic half lives
-in GlobalState. Handlers reach the static half through g.scenario, and none
-of it participates in state encoding.
+processes exist, what may fail. The dynamic half lives in GlobalState.
+Handlers reach the static half through g.scenario, and none of it
+participates in state encoding. The scenario names its protocol module
+(daemons or barrier), and that module owns the rest of the model: it lists
+and runs its steps, builds the initial state and lists the properties the
+scenario checks.
 
 Descriptor-table sizing is derived, not guessed: a ring of M daemons uses
 2*M endpoints, each insertion transiently holds its entry connection and its
@@ -19,12 +22,10 @@ from dataclasses import dataclass
 
 from . import barrier, daemons
 from . import properties as props
-from .barrier import BarrierBits, ManagerState
-from .daemons import FAIL_NONDET, IN_RING, PARALLEL, SEQUENTIAL, DaemonState, TraceState
+from .daemons import FAIL_NONDET, PARALLEL, SEQUENTIAL
 from .errors import ScenarioError
 from .explorer import GlobalState, Property
 from .messages import Registry, make_identities
-from .sockets import LHS, RHS, SocketTable
 
 ALGORITHMS = ("ring-seq", "ring-par", "trace", "recovery", "barrier")
 
@@ -49,26 +50,22 @@ class Scenario:
 
     __slots__ = (
         "protocol", "algorithm", "variant", "n_initial", "n_inserters",
-        "inserter_pids", "entry_pid", "seq_blocking", "failure",
-        "trace_enabled", "conn_max", "qsz", "hop_budget", "registry",
+        "seq_blocking", "failure", "trace_enabled", "conn_max", "qsz", "registry",
     )
 
     def __init__(self, *, protocol, algorithm, variant, n_initial, n_inserters,
                  seq_blocking, failure, trace_enabled):
-        self.protocol = protocol  # the daemons or barrier module: steps, act, handle_event
+        self.protocol = protocol  # the daemons or barrier module, which owns the model
         self.algorithm = algorithm
         self.variant = variant
         self.n_initial = n_initial
-        self.n_inserters = n_inserters
-        self.inserter_pids = tuple(range(n_initial, n_initial + n_inserters))
-        self.entry_pid = 0
+        self.n_inserters = n_inserters  # pids n_initial and up
         self.seq_blocking = seq_blocking
         self.failure = failure
         self.trace_enabled = trace_enabled
         total = n_initial + n_inserters
         self.conn_max = 2 * total + 2 * n_inserters
         self.qsz = max(1, total)
-        self.hop_budget = total
         self.registry = Registry(make_identities(total))
 
     @property
@@ -85,68 +82,13 @@ class Scenario:
             "failure": failure,
         }
 
-    # ------------------------------------------------------------------
-    # initial state
-    # ------------------------------------------------------------------
-
     def initial_state(self) -> GlobalState:
-        if self.protocol is barrier:
-            return self._initial_barrier()
-        return self._initial_ring()
-
-    def _initial_ring(self) -> GlobalState:
-        table = SocketTable(self.conn_max, self.qsz)
-        procs = [DaemonState(i, self.variant) for i in range(self.total)]
-        m = self.n_initial
-        _wire_ring(table, procs[:m])
-        for i in range(m):
-            d = procs[i]
-            d.rhs_id = (i + 1) % m
-            d.rhs2_id = (i + 2) % m
-            d.lhs_id = (i - 1) % m
-            d.phase = IN_RING
-        return GlobalState(self, table, procs, trace=TraceState(), bits=None)
-
-    def _initial_barrier(self) -> GlobalState:
-        n = self.n_initial
-        table = SocketTable(self.conn_max, self.qsz)
-        procs = [ManagerState(i, rank=i) for i in range(n)]
-        _wire_ring(table, procs)
-        return GlobalState(self, table, procs, trace=None, bits=BarrierBits(n))
-
-    # ------------------------------------------------------------------
-    # properties
-    # ------------------------------------------------------------------
+        return self.protocol.initial_state(self)
 
     def default_properties(self) -> tuple[Property, ...]:
-        if self.protocol is barrier:
-            return (
-                props.socket_invariants(),
-                props.barrier_invariant(),
-                props.barrier_end(),
-            )
-        checks = [props.socket_invariants(), props.ring_topology()]
-        if self.variant == PARALLEL:
-            checks.append(props.neighbor_state())
-        if self.trace_enabled:
-            checks.append(props.trace_completion())
-        return tuple(checks)
-
-
-def _wire_ring(table: SocketTable, procs: list) -> None:
-    """Connect procs clockwise: each one's rhs_fd reaches the next one's lhs_fd.
-
-    A ring of one is a daemon connected to its own port.
-    """
-    n = len(procs)
-    for i, p in enumerate(procs):
-        q = procs[(i + 1) % n]
-        cfd = table.connect(p.pid, q.pid)
-        table.set_flag(cfd, RHS)
-        sfd = table.accept(q.pid)
-        table.set_flag(sfd, LHS)
-        p.rhs_fd = cfd
-        q.lhs_fd = sfd
+        # Reads _CHECKS at call time, so a check rebound there takes effect.
+        return tuple(Property(kind, when, props._CHECKS[kind])
+                     for kind, when in self.protocol.properties(self))
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -204,10 +146,12 @@ def config_from_fields(fields: dict) -> ScenarioConfig:
         algorithm = fields["algorithm"]
         size = int(fields["size"])
         inserters = int(fields["inserters"])
-        blocking = bool(int(fields["blocking"]))
+        blocking = fields["blocking"]
         failure = fields["failure"]
     except (KeyError, ValueError) as e:
         raise ScenarioError(f"incomplete scenario description: {e}") from e
+    if blocking not in ("0", "1"):
+        raise ScenarioError(f"blocking={blocking} is neither 0 nor 1")
     if algorithm == "recovery":
         if failure == "none":
             raise ScenarioError("the recovery scenario needs failure=nondet or a victim pid")
@@ -216,5 +160,5 @@ def config_from_fields(fields: dict) -> ScenarioConfig:
     fail_pid = None if failure in ("none", FAIL_NONDET) else int(failure)
     return ScenarioConfig(
         algorithm=algorithm, size=size, inserters=inserters,
-        blocking=blocking, fail_pid=fail_pid,
+        blocking=blocking == "1", fail_pid=fail_pid,
     )

@@ -68,6 +68,9 @@ FLAG_NAMES = {FREE: "free", AWAIT_ACCEPT: "await_accept", NEW: "new", LHS: "lhs"
 EVENT_CONNECT = "connect"
 EVENT_EOF = "eof"
 
+# Property kind of the table's structural invariant; every protocol lists it.
+SOCKET_INVARIANTS = "socket_invariants"
+
 
 class SocketTable:
     """Mutable descriptor table sized at construction.
@@ -333,3 +336,19 @@ class SocketTable:
                     raise InvariantViolation(f"fd {fd} links to unallocated fd {peer}")
                 if other[peer] != fd:
                     raise InvariantViolation(f"asymmetric link {fd} -> {peer}")
+
+
+def wire_ring(table: SocketTable, procs: list) -> None:
+    """Connect procs clockwise: each one's rhs_fd reaches the next one's lhs_fd.
+
+    A ring of one is a process connected to its own port.
+    """
+    n = len(procs)
+    for i, p in enumerate(procs):
+        q = procs[(i + 1) % n]
+        cfd = table.connect(p.pid, q.pid)
+        table.set_flag(cfd, RHS)
+        sfd = table.accept(q.pid)
+        table.set_flag(sfd, LHS)
+        p.rhs_fd = cfd
+        q.lhs_fd = sfd

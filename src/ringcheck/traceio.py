@@ -51,12 +51,15 @@ def write_trace(path, scenario: Scenario, steps, *, outcome=None, violation=None
         fh.write(render_trace(scenario, steps, outcome=outcome, violation=violation))
 
 
+STEP_KEYS = ("pid", "kind", "fd", "cmd")
+
+
 def _parse_step(line: str, lineno: int) -> ScheduleStep:
     parts = line.split(" ")
     fields = {}
     for part in parts:
         key, sep, value = part.partition("=")
-        if not sep or not key:
+        if not sep or key not in STEP_KEYS or key in fields:
             raise TraceFormatError(f"line {lineno}: malformed step token {part!r}")
         fields[key] = value
     try:
@@ -85,6 +88,8 @@ def parse_trace(text: str) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], di
         key, sep, value = line.partition("=")
         if not sep:
             raise TraceFormatError(f"line {idx}: expected key=value, got {line!r}")
+        if key in header:
+            raise TraceFormatError(f"line {idx}: repeated header key {key!r}")
         header[key] = value
         if key == "steps":
             try:

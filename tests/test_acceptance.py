@@ -186,7 +186,7 @@ def test_criterion_01_sequential_insertion_breaks_the_ring():
     with pytest.raises(PropertyViolation, match="ring closes after 3 of 4"):
         check_ring_topology(final)
     record(1, f"VIOLATION in {report.elapsed:.2f}s; replay shows both inserters "
-              f"told {sc.registry.identity_of(expected)} and a final ring of 3, not 4")
+              f"told {sc.registry.name(expected)} and a final ring of 3, not 4")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from ringcheck.daemons import (
     DEAD,
     ENTERING_LHS,
+    ENTRY_PID,
     IDLE,
     IN_RING,
     PARALLEL,
@@ -82,7 +83,7 @@ class TestBeginInsertion:
         assert d.phase == ENTERING_LHS
         assert d.await_cmd == RECONNECT_RHS
         assert g.sockets.flag_of(d.lhs_fd) == LHS
-        assert d.lhs_id == scenario.entry_pid
+        assert d.lhs_id == ENTRY_PID
         entry_queue = g.sockets.queue_of(g.sockets.other_of(d.lhs_fd))
         assert [command_of(m) for m in entry_queue] == [NEW_RHS]
         assert entry_queue[0][A] == d.pid
@@ -139,7 +140,7 @@ class TestParallelSplice:
         assert len(updates) == 1
         assert updates[0][A] == 2
         assert updates[0][B] == self.inserter.pid
-        assert updates[0][HOPS] == self.scenario.hop_budget
+        assert updates[0][HOPS] == len(g.procs)
 
     def test_inserter_attaches_right_on_reconnect(self):
         g = self.g

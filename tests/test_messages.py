@@ -36,11 +36,10 @@ def test_registry_roundtrip():
     ids = make_identities(3)
     reg = Registry(ids)
     for pid, ident in enumerate(ids):
-        assert reg.identity_of(pid) is ident
-        assert reg.pid_of(ident) == pid
+        assert reg.name(pid) is ident
         assert reg.key(ident) == pid
     with pytest.raises(IndexError):
-        reg.identity_of(3)
+        reg.name(3)
     assert reg.key(None) == -1
 
 
@@ -49,7 +48,7 @@ def test_registry_key_accepts_equal_but_distinct_objects():
     # own object; key() must still resolve it.
     reg = Registry(make_identities(3))
     twin = Identity("node1", 9001)
-    assert reg.identity_of(1) is not twin
+    assert reg.name(1) is not twin
     assert reg.key(twin) == 1
 
 
@@ -70,8 +69,9 @@ def test_registry_rejects_duplicates():
 
 
 def test_registry_names_pids_for_rendering():
-    reg = Registry(make_identities(3))
-    assert reg.name(2) is reg.identity_of(2)
+    ids = make_identities(3)
+    reg = Registry(ids)
+    assert reg.name(2) is ids[2]
     assert reg.name(-1) is None
 
 

@@ -241,14 +241,20 @@ def test_socket_invariant_check_accounts_for_dead_pids():
 
 
 def test_factories_pin_kind_and_evaluation_point():
+    # Property order decides which violation is reported first.
     from ringcheck import properties as props
 
-    sc = build_scenario(ScenarioConfig("ring-par", size=2))
-    kinds = {(p.kind, p.when) for p in sc.default_properties()}
-    assert (props.SOCKET_INVARIANTS, EVERY_STATE) in kinds
-    assert (props.RING_TOPOLOGY, QUIESCENCE_ONLY) in kinds
-    assert (props.NEIGHBOR_STATE, QUIESCENCE_ONLY) in kinds
-    bsc = build_scenario(ScenarioConfig("barrier", size=2))
-    bkinds = {(p.kind, p.when) for p in bsc.default_properties()}
-    assert (props.BARRIER_INVARIANT, EVERY_STATE) in bkinds
-    assert (props.BARRIER_END, QUIESCENCE_ONLY) in bkinds
+    every, quiet = EVERY_STATE, QUIESCENCE_ONLY
+    ring = (("socket_invariants", every), ("ring_topology", quiet))
+    expected = {
+        "ring-seq": ring,
+        "ring-par": ring + (("neighbor_state", quiet),),
+        "trace": ring + (("neighbor_state", quiet), ("trace_completion", quiet)),
+        "recovery": ring + (("neighbor_state", quiet), ("trace_completion", quiet)),
+        "barrier": (("socket_invariants", every), ("barrier_invariant", every),
+                    ("barrier_end", quiet)),
+    }
+    for algorithm, pairs in expected.items():
+        checks = build_scenario(ScenarioConfig(algorithm, size=2)).default_properties()
+        assert tuple((p.kind, p.when) for p in checks) == pairs, algorithm
+        assert all(p.fn is props._CHECKS[p.kind] for p in checks)

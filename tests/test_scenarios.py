@@ -2,7 +2,7 @@
 
 import pytest
 
-from ringcheck.daemons import IN_RING, PARALLEL, SEQUENTIAL
+from ringcheck.daemons import ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, begin_insertion
 from ringcheck.errors import ScenarioError
 from ringcheck.scenarios import (
     ALGORITHMS,
@@ -76,15 +76,21 @@ class TestSizing:
         assert sc.total == total
         assert sc.conn_max == 2 * total + 2 * inserters
         assert sc.qsz == max(1, total)
-        assert sc.hop_budget == total
-        assert sc.registry.identity_of(total - 1) is not None
+        g = sc.initial_state()
+        assert len(g.procs) == total  # also the rhs2info hop budget
+        assert sc.registry.name(total - 1) is not None
         with pytest.raises(IndexError):
-            sc.registry.identity_of(total)
-        assert sc.inserter_pids == tuple(range(size, total))
+            sc.registry.name(total)
+        assert [p.pid for p in g.procs if p.phase == IDLE] == list(range(sc.n_initial, total))
 
     def test_entry_is_the_first_daemon(self):
         sc = build_scenario(ScenarioConfig("ring-par", size=3, inserters=1))
-        assert sc.entry_pid == 0
+        g = sc.initial_state()
+        d = g.procs[3]
+        begin_insertion(g, d)
+        assert ENTRY_PID == 0
+        assert d.lhs_id == ENTRY_PID
+        assert g.sockets.owner_of(g.sockets.other_of(d.lhs_fd)) == ENTRY_PID
 
 
 class TestInitialState:

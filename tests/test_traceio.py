@@ -63,6 +63,12 @@ def test_empty_schedule_is_representable():
     (lambda t: t.replace("kind=action", "kind=oracle"), "unknown step kind"),
     (lambda t: t.replace("pid=2", "pid=two"), "bad step line"),
     (lambda t: t.replace("algorithm=ring-par\n", ""), "bad scenario header"),
+    (lambda t: t.replace("size=2\n", "size=2\nsize=3\n"), "repeated header key 'size'"),
+    (lambda t: t.replace("cmd=begin_insertion", "cmd=begin_insertion pid=3", 1),
+     "malformed step token 'pid=3'"),
+    (lambda t: t.replace("cmd=begin_insertion", "cmd=begin_insertion junk=1", 1),
+     "malformed step token 'junk=1'"),
+    (lambda t: t.replace("blocking=0", "blocking=7"), "bad scenario header: blocking=7"),
 ])
 def test_damaged_files_are_rejected(mutate, complaint):
     sc, steps = sample()
