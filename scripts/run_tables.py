@@ -11,26 +11,35 @@ Usage:
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ringcheck.cli import TABLE_HEADER
+from ringcheck.cli import TABLE_HEADER, table_row
 from ringcheck.explorer import explore
 from ringcheck.scenarios import ScenarioConfig, build_scenario
+
+
+def configs(quick: bool) -> list[ScenarioConfig]:
+    """The sweep's configurations, one table row each, in print order."""
+    top = 3 if quick else 4
+    rows = [ScenarioConfig("ring-par", size=1, inserters=k) for k in range(top)]
+    rows += [ScenarioConfig("trace", size=n) for n in range(1, 5)]
+    rows += [ScenarioConfig("recovery", size=n) for n in range(2, 9)]
+    rows += [ScenarioConfig("barrier", size=n) for n in range(1, 13)]
+    rows += [
+        ScenarioConfig("ring-seq", size=2, inserters=2),
+        ScenarioConfig("ring-seq", size=2, inserters=2, blocking=True),
+    ]
+    return rows
 
 
 def sweep(rows):
     print(TABLE_HEADER)
     for cfg in rows:
         scenario = build_scenario(cfg)
-        t0 = time.perf_counter()
         report = explore(scenario, scenario.default_properties())
-        elapsed = time.perf_counter() - t0
-        counts = f"{report.states_stored}/{report.states_matched}"
-        print(f"{scenario.algorithm:<12} {scenario.total:>10} {elapsed:>10.2f} "
-              f"{counts:>24} {report.max_depth:>13}  {report.outcome}")
+        print(f"{table_row(scenario, report)}  {report.outcome}")
         if report.violation:
             print(f"{'':12} violation: {report.violation}")
 
@@ -40,17 +49,7 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true",
                         help="skip the four-daemon establishment run")
     args = parser.parse_args()
-
-    top = 3 if args.quick else 4
-    rows = [ScenarioConfig("ring-par", size=1, inserters=k) for k in range(top)]
-    rows += [ScenarioConfig("trace", size=n) for n in range(1, 5)]
-    rows += [ScenarioConfig("recovery", size=n) for n in range(2, 9)]
-    rows += [ScenarioConfig("barrier", size=n) for n in range(1, 13)]
-    rows += [
-        ScenarioConfig("ring-seq", size=2, inserters=2),
-        ScenarioConfig("ring-seq", size=2, inserters=2, blocking=True),
-    ]
-    sweep(rows)
+    sweep(configs(args.quick))
     return 0
 
 

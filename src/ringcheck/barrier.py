@@ -76,20 +76,14 @@ class BarrierBits:
     first.
     """
 
-    __slots__ = ("n", "client_barrier_in", "client_barrier_out")
+    __slots__ = ("client_barrier_in", "client_barrier_out")
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.client_barrier_in = 0
         self.client_barrier_out = 0
 
-    @property
-    def all_bits(self) -> int:
-        return (1 << self.n) - 1
-
     def clone(self) -> "BarrierBits":
         b = BarrierBits.__new__(BarrierBits)
-        b.n = self.n
         b.client_barrier_in = self.client_barrier_in
         b.client_barrier_out = self.client_barrier_out
         return b
@@ -98,12 +92,17 @@ class BarrierBits:
         return (self.client_barrier_in, self.client_barrier_out)
 
 
+def all_bits(g) -> int:
+    """The bit vector with every manager's client bit set."""
+    return (1 << len(g.procs)) - 1
+
+
 def initial_state(sc) -> GlobalState:
     """n_initial managers wired into a ring, no client arrived yet."""
     table = SocketTable(sc.conn_max, sc.qsz)
     procs = [ManagerState(i) for i in range(sc.n_initial)]
     wire_ring(table, procs)
-    return GlobalState(sc, table, procs, trace=None, bits=BarrierBits(sc.n_initial))
+    return GlobalState(sc, table, procs, trace=None, bits=BarrierBits())
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:

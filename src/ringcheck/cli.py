@@ -108,12 +108,16 @@ TABLE_HEADER = (f"{'Algorithm':<12} {'Model Size':>10} {'Time (s)':>10} "
                 f"{'States Stored/Matched':>24} {'Search Depth':>13}")
 
 
-def _report_table(scenario, report, stable: bool) -> str:
+def table_row(scenario, report, stable: bool = False) -> str:
+    """One search as a row under TABLE_HEADER; stable zeroes the time."""
     elapsed = 0.0 if stable else report.elapsed
     counts = f"{report.states_stored}/{report.states_matched}"
-    row = f"{scenario.algorithm:<12} {scenario.total:>10} {elapsed:>10.2f} " \
-          f"{counts:>24} {report.max_depth:>13}"
-    lines = [TABLE_HEADER, row, f"outcome: {report.outcome}"]
+    return (f"{scenario.algorithm:<12} {scenario.total:>10} {elapsed:>10.2f} "
+            f"{counts:>24} {report.max_depth:>13}")
+
+
+def _report_table(scenario, report, stable: bool) -> str:
+    lines = [TABLE_HEADER, table_row(scenario, report, stable), f"outcome: {report.outcome}"]
     if report.violation:
         lines.append(f"violation: {report.violation}")
     return "\n".join(lines)

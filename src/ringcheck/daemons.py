@@ -162,23 +162,28 @@ class TraceState:
     """Bookkeeping for one ring trace episode; collected holds pids.
 
     States share one record until a step writes it; the writer, start_trace
-    or the initiator's _on_trace_req, replaces g.trace with a clone first.
+    (which sets initiator) or the initiator's _on_trace_req (which sets
+    collected), replaces g.trace with a clone first.
     """
 
-    __slots__ = ("started", "initiator", "collected", "done")
+    __slots__ = ("initiator", "collected")
 
     def __init__(self):
-        self.started = False
         self.initiator = -1
         self.collected: tuple[int, ...] = ()
-        self.done = False
+
+    @property
+    def started(self) -> bool:
+        return self.initiator >= 0
+
+    @property
+    def done(self) -> bool:
+        return self.collected != ()  # once set, it holds the initiator's pid at least
 
     def clone(self) -> "TraceState":
         t = TraceState.__new__(TraceState)
-        t.started = self.started
         t.initiator = self.initiator
         t.collected = self.collected
-        t.done = self.done
         return t
 
     def canon(self) -> tuple:
@@ -224,8 +229,7 @@ def begin_insertion(g, d: DaemonState) -> None:
     """
     if d.phase != IDLE:
         raise ProtocolViolation(f"d{d.pid}: begin_insertion outside IDLE")
-    fd = g.sockets.connect(d.pid, ENTRY_PID)
-    g.sockets.set_flag(fd, LHS)
+    fd = g.sockets.connect(d.pid, ENTRY_PID, LHS)
     d.lhs_fd = fd
     d.lhs_id = ENTRY_PID
     if g.scenario.variant == PARALLEL:
@@ -256,7 +260,6 @@ def inject_failure(g, pid: int) -> None:
 def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
     t = g.trace = g.trace.clone()
-    t.started = True
     t.initiator = d.pid
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
 
@@ -366,6 +369,12 @@ def _close_if_open(g, d: DaemonState, fd: int) -> None:
         g.sockets.close(d.pid, fd)
 
 
+def _attach_right(g, d: DaemonState, target: int) -> None:
+    """Connect d's right side to target and announce d as target's new left."""
+    d.rhs_fd = g.sockets.connect(d.pid, target, RHS)
+    g.sockets.write(d.pid, d.rhs_fd, message(NEW_LHS, a=d.pid))
+
+
 def _on_new_rhs(g, d, fd, msg):
     if g.scenario.variant == SEQUENTIAL:
         # The inserter, armed with coordinates, claims the right-hand slot.
@@ -397,11 +406,8 @@ def _on_reconnect_rhs(g, d, fd, msg):
         raise ProtocolViolation(f"d{d.pid}: reconnect_rhs names myself")
     if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: reconnect_rhs to unknown identity")
-    nfd = g.sockets.connect(d.pid, target)
-    g.sockets.set_flag(nfd, RHS)
-    d.rhs_fd = nfd
+    _attach_right(g, d, target)
     d.rhs_id = target
-    g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
     d.phase = IN_RING
     d.await_cmd = None
     if d.pending_rhs2_for >= 0:
@@ -480,10 +486,7 @@ def _on_rhs_info_return(g, d, fd, msg):
         target = msg[A]
         if not 0 <= target < len(g.procs):
             raise ProtocolViolation(f"d{d.pid}: returned identity is unknown")
-        nfd = g.sockets.connect(d.pid, target)
-        g.sockets.set_flag(nfd, RHS)
-        d.rhs_fd = nfd
-        g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
+        _attach_right(g, d, target)
         d.phase = IN_RING
         d.await_cmd = None
     elif fd == d.rhs_fd:
@@ -505,7 +508,6 @@ def _on_trace_req(g, d, fd, msg):
     if t.initiator == d.pid:
         t = g.trace = t.clone()
         t.collected = msg[IDS]
-        t.done = True
         g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))
         return
     if len(msg[IDS]) >= _live_count(g):
@@ -556,11 +558,8 @@ def _recover_rhs(g, d):
         raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
     d.rhs_id = target
     d.rhs2_id = ABSENT  # refreshed by the query below
-    nfd = g.sockets.connect(d.pid, target)
-    g.sockets.set_flag(nfd, RHS)
-    d.rhs_fd = nfd
-    g.sockets.write(d.pid, nfd, message(NEW_LHS, a=d.pid))
-    g.sockets.write(d.pid, nfd, message(RHS_INFO_REQUEST))
+    _attach_right(g, d, target)
+    g.sockets.write(d.pid, d.rhs_fd, message(RHS_INFO_REQUEST))
     _send_rhs2_to_lhs(g, d, d.rhs_id)
 
 

@@ -24,15 +24,16 @@ way: the few handlers that write one copy it first. The ready events of all
 processes come from one pass over the descriptor table.
 
 The visited set does not store encodings. It stores a 128-bit key that is
-the sum, mod 2**128, of one hash per component of the state: each fd slot,
-each process record and each episode record, hashed with its position
-(state_key). A successor's key is its predecessor's plus the difference of
-the hashes of the components its step replaced: the fds its socket table
-logged as written, the acting pid's record, and an episode record the step
-swapped for a copy. So a stored state costs what its step touched, in the
-manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008).
-encode(g) stays the definition of state equality: two states get one key
-exactly when their encodings are equal, up to a 128-bit hash collision.
+the sum, mod 2**128, of one hash per component of the state: each fd's slot
+tuple (hashed whole; its layout is the socket table's), each process record
+and each episode record, hashed with its position (state_key). A successor's
+key is its predecessor's plus the difference of the hashes of the components
+its step replaced: the fds its socket table logged as written, the acting
+pid's record, and an episode record the step swapped for a copy. So a
+stored state costs what its step touched, in the manner of Nguyen & Ruys,
+"Incremental hashing for SPIN" (SPIN 2008). encode(g) stays the definition
+of state equality: two states get one key exactly when their encodings are
+equal, up to a 128-bit hash collision.
 
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
@@ -158,9 +159,9 @@ class GlobalState:
     def dump(self) -> str:
         lines = [p.summary() for p in self.procs]
         if self.bits is not None:
-            lines.append(
-                f"bits in={self.bits.client_barrier_in:0{self.bits.n}b} "
-                f"out={self.bits.client_barrier_out:0{self.bits.n}b}"
+            lines.append(  # one bit per manager
+                f"bits in={self.bits.client_barrier_in:0{len(self.procs)}b} "
+                f"out={self.bits.client_barrier_out:0{len(self.procs)}b}"
             )
         if self.trace is not None and self.trace.started:
             ids = ",".join(f"n{pid}" for pid in self.trace.collected)
@@ -212,20 +213,16 @@ def _component_hash(pos: int, c: tuple, memo: dict) -> int:
     return h
 
 
-def _slot(t, fd: int) -> tuple:
-    return (t.other[fd], t.owner[fd], t.flag[fd], t.queues[fd])
-
-
 def state_key(g: GlobalState, memo: dict) -> int:
     """The visited key of g: the sum mod 2**128 of its component hashes.
 
-    The components are each fd slot at position fd, each process record at
-    position conn_max + pid, and the trace and the barrier bits, when the
-    state has them, at positions -1 and -2. A state with a _link updates its
-    predecessor's key at the components its step may have replaced: the fds
-    its table logged in touched, the acting pid's record, and an episode
-    record that is no longer the predecessor's object. Any other state sums
-    every component. memo maps (position, component) to its hash; one
+    The components are each fd's slot tuple at position fd, each process
+    record at position len(slots) + pid, and the trace and the barrier bits,
+    when the state has them, at positions -1 and -2. A state with a _link
+    updates its predecessor's key at the components its step may have
+    replaced: the fds its table logged in touched, the acting pid's record,
+    and an episode record that is no longer the predecessor's object. Any
+    other state sums every component. memo maps (position, component) to its hash; one
     search shares one memo. Unequal states collide with chance 2**-128 per
     pair, below 1e-20 across even 10**9 stored states, so exhaustiveness is
     not meaningfully weakened.
@@ -233,13 +230,13 @@ def state_key(g: GlobalState, memo: dict) -> int:
     key = g._key
     if key is not None:
         return key
-    t = g.sockets
-    base = t.conn_max
+    slots = g.sockets.slots
+    base = len(slots)
     link = g._link
     if link is None:
         key = 0
-        for fd in range(base):
-            key += _component_hash(fd, _slot(t, fd), memo)
+        for fd, slot in enumerate(slots):
+            key += _component_hash(fd, slot, memo)
         for pid, p in enumerate(g.procs):
             key += _component_hash(base + pid, p.canon(), memo)
         if g.trace is not None:
@@ -250,10 +247,10 @@ def state_key(g: GlobalState, memo: dict) -> int:
         g._link = None
         prev, pid = link
         key = prev._key
-        old = prev.sockets
-        for fd in set(t.touched):
-            key += _component_hash(fd, _slot(t, fd), memo) - _component_hash(
-                fd, _slot(old, fd), memo)
+        old = prev.sockets.slots
+        for fd in set(g.sockets.touched):
+            key += _component_hash(fd, slots[fd], memo) - _component_hash(
+                fd, old[fd], memo)
         pos = base + pid
         key += _component_hash(pos, g.procs[pid].canon(), memo) - _component_hash(
             pos, prev.procs[pid].canon(), memo)

@@ -13,7 +13,7 @@ invariants that no reachable state may break.
 
 from __future__ import annotations
 
-from .barrier import BARRIER_END, BARRIER_INVARIANT
+from .barrier import BARRIER_END, BARRIER_INVARIANT, all_bits
 from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
 from .errors import PropertyViolation
 from .sockets import INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
@@ -139,12 +139,12 @@ def check_trace_completion(g) -> None:
 
 
 def check_barrier_end(g) -> None:
-    bits = g.bits
-    if bits.client_barrier_out != bits.all_bits:
+    bits, full = g.bits, all_bits(g)
+    if bits.client_barrier_out != full:
         raise PropertyViolation(
-            f"episode ended with release bits {bits.client_barrier_out:0{bits.n}b}"
+            f"episode ended with release bits {bits.client_barrier_out:0{len(g.procs)}b}"
         )
-    if bits.client_barrier_in != bits.all_bits:
+    if bits.client_barrier_in != full:
         raise PropertyViolation("release complete but some client never arrived")
     for m in g.procs:
         if m.holding_barrier_in:
@@ -158,9 +158,9 @@ def check_barrier_invariant(g) -> None:
     bits = g.bits
     if bits.client_barrier_out == 0:
         return
-    if bits.client_barrier_in != bits.all_bits:
+    if bits.client_barrier_in != all_bits(g):
         raise PropertyViolation(
-            f"release began with arrivals {bits.client_barrier_in:0{bits.n}b}"
+            f"release began with arrivals {bits.client_barrier_in:0{len(g.procs)}b}"
         )
     if any(m.holding_barrier_in for m in g.procs):
         raise PropertyViolation("release began while barrier_in is still parked")

@@ -140,15 +140,22 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
+# The keys of Scenario.config_fields, in the order it writes them.
+CONFIG_KEYS = ("algorithm", "size", "inserters", "blocking", "failure")
+
+
+def parse_decimal(key: str, text: str) -> int:
+    """The int text writes, if text is exactly how str writes that int."""
+    if not (text.removeprefix("-").isdecimal() and str(int(text)) == text):
+        raise ScenarioError(f"{key}={text} is not a decimal integer")
+    return int(text)
+
+
 def config_from_fields(fields: dict) -> ScenarioConfig:
     """Inverse of Scenario.config_fields, for trace files."""
     try:
-        algorithm = fields["algorithm"]
-        size = int(fields["size"])
-        inserters = int(fields["inserters"])
-        blocking = fields["blocking"]
-        failure = fields["failure"]
-    except (KeyError, ValueError) as e:
+        algorithm, size, inserters, blocking, failure = (fields[k] for k in CONFIG_KEYS)
+    except KeyError as e:
         raise ScenarioError(f"incomplete scenario description: {e}") from e
     if blocking not in ("0", "1"):
         raise ScenarioError(f"blocking={blocking} is neither 0 nor 1")
@@ -157,8 +164,9 @@ def config_from_fields(fields: dict) -> ScenarioConfig:
             raise ScenarioError("the recovery scenario needs failure=nondet or a victim pid")
     elif failure != "none":
         raise ScenarioError(f"failure={failure} applies to the recovery scenario only")
-    fail_pid = None if failure in ("none", FAIL_NONDET) else int(failure)
+    fail_pid = None if failure in ("none", FAIL_NONDET) else parse_decimal("failure", failure)
     return ScenarioConfig(
-        algorithm=algorithm, size=size, inserters=inserters,
+        algorithm=algorithm, size=parse_decimal("size", size),
+        inserters=parse_decimal("inserters", inserters),
         blocking=blocking == "1", fail_pid=fail_pid,
     )

@@ -22,7 +22,12 @@ End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
 before the hangup is observable.
 
-Every operation logs the descriptors whose slots it writes in ``touched``.
+The table is one list, ``slots``, of immutable per-fd tuples (other, owner,
+flag, queue) at positions OTHER to QUEUE; a free slot is exactly FREE_SLOT.
+Only this module knows that layout: the explorer hashes each slot whole,
+and ``canon()`` transposes the slots into the canonical encoding's columns.
+
+Every slot write goes through ``_put``, which logs the fd in ``touched``.
 The log starts empty in a new table and in every ``clone()``; a clone is the
 table of one successor state, so its log names the fds one step wrote.
 ``check_touched`` checks the structural invariant on those fds and their
@@ -33,9 +38,8 @@ unwritten fd u can only break through a written peer p. Before the step p
 linked back to u; if it still does, p's own link check covers u's, and if
 it no longer does, the close that unlinked them wrote u's slot too.
 
-Every slot write must be logged, a ``read`` included, though a read breaks
-no invariant: the explorer's visited key re-hashes only the logged slots,
-so an unlogged write would leave the slot's old hash in the successor's key.
+The explorer's visited key relies on the same log: it re-hashes only the
+logged slots, so a read is logged too, though a read breaks no invariant.
 """
 
 from __future__ import annotations
@@ -63,6 +67,11 @@ RHS = 4
 
 FLAG_NAMES = {FREE: "free", AWAIT_ACCEPT: "await_accept", NEW: "new", LHS: "lhs", RHS: "rhs"}
 
+# Positions in a descriptor slot, the immutable tuple (other, owner, flag,
+# queue), and the one value of every unallocated slot.
+OTHER, OWNER, FLAG, QUEUE = range(4)
+FREE_SLOT = (INVALID_FD, UNOWNED, FREE, ())
+
 # Wake names that are not message commands; a message wake is named by the
 # command at the head of its channel. No protocol command collides with these.
 EVENT_CONNECT = "connect"
@@ -79,131 +88,123 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("conn_max", "qsz", "other", "owner", "flag", "queues", "touched")
+    __slots__ = ("qsz", "slots", "touched")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
             raise ValueError("conn_max must be >= 2 and qsz >= 1")
-        self.conn_max = conn_max
         self.qsz = qsz
-        self.other = [INVALID_FD] * conn_max
-        self.owner = [UNOWNED] * conn_max
-        self.flag = [FREE] * conn_max
-        self.queues: list[tuple] = [()] * conn_max
+        self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
 
     # -- lifecycle ---------------------------------------------------------
 
     def clone(self) -> "SocketTable":
         t = SocketTable.__new__(SocketTable)
-        t.conn_max = self.conn_max
         t.qsz = self.qsz
-        t.other = self.other[:]
-        t.owner = self.owner[:]
-        t.flag = self.flag[:]
-        t.queues = self.queues[:]
+        t.slots = self.slots[:]
         t.touched = []
         return t
 
     def canon(self) -> tuple:
-        # Queued messages are plain int tuples, already canonical.
-        return (tuple(self.other), tuple(self.owner), tuple(self.flag), tuple(self.queues))
+        # Columns (other, owner, flag, queues); messages are already canonical.
+        return tuple(zip(*self.slots))
+
+    def _put(self, fd: int, slot: tuple) -> None:
+        """The one slot write: store slot at fd and log fd in touched."""
+        self.slots[fd] = slot
+        self.touched.append(fd)
 
     # -- small accessors ----------------------------------------------------
 
+    @property
+    def conn_max(self) -> int:
+        return len(self.slots)
+
     def is_allocated(self, fd: int) -> bool:
-        return 0 <= fd < self.conn_max and self.flag[fd] != FREE
+        return 0 <= fd < len(self.slots) and self.slots[fd][FLAG] != FREE
 
     def other_of(self, fd: int) -> int:
-        return self.other[fd]
+        return self.slots[fd][OTHER]
 
     def flag_of(self, fd: int) -> int:
-        return self.flag[fd]
+        return self.slots[fd][FLAG]
 
     def owner_of(self, fd: int) -> int:
-        return self.owner[fd]
+        return self.slots[fd][OWNER]
 
     def queue_of(self, fd: int) -> tuple:
-        return self.queues[fd]
-
-    def owned_by(self, pid: int) -> list[int]:
-        return [fd for fd in range(self.conn_max) if self.owner[fd] == pid]
+        return self.slots[fd][QUEUE]
 
     def set_flag(self, fd: int, flag: int) -> None:
         if not self.is_allocated(fd):
             raise ContractViolation(f"set_flag on unallocated fd {fd}")
-        self.flag[fd] = flag
-        self.touched.append(fd)
+        other, owner, _, q = self.slots[fd]
+        self._put(fd, (other, owner, flag, q))
 
-    def _check_owner(self, pid: int, fd: int, op: str) -> None:
-        if not (0 <= fd < self.conn_max) or self.flag[fd] == FREE:
+    def _check_owner(self, pid: int, fd: int, op: str) -> tuple:
+        """fd's slot, once pid is known to own the allocated fd."""
+        slot = self.slots[fd] if 0 <= fd < len(self.slots) else FREE_SLOT
+        if slot[FLAG] == FREE:
             raise ContractViolation(f"{op} on unallocated fd {fd} by pid {pid}")
-        if self.owner[fd] != pid:
+        if slot[OWNER] != pid:
             raise ContractViolation(
-                f"{op} on fd {fd} by pid {pid}, owned by pid {self.owner[fd]}"
+                f"{op} on fd {fd} by pid {pid}, owned by pid {slot[OWNER]}"
             )
+        return slot
 
-    def _alloc(self) -> int:
-        for fd in range(self.conn_max):
-            if self.flag[fd] == FREE:
+    def _alloc(self, start: int = 0) -> int:
+        for fd in range(start, len(self.slots)):
+            if self.slots[fd][FLAG] == FREE:
                 return fd
         raise ModelSizingError(
-            f"descriptor table exhausted (conn_max={self.conn_max}); size the model larger"
+            f"descriptor table exhausted (conn_max={len(self.slots)}); size the model larger"
         )
 
     # -- operations ---------------------------------------------------------
 
-    def connect(self, client_pid: int, listener_pid: int) -> int:
+    def connect(self, client_pid: int, listener_pid: int, flag: int = NEW) -> int:
         """Open a connection to listener_pid; returns the client-side fd.
 
         The server half is allocated first (lower index) and parked in
-        AWAIT_ACCEPT until the listener accepts it. Both halves are linked
-        immediately, so the client may write before the accept happens.
+        AWAIT_ACCEPT until the listener accepts it; the client half gets flag.
+        Both halves are linked at once, so the client may write before the
+        accept happens.
         """
         server_fd = self._alloc()
-        self.flag[server_fd] = AWAIT_ACCEPT
-        self.owner[server_fd] = listener_pid
-        client_fd = self._alloc()
-        self.flag[client_fd] = NEW
-        self.owner[client_fd] = client_pid
-        self.other[server_fd] = client_fd
-        self.other[client_fd] = server_fd
-        self.touched += (server_fd, client_fd)
+        client_fd = self._alloc(server_fd + 1)
+        self._put(server_fd, (client_fd, listener_pid, AWAIT_ACCEPT, ()))
+        self._put(client_fd, (server_fd, client_pid, flag, ()))
         return client_fd
 
-    def accept(self, pid: int) -> int:
-        """Claim the lowest-index pending connection owned by pid."""
-        for fd in range(self.conn_max):
-            if self.owner[fd] == pid and self.flag[fd] == AWAIT_ACCEPT:
-                self.flag[fd] = NEW
-                self.touched.append(fd)
+    def accept(self, pid: int, flag: int = NEW) -> int:
+        """Claim the lowest-index pending connection owned by pid, flagged flag."""
+        for fd, (other, owner, old, q) in enumerate(self.slots):
+            if owner == pid and old == AWAIT_ACCEPT:
+                self._put(fd, (other, owner, flag, q))
                 return fd
         raise ContractViolation(f"accept by pid {pid} with no pending connection")
 
     def write(self, pid: int, fd: int, msg) -> None:
-        self._check_owner(pid, fd, "write")
-        if self.flag[fd] == AWAIT_ACCEPT:
+        peer, _, flag, _ = self._check_owner(pid, fd, "write")
+        if flag == AWAIT_ACCEPT:
             raise ContractViolation(f"write on fd {fd} before it was accepted")
-        peer = self.other[fd]
         if peer == INVALID_FD:
             raise BrokenConnectionError(f"write on fd {fd}: peer endpoint is closed")
-        q = self.queues[peer]
+        back, owner, peer_flag, q = self.slots[peer]
         if len(q) >= self.qsz:
             raise ModelSizingError(
                 f"channel of fd {peer} full (qsz={self.qsz}); size the model larger"
             )
-        self.queues[peer] = q + (msg,)
-        self.touched.append(peer)
+        self._put(peer, (back, owner, peer_flag, q + (msg,)))
 
     def read(self, pid: int, fd: int):
-        self._check_owner(pid, fd, "read")
-        if self.flag[fd] == AWAIT_ACCEPT:
+        other, owner, flag, q = self._check_owner(pid, fd, "read")
+        if flag == AWAIT_ACCEPT:
             raise ContractViolation(f"read on fd {fd} before it was accepted")
-        q = self.queues[fd]
         if not q:
             raise ContractViolation(f"read on fd {fd} with empty channel")
-        self.queues[fd] = q[1:]
-        self.touched.append(fd)
+        self._put(fd, (other, owner, flag, q[1:]))
         return q[0]
 
     def close(self, pid: int, fd: int) -> None:
@@ -217,24 +218,21 @@ class SocketTable:
         a no-op because nothing is owned any more.
         """
         closed = []
-        for fd in range(self.conn_max):
-            if self.owner[fd] == pid and self.flag[fd] != FREE:
+        for fd, (_, owner, flag, _) in enumerate(self.slots):
+            if owner == pid and flag != FREE:
                 self._close_slot(fd)
                 closed.append(fd)
         return closed
 
     def _close_slot(self, fd: int) -> None:
-        peer = self.other[fd]
-        if peer != INVALID_FD and self.flag[peer] != FREE:
-            # Half-close the survivor; its EOF becomes observable once its
-            # channel drains. Messages it already holds stay readable.
-            self.other[peer] = INVALID_FD
-            self.touched.append(peer)
-        self.other[fd] = INVALID_FD
-        self.owner[fd] = UNOWNED
-        self.flag[fd] = FREE
-        self.queues[fd] = ()  # undelivered inbound messages are discarded
-        self.touched.append(fd)
+        peer = self.slots[fd][OTHER]
+        if peer != INVALID_FD:
+            _, owner, flag, q = self.slots[peer]
+            if flag != FREE:
+                # Half-close the survivor; its EOF becomes observable once its
+                # channel drains. Messages it already holds stay readable.
+                self._put(peer, (INVALID_FD, owner, flag, q))
+        self._put(fd, FREE_SLOT)  # undelivered inbound messages are discarded
 
     # -- readiness ----------------------------------------------------------
 
@@ -251,19 +249,17 @@ class SocketTable:
         """
         events: dict[int, list[tuple[int, str]]] = {}
         connecting = set()  # pids whose connect wake is already listed
-        owner, other, queues = self.owner, self.other, self.queues
-        for fd, flag in enumerate(self.flag):
+        for fd, (other, pid, flag, q) in enumerate(self.slots):
             if flag == FREE:
                 continue
-            pid = owner[fd]
             if flag == AWAIT_ACCEPT:
                 if pid in connecting:
                     continue
                 connecting.add(pid)
                 name = EVENT_CONNECT
-            elif queues[fd]:
-                name = command_of(queues[fd][0])
-            elif other[fd] == INVALID_FD:
+            elif q:
+                name = command_of(q[0])
+            elif other == INVALID_FD:
                 name = EVENT_EOF
             else:
                 continue
@@ -275,15 +271,14 @@ class SocketTable:
     def dump(self) -> str:
         """One line per allocated descriptor, for debugging and replay output."""
         lines = []
-        for fd in range(self.conn_max):
-            if self.flag[fd] == FREE:
+        for fd, (other, owner, flag, q) in enumerate(self.slots):
+            if flag == FREE:
                 continue
-            other = self.other[fd]
             other_s = str(other) if other != INVALID_FD else "-"
-            cmds = ",".join(command_of(m) for m in self.queues[fd])
+            cmds = ",".join(command_of(m) for m in q)
             lines.append(
-                f"fd={fd} other={other_s} owner={self.owner[fd]} "
-                f"flag={FLAG_NAMES[self.flag[fd]]} queue=[{cmds}]"
+                f"fd={fd} other={other_s} owner={owner} "
+                f"flag={FLAG_NAMES[flag]} queue=[{cmds}]"
             )
         return "\n".join(lines)
 
@@ -295,7 +290,7 @@ class SocketTable:
         nothing. Wake soundness needs no check here: events are computed from
         these same structures, so it holds by construction once they do.
         """
-        self._check_fds(range(self.conn_max), dead_pids)
+        self._check_fds(range(len(self.slots)), dead_pids)
 
     def check_touched(self, dead_pids: frozenset[int] = frozenset()) -> None:
         """check_invariants on the fds written since clone() and their peers.
@@ -308,21 +303,20 @@ class SocketTable:
         touched = self.touched
         if not touched:
             return
-        other, n = self.other, self.conn_max
+        slots, n = self.slots, len(self.slots)
         fds = set(touched)
         for fd in touched:
-            peer = other[fd]
+            peer = slots[fd][OTHER]
             if 0 <= peer < n:
                 fds.add(peer)
         self._check_fds(sorted(fds), dead_pids)
 
     def _check_fds(self, fds, dead_pids: frozenset[int]) -> None:
-        flag, owners, other, queues = self.flag, self.owner, self.other, self.queues
-        qsz, n = self.qsz, self.conn_max
+        slots, qsz, n = self.slots, self.qsz, len(self.slots)
         for fd in fds:
-            f, owner, peer, q = flag[fd], owners[fd], other[fd], queues[fd]
-            if f == FREE:
-                if owner != UNOWNED or peer != INVALID_FD or q:
+            peer, owner, flag, q = slot = slots[fd]
+            if flag == FREE:
+                if slot != FREE_SLOT:
                     raise InvariantViolation(f"free slot {fd} is not clean")
                 continue
             if owner == UNOWNED:
@@ -332,9 +326,9 @@ class SocketTable:
             if len(q) > qsz:
                 raise InvariantViolation(f"channel of fd {fd} over capacity")
             if peer != INVALID_FD:
-                if not (0 <= peer < n) or flag[peer] == FREE:
+                if not (0 <= peer < n) or slots[peer][FLAG] == FREE:
                     raise InvariantViolation(f"fd {fd} links to unallocated fd {peer}")
-                if other[peer] != fd:
+                if slots[peer][OTHER] != fd:
                     raise InvariantViolation(f"asymmetric link {fd} -> {peer}")
 
 
@@ -346,9 +340,5 @@ def wire_ring(table: SocketTable, procs: list) -> None:
     n = len(procs)
     for i, p in enumerate(procs):
         q = procs[(i + 1) % n]
-        cfd = table.connect(p.pid, q.pid)
-        table.set_flag(cfd, RHS)
-        sfd = table.accept(q.pid)
-        table.set_flag(sfd, LHS)
-        p.rhs_fd = cfd
-        q.lhs_fd = sfd
+        p.rhs_fd = table.connect(p.pid, q.pid, RHS)
+        q.lhs_fd = table.accept(q.pid, LHS)

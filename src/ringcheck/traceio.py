@@ -18,14 +18,20 @@ same rendering ScheduleStep.render produces:
     ...
 
 outcome and violation are informational; replay re-derives both.
+
+A file is read only if render_trace could have written it: no header key but
+the ones above, every integer in canonical decimal (no plus sign, no leading
+zero) and every step line exactly as ScheduleStep.render writes it.
 """
 
 from __future__ import annotations
 
+from .errors import ScenarioError
 from .explorer import ScheduleStep
-from .scenarios import Scenario, ScenarioConfig, config_from_fields
+from .scenarios import CONFIG_KEYS, Scenario, ScenarioConfig, config_from_fields, parse_decimal
 
 MAGIC = "ringcheck-trace v1"
+HEADER_KEYS = CONFIG_KEYS + ("outcome", "violation", "steps")
 
 
 class TraceFormatError(Exception):
@@ -51,27 +57,21 @@ def write_trace(path, scenario: Scenario, steps, *, outcome=None, violation=None
         fh.write(render_trace(scenario, steps, outcome=outcome, violation=violation))
 
 
-STEP_KEYS = ("pid", "kind", "fd", "cmd")
-
-
 def _parse_step(line: str, lineno: int) -> ScheduleStep:
-    parts = line.split(" ")
-    fields = {}
-    for part in parts:
-        key, sep, value = part.partition("=")
-        if not sep or key not in STEP_KEYS or key in fields:
-            raise TraceFormatError(f"line {lineno}: malformed step token {part!r}")
-        fields[key] = value
+    """The step line names, if line is exactly how ScheduleStep.render writes it."""
+    fields = dict(part.partition("=")[::2] for part in line.split(" "))
     try:
-        pid = int(fields["pid"])
-        kind = fields["kind"]
-        fd = -1 if fields["fd"] == "-" else int(fields["fd"])
-        cmd = fields["cmd"]
+        fd = fields["fd"]
+        step = ScheduleStep(int(fields["pid"]), fields["kind"], -1 if fd == "-" else int(fd),
+                            fields["cmd"])
     except (KeyError, ValueError) as e:
         raise TraceFormatError(f"line {lineno}: bad step line: {e}") from e
-    if kind not in ("event", "action"):
-        raise TraceFormatError(f"line {lineno}: unknown step kind {kind!r}")
-    return ScheduleStep(pid, kind, fd, cmd)
+    if step.kind not in ("event", "action"):
+        raise TraceFormatError(f"line {lineno}: unknown step kind {step.kind!r}")
+    if step.render() != line:
+        raise TraceFormatError(f"line {lineno}: malformed step line {line!r}, "
+                               f"expected {step.render()!r}")
+    return step
 
 
 def parse_trace(text: str) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], dict]:
@@ -88,13 +88,15 @@ def parse_trace(text: str) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], di
         key, sep, value = line.partition("=")
         if not sep:
             raise TraceFormatError(f"line {idx}: expected key=value, got {line!r}")
+        if key not in HEADER_KEYS:
+            raise TraceFormatError(f"line {idx}: unknown header key {key!r}")
         if key in header:
             raise TraceFormatError(f"line {idx}: repeated header key {key!r}")
         header[key] = value
         if key == "steps":
             try:
-                nsteps = int(value)
-            except ValueError as e:
+                nsteps = parse_decimal(key, value)
+            except ScenarioError as e:
                 raise TraceFormatError(f"line {idx}: bad step count {value!r}") from e
             break
     if nsteps is None:

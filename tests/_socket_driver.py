@@ -4,7 +4,8 @@ The driver keeps its own mirror of what the world should look like, built
 from nothing but the operations it issued: which slots belong to which
 connection, who owns them, which serial numbers are queued where, and how
 many messages were sent, read, or discarded. After every operation the
-mirror is compared against the table through six independent checks:
+mirror is compared against the table through six independent checks, and
+every operation must log in ``touched`` each fd whose slot it replaced:
 
   symmetry      linked endpoints point at each other
   exclusivity   allocation and ownership match the mirror exactly
@@ -58,12 +59,24 @@ class Driver:
 
     # -- mirrored operations ------------------------------------------------
 
+    def _logged(self, op, *args):
+        """Run one table operation; every slot it replaced must be logged."""
+        t = self.table
+        before, mark = t.slots[:], len(t.touched)
+        result = op(*args)
+        logged = set(t.touched[mark:])
+        changed = {fd for fd, slot in enumerate(t.slots) if slot is not before[fd]}
+        assert changed <= logged, (
+            f"{op.__name__}{args} wrote fds {sorted(changed - logged)} without logging them"
+        )
+        return result
+
     def free_slot_count(self) -> int:
         return self.table.conn_max - len(self.slots)
 
     def op_connect(self, client: int, listener: int) -> None:
         before = {fd for fd in self.slots}
-        cfd = self.table.connect(client, listener)
+        cfd = self._logged(self.table.connect, client, listener)
         new = [fd for fd in range(self.table.conn_max)
                if self.table.flag_of(fd) != FREE and fd not in before]
         assert len(new) == 2 and cfd in new, "connect must allocate exactly two slots"
@@ -77,20 +90,20 @@ class Driver:
             fd for fd, s in self.slots.items()
             if s.owner == pid and not s.accepted
         )
-        fd = self.table.accept(pid)
+        fd = self._logged(self.table.accept, pid)
         assert fd == pending[0], "accept must claim the lowest pending slot"
         self.slots[fd].accepted = True
 
     def op_write(self, pid: int, fd: int) -> None:
         serial = self.next_serial
         self.next_serial += 1
-        self.table.write(pid, fd, message(NEW_RHS, hops=serial))
+        self._logged(self.table.write, pid, fd, message(NEW_RHS, hops=serial))
         peer = self.slots[fd].peer
         self.slots[peer].serials.append(serial)
         self.sent += 1
 
     def op_read(self, pid: int, fd: int) -> None:
-        msg = self.table.read(pid, fd)
+        msg = self._logged(self.table.read, pid, fd)
         expect = self.slots[fd].serials.pop(0)
         assert msg[HOPS] == expect, (
             f"fd {fd} delivered serial {msg[HOPS]}, FIFO order demands {expect}"
@@ -105,11 +118,11 @@ class Driver:
             self.slots[slot.peer].peer_closed = True
 
     def op_close(self, pid: int, fd: int) -> None:
-        self.table.close(pid, fd)
+        self._logged(self.table.close, pid, fd)
         self._mirror_close(fd)
 
     def op_inject_failure(self, pid: int) -> None:
-        self.table.inject_failure(pid)
+        self._logged(self.table.inject_failure, pid)
         for fd in [f for f, s in self.slots.items() if s.owner == pid]:
             self._mirror_close(fd)
         self.dead.add(pid)

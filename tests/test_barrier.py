@@ -2,7 +2,7 @@
 
 import pytest
 
-from ringcheck.barrier import client_reaches_barrier, handle_event
+from ringcheck.barrier import all_bits, client_reaches_barrier, handle_event
 from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
@@ -71,8 +71,8 @@ class TestTokens:
                         release_order.append(pid)
             if not moved:
                 break
-        assert g.bits.client_barrier_in == g.bits.all_bits
-        assert g.bits.client_barrier_out == g.bits.all_bits
+        assert g.bits.client_barrier_in == all_bits(g)
+        assert g.bits.client_barrier_out == all_bits(g)
         assert release_order[-1] == 0  # leader absorbs barrier_out, exits last
 
     def test_double_arrival_is_a_violation(self):
@@ -84,7 +84,7 @@ class TestTokens:
     def test_double_out_token_is_a_violation(self):
         scenario, g = barrier_state(2)
         m = g.procs[1]
-        g.bits.client_barrier_in = g.bits.all_bits
+        g.bits.client_barrier_in = all_bits(g)
         g.bits.client_barrier_out = 1 << 1
         g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_OUT))
         with pytest.raises(ProtocolViolation, match="barrier_out arrived twice"):
@@ -129,7 +129,7 @@ class TestBarrierExploration:
         def leader_last(g):
             bits = g.bits
             if bits.client_barrier_out & 1:
-                assert bits.client_barrier_out == bits.all_bits
+                assert bits.client_barrier_out == all_bits(g)
 
         stack = [scenario.initial_state()]
         seen = set()

@@ -1,13 +1,17 @@
 """Command line behavior: exit codes, report shapes, trace round trips."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ringcheck
+from ringcheck.cli import TABLE_HEADER
+from ringcheck.scenarios import ScenarioConfig
 
 
 def test_verified_run_exits_zero(run_cli):
@@ -324,3 +328,25 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "outcome: VERIFIED" in proc.stdout
+
+
+def test_run_tables_quick_sweep_prints_one_row_per_configuration():
+    # The script puts its checkout's src on sys.path itself.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_tables.py"
+    spec = importlib.util.spec_from_file_location("run_tables", script)
+    run_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_tables)
+    configs = run_tables.configs(quick=True)
+    proc = subprocess.run([sys.executable, str(script), "--quick"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count(TABLE_HEADER) == 1 and lines[0] == TABLE_HEADER
+    rows = [line.split() for line in lines if line[:1].strip()][1:]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (cfg.algorithm, cfg.size + cfg.inserters) for cfg in configs]
+    seq, seq_blocking = rows[-2:]
+    assert configs[-2] == ScenarioConfig("ring-seq", size=2, inserters=2)
+    assert seq[-1] == "VIOLATION"
+    assert configs[-1] == ScenarioConfig("ring-seq", size=2, inserters=2, blocking=True)
+    assert seq_blocking[-1] == "VERIFIED"

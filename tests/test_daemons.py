@@ -57,9 +57,13 @@ def deliver(g, pid, cmd=None):
     raise AssertionError(f"pid {pid} has no matching ready event")
 
 
+def owned_by(g, pid):
+    return [fd for fd in range(g.sockets.conn_max) if g.sockets.owner_of(fd) == pid]
+
+
 def queued_cmds(g, pid):
     out = []
-    for fd in g.sockets.owned_by(pid):
+    for fd in owned_by(g, pid):
         out += [command_of(m) for m in g.sockets.queue_of(fd)]
     return out
 
@@ -135,7 +139,7 @@ class TestParallelSplice:
         g = self.g
         deliver(g, 0, cmd=NEW_RHS)
         # Entry pid 0's left neighbor is pid 2; the update is addressed to it.
-        updates = [m for fd in g.sockets.owned_by(2)
+        updates = [m for fd in owned_by(g, 2)
                    for m in g.sockets.queue_of(fd) if command_of(m) == RHS2INFO]
         assert len(updates) == 1
         assert updates[0][A] == 2
@@ -222,7 +226,7 @@ class TestNewLhs:
         nfd = g.sockets.connect(3, 2)
         g.sockets.write(3, nfd, message(NEW_LHS, a=3))
         g.sockets.accept(2)
-        sfd = [fd for fd in g.sockets.owned_by(2) if g.sockets.queue_of(fd)][0]
+        sfd = [fd for fd in owned_by(g, 2) if g.sockets.queue_of(fd)][0]
         handle_event(g, d, sfd, NEW_LHS)
         assert d.pending_rhs2_for == 3
         assert g.sockets.queue_of(nfd) == ()
@@ -286,7 +290,7 @@ class TestSequentialEntry:
         deliver(g, 0, cmd=RHS_INFO_RETURN)
         assert entry.pending_requesters == ()
         # The overlap hands both inserters the same coordinates.
-        answers = [m[A] for pid in (2, 3) for fd in g.sockets.owned_by(pid)
+        answers = [m[A] for pid in (2, 3) for fd in owned_by(g, pid)
                    for m in g.sockets.queue_of(fd) if command_of(m) == RHS_INFO_RETURN]
         assert answers == [1, 1]
 
@@ -325,7 +329,6 @@ class TestTrace:
 
     def test_overlong_circulation_is_a_violation(self):
         scenario, g = ring_state("trace", 2)
-        g.trace.started = True
         g.trace.initiator = 0
         ids = (0, 1)
         g.sockets.write(0, g.procs[0].rhs_fd, message(

@@ -45,7 +45,7 @@ from ringcheck.messages import (
     TRACE_REQ,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import SocketTable
+from ringcheck.sockets import OTHER, QUEUE, SocketTable
 
 
 def scenario_for(algorithm, **kw):
@@ -354,8 +354,8 @@ class TestEncodingIsTheState:
             calls.append(g)
             key = encode(g)
             assert marshal.loads(key) == g.canon()
-            for q in g.sockets.queues:
-                for m in q:
+            for slot in g.sockets.slots:
+                for m in slot[QUEUE]:
                     assert type(m) is tuple and len(m) == 6
                     assert type(m[CMD]) is int and 0 <= m[CMD] < len(ALL_COMMANDS)
             return key
@@ -483,8 +483,7 @@ class TestIncrementalKey:
             data = marshal.dumps((pos, c), 2)
             return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
-        total = sum(h(fd, (t.other[fd], t.owner[fd], t.flag[fd], t.queues[fd]))
-                    for fd in range(t.conn_max))
+        total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
         total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
         total += h(-2, g.bits.canon())
         assert state_key(g, {}) == total % 2**128
@@ -577,9 +576,11 @@ class TestIncrementalChecks:
 
         def one_way(g, d, fd, msg):
             real(g, d, fd, msg)  # reads and flags fd, so fd is touched
-            peer = g.sockets.other[fd]
+            slots = g.sockets.slots
+            peer = slots[fd][OTHER]
             if peer >= 0:
-                g.sockets.other[peer] = -1  # the peer forgets the link, fd does not
+                # The peer forgets the link, fd does not; the write is not logged.
+                slots[peer] = (-1,) + slots[peer][OTHER + 1:]
 
         monkeypatch.setitem(daemons_mod._DISPATCH, NEW_LHS, one_way)
         with pytest.raises(InvariantViolation, match="asymmetric link"):

@@ -7,6 +7,7 @@ only as good as these rejections.
 
 import pytest
 
+from ringcheck.barrier import all_bits
 from ringcheck.daemons import DEAD, ENTERING_LHS
 from ringcheck.errors import PropertyViolation
 from ringcheck.explorer import EVERY_STATE, QUIESCENCE_ONLY
@@ -149,8 +150,6 @@ class TestTraceCompletion:
     def setup_method(self):
         self.g = ring(3)
         t = self.g.trace
-        t.started = True
-        t.done = True
         t.initiator = 0
         t.collected = tuple(d.pid for d in self.g.procs)
 
@@ -175,12 +174,12 @@ class TestTraceCompletion:
             "Identity(host='node2', port=9002),Identity(host='node0', port=9000)]")
 
     def test_unstarted_episode_fails(self):
-        self.g.trace.started = False
+        self.g.trace.initiator = -1
         with pytest.raises(PropertyViolation, match="never started"):
             check_trace_completion(self.g)
 
     def test_unfinished_episode_fails(self):
-        self.g.trace.done = False
+        self.g.trace.collected = ()
         with pytest.raises(PropertyViolation, match="never completed"):
             check_trace_completion(self.g)
 
@@ -203,7 +202,7 @@ class TestBarrierChecks:
 
     def test_release_with_parked_token_fails(self):
         g = barrier(2)
-        g.bits.client_barrier_in = g.bits.all_bits
+        g.bits.client_barrier_in = all_bits(g)
         g.bits.client_barrier_out = 0b01
         g.procs[1].holding_barrier_in = True
         with pytest.raises(PropertyViolation, match="still parked"):
@@ -211,23 +210,23 @@ class TestBarrierChecks:
 
     def test_finished_episode_passes_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = g.bits.all_bits
-        g.bits.client_barrier_out = g.bits.all_bits
+        g.bits.client_barrier_in = all_bits(g)
+        g.bits.client_barrier_out = all_bits(g)
         for m in g.procs:
             m.sent_barrier_in = m.sent_barrier_out = True
         check_barrier_end(g)
 
     def test_unreleased_client_fails_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = g.bits.all_bits
+        g.bits.client_barrier_in = all_bits(g)
         g.bits.client_barrier_out = 0b01
         with pytest.raises(PropertyViolation, match="release bits"):
             check_barrier_end(g)
 
     def test_token_never_passed_fails_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = g.bits.all_bits
-        g.bits.client_barrier_out = g.bits.all_bits
+        g.bits.client_barrier_in = all_bits(g)
+        g.bits.client_barrier_out = all_bits(g)
         with pytest.raises(PropertyViolation, match="never passed"):
             check_barrier_end(g)
 

@@ -1,11 +1,15 @@
 """Scenario validation, sizing and initial wiring."""
 
+import re
+
 import pytest
 
+from ringcheck.barrier import all_bits
 from ringcheck.daemons import ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, begin_insertion
 from ringcheck.errors import ScenarioError
 from ringcheck.scenarios import (
     ALGORITHMS,
+    CONFIG_KEYS,
     FAIL_NONDET,
     ScenarioConfig,
     build_scenario,
@@ -115,7 +119,7 @@ class TestInitialState:
     def test_barrier_ring_is_wired_and_idle(self):
         sc = build_scenario(ScenarioConfig("barrier", size=4))
         g = sc.initial_state()
-        assert g.bits.n == 4 and g.bits.all_bits == 0b1111
+        assert len(g.procs) == 4 and all_bits(g) == 0b1111
         assert g.bits.client_barrier_in == 0 == g.bits.client_barrier_out
         assert g.trace is None
         for i, m in enumerate(g.procs):
@@ -150,3 +154,20 @@ class TestConfigRoundtrip:
     def test_incomplete_fields_are_rejected(self):
         with pytest.raises(ScenarioError, match="incomplete"):
             config_from_fields({"algorithm": "ring-par"})
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fields_are_written_under_the_keys_read(self, algorithm):
+        sc = build_scenario(ScenarioConfig(algorithm, size=2))
+        assert tuple(sc.config_fields()) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("key,text", [
+        ("size", "+2"), ("size", "02"), ("size", " 2"), ("size", "2_0"), ("size", "two"),
+        ("inserters", "-0"), ("failure", "01"),
+    ])
+    def test_integers_must_be_canonical_decimal(self, key, text):
+        fields = {"algorithm": "recovery", "size": "3", "inserters": "0",
+                  "blocking": "0", "failure": "1"}
+        config_from_fields(fields)
+        complaint = re.escape(f"{key}={text} is not a decimal integer")
+        with pytest.raises(ScenarioError, match=complaint):
+            config_from_fields({**fields, key: text})

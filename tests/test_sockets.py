@@ -17,6 +17,9 @@ from ringcheck.sockets import (
     INVALID_FD,
     LHS,
     NEW,
+    OTHER,
+    OWNER,
+    QUEUE,
     RHS,
     UNOWNED,
     SocketTable,
@@ -25,6 +28,13 @@ from ringcheck.sockets import (
 
 def make_table(conn_max=8, qsz=4):
     return SocketTable(conn_max, qsz)
+
+
+def poke(t, fd, pos, value):
+    """Overwrite one field of fd's slot behind the table's back, unlogged."""
+    slot = list(t.slots[fd])
+    slot[pos] = value
+    t.slots[fd] = tuple(slot)
 
 
 class TestConnectAccept:
@@ -161,7 +171,7 @@ class TestClose:
         t.accept(2)
         closed = t.inject_failure(1)
         assert sorted(closed) == sorted([c1, c2])
-        assert t.owned_by(1) == []
+        assert [fd for fd in range(t.conn_max) if t.owner_of(fd) == 1] == []
         assert t.inject_failure(1) == []  # nothing left the second time
 
     def test_closing_an_awaiting_slot_refuses_the_connection(self):
@@ -249,34 +259,34 @@ class TestCloneAndCanon:
 
 
 def _dirty_free_slot(t):
-    t.owner[5] = 3
+    poke(t, 5, OWNER, 3)
 
 
 def _unowned_fd(t):
     t.connect(1, 2)
-    t.owner[1] = UNOWNED
+    poke(t, 1, OWNER, UNOWNED)
 
 
 def _overfull_channel(t):
     t.connect(1, 2)
     t.accept(2)
-    t.queues[0] = (message(NEW_RHS),) * (t.qsz + 1)
+    poke(t, 0, QUEUE, (message(NEW_RHS),) * (t.qsz + 1))
 
 
 def _link_to_free_slot(t):
     t.connect(1, 2)
-    t.other[0] = 6
+    poke(t, 0, OTHER, 6)
 
 
 def _link_out_of_range(t):
     t.connect(1, 2)
-    t.other[0] = t.conn_max
+    poke(t, 0, OTHER, t.conn_max)
 
 
 def _asymmetric_link(t):
     t.connect(1, 2)
     t.connect(3, 4)
-    t.other[1] = 2
+    poke(t, 1, OTHER, 2)
 
 
 # Each corruption of a fresh table and the exact report it must produce.
@@ -324,7 +334,7 @@ class TestInvariantChecker:
     def test_detects_asymmetric_links(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        t.other[cfd] = cfd  # corrupt on purpose
+        poke(t, cfd, OTHER, cfd)  # corrupt on purpose
         with pytest.raises(InvariantViolation):
             t.check_invariants()
 
@@ -336,6 +346,6 @@ class TestInvariantChecker:
 
     def test_detects_dirty_free_slot(self):
         t = make_table()
-        t.owner[5] = 3
+        poke(t, 5, OWNER, 3)
         with pytest.raises(InvariantViolation):
             t.check_invariants()

@@ -65,10 +65,22 @@ def test_empty_schedule_is_representable():
     (lambda t: t.replace("algorithm=ring-par\n", ""), "bad scenario header"),
     (lambda t: t.replace("size=2\n", "size=2\nsize=3\n"), "repeated header key 'size'"),
     (lambda t: t.replace("cmd=begin_insertion", "cmd=begin_insertion pid=3", 1),
-     "malformed step token 'pid=3'"),
+     "malformed step line '[^']* pid=3'"),
     (lambda t: t.replace("cmd=begin_insertion", "cmd=begin_insertion junk=1", 1),
-     "malformed step token 'junk=1'"),
+     "malformed step line '[^']* junk=1'"),
     (lambda t: t.replace("blocking=0", "blocking=7"), "bad scenario header: blocking=7"),
+    # Text that parses but that render_trace never writes.
+    (lambda t: t.replace("size=2\n", "size=2\nfrobnicate=1\n"),
+     "unknown header key 'frobnicate'"),
+    (lambda t: t.replace("size=2\n", "size=+2\n"),
+     r"bad scenario header: size=\+2 is not a decimal integer"),
+    (lambda t: t.replace("pid=2 ", "pid=+2 ", 1),
+     r"malformed step line 'pid=\+2 kind=[^']*', expected 'pid=2 kind="),
+    (lambda t: t.replace("pid=2 ", "pid=02 ", 1),
+     "malformed step line 'pid=02 kind=[^']*', expected 'pid=2 kind="),
+    (lambda t: t.replace("fd=- cmd=begin_insertion", "fd=-1 cmd=begin_insertion", 1),
+     "malformed step line 'pid=2 kind=action fd=-1 cmd=begin_insertion', "
+     "expected 'pid=2 kind=action fd=- cmd=begin_insertion'"),
 ])
 def test_damaged_files_are_rejected(mutate, complaint):
     sc, steps = sample()
