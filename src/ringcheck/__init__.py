@@ -10,13 +10,16 @@ recorded second-right neighbors, a circulating ring trace, and a token
 barrier across a manager ring. Each protocol module owns its whole model:
 it builds the initial state (initial_state), lists the properties to check
 (properties), lists its enabled steps (steps) and runs them (act,
-handle_event). scenarios only validates and sizes. explorer imports neither:
-it runs whichever protocol the scenario names as a checkable transition
-system, with depth-first search over every handler interleaving with state
-hashing, plus one walk loop over the exact same step relation that serves
-both seeded random simulation and schedule replay. A walk stops at the first
-failure and keeps the failing step in its trace, so the trace replays to the
-same failure.
+handle_event). scenarios only validates and sizes. explorer imports none
+of daemons, barrier, properties and scenarios: a state is the descriptor
+table, the process records and one episode record that only its protocol
+module reads, and explorer runs whichever protocol the scenario names as a
+checkable transition system, with depth-first search over every handler
+interleaving with state hashing, plus one walk loop over the exact same step
+relation that serves both seeded random simulation and schedule replay.
+Search and walk check each state through one function. A walk stops at the
+first failure and keeps the failing step in its trace, so the trace replays
+to the same failure.
 """
 
 from .errors import (

@@ -71,9 +71,9 @@ class ManagerState:
 class BarrierBits:
     """Global client bit vectors for one barrier episode.
 
-    States share one record until a step writes it; the writer,
-    client_reaches_barrier or _on_barrier_out, replaces g.bits with a clone
-    first.
+    It is a barrier state's episode record. States share one record until a
+    step writes it; the writer, client_reaches_barrier or _on_barrier_out,
+    replaces g.episode with a clone first.
     """
 
     __slots__ = ("client_barrier_in", "client_barrier_out")
@@ -91,6 +91,13 @@ class BarrierBits:
     def canon(self) -> tuple:
         return (self.client_barrier_in, self.client_barrier_out)
 
+    def columns(self) -> tuple:
+        return ((), self.canon())  # the trace column stays empty
+
+    def dump(self, g) -> str:
+        n = len(g.procs)  # one bit per manager
+        return f"bits in={self.client_barrier_in:0{n}b} out={self.client_barrier_out:0{n}b}"
+
 
 def all_bits(g) -> int:
     """The bit vector with every manager's client bit set."""
@@ -102,7 +109,7 @@ def initial_state(sc) -> GlobalState:
     table = SocketTable(sc.conn_max, sc.qsz)
     procs = [ManagerState(i) for i in range(sc.n_initial)]
     wire_ring(table, procs)
-    return GlobalState(sc, table, procs, trace=None, bits=BarrierBits())
+    return GlobalState(sc, table, procs, BarrierBits())
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:
@@ -127,7 +134,7 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
-    bits = g.bits = g.bits.clone()
+    bits = g.episode = g.episode.clone()
     bit = 1 << m.pid
     if bits.client_barrier_in & bit:
         raise ProtocolViolation(f"m{m.pid}: client arrived twice in one episode")
@@ -143,14 +150,14 @@ def _on_barrier_in(g, m: ManagerState) -> None:
     if m.is_leader:
         # Token returned: every client is in, start releasing.
         _send_token(g, m, BARRIER_OUT)
-    elif g.bits.client_barrier_in & (1 << m.pid):
+    elif g.episode.client_barrier_in & (1 << m.pid):
         _send_token(g, m, BARRIER_IN)
     else:
         m.holding_barrier_in = True
 
 
 def _on_barrier_out(g, m: ManagerState) -> None:
-    bits = g.bits = g.bits.clone()
+    bits = g.episode = g.episode.clone()
     bit = 1 << m.pid
     if bits.client_barrier_out & bit:
         raise ProtocolViolation(f"m{m.pid}: barrier_out arrived twice")
@@ -170,7 +177,7 @@ def steps(g) -> list[ScheduleStep]:
     client's arrival while that client has not arrived.
     """
     ready = g.sockets.ready_events()
-    arrived = g.bits.client_barrier_in
+    arrived = g.episode.client_barrier_in
     out: list[ScheduleStep] = []
     for m in g.procs:
         pid = m.pid

@@ -161,9 +161,10 @@ class DaemonState:
 class TraceState:
     """Bookkeeping for one ring trace episode; collected holds pids.
 
-    States share one record until a step writes it; the writer, start_trace
-    (which sets initiator) or the initiator's _on_trace_req (which sets
-    collected), replaces g.trace with a clone first.
+    It is a ring state's episode record. States share one record until a
+    step writes it; the writer, start_trace (which sets initiator) or the
+    initiator's _on_trace_req (which sets collected), replaces g.episode
+    with a clone first.
     """
 
     __slots__ = ("initiator", "collected")
@@ -189,6 +190,15 @@ class TraceState:
     def canon(self) -> tuple:
         return (int(self.started), self.initiator, self.collected, int(self.done))
 
+    def columns(self) -> tuple:
+        return (self.canon(), ())  # the trace column; the barrier bits stay empty
+
+    def dump(self, g) -> str:
+        if not self.started:
+            return ""
+        ids = ",".join(f"n{pid}" for pid in self.collected)
+        return f"trace initiator={self.initiator} done={int(self.done)} collected=[{ids}]"
+
 
 def initial_state(sc) -> GlobalState:
     """The first n_initial daemons wired into a settled ring, the inserters idle."""
@@ -202,7 +212,7 @@ def initial_state(sc) -> GlobalState:
         d.rhs2_id = (i + 2) % m
         d.lhs_id = (i - 1) % m
         d.phase = IN_RING
-    return GlobalState(sc, table, procs, trace=TraceState(), bits=None)
+    return GlobalState(sc, table, procs, TraceState())
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:
@@ -259,7 +269,7 @@ def inject_failure(g, pid: int) -> None:
 
 def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
-    t = g.trace = g.trace.clone()
+    t = g.episode = g.episode.clone()
     t.initiator = d.pid
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
 
@@ -298,7 +308,7 @@ def steps(g) -> list[ScheduleStep]:
             out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
         if armed and (failure == FAIL_NONDET or failure == pid):
             out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
-    if not out and sc.trace_enabled and not g.trace.started:
+    if not out and sc.trace_enabled and not g.episode.started:
         first = next((pid for pid in range(len(procs)) if pid not in dead), None)
         if first is not None:
             out.append(ScheduleStep(first, KIND_ACTION, -1, ACT_START_TRACE))
@@ -466,7 +476,10 @@ def _on_rhs_info_request(g, d, fd, msg):
         # An entering daemon asks who sits on my right. Pass the question on
         # and remember the asker; answers are relayed strictly in FIFO order,
         # with nothing stopping two pending askers from getting the same
-        # coordinates.
+        # coordinates. Between an EOF on my right side and the new_rhs that
+        # replaces it there is nobody to ask.
+        if d.rhs_fd == INVALID_FD:
+            raise ProtocolViolation(f"d{d.pid}: cannot forward rhs_info_request, right side gone")
         g.sockets.write(d.pid, d.rhs_fd, message(RHS_INFO_REQUEST))
         d.pending_requesters = d.pending_requesters + (fd,)
         if g.scenario.seq_blocking:
@@ -502,11 +515,11 @@ def _on_rhs_info_return(g, d, fd, msg):
 
 
 def _on_trace_req(g, d, fd, msg):
-    t = g.trace
+    t = g.episode
     if not t.started:
         raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
     if t.initiator == d.pid:
-        t = g.trace = t.clone()
+        t = g.episode = t.clone()
         t.collected = msg[IDS]
         g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))
         return
@@ -519,7 +532,7 @@ def _on_trace_req(g, d, fd, msg):
 
 
 def _on_trace_done(g, d, fd, msg):
-    if g.trace.initiator == d.pid:
+    if g.episode.initiator == d.pid:
         return  # completion report absorbed after its full circuit
     g.sockets.write(d.pid, d.rhs_fd, msg)
 

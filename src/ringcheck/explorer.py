@@ -1,35 +1,39 @@
 """Explicit-state exploration over the simulated socket world.
 
 A GlobalState carries every mutable piece of a scenario: the descriptor
-table, all per-process records and the episode bookkeeping. States are
-canonically encodable; the encoding is injective over the scenario's state
-space, so the visited set prunes exactly the states already expanded.
+table, all per-process records and one episode record, whose fields only its
+protocol module reads. States are canonically encodable; the encoding is
+injective over the scenario's state space, so the visited set prunes exactly
+the states already expanded.
 
 The model already holds its canonical form, in the manner of SPIN's flat
 state vector (Holzmann, "State compression in SPIN", 1997): daemons name
 each other by pid, and a queued message is a plain int tuple
 (cmd index, a, b, origin, ids, hops) with -1 for an absent party. A state's
-encoding is therefore the marshal of its own fields:
+encoding is therefore the marshal of its own fields, in four columns:
 
     (sockets: (other, owner, flag, queues),
      processes: (one field tuple per pid),
      trace: (started, initiator, collected pids, done) or (),
      barrier bits: (client_barrier_in, client_barrier_out) or ())
 
+The episode record fills one of the last two columns and leaves the other
+empty (its columns method), so the explorer never names the record's type.
+
 A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
 record with its predecessor (copy on write: apply copies the acting one).
-The episode records, the trace and the barrier bits, are shared the same
-way: the few handlers that write one copy it first. The ready events of all
-processes come from one pass over the descriptor table.
+The episode record is shared the same way: the few handlers that write it
+copy it first. The ready events of all processes come from one pass over
+the descriptor table.
 
 The visited set does not store encodings. It stores a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
 tuple (hashed whole; its layout is the socket table's), each process record
-and each episode record, hashed with its position (state_key). A successor's
+and the episode record, hashed with its position (state_key). A successor's
 key is its predecessor's plus the difference of the hashes of the components
 its step replaced: the fds its socket table logged as written, the acting
-pid's record, and an episode record the step swapped for a copy. So a
+pid's record, and the episode record if the step swapped it for a copy. So a
 stored state costs what its step touched, in the manner of Nguyen & Ruys,
 "Incremental hashing for SPIN" (SPIN 2008). encode(g) stays the definition
 of state equality: two states get one key exactly when their encodings are
@@ -51,9 +55,9 @@ state's enabled steps in a fixed order (steps) and runs one (act for a
 spontaneous action, handle_event for a wake, whose step cmd is the name the
 socket table gave the wake).
 Quiescence is the absence of any step at all, and is where the end-state
-properties are evaluated; a state with undeliverable or unconsumed messages
-is never quiescent and therefore never satisfies a quiescence-only property
-by accident.
+properties are evaluated (checked_steps, the one state check of search and
+walk); a state with undeliverable or unconsumed messages is never quiescent
+and therefore never satisfies a quiescence-only property by accident.
 
 Verification is a depth-first search with state hashing. Every other run of
 a schedule is a walk: one loop that asks a chooser for the next step, refuses
@@ -104,6 +108,10 @@ class ScheduleStep(NamedTuple):
 class GlobalState:
     """Everything mutable in one scenario instant.
 
+    episode is the protocol's record of the running episode. It supplies
+    its two encoding columns (columns), its flat component tuple for the
+    visited key (canon) and its dump line (dump, "" for none).
+
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
@@ -115,15 +123,13 @@ class GlobalState:
     call, so a computed key never goes stale.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "trace", "bits", "derived_dead",
-                 "_key", "_link")
+    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "_key", "_link")
 
-    def __init__(self, scenario, sockets, procs, trace=None, bits=None):
+    def __init__(self, scenario, sockets, procs, episode):
         self.scenario = scenario  # static, shared across all derived states
         self.sockets = sockets
         self.procs = procs
-        self.trace = trace
-        self.bits = bits
+        self.episode = episode
         self.derived_dead = None
         self._key = None
         self._link = None
@@ -134,8 +140,7 @@ class GlobalState:
         g.scenario = self.scenario
         g.sockets = self.sockets.clone()
         g.procs = self.procs[:]
-        g.trace = self.trace  # copied by the handler that writes it
-        g.bits = self.bits  # likewise
+        g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
         g._key = None
         g._link = None
@@ -149,27 +154,12 @@ class GlobalState:
         return dead
 
     def canon(self) -> tuple:
-        return (
-            self.sockets.canon(),
-            tuple([p.canon() for p in self.procs]),
-            self.trace.canon() if self.trace is not None else (),
-            self.bits.canon() if self.bits is not None else (),
-        )
+        return (self.sockets.canon(), tuple([p.canon() for p in self.procs]),
+                *self.episode.columns())
 
     def dump(self) -> str:
         lines = [p.summary() for p in self.procs]
-        if self.bits is not None:
-            lines.append(  # one bit per manager
-                f"bits in={self.bits.client_barrier_in:0{len(self.procs)}b} "
-                f"out={self.bits.client_barrier_out:0{len(self.procs)}b}"
-            )
-        if self.trace is not None and self.trace.started:
-            ids = ",".join(f"n{pid}" for pid in self.trace.collected)
-            lines.append(f"trace initiator={self.trace.initiator} done={int(self.trace.done)} "
-                         f"collected=[{ids}]")
-        sock = self.sockets.dump()
-        if sock:
-            lines.append(sock)
+        lines += [part for part in (self.episode.dump(self), self.sockets.dump()) if part]
         return "\n".join(lines)
 
 
@@ -189,12 +179,11 @@ def state_digest(g: GlobalState) -> bytes:
 
 
 # The hash memo is cleared at this size: unbounded, it grew peak RSS by
-# 1.6 MB on barrier 13, whose bits record is almost unique per state.
+# 1.6 MB on barrier 13, whose episode record is almost unique per state.
 MEMO_LIMIT = 1024
 
 _KEY_MASK = (1 << 128) - 1
-TRACE_POS = -1
-BITS_POS = -2
+EPISODE_POS = -1
 
 
 def _component_hash(pos: int, c: tuple, memo: dict) -> int:
@@ -217,15 +206,15 @@ def state_key(g: GlobalState, memo: dict) -> int:
     """The visited key of g: the sum mod 2**128 of its component hashes.
 
     The components are each fd's slot tuple at position fd, each process
-    record at position len(slots) + pid, and the trace and the barrier bits,
-    when the state has them, at positions -1 and -2. A state with a _link
-    updates its predecessor's key at the components its step may have
-    replaced: the fds its table logged in touched, the acting pid's record,
-    and an episode record that is no longer the predecessor's object. Any
-    other state sums every component. memo maps (position, component) to its hash; one
-    search shares one memo. Unequal states collide with chance 2**-128 per
-    pair, below 1e-20 across even 10**9 stored states, so exhaustiveness is
-    not meaningfully weakened.
+    record at position len(slots) + pid, and the episode record's canon()
+    at position -1. A state with a _link updates its predecessor's key at
+    the components its step may have replaced: the fds its table logged in
+    touched, the acting pid's record, and the episode record if it is no
+    longer the predecessor's object. Any other state sums every component.
+    memo maps (position, component) to its hash; one search shares one
+    memo. Unequal states collide with chance 2**-128 per pair, below 1e-20
+    across even 10**9 stored states, so exhaustiveness is not meaningfully
+    weakened.
     """
     key = g._key
     if key is not None:
@@ -239,10 +228,7 @@ def state_key(g: GlobalState, memo: dict) -> int:
             key += _component_hash(fd, slot, memo)
         for pid, p in enumerate(g.procs):
             key += _component_hash(base + pid, p.canon(), memo)
-        if g.trace is not None:
-            key += _component_hash(TRACE_POS, g.trace.canon(), memo)
-        if g.bits is not None:
-            key += _component_hash(BITS_POS, g.bits.canon(), memo)
+        key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
     else:
         g._link = None
         prev, pid = link
@@ -254,12 +240,9 @@ def state_key(g: GlobalState, memo: dict) -> int:
         pos = base + pid
         key += _component_hash(pos, g.procs[pid].canon(), memo) - _component_hash(
             pos, prev.procs[pid].canon(), memo)
-        if g.trace is not prev.trace:
-            key += _component_hash(TRACE_POS, g.trace.canon(), memo) - _component_hash(
-                TRACE_POS, prev.trace.canon(), memo)
-        if g.bits is not prev.bits:
-            key += _component_hash(BITS_POS, g.bits.canon(), memo) - _component_hash(
-                BITS_POS, prev.bits.canon(), memo)
+        if g.episode is not prev.episode:
+            key += _component_hash(EPISODE_POS, g.episode.canon(), memo) - _component_hash(
+                EPISODE_POS, prev.episode.canon(), memo)
     key &= _KEY_MASK
     g._key = key
     return key
@@ -343,6 +326,20 @@ def run_properties(g: GlobalState, props: Iterable[Property], when: str) -> None
                 raise PropertyViolation(f"{prop.kind}: {e}") from e
 
 
+def checked_steps(g: GlobalState, properties: Iterable[Property]) -> list[ScheduleStep]:
+    """g's enabled steps, once g passed its properties; the one state check.
+
+    The every-state properties run on every state, the quiescence ones only
+    on a state with no step, in the order properties lists them. A failure
+    raises PropertyViolation.
+    """
+    steps = enabled_steps(g)
+    run_properties(g, properties, EVERY_STATE)
+    if not steps:
+        run_properties(g, properties, QUIESCENCE_ONLY)
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 # ---------------------------------------------------------------------------
@@ -354,7 +351,6 @@ def explore(
     *,
     max_depth: int = 1_000_000,
     max_states: int = 50_000_000,
-    on_quiescent: Callable[[GlobalState], None] | None = None,
 ) -> VerificationReport:
     """Depth-first search with state hashing over every interleaving.
 
@@ -365,7 +361,8 @@ def explore(
     and sits at depth 0.
 
     Properties run only on newly stored states, after the visited-set
-    lookup, which is why the search does not share walk's loop.
+    lookup, which is why the search does not share walk's loop; it shares
+    walk's state check, checked_steps.
     """
     t0 = time.perf_counter()
     init = scenario.initial_state()
@@ -388,22 +385,12 @@ def explore(
         )
 
     path: list[ScheduleStep] = []
-
-    def inspect(state, steps):
-        """Property checks for a newly stored state; returns nothing or raises."""
-        run_properties(state, properties, EVERY_STATE)
-        if not steps:
-            run_properties(state, properties, QUIESCENCE_ONLY)
-            if on_quiescent is not None:
-                on_quiescent(state)
-
     # Each frame: (state, its enabled steps, index of the next step to try).
     stack: list[list] = []
     state = init  # newly stored, reached by path; the root is no exception
     try:
         while True:
-            steps = enabled_steps(state)
-            inspect(state, steps)
+            steps = checked_steps(state, properties)
             if stored >= max_states:
                 return report(RESOURCE_LIMIT, violation="state budget exhausted",
                               trace=tuple(path))
@@ -483,10 +470,7 @@ def walk(
     taken: list[ScheduleStep] = []
     try:
         while True:
-            steps = enabled_steps(g)
-            run_properties(g, properties, EVERY_STATE)
-            if not steps:
-                run_properties(g, properties, QUIESCENCE_ONLY)
+            steps = checked_steps(g, properties)
             step = choose(steps)
             if step is None:
                 return WalkReport(tuple(taken), g, not steps)
@@ -501,7 +485,8 @@ def walk(
                     on_step(step, g, after)
             g = after
     except CheckError as e:
-        return WalkReport(tuple(taken), g, not steps, str(e))
+        # g failed a property, or is the state the failing step started from.
+        return WalkReport(tuple(taken), g, not enabled_steps(g), str(e))
     raise ContractViolation(f"step {len(taken) + 1} is not enabled here: {step.render()}")
 
 

@@ -120,7 +120,7 @@ def check_neighbor_state(g) -> None:
 
 def check_trace_completion(g) -> None:
     """A finished episode carries every live daemon exactly once, in ring order."""
-    t = g.trace
+    t = g.episode
     if not t.started:
         raise PropertyViolation("trace episode never started")
     if not t.done:
@@ -139,7 +139,7 @@ def check_trace_completion(g) -> None:
 
 
 def check_barrier_end(g) -> None:
-    bits, full = g.bits, all_bits(g)
+    bits, full = g.episode, all_bits(g)
     if bits.client_barrier_out != full:
         raise PropertyViolation(
             f"episode ended with release bits {bits.client_barrier_out:0{len(g.procs)}b}"
@@ -155,7 +155,7 @@ def check_barrier_end(g) -> None:
 
 def check_barrier_invariant(g) -> None:
     """No client is released until every client has arrived."""
-    bits = g.bits
+    bits = g.episode
     if bits.client_barrier_out == 0:
         return
     if bits.client_barrier_in != all_bits(g):

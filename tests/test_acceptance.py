@@ -24,8 +24,10 @@ from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
     EVENT_CONNECT,
     KIND_EVENT,
+    QUIESCENCE_ONLY,
     VERIFIED,
     VIOLATION,
+    Property,
     apply,
     enabled_steps,
     encode,
@@ -86,7 +88,8 @@ def ring_par_sweep():
             i = pids.index(0)
             seen.add(pids[i:] + pids[:i])
 
-        reports[total] = explore(sc, sc.default_properties(), on_quiescent=collect)
+        hook = Property("collect", QUIESCENCE_ONLY, collect)
+        reports[total] = explore(sc, sc.default_properties() + (hook,))
         orders[total] = seen
     return reports, orders
 
@@ -287,8 +290,8 @@ def test_criterion_07_search_agrees_with_bruteforce_oracle():
                 ScenarioConfig("barrier", size=2)):
         sc = build_scenario(cfg)
         dfs = set()
-        report = explore(sc, sc.default_properties(),
-                         on_quiescent=lambda g: dfs.add(encode(g)))
+        hook = Property("collect", QUIESCENCE_ONLY, lambda g: dfs.add(encode(g)))
+        report = explore(sc, sc.default_properties() + (hook,))
         assert report.outcome == VERIFIED
         bfs = bfs_quiescent_encodings(sc)
         assert dfs == bfs, f"{cfg.algorithm}: quiescent-state sets differ"

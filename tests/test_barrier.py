@@ -25,7 +25,7 @@ class TestTokens:
     def test_leader_arrival_launches_the_in_token(self):
         scenario, g = barrier_state(3)
         client_reaches_barrier(g, g.procs[0])
-        assert g.bits.client_barrier_in == 0b001
+        assert g.episode.client_barrier_in == 0b001
         assert g.procs[0].sent_barrier_in
         q = g.sockets.queue_of(g.procs[1].lhs_fd)
         assert [command_of(m) for m in q] == [BARRIER_IN]
@@ -33,7 +33,7 @@ class TestTokens:
     def test_follower_arrival_alone_sends_nothing(self):
         scenario, g = barrier_state(3)
         client_reaches_barrier(g, g.procs[1])
-        assert g.bits.client_barrier_in == 0b010
+        assert g.episode.client_barrier_in == 0b010
         assert not g.procs[1].sent_barrier_in
 
     def test_token_parks_until_the_local_client_arrives(self):
@@ -62,17 +62,17 @@ class TestTokens:
         while True:
             moved = False
             for pid in range(3):
-                before = g.bits.client_barrier_out
+                before = g.episode.client_barrier_out
                 if g.sockets.ready_events().get(pid, []):
                     deliver(g, pid)
                     moved = True
-                    after = g.bits.client_barrier_out
+                    after = g.episode.client_barrier_out
                     if after != before:
                         release_order.append(pid)
             if not moved:
                 break
-        assert g.bits.client_barrier_in == all_bits(g)
-        assert g.bits.client_barrier_out == all_bits(g)
+        assert g.episode.client_barrier_in == all_bits(g)
+        assert g.episode.client_barrier_out == all_bits(g)
         assert release_order[-1] == 0  # leader absorbs barrier_out, exits last
 
     def test_double_arrival_is_a_violation(self):
@@ -84,8 +84,8 @@ class TestTokens:
     def test_double_out_token_is_a_violation(self):
         scenario, g = barrier_state(2)
         m = g.procs[1]
-        g.bits.client_barrier_in = all_bits(g)
-        g.bits.client_barrier_out = 1 << 1
+        g.episode.client_barrier_in = all_bits(g)
+        g.episode.client_barrier_out = 1 << 1
         g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_OUT))
         with pytest.raises(ProtocolViolation, match="barrier_out arrived twice"):
             deliver(g, 1)
@@ -99,7 +99,7 @@ class TestTokens:
     def test_second_send_on_one_channel_is_a_violation(self):
         scenario, g = barrier_state(2)
         client_reaches_barrier(g, g.procs[0])
-        g.bits.client_barrier_in = 0  # forge a fresh-looking episode
+        g.episode.client_barrier_in = 0  # forge a fresh-looking episode
         with pytest.raises(ProtocolViolation, match="second barrier_in"):
             client_reaches_barrier(g, g.procs[0])
 
@@ -127,7 +127,7 @@ class TestBarrierExploration:
         scenario = build_scenario(ScenarioConfig("barrier", size=3))
 
         def leader_last(g):
-            bits = g.bits
+            bits = g.episode
             if bits.client_barrier_out & 1:
                 assert bits.client_barrier_out == all_bits(g)
 

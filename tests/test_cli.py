@@ -157,6 +157,66 @@ def test_replay_of_a_simulated_schedule_is_clean(run_cli, tmp_path):
     assert "  | " not in quiet.out
 
 
+# Full replay output of two seed-1 walks: the episode lines (bits, trace)
+# sit between the process summaries and the socket dump.
+REPLAY_GOLDEN = {
+    "barrier": """\
+step 1: pid=0 kind=action fd=- cmd=client_arrival
+  | m0 rank=0 holding=0 sent_in=1 sent_out=0
+  | bits in=01 out=00
+  | fd=0 other=1 owner=1 flag=lhs queue=[barrier_in]
+step 2: pid=1 kind=event fd=0 cmd=barrier_in
+  | m1 rank=1 holding=1 sent_in=0 sent_out=0
+  | fd=0 other=1 owner=1 flag=lhs queue=[]
+step 3: pid=1 kind=action fd=- cmd=client_arrival
+  | m1 rank=1 holding=0 sent_in=1 sent_out=0
+  | bits in=11 out=00
+  | fd=2 other=3 owner=0 flag=lhs queue=[barrier_in]
+step 4: pid=0 kind=event fd=2 cmd=barrier_in
+  | m0 rank=0 holding=0 sent_in=1 sent_out=1
+  | fd=0 other=1 owner=1 flag=lhs queue=[barrier_out]
+  | fd=2 other=3 owner=0 flag=lhs queue=[]
+step 5: pid=1 kind=event fd=0 cmd=barrier_out
+  | m1 rank=1 holding=0 sent_in=1 sent_out=1
+  | bits in=11 out=10
+  | fd=0 other=1 owner=1 flag=lhs queue=[]
+  | fd=2 other=3 owner=0 flag=lhs queue=[barrier_out]
+step 6: pid=0 kind=event fd=2 cmd=barrier_out
+  | bits in=11 out=11
+  | fd=2 other=3 owner=0 flag=lhs queue=[]
+replay complete: quiescent, all properties hold
+""",
+    "trace": """\
+step 1: pid=0 kind=action fd=- cmd=start_trace
+  | trace initiator=0 done=0 collected=[]
+  | fd=0 other=1 owner=1 flag=lhs queue=[trace_req]
+step 2: pid=1 kind=event fd=0 cmd=trace_req
+  | fd=0 other=1 owner=1 flag=lhs queue=[]
+  | fd=2 other=3 owner=0 flag=lhs queue=[trace_req]
+step 3: pid=0 kind=event fd=2 cmd=trace_req
+  | trace initiator=0 done=1 collected=[n0,n1]
+  | fd=0 other=1 owner=1 flag=lhs queue=[trace_done]
+  | fd=2 other=3 owner=0 flag=lhs queue=[]
+step 4: pid=1 kind=event fd=0 cmd=trace_done
+  | fd=0 other=1 owner=1 flag=lhs queue=[]
+  | fd=2 other=3 owner=0 flag=lhs queue=[trace_done]
+step 5: pid=0 kind=event fd=2 cmd=trace_done
+  | fd=2 other=3 owner=0 flag=lhs queue=[]
+replay complete: quiescent, all properties hold
+""",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(REPLAY_GOLDEN))
+def test_replay_prints_the_episode_record_in_place(run_cli, tmp_path, algorithm):
+    path = tmp_path / "walk.trace"
+    sim = run_cli("simulate", algorithm, "--size", "2", "--seed", "1",
+                  "--trace-out", str(path))
+    assert sim.code == 0
+    r = run_cli("replay", str(path))
+    assert (r.code, r.out, r.err) == (0, REPLAY_GOLDEN[algorithm], "")
+
+
 def test_replay_reproduces_the_violation(run_cli, tmp_path):
     path = tmp_path / "bug.trace"
     run_cli("verify", "ring-seq", "--size", "2", "--inserters", "2",
@@ -164,6 +224,23 @@ def test_replay_reproduces_the_violation(run_cli, tmp_path):
     r = run_cli("replay", str(path), "--quiet")
     assert r.code == 1
     assert "violation reproduced" in r.out
+
+
+def test_ring_seq_violation_names_the_lost_right_side(run_cli, tmp_path):
+    # The entry daemon's right side takes EOF and a second inserter's query
+    # then arrives: the protocol, not the socket layer, reports it.
+    path = tmp_path / "bug.trace"
+    text = "d0: cannot forward rhs_info_request, right side gone"
+    r = run_cli("verify", "ring-seq", "--size", "2", "--inserters", "2",
+                "--stable-output", "--trace-out", str(path))
+    assert r.code == 1
+    row, outcome, violation = r.out.splitlines()[1:]
+    assert row.split() == ["ring-seq", "4", "0.00", "156/183", "20"]
+    assert (outcome, violation) == ("outcome: VIOLATION", f"violation: {text}")
+    assert f"violation={text}" in path.read_text()
+    replayed = run_cli("replay", str(path), "--quiet")
+    assert replayed.code == 1
+    assert replayed.out.splitlines()[-1] == f"violation reproduced at step 12: {text}"
 
 
 def test_simulated_handler_error_replays_to_the_same_violation(run_cli, tmp_path):

@@ -315,12 +315,12 @@ class TestTrace:
     def test_full_circuit_collects_identities_in_ring_order(self):
         scenario, g = ring_state("trace", 3)
         start_trace(g, g.procs[0])
-        assert g.trace.started and g.trace.initiator == 0
+        assert g.episode.started and g.episode.initiator == 0
         deliver(g, 1, cmd=TRACE_REQ)
         deliver(g, 2, cmd=TRACE_REQ)
         deliver(g, 0, cmd=TRACE_REQ)
-        assert g.trace.done
-        assert g.trace.collected == (0, 1, 2)
+        assert g.episode.done
+        assert g.episode.collected == (0, 1, 2)
         # The completion report circulates once and is absorbed.
         deliver(g, 1, cmd=TRACE_DONE)
         deliver(g, 2, cmd=TRACE_DONE)
@@ -329,7 +329,7 @@ class TestTrace:
 
     def test_overlong_circulation_is_a_violation(self):
         scenario, g = ring_state("trace", 2)
-        g.trace.initiator = 0
+        g.episode.initiator = 0
         ids = (0, 1)
         g.sockets.write(0, g.procs[0].rhs_fd, message(
             TRACE_REQ, origin=0, ids=ids))

@@ -1,9 +1,11 @@
 """Explorer mechanics: step enumeration, state encoding, search, replay."""
 
+import ast
 import hashlib
 import marshal
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +22,12 @@ from ringcheck.explorer import (
     EVENT_EOF,
     KIND_ACTION,
     KIND_EVENT,
+    QUIESCENCE_ONLY,
     RESOURCE_LIMIT,
     VERIFIED,
     VIOLATION,
     GlobalState,
+    Property,
     ScheduleStep,
     apply,
     enabled_steps,
@@ -259,7 +263,7 @@ class TestCopyOnWrite:
     ], ids=["trace", "bits"])
     def test_an_episode_record_written_without_a_copy_is_caught(
             self, monkeypatch, algorithm, kw, record):
-        # The writers of g.trace and g.bits copy the shared record first;
+        # The writers of g.episode copy the shared record first;
         # with a copy that returns the record itself, they write it in place.
         monkeypatch.setattr(record, "clone", lambda self: self)
         with pytest.raises(AssertionError, match="predecessor changed"):
@@ -386,7 +390,7 @@ class KeyCheck:
 
     def __call__(self, g, where) -> bool:
         """Check g; True if its encoding was not seen before."""
-        fresh = GlobalState(g.scenario, g.sockets, g.procs, g.trace, g.bits)
+        fresh = GlobalState(g.scenario, g.sockets, g.procs, g.episode)
         key = state_key(g, self.memo)
         assert len(self.memo) <= explorer_mod.MEMO_LIMIT
         assert key == state_key(fresh, self.reference), (
@@ -476,17 +480,20 @@ class TestIncrementalKey:
         assert check_keys(scenario_for("ring-par", size=1, inserters=2)) > 1
 
     def test_the_initial_key_sums_every_component(self):
-        g = scenario_for("barrier", size=2).initial_state()
-        t = g.sockets
-
         def h(pos, c):
             data = marshal.dumps((pos, c), 2)
             return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
-        total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
-        total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
-        total += h(-2, g.bits.canon())
-        assert state_key(g, {}) == total % 2**128
+        # Either record type sits at the one episode position, hashed flat.
+        for algorithm, record in [("barrier", barrier_mod.BarrierBits),
+                                  ("trace", daemons_mod.TraceState)]:
+            g = scenario_for(algorithm, size=2).initial_state()
+            t = g.sockets
+            assert type(g.episode) is record
+            total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
+            total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
+            total += h(-1, g.episode.canon())
+            assert state_key(g, {}) == total % 2**128, algorithm
 
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
         # The touched-fd socket check cannot see this: a read only shortens
@@ -643,7 +650,8 @@ class TestExplore:
     def test_quiescent_hook_sees_every_quiescent_state(self):
         sc = scenario_for("ring-par", size=1, inserters=1)
         seen = []
-        explore(sc, sc.default_properties(), on_quiescent=seen.append)
+        hook = Property("seen", QUIESCENCE_ONLY, seen.append)
+        explore(sc, sc.default_properties() + (hook,))
         assert len(seen) >= 1
         assert all(not enabled_steps(q) for q in seen)
 
@@ -753,3 +761,18 @@ def test_global_state_dump_mentions_processes_and_sockets():
     text = sc.initial_state().dump()
     assert "d0" in text and "d1" in text
     assert "fd=0" in text
+
+
+def test_the_explorer_imports_no_protocol_module():
+    # The search core runs whichever protocol a scenario names; it must not
+    # reach into one, nor into the modules that configure and check them.
+    tree = ast.parse(Path(explorer_mod.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "sockets" in names  # the walk over the tree sees the imports
+    assert not names & {"daemons", "barrier", "properties", "scenarios"}

@@ -149,7 +149,7 @@ class TestNeighborState:
 class TestTraceCompletion:
     def setup_method(self):
         self.g = ring(3)
-        t = self.g.trace
+        t = self.g.episode
         t.initiator = 0
         t.collected = tuple(d.pid for d in self.g.procs)
 
@@ -157,14 +157,14 @@ class TestTraceCompletion:
         check_trace_completion(self.g)
 
     def test_rotation_must_start_at_the_initiator(self):
-        self.g.trace.initiator = 1
+        self.g.episode.initiator = 1
         with pytest.raises(PropertyViolation, match="trace collected"):
             check_trace_completion(self.g)
-        self.g.trace.collected = (1, 2, 0)
+        self.g.episode.collected = (1, 2, 0)
         check_trace_completion(self.g)
 
     def test_violation_text_lists_identities(self):
-        self.g.trace.initiator = 1
+        self.g.episode.initiator = 1
         with pytest.raises(PropertyViolation) as e:
             check_trace_completion(self.g)
         assert str(e.value) == (
@@ -174,17 +174,17 @@ class TestTraceCompletion:
             "Identity(host='node2', port=9002),Identity(host='node0', port=9000)]")
 
     def test_unstarted_episode_fails(self):
-        self.g.trace.initiator = -1
+        self.g.episode.initiator = -1
         with pytest.raises(PropertyViolation, match="never started"):
             check_trace_completion(self.g)
 
     def test_unfinished_episode_fails(self):
-        self.g.trace.collected = ()
+        self.g.episode.collected = ()
         with pytest.raises(PropertyViolation, match="never completed"):
             check_trace_completion(self.g)
 
     def test_missing_daemon_fails(self):
-        self.g.trace.collected = self.g.trace.collected[:-1]
+        self.g.episode.collected = self.g.episode.collected[:-1]
         with pytest.raises(PropertyViolation, match="trace collected"):
             check_trace_completion(self.g)
 
@@ -195,38 +195,38 @@ class TestBarrierChecks:
 
     def test_release_before_full_arrival_fails(self):
         g = barrier(3)
-        g.bits.client_barrier_in = 0b011
-        g.bits.client_barrier_out = 0b010
+        g.episode.client_barrier_in = 0b011
+        g.episode.client_barrier_out = 0b010
         with pytest.raises(PropertyViolation, match="release began with arrivals"):
             check_barrier_invariant(g)
 
     def test_release_with_parked_token_fails(self):
         g = barrier(2)
-        g.bits.client_barrier_in = all_bits(g)
-        g.bits.client_barrier_out = 0b01
+        g.episode.client_barrier_in = all_bits(g)
+        g.episode.client_barrier_out = 0b01
         g.procs[1].holding_barrier_in = True
         with pytest.raises(PropertyViolation, match="still parked"):
             check_barrier_invariant(g)
 
     def test_finished_episode_passes_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = all_bits(g)
-        g.bits.client_barrier_out = all_bits(g)
+        g.episode.client_barrier_in = all_bits(g)
+        g.episode.client_barrier_out = all_bits(g)
         for m in g.procs:
             m.sent_barrier_in = m.sent_barrier_out = True
         check_barrier_end(g)
 
     def test_unreleased_client_fails_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = all_bits(g)
-        g.bits.client_barrier_out = 0b01
+        g.episode.client_barrier_in = all_bits(g)
+        g.episode.client_barrier_out = 0b01
         with pytest.raises(PropertyViolation, match="release bits"):
             check_barrier_end(g)
 
     def test_token_never_passed_fails_the_end_check(self):
         g = barrier(2)
-        g.bits.client_barrier_in = all_bits(g)
-        g.bits.client_barrier_out = all_bits(g)
+        g.episode.client_barrier_in = all_bits(g)
+        g.episode.client_barrier_out = all_bits(g)
         with pytest.raises(PropertyViolation, match="never passed"):
             check_barrier_end(g)
 

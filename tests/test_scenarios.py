@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from ringcheck.barrier import all_bits
-from ringcheck.daemons import ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, begin_insertion
+from ringcheck.barrier import BarrierBits, all_bits
+from ringcheck.daemons import (ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, TraceState,
+                               begin_insertion)
 from ringcheck.errors import ScenarioError
 from ringcheck.scenarios import (
     ALGORITHMS,
@@ -120,8 +121,8 @@ class TestInitialState:
         sc = build_scenario(ScenarioConfig("barrier", size=4))
         g = sc.initial_state()
         assert len(g.procs) == 4 and all_bits(g) == 0b1111
-        assert g.bits.client_barrier_in == 0 == g.bits.client_barrier_out
-        assert g.trace is None
+        assert type(g.episode) is BarrierBits
+        assert g.episode.client_barrier_in == 0 == g.episode.client_barrier_out
         for i, m in enumerate(g.procs):
             peer = g.sockets.other_of(m.rhs_fd)
             assert g.sockets.owner_of(peer) == (i + 1) % 4
@@ -131,8 +132,7 @@ class TestInitialState:
     def test_ring_states_carry_a_trace_slot(self):
         sc = build_scenario(ScenarioConfig("ring-par", size=2))
         g = sc.initial_state()
-        assert g.trace is not None and not g.trace.started
-        assert g.bits is None
+        assert type(g.episode) is TraceState and not g.episode.started
 
 
 class TestConfigRoundtrip:
