@@ -168,8 +168,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         max_steps=args.max_steps,
     )
-    failures = [] if result.violation is None else [result.violation]
-    code = EX_OK if not failures else EX_VIOLATION
+    code = EX_OK if result.violation is None else EX_VIOLATION
     if args.trace_out:
         outcome = "SIMULATED" if result.violation is None else VIOLATION
         if not _save_trace(args, args.trace_out, scenario, result.trace, outcome,
@@ -182,7 +181,7 @@ def _cmd_simulate(args) -> int:
             "seed": args.seed,
             "steps_taken": len(result.trace),
             "quiescent": result.quiescent,
-            "failures": failures,
+            "failures": [] if result.violation is None else [result.violation],
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -193,8 +192,8 @@ def _cmd_simulate(args) -> int:
         else:
             ending = "step budget exhausted"
         print(f"seed {args.seed}: {len(result.trace)} steps, {ending}")
-        for failure in failures:
-            print(f"failure: {failure}")
+        if result.violation is not None:
+            print(f"failure: {result.violation}")
         print(result.final_state.dump())
     return code
 
@@ -206,18 +205,12 @@ def _dump_delta(pre: str, post: str) -> list[str]:
 
 def _cmd_replay(args) -> int:
     try:
-        cfg, steps, header = read_trace(args.trace)
+        scenario, steps, _ = read_trace(args.trace)
     except OSError as e:
         print(f"ringcheck replay: error: {e}", file=sys.stderr)
         return EX_USAGE
     except TraceFormatError as e:
         print(f"ringcheck replay: bad trace: {e}", file=sys.stderr)
-        return EX_TRACE
-    try:
-        scenario = build_scenario(cfg)
-    except ScenarioError as e:
-        print(f"ringcheck replay: trace names an unbuildable scenario: {e}",
-              file=sys.stderr)
         return EX_TRACE
     count = itertools.count(1)
 

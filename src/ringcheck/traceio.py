@@ -19,19 +19,23 @@ same rendering ScheduleStep.render produces:
 
 outcome and violation are informational; replay re-derives both.
 
-A file is read only if render_trace could have written it: no header key but
-the ones above, every integer in canonical decimal (no plus sign, no leading
-zero) and every step line exactly as ScheduleStep.render writes it.
+A file is read only if ringcheck writes exactly these bytes for it:
+parse_trace reads the header and the steps loosely, renders what it read
+with render_trace and reports the first line where the file departs from
+that rendering.
 """
 
 from __future__ import annotations
 
-from .errors import ScenarioError
+import re
+
 from .explorer import ScheduleStep
-from .scenarios import CONFIG_KEYS, Scenario, ScenarioConfig, config_from_fields, parse_decimal
+from .scenarios import Scenario, build_scenario, config_from_fields
 
 MAGIC = "ringcheck-trace v1"
-HEADER_KEYS = CONFIG_KEYS + ("outcome", "violation", "steps")
+
+# Splits after each newline, so a line keeps its ending and the last one may lack it.
+_LINES = re.compile(r"(?<=\n)")
 
 
 class TraceFormatError(Exception):
@@ -53,12 +57,30 @@ def render_trace(scenario: Scenario, steps, *, outcome: str | None = None,
 
 
 def write_trace(path, scenario: Scenario, steps, *, outcome=None, violation=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_trace(scenario, steps, outcome=outcome, violation=violation))
 
 
+def _difference(text: str, written: str) -> TraceFormatError:
+    """The first line where text departs from written, which ringcheck writes.
+
+    Both splits end with the text after the last newline, so two texts that
+    differ differ within the shorter split.
+    """
+    lineno, got, want = next((n, a, b) for n, (a, b) in
+                             enumerate(zip(_LINES.split(text), _LINES.split(written)), 1)
+                             if a != b)
+    return TraceFormatError(f"line {lineno}: the file has {_shown(got)}, "
+                            f"ringcheck writes {_shown(want)}")
+
+
+def _shown(line: str) -> str:
+    """line quoted, cut at 100 characters: a file with no newline in it is one line."""
+    return repr(line[:100]) + ("..." if len(line) > 100 else "")
+
+
 def _parse_step(line: str, lineno: int) -> ScheduleStep:
-    """The step line names, if line is exactly how ScheduleStep.render writes it."""
+    """The step a line names, with its numbers read by int()."""
     fields = dict(part.partition("=")[::2] for part in line.split(" "))
     try:
         fd = fields["fd"]
@@ -66,58 +88,43 @@ def _parse_step(line: str, lineno: int) -> ScheduleStep:
                             fields["cmd"])
     except (KeyError, ValueError) as e:
         raise TraceFormatError(f"line {lineno}: bad step line: {e}") from e
+    # A step of another kind renders back unchanged but names no step the model has.
     if step.kind not in ("event", "action"):
         raise TraceFormatError(f"line {lineno}: unknown step kind {step.kind!r}")
-    if step.render() != line:
-        raise TraceFormatError(f"line {lineno}: malformed step line {line!r}, "
-                               f"expected {step.render()!r}")
     return step
 
 
-def parse_trace(text: str) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], dict]:
-    """Returns (scenario config, steps, header metadata)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise TraceFormatError("not a trace file (bad or missing magic line)")
+def parse_trace(text: str) -> tuple[Scenario, tuple[ScheduleStep, ...], dict]:
+    """Returns (scenario, steps, header) of a text exactly as render_trace writes it."""
+    if not text.startswith(MAGIC + "\n"):
+        raise _difference(text, MAGIC + "\n")
+    lines = text.split("\n")
     header: dict[str, str] = {}
-    idx = 1
-    nsteps = None
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise TraceFormatError(f"line {idx}: expected key=value, got {line!r}")
-        if key not in HEADER_KEYS:
-            raise TraceFormatError(f"line {idx}: unknown header key {key!r}")
-        if key in header:
-            raise TraceFormatError(f"line {idx}: repeated header key {key!r}")
-        header[key] = value
+    for idx, line in enumerate(lines[1:], 2):
+        key, _, value = line.partition("=")
+        header.setdefault(key, value)  # a repeated key is then the line that differs
         if key == "steps":
-            try:
-                nsteps = parse_decimal(key, value)
-            except ScenarioError as e:
-                raise TraceFormatError(f"line {idx}: bad step count {value!r}") from e
             break
-    if nsteps is None:
+    else:
         raise TraceFormatError("trace file ends before its step count")
-    step_lines = lines[idx:]
-    if len(step_lines) != nsteps:
-        raise TraceFormatError(
-            f"trace declares {nsteps} steps but carries {len(step_lines)}"
-        )
-    steps = tuple(
-        _parse_step(line, idx + k + 1) for k, line in enumerate(step_lines)
-    )
     try:
-        cfg = config_from_fields(header)
-    except Exception as e:
-        raise TraceFormatError(f"bad scenario header: {e}") from e
-    return cfg, steps, header
+        scenario = build_scenario(config_from_fields(header))
+    except ValueError as e:
+        raise TraceFormatError(
+            f"lines 2-{idx}: trace names an unbuildable scenario: {e}") from e
+    # Skips the empty text after the final newline; any other blank line does not render back.
+    steps = tuple(_parse_step(line, lineno)
+                  for lineno, line in enumerate(lines[idx:], idx + 1) if line)
+    written = render_trace(scenario, steps, outcome=header.get("outcome"),
+                           violation=header.get("violation"))
+    if written != text:
+        raise _difference(text, written)
+    return scenario, steps, header
 
 
-def read_trace(path) -> tuple[ScenarioConfig, tuple[ScheduleStep, ...], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
+def read_trace(path) -> tuple[Scenario, tuple[ScheduleStep, ...], dict]:
+    # newline="" keeps the bytes on disk, so a CRLF file does not read as ringcheck's.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:

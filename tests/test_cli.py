@@ -347,6 +347,19 @@ def test_replay_rejects_damaged_traces(run_cli, tmp_path):
     assert "not enabled" in r.err
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_replay_reads_the_bytes_on_disk(run_cli, tmp_path, newline):
+    path = tmp_path / "walk.trace"
+    run_cli("simulate", "ring-par", "--size", "2", "--inserters", "1", "--seed", "4",
+            "--trace-out", str(path))
+    copy = tmp_path / "copy.trace"
+    copy.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    assert run_cli("replay", str(path)).code == 0
+    r = run_cli("replay", str(copy))
+    assert r.code == 65
+    assert r.out == "" and "bad trace: line 1: " in r.err
+
+
 def test_replay_rejects_a_file_that_is_not_text(run_cli, tmp_path):
     path = tmp_path / "binary.trace"
     path.write_bytes(b"\xd0\x00")
