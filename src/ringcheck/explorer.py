@@ -24,8 +24,9 @@ A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
 record with its predecessor (copy on write: apply copies the acting one).
 The episode record is shared the same way: the few handlers that write it
-copy it first. The ready events of all processes come from one pass over
-the descriptor table.
+copy it first. The ready events of all processes come from the socket
+table's wake map, which a successor's table derives from its predecessor's
+at the fds its step wrote.
 
 The visited set does not store encodings. It stores a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
@@ -121,6 +122,11 @@ class GlobalState:
     from which state_key updates the predecessor's key; state_key drops it.
     A state is mutated only between its creation and its first state_key
     call, so a computed key never goes stale.
+
+    Listing a state's steps calls sockets.ready_events, which caches the
+    wake map on the socket table for the successors' tables to start from.
+    That cache is no part of the state: it never changes the slots, the
+    encoding or the key.
     """
 
     __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "_key", "_link")

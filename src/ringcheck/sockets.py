@@ -6,17 +6,27 @@ channel of ``other_fd``, ``read(fd)`` dequeues from fd's own channel. Listening
 ports are not modeled as descriptors; ``connect`` names the listening process
 directly and plants an AWAIT_ACCEPT descriptor on it.
 
-Readiness is derived from the table on demand instead of being stored:
-a process has a pending wake exactly when one of its descriptors satisfies a
-wake condition. ``ready_events`` finds the wakes of every process in one pass
-over the table, so listing them costs the table's size, not its size times
-the number of processes. Each wake is an ``(fd, name)`` pair whose name is
-already the schedule step's command: ``connect`` for a pending accept, ``eof``
-for a drained half-closed descriptor, otherwise the command of the message at
-the head of the channel. The protocol modules schedule and handle wakes by
-that one name. Deriving rather than storing makes re-running ``ready_events``
-after no state change trivially return the same events, and removes any
-possibility of a wake bit disagreeing with the condition behind it.
+Readiness is derived from the table, never stored in a slot: a process has
+a pending wake exactly when one of its descriptors satisfies a wake
+condition. Each wake is an ``(fd, name)`` pair whose name is already the
+schedule step's command: ``connect`` for a pending accept, ``eof`` for a
+drained half-closed descriptor, otherwise the command of the message at the
+head of the channel. The protocol modules schedule and handle wakes by that
+one name.
+
+Listing the wakes costs the fds the state's step wrote plus the wakes
+listed, not the table's size. ``ready_events`` keeps the wake map, fd ->
+(owner, name) for every fd that has a wake, in ``_wakes = (log, n, map)``:
+the map as the slots stood once ``log[:n]`` had been written. From its own
+map (``log`` is its ``touched``) a table re-derives only ``touched[n:]``.
+``clone()`` hands the child its parent's tuple only if that map belongs to
+the parent's own log; the child then re-derives all of its ``touched``,
+provided the parent had listed after its last write (``n == len(log)``).
+A clone of a clone that never listed gets no map, so it cannot skip the
+middle step's writes. Any other table derives every fd. A map is shared
+with clones and never written; each listing builds a new one. So listing
+again after no write returns the same events, and no wake can disagree
+with the slots behind it.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -77,6 +87,10 @@ FREE_SLOT = (INVALID_FD, UNOWNED, FREE, ())
 EVENT_CONNECT = "connect"
 EVENT_EOF = "eof"
 
+# The wake tuple of a table whose map must be derived from every fd: its log
+# is no table's touched list and its n no log's length.
+_NO_WAKES = ((), -1, None)
+
 # Property kind of the table's structural invariant; every protocol lists it.
 SOCKET_INVARIANTS = "socket_invariants"
 
@@ -88,7 +102,7 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("qsz", "slots", "touched")
+    __slots__ = ("qsz", "slots", "touched", "_wakes")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
@@ -96,6 +110,7 @@ class SocketTable:
         self.qsz = qsz
         self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
+        self._wakes = _NO_WAKES  # (log, n, map); see ready_events
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -104,6 +119,8 @@ class SocketTable:
         t.qsz = self.qsz
         t.slots = self.slots[:]
         t.touched = []
+        wakes = self._wakes
+        t._wakes = wakes if wakes[0] is self.touched else _NO_WAKES
         return t
 
     def canon(self) -> tuple:
@@ -237,7 +254,7 @@ class SocketTable:
     # -- readiness ----------------------------------------------------------
 
     def ready_events(self) -> dict[int, list[tuple[int, str]]]:
-        """Every pending wake of every process, found in one pass over the table.
+        """Every pending wake of every process, updated at the fds last written.
 
         Maps each pid that has a wake to its (fd, name) pairs, ordered by fd
         index; a pid with none is absent. Exactly one connect wake is
@@ -246,23 +263,42 @@ class SocketTable:
         wakes are per descriptor; EOF requires a drained channel, message
         readiness requires the descriptor to have been accepted. A message
         wake is named by the command of the message at its channel's head.
+
+        The wake map is re-derived only at the fds written since the map it
+        starts from (see the module docstring): touched[n:] from the table's
+        own map, all of touched from a current map inherited at clone(),
+        and every fd otherwise.
         """
+        log, n, old = self._wakes
+        touched, slots = self.touched, self.slots
+        if log is touched:
+            fds = touched[n:]
+        elif n == len(log):
+            fds = touched
+        else:
+            old, fds = {}, range(len(slots))
+        wakes = dict(old)
+        for fd in fds:
+            other, pid, flag, q = slots[fd]
+            if flag == AWAIT_ACCEPT:
+                wakes[fd] = (pid, EVENT_CONNECT)
+            elif flag == FREE:
+                wakes.pop(fd, None)
+            elif q:
+                wakes[fd] = (pid, command_of(q[0]))
+            elif other == INVALID_FD:
+                wakes[fd] = (pid, EVENT_EOF)
+            else:
+                wakes.pop(fd, None)
+        self._wakes = (touched, len(touched), wakes)
         events: dict[int, list[tuple[int, str]]] = {}
         connecting = set()  # pids whose connect wake is already listed
-        for fd, (other, pid, flag, q) in enumerate(self.slots):
-            if flag == FREE:
-                continue
-            if flag == AWAIT_ACCEPT:
+        for fd in sorted(wakes):
+            pid, name = wakes[fd]
+            if name == EVENT_CONNECT:
                 if pid in connecting:
                     continue
                 connecting.add(pid)
-                name = EVENT_CONNECT
-            elif q:
-                name = command_of(q[0])
-            elif other == INVALID_FD:
-                name = EVENT_EOF
-            else:
-                continue
             events.setdefault(pid, []).append((fd, name))
         return events
 

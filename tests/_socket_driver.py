@@ -16,6 +16,14 @@ every operation must log in ``touched`` each fd whose slot it replaced:
 
 Messages carry a unique serial in their hops field so FIFO order and
 conservation are checkable without trusting the table's own queues.
+
+With a clone rate, the driver sometimes continues on ``table.clone()``, as
+the explorer continues on a successor's table, in one of three ways (see
+``branch``): from a table it just listed, from one that wrote since it was
+last listed (or a clone of such a clone), or from one side of a fork whose
+other side, the parent or the clone, writes and is checked first. A clone
+inherits its parent's wake map, so the wake oracles then check the map
+each way it can be handed on.
 """
 
 from __future__ import annotations
@@ -44,12 +52,25 @@ class MirrorSlot:
         self.peer_closed = False
         self.serials: list[int] = []
 
+    def copy(self) -> "MirrorSlot":
+        s = MirrorSlot(self.owner, self.accepted, self.peer)
+        s.peer_closed = self.peer_closed
+        s.serials = self.serials[:]
+        return s
+
+
+# The ways branch continues on a clone of the table.
+CLONE_LISTED, CLONE_UNLISTED, FORK = "listed", "unlisted", "fork"
+
 
 class Driver:
-    def __init__(self, conn_max: int = 8, qsz: int = 4, n_pids: int = 4):
+    def __init__(self, conn_max: int = 8, qsz: int = 4, n_pids: int = 4,
+                 clone_rate: float = 0.0):
         self.table = SocketTable(conn_max, qsz)
         self.qsz = qsz
         self.n_pids = n_pids
+        self.clone_rate = clone_rate
+        self.branches = {CLONE_LISTED: 0, CLONE_UNLISTED: 0, FORK: 0}
         self.slots: dict[int, MirrorSlot] = {}
         self.sent = 0
         self.read_count = 0
@@ -223,6 +244,65 @@ class Driver:
         return ops
 
     def step(self, rng: random.Random) -> bool:
+        """One random legal op, then every oracle; False if no op is legal.
+
+        With probability clone_rate the op runs on a clone (see branch).
+        """
+        if self.clone_rate and rng.random() < self.clone_rate:
+            return self.branch(rng)
+        if not self._run_op(rng):
+            return False
+        self.check_all()
+        return True
+
+    def branch(self, rng: random.Random) -> bool:
+        """Continue on a clone of the table, in one of three ways.
+
+        The table was listed by the last check_all, if any. CLONE_LISTED
+        clones it and runs one op. CLONE_UNLISTED first runs one or two ops
+        that no listing follows, each on the table or on a new clone of it,
+        so the clone taken next starts from a table that wrote since it was
+        listed, or from a clone of a clone that never listed; then it does
+        as CLONE_LISTED does. FORK clones the table and runs one op on the
+        parent or on the clone, then goes back to the other side and its
+        copy of the mirror, unwritten since the fork; the parent may then
+        write again after it was cloned. Every listing is checked against
+        the mirror.
+        """
+        how = rng.choice((CLONE_LISTED, CLONE_UNLISTED, FORK))
+        self.branches[how] += 1
+        if how == FORK:
+            parent, clone = self.table, self.table.clone()
+            mirror = self._mirror()
+            first, then = (parent, clone) if rng.random() < 0.5 else (clone, parent)
+            self.table = first
+            ran = self._run_op(rng)
+            if ran:
+                self.check_all()
+            self.table = then
+            self._restore(mirror)
+        else:
+            if how == CLONE_UNLISTED:
+                for _ in range(rng.choice((1, 2))):
+                    if rng.random() < 0.5:
+                        self.table = self.table.clone()
+                    self._run_op(rng)
+            self.table = self.table.clone()
+            ran = self._run_op(rng)
+        self.check_all()
+        return ran
+
+    def _mirror(self) -> tuple:
+        """A copy of the mirror, to resume with _restore."""
+        return ({fd: s.copy() for fd, s in self.slots.items()}, self.sent,
+                self.read_count, self.discarded, self.next_serial, set(self.dead))
+
+    def _restore(self, mirror: tuple) -> None:
+        (self.slots, self.sent, self.read_count, self.discarded,
+         self.next_serial, self.dead) = mirror
+
+    def _run_op(self, rng: random.Random) -> bool:
+        """Run one random legal op with no oracle; False if none is legal."""
         ops = self.legal_ops()
         if not ops:
             return False
@@ -239,14 +319,17 @@ class Driver:
             self.op_read(op[1], op[2])
         elif name == "close":
             self.op_close(op[1], op[2])
-        self.check_all()
         return True
 
 
-def run_random_sequence(seed: int, n_ops: int = 16, *, with_failure: bool = False) -> None:
-    """One seeded legal sequence with every oracle checked after every op."""
+def run_random_sequence(seed: int, n_ops: int = 16, *, with_failure: bool = False,
+                        clone_rate: float = 0.0) -> Driver:
+    """One seeded legal sequence with every oracle checked after every op.
+
+    Returns the driver, whose branches count the clones it continued on.
+    """
     rng = random.Random(seed)
-    drv = Driver()
+    drv = Driver(clone_rate=clone_rate)
     drv.check_all()
     for i in range(n_ops):
         if with_failure and i == n_ops // 2:
@@ -256,3 +339,4 @@ def run_random_sequence(seed: int, n_ops: int = 16, *, with_failure: bool = Fals
             continue
         if not drv.step(rng):
             break
+    return drv

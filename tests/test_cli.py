@@ -22,6 +22,16 @@ def test_verified_run_exits_zero(run_cli):
     assert "States Stored/Matched" in r.out and "Search Depth" in r.out
 
 
+def test_the_wide_recovery_model_keeps_its_counts(run_cli):
+    # 48 daemons share a 96-fd table, where a step writes two or three fds:
+    # the derived wake map is furthest from a whole-table scan here.
+    r = run_cli("verify", "recovery", "--size", "48", "--json", "--stable-output")
+    assert r.code == 0
+    report = json.loads(r.out)["report"]
+    assert (report["outcome"], report["states_stored"], report["states_matched"],
+            report["max_depth"]) == ("VERIFIED", 5630, 727, 104)
+
+
 def test_violation_exits_one_and_writes_the_counterexample(run_cli, tmp_path):
     path = tmp_path / "bug.trace"
     r = run_cli("verify", "ring-seq", "--size", "2", "--inserters", "2",

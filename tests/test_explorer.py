@@ -47,9 +47,17 @@ from ringcheck.messages import (
     RECONNECT_RHS,
     RHS_INFO_RETURN,
     TRACE_REQ,
+    command_of,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import OTHER, QUEUE, SocketTable
+from ringcheck.sockets import (
+    AWAIT_ACCEPT,
+    FREE,
+    INVALID_FD,
+    OTHER,
+    QUEUE,
+    SocketTable,
+)
 
 
 def scenario_for(algorithm, **kw):
@@ -603,6 +611,82 @@ class TestIncrementalChecks:
         monkeypatch.setitem(daemons_mod._DISPATCH, RHS_INFO_RETURN, dies)
         with pytest.raises(InvariantViolation, match="owned by dead pid"):
             check_incrementally(scenario_for("recovery", size=4))
+
+
+def scan_ready_events(table) -> dict:
+    """The wakes by one pass over every slot, as ready_events once found them."""
+    events: dict = {}
+    connecting = set()
+    for fd, (other, pid, flag, q) in enumerate(table.slots):
+        if flag == FREE:
+            continue
+        if flag == AWAIT_ACCEPT:
+            if pid in connecting:
+                continue
+            connecting.add(pid)
+            name = EVENT_CONNECT
+        elif q:
+            name = command_of(q[0])
+        elif other == INVALID_FD:
+            name = EVENT_EOF
+        else:
+            continue
+        events.setdefault(pid, []).append((fd, name))
+    return events
+
+
+def walk_ready_events(scenario, seed: int, n_steps: int = 300) -> tuple[int, int]:
+    """Random apply chains, checking ready_events against the scan.
+
+    Each state is listed, and checked, with chance one half; its step is
+    chosen from the listing of a clone, so an unlisted state's successor is
+    made from a table that never listed its own writes. A chain starts over
+    from the initial state at quiescence or at a handler error. Returns
+    (listings checked, those whose predecessor was never listed).
+    """
+    rng = random.Random(seed)
+    g, listed = scenario.initial_state(), True  # no predecessor went unlisted
+    checked = after_unlisted = 0
+    for _ in range(n_steps):
+        was_listed, listed = listed, rng.random() < 0.5
+        if listed:
+            assert g.sockets.ready_events() == scan_ready_events(g.sockets), (
+                f"seed {seed}: the derived wakes differ from a scan\n{g.dump()}")
+            checked += 1
+            after_unlisted += not was_listed
+        steps = enabled_steps(g.clone())  # lists a copy of g's table, not g's
+        try:
+            g = apply(g, rng.choice(steps)) if steps else None
+        except CheckError:
+            g = None
+        if g is None:
+            g, listed = scenario.initial_state(), True
+    return checked, after_unlisted
+
+
+READY_MODELS = [
+    ("ring-seq", {"size": 2, "inserters": 2}),
+    ("ring-seq", {"size": 1, "inserters": 2, "blocking": True}),
+    ("ring-par", {"size": 1, "inserters": 3}),
+    ("trace", {"size": 3}),
+    ("recovery", {"size": 4}),
+    ("barrier", {"size": 4}),
+]
+
+
+class TestDerivedWakes:
+    """A state's wake map is its predecessor's, updated at the fds its step wrote."""
+
+    @pytest.mark.parametrize("algorithm,kw", READY_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in READY_MODELS])
+    def test_random_apply_chains_list_the_wakes_a_scan_finds(self, algorithm, kw):
+        sc = scenario_for(algorithm, **kw)
+        checked = after_unlisted = 0
+        for seed in range(4):
+            c, u = walk_ready_events(sc, seed)
+            checked, after_unlisted = checked + c, after_unlisted + u
+        assert checked > 400 and after_unlisted > 100
 
 
 class TestExplore:

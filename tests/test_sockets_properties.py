@@ -5,27 +5,32 @@ who owns them and which message serials are in flight, then re-derives the
 six structural facts (link symmetry, ownership exclusivity, close duality,
 message conservation, wake soundness, wake completeness) after every
 operation, and checks that each operation logged every slot it replaced.
-Hypothesis drives the op mix; each example is a fresh table.
+Hypothesis drives the op mix; each example is a fresh table, which the
+driver continues on clones of when clones is drawn.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _socket_driver import Driver, run_random_sequence
+from _socket_driver import CLONE_LISTED, CLONE_UNLISTED, FORK, Driver, run_random_sequence
 from ringcheck.sockets import SocketTable
+
+# The share of steps that continue on a clone when a test draws clones.
+CLONE_RATE = 0.3
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 48))
-def test_random_legal_sequences_uphold_invariants(seed, n_ops):
-    run_random_sequence(seed, n_ops=n_ops)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 48), clones=st.booleans())
+def test_random_legal_sequences_uphold_invariants(seed, n_ops, clones):
+    run_random_sequence(seed, n_ops=n_ops, clone_rate=CLONE_RATE if clones else 0.0)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 48))
-def test_sequences_with_process_failures(seed, n_ops):
-    run_random_sequence(seed, n_ops=n_ops, with_failure=True)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 48), clones=st.booleans())
+def test_sequences_with_process_failures(seed, n_ops, clones):
+    run_random_sequence(seed, n_ops=n_ops, with_failure=True,
+                        clone_rate=CLONE_RATE if clones else 0.0)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -34,15 +39,28 @@ def test_sequences_with_process_failures(seed, n_ops):
     conn_max=st.integers(2, 12),
     qsz=st.integers(1, 5),
     n_pids=st.integers(1, 5),
+    clones=st.booleans(),
 )
-def test_invariants_hold_across_table_geometries(seed, conn_max, qsz, n_pids):
+def test_invariants_hold_across_table_geometries(seed, conn_max, qsz, n_pids, clones):
     import random
 
     rng = random.Random(seed)
-    d = Driver(conn_max=conn_max, qsz=qsz, n_pids=n_pids)
+    d = Driver(conn_max=conn_max, qsz=qsz, n_pids=n_pids,
+               clone_rate=CLONE_RATE if clones else 0.0)
     for _ in range(24):
         d.step(rng)
         d.check_all()
+
+
+def test_sequences_continue_on_clones_every_way():
+    # Fixed seeds, so every way of handing a wake map on is run each time.
+    ways = {CLONE_LISTED: 0, CLONE_UNLISTED: 0, FORK: 0}
+    for seed in range(200):
+        drv = run_random_sequence(seed, n_ops=32, with_failure=bool(seed % 2),
+                                  clone_rate=CLONE_RATE)
+        for way, n in drv.branches.items():
+            ways[way] += n
+    assert min(ways.values()) >= 100, ways
 
 
 # Driver operations (name, args) that set up a fresh table, then the one
