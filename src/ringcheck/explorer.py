@@ -28,17 +28,26 @@ copy it first. The ready events of all processes come from the socket
 table's wake map, which a successor's table derives from its predecessor's
 at the fds its step wrote.
 
-The visited set does not store encodings. It stores a 128-bit key that is
+The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
 tuple (hashed whole; its layout is the socket table's), each process record
 and the episode record, hashed with its position (state_key). A successor's
 key is its predecessor's plus the difference of the hashes of the components
 its step replaced: the fds its socket table logged as written, the acting
-pid's record, and the episode record if the step swapped it for a copy. So a
-stored state costs what its step touched, in the manner of Nguyen & Ruys,
-"Incremental hashing for SPIN" (SPIN 2008). encode(g) stays the definition
-of state equality: two states get one key exactly when their encodings are
-equal, up to a 128-bit hash collision.
+pid's record if its canon() changed, and the episode record if the step
+swapped it for a copy. So a stored state costs what its step touched, in the
+manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008).
+encode(g) stays the definition of state equality: two states get one key
+exactly when their encodings are equal, up to a 128-bit hash collision.
+
+The store (VisitedKeys) keeps each key in a 16-byte slot, in the manner of
+SPIN's compact state store (Holzmann 1997): its high and low 64-bit words
+sit at one index of two word arrays, in one of four open-addressing
+sub-tables that each double when 3/4 of their slots are used. A lookup
+compares both words, so all 128 bits are kept; an empty slot is all zero, so
+the key 0 is kept by a flag of its own. A stored state costs at most 43
+bytes once its sub-table has grown, where a set of Python ints took about 96
+(a 48-byte int object and its share of the set's table).
 
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
@@ -74,6 +83,8 @@ import marshal
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import CheckError, ContractViolation, PropertyViolation
@@ -215,12 +226,16 @@ def state_key(g: GlobalState, memo: dict) -> int:
     record at position len(slots) + pid, and the episode record's canon()
     at position -1. A state with a _link updates its predecessor's key at
     the components its step may have replaced: the fds its table logged in
-    touched, the acting pid's record, and the episode record if it is no
-    longer the predecessor's object. Any other state sums every component.
-    memo maps (position, component) to its hash; one search shares one
-    memo. Unequal states collide with chance 2**-128 per pair, below 1e-20
-    across even 10**9 stored states, so exhaustiveness is not meaningfully
-    weakened.
+    touched, the acting pid's record unless its canon() equals the
+    predecessor's, and the episode record if it is no longer the
+    predecessor's object. Any other state sums every component. memo maps
+    (position, component) to its hash; one search shares one memo. Unequal
+    states collide with chance 2**-128 per pair, below 1e-20 across even
+    10**9 stored states, so exhaustiveness is not meaningfully weakened.
+
+    explore stores the key whole in VisitedKeys: 16 bytes per slot, at most
+    3/4 of a sub-table's slots used, both 64-bit words compared on lookup,
+    and the key 0, which would read as an empty slot, kept by its own flag.
     """
     key = g._key
     if key is not None:
@@ -243,15 +258,111 @@ def state_key(g: GlobalState, memo: dict) -> int:
         for fd in set(g.sockets.touched):
             key += _component_hash(fd, slots[fd], memo) - _component_hash(
                 fd, old[fd], memo)
-        pos = base + pid
-        key += _component_hash(pos, g.procs[pid].canon(), memo) - _component_hash(
-            pos, prev.procs[pid].canon(), memo)
+        now = g.procs[pid].canon()
+        was = prev.procs[pid].canon()
+        if now != was:
+            pos = base + pid
+            key += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
         if g.episode is not prev.episode:
             key += _component_hash(EPISODE_POS, g.episode.canon(), memo) - _component_hash(
                 EPISODE_POS, prev.episode.canon(), memo)
     key &= _KEY_MASK
     g._key = key
     return key
+
+
+# ---------------------------------------------------------------------------
+# the visited store
+# ---------------------------------------------------------------------------
+
+WORD = (1 << 64) - 1
+SUBTABLE_BITS = 2  # the top bits of a key's high word pick its sub-table
+SUBTABLE_SHIFT = 64 - SUBTABLE_BITS
+FIRST_SLOTS = 128  # each sub-table's slots at the start; a power of two
+
+
+def _words(n: int) -> memoryview:
+    """n zeroed unsigned 64-bit words.
+
+    A 'Q' view of a bytearray is laid out as array('Q') is, without loading
+    the array extension module, whose pages add about 0.14 MB to a process.
+    """
+    return memoryview(bytearray(8 * n)).cast("Q")
+
+
+def _free_slots(n: int) -> tuple:
+    """A sub-table of n empty slots: (high words, low words, n - 1)."""
+    return _words(n), _words(n), n - 1
+
+
+class VisitedKeys:
+    """The visited keys of one search, 16 bytes per slot.
+
+    The keys are kept in 2**SUBTABLE_BITS open-addressing sub-tables, picked
+    by the top bits of a key's high word. A sub-table is two word arrays
+    (_words) of one power-of-two length, the high and the low words of its
+    slots; an empty slot is all zero. A key's first slot is the low bits of
+    its low word; from there the probe steps by the low bits of its high
+    word, made odd (double hashing), so it reaches every slot. A key matches
+    a slot only if both words are equal, so all 128 bits tell keys apart.
+    The key 0 would read as an empty slot, so zero records it instead.
+
+    room[s] is how many more keys sub-table s takes before it is 3/4 full;
+    the key that fills it to 3/4 doubles it (grow). Each sub-table doubles
+    on its own, so growing holds one sub-table's old and new arrays, not the
+    whole store twice, and the store never holds more than 16 bytes / (3/8)
+    = 43 bytes per key in a sub-table that has grown.
+
+    explore runs add's probe inline; the method serves the initial state's
+    key, the key 0 and the tests.
+    """
+
+    __slots__ = ("tables", "room", "zero")
+
+    def __init__(self):
+        self.tables = [_free_slots(FIRST_SLOTS) for _ in range(1 << SUBTABLE_BITS)]
+        self.room = [FIRST_SLOTS * 3 // 4] * (1 << SUBTABLE_BITS)
+        self.zero = False
+
+    def add(self, key: int) -> bool:
+        """Store key; True if it was not stored before."""
+        hi = key >> 64
+        lo = key & WORD
+        his, los, mask = self.tables[hi >> SUBTABLE_SHIFT]
+        i = lo & mask
+        w = los[i]
+        if w != lo or his[i] != hi:
+            stride = hi & mask | 1
+            while w or his[i]:
+                i = (i + stride) & mask
+                w = los[i]
+                if w == lo and his[i] == hi:
+                    break
+            else:  # slot i is empty: key is new
+                his[i] = hi
+                los[i] = lo
+                s = hi >> SUBTABLE_SHIFT
+                self.room[s] -= 1
+                if not self.room[s]:
+                    self.grow(s)
+                return True
+        if key:
+            return False  # slot i holds key
+        new = not self.zero  # key is 0 and slot i is empty, and stays so
+        self.zero = True
+        return new
+
+    def grow(self, s: int) -> None:
+        """Double sub-table s and re-insert its keys."""
+        old_his, old_los, old_mask = self.tables[s]
+        his, los, mask = self.tables[s] = _free_slots(2 * (old_mask + 1))
+        for hi, lo in compress(zip(old_his, old_los), map(or_, old_his, old_los)):
+            i = lo & mask
+            while his[i] or los[i]:
+                i = (i + (hi & mask | 1)) & mask
+            his[i] = hi
+            los[i] = lo
+        self.room[s] = (old_mask + 1) * 3 // 4  # 3/4 of 2n slots, less the 3n/4 keys held
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +477,17 @@ def explore(
     budgets count the initial state like any other: it is stored state 1
     and sits at depth 0.
 
-    Properties run only on newly stored states, after the visited-set
+    Properties run only on newly stored states, after the visited-store
     lookup, which is why the search does not share walk's loop; it shares
     walk's state check, checked_steps.
     """
     t0 = time.perf_counter()
     init = scenario.initial_state()
     memo: dict = {}  # component hashes, see state_key
-    visited = {state_key(init, memo)}
+    visited = VisitedKeys()
+    visited.add(state_key(init, memo))
+    tables = visited.tables
+    room = visited.room
     stored = 1
     matched = 0
     deepest = 0
@@ -391,8 +505,8 @@ def explore(
         )
 
     path: list[ScheduleStep] = []
-    # Each frame: (state, its enabled steps, index of the next step to try).
-    stack: list[list] = []
+    # Each frame: (state, an iterator over the steps of it not yet tried).
+    stack: list[tuple] = []
     state = init  # newly stored, reached by path; the root is no exception
     try:
         while True:
@@ -405,26 +519,49 @@ def explore(
                 if path:
                     path.pop()
             else:
-                stack.append([state, steps, 0])
+                stack.append((state, iter(steps)))
             # Find the next state not yet stored.
             while stack:
-                frame = stack[-1]
-                state, steps, idx = frame
-                if idx >= len(steps):
-                    stack.pop()
+                state, todo = stack[-1]
+                for step in todo:
+                    try:
+                        succ = apply(state, step)
+                    except CheckError:
+                        path.append(step)  # the trace ends with the failing step
+                        raise
+                    key = state_key(succ, memo)
+                    # visited.add(key), inline: the probe is most of the store's cost.
+                    hi = key >> 64
+                    lo = key & WORD
+                    his, los, mask = tables[hi >> SUBTABLE_SHIFT]
+                    i = lo & mask
+                    w = los[i]
+                    if w != lo or his[i] != hi:
+                        stride = hi & mask | 1
+                        while w or his[i]:
+                            i = (i + stride) & mask
+                            w = los[i]
+                            if w == lo and his[i] == hi:
+                                break
+                        else:  # slot i is empty: key is new
+                            his[i] = hi
+                            los[i] = lo
+                            s = hi >> SUBTABLE_SHIFT
+                            room[s] -= 1
+                            if not room[s]:
+                                visited.grow(s)
+                            break
+                    # Slot i holds key; or key is 0, which add keeps apart.
+                    if key or not visited.add(key):
+                        matched += 1
+                        continue
+                    break
+                else:
+                    stack.pop()  # every step of state is tried
                     if path:
                         path.pop()
                     continue
-                frame[2] += 1
-                step = steps[idx]
                 path.append(step)
-                succ = apply(state, step)
-                key = state_key(succ, memo)
-                if key in visited:
-                    matched += 1
-                    path.pop()
-                    continue
-                visited.add(key)
                 stored += 1
                 if len(path) > deepest:
                     deepest = len(path)

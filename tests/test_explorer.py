@@ -4,10 +4,12 @@ import ast
 import hashlib
 import marshal
 import random
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ringcheck import barrier as barrier_mod
 from ringcheck import daemons as daemons_mod
@@ -19,6 +21,7 @@ from ringcheck.explorer import (
     ACT_INJECT_FAILURE,
     ACT_START_TRACE,
     EVENT_CONNECT,
+    EVERY_STATE,
     EVENT_EOF,
     KIND_ACTION,
     KIND_EVENT,
@@ -29,6 +32,7 @@ from ringcheck.explorer import (
     GlobalState,
     Property,
     ScheduleStep,
+    VisitedKeys,
     apply,
     enabled_steps,
     encode,
@@ -347,10 +351,12 @@ ENCODING_MODELS = [
 
 
 class TestEncodingIsTheState:
-    """The visited set stores 128-bit keys in place of full encodings.
+    """The visited store holds 128-bit keys in place of full encodings.
 
-    Over whole searches the two visited sets must agree, and every encoding
-    must be the marshal of the state's own plain tuples.
+    Over whole searches, keying each state by the digest of its full
+    encoding must give the counts state_key gives, no two encodings may share
+    a digest, and every encoding must be the marshal of the state's own
+    plain tuples.
     """
 
     @pytest.mark.parametrize("algorithm,kw", ENCODING_MODELS,
@@ -360,17 +366,20 @@ class TestEncodingIsTheState:
         sc = scenario_for(algorithm, **kw)
         by_key = explore(sc, sc.default_properties())
         calls = []
+        encodings = {}  # digest -> the one encoding it names
 
         def full_key(g, memo):
             # Every state the search stores or matches passes through here.
             calls.append(g)
-            key = encode(g)
-            assert marshal.loads(key) == g.canon()
+            code = encode(g)
+            assert marshal.loads(code) == g.canon()
             for slot in g.sockets.slots:
                 for m in slot[QUEUE]:
                     assert type(m) is tuple and len(m) == 6
                     assert type(m[CMD]) is int and 0 <= m[CMD] < len(ALL_COMMANDS)
-            return key
+            digest = state_digest(g)
+            assert encodings.setdefault(digest, code) == code, "two encodings, one digest"
+            return int.from_bytes(digest, "little")
 
         monkeypatch.setattr(explorer_mod, "state_key", full_key)
         by_encoding = explore(sc, sc.default_properties())
@@ -379,6 +388,181 @@ class TestEncodingIsTheState:
                                            by_key.states_matched, by_key.max_depth)
         assert by_encoding.states_stored > 1
         assert len(calls) == by_encoding.states_stored + by_encoding.states_matched
+        assert len(encodings) == len(set(encodings.values())) == by_encoding.states_stored
+
+
+TOP_KEY = 2**128 - 1
+
+
+def store_bytes(store) -> int:
+    """What the store's word arrays hold, in bytes."""
+    return sum(a.itemsize * len(a) for his, los, _ in store.tables for a in (his, los))
+
+
+def stored_keys(store) -> int:
+    """The keys the store holds, by a count of its used slots."""
+    return store.zero + sum(1 for his, los, _ in store.tables
+                            for hi, lo in zip(his, los) if hi or lo)
+
+
+@st.composite
+def key_runs(draw):
+    """Keys in runs, each run of one kind, generated from a drawn seed.
+
+    The kinds: the extreme keys 0 and 2**128 - 1; keys with one low word;
+    keys with one high word; keys that share a first slot at every table
+    size up to 2**12; a long run into one sub-table, which grows it at
+    least three times; and repeats of keys already drawn.
+    """
+    keys = [draw(st.integers(0, TOP_KEY))]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["edge", "low", "high", "slot", "long", "again"]))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(400, 1_500) if kind == "long" else st.integers(1, 40))
+        top = rng.getrandbits(explorer_mod.SUBTABLE_BITS) << (128 - explorer_mod.SUBTABLE_BITS)
+        word = rng.getrandbits(64)
+        if kind == "edge":
+            run = [rng.choice([0, TOP_KEY]) for _ in range(n)]
+        elif kind == "low":
+            run = [rng.getrandbits(64) << 64 | word for _ in range(n)]
+        elif kind == "high":
+            run = [word << 64 | rng.getrandbits(64) for _ in range(n)]
+        elif kind == "slot":
+            run = [top | rng.getrandbits(125 - 12) << 12 | word & 0xFFF for _ in range(n)]
+        elif kind == "long":
+            run = [top | rng.getrandbits(125) for _ in range(n)]
+        else:
+            run = [rng.choice(keys) for _ in range(n)]
+        keys += run
+    return keys
+
+
+class Star:
+    """A model whose initial state has one step per further key; each successor
+    is quiescent. keyed replaces state_key: a state's key is keys[its step]."""
+
+    class Record:
+        pid = 0
+        dead = False
+
+        def __init__(self, n):
+            self.n = n
+
+        def clone(self):
+            return Star.Record(self.n)
+
+    class Table:
+        def clone(self):
+            return self
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.protocol = self
+
+    def initial_state(self):
+        return GlobalState(self, Star.Table(), [Star.Record(0)], None)
+
+    def steps(self, g):
+        if g.procs[0].n:
+            return []
+        return [ScheduleStep(0, KIND_ACTION, -1, str(n)) for n in range(1, len(self.keys))]
+
+    def act(self, g, p, cmd):
+        p.n = int(cmd)
+
+    def keyed(self, g, memo):
+        return self.keys[g.procs[0].n]
+
+
+# (states_matched, max_depth) of `verify ring-seq --size 2 --inserters 3
+# --blocking` stopped at each state budget below, every one RESOURCE_LIMIT with
+# the budget stored; taken while the search kept its keys in a set of Python
+# ints. The budgets are one below, at and one above each count of stored
+# states at which the store grows a sub-table, up to 20,000 states.
+GROWTH_EDGE_COUNTS = {
+    332: (366, 30), 333: (370, 30), 334: (372, 30), 372: (415, 30), 373: (415, 30),
+    374: (415, 30), 396: (436, 30), 397: (437, 30), 398: (439, 30), 424: (474, 30),
+    425: (476, 30), 426: (479, 30), 685: (812, 30), 686: (813, 30), 687: (814, 30),
+    761: (882, 30), 762: (882, 30), 763: (883, 30), 806: (946, 30), 807: (946, 30),
+    808: (946, 30), 819: (947, 30), 820: (948, 30), 821: (949, 30), 1428: (2237, 30),
+    1429: (2239, 30), 1430: (2241, 30), 1532: (2449, 30), 1533: (2452, 30),
+    1534: (2452, 30), 1560: (2512, 30), 1561: (2515, 30), 1562: (2518, 30),
+    1596: (2574, 30), 1597: (2578, 30), 1598: (2580, 30), 2982: (5322, 30),
+    2983: (5324, 30), 2984: (5326, 30), 3058: (5445, 30), 3059: (5450, 30),
+    3060: (5453, 30), 3078: (5490, 30), 3079: (5496, 30), 3080: (5498, 30),
+    3176: (5704, 30), 3177: (5706, 30), 3178: (5709, 30), 6061: (11535, 30),
+    6062: (11536, 30), 6063: (11537, 30), 6142: (11615, 30), 6143: (11616, 30),
+    6144: (11618, 30), 6145: (11621, 30), 6229: (11705, 30), 6230: (11706, 30),
+    6231: (11707, 30), 12243: (24867, 30), 12244: (24869, 30), 12245: (24875, 30),
+    12253: (24904, 30), 12254: (24911, 30), 12255: (24916, 30), 12314: (25038, 30),
+    12315: (25038, 30), 12316: (25039, 30), 12351: (25129, 30), 12352: (25130, 30),
+    12353: (25131, 30),
+}
+
+
+class TestVisitedKeys:
+    """The visited store against a set of Python ints."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(keys=key_runs())
+    @example(keys=[0, 0, TOP_KEY, 1, 1 << 64, TOP_KEY, 0, 1 << 64, 1])
+    def test_add_and_the_inline_probe_agree_with_a_set(self, keys):
+        store = VisitedKeys()
+        oracle = set()
+        new = []  # whether each key was new when it came
+        grown = []  # the sub-table of each growth
+        real_grow = VisitedKeys.grow
+
+        def grow(self, s):
+            grown.append(s)
+            real_grow(self, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VisitedKeys, "grow", grow)
+            for key in keys:
+                new.append(key not in oracle)
+                assert store.add(key) == new[-1], hex(key)
+                oracle.add(key)
+                if len(oracle) >= 1024:
+                    assert store_bytes(store) <= 48 * len(oracle)
+        assert stored_keys(store) == len(oracle)
+        # A sub-table grows when its keys reach 3/4 of its slots, never else.
+        first = explorer_mod.FIRST_SLOTS * 3 // 4
+        per_table = Counter(key >> (128 - explorer_mod.SUBTABLE_BITS) for key in oracle if key)
+        assert Counter(grown) == {s: (n // first).bit_length() for s, n in per_table.items()
+                                  if n >= first}
+
+        # The same keys through explore: a key is stored when new, else matched.
+        star = Star(keys)
+        stored = []
+        seen = Property("stored", EVERY_STATE, lambda g: stored.append(g.procs[0].n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explorer_mod, "state_key", star.keyed)
+            report = explore(star, (seen,))
+        assert stored == [n for n, fresh in enumerate(new) if fresh]
+        assert (report.states_stored, report.states_matched) == (
+            len(oracle), len(keys) - len(oracle))
+
+    def test_budgets_at_each_growth_keep_their_counts(self):
+        sc = scenario_for("ring-seq", size=2, inserters=3, blocking=True)
+        props = sc.default_properties()
+        edges = []  # stored states when a sub-table grows: the key just stored counts
+        real_grow = VisitedKeys.grow
+
+        def grow(self, s):
+            edges.append(stored_keys(self))
+            real_grow(self, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VisitedKeys, "grow", grow)
+            explore(sc, props, max_states=20_000)
+        budgets = sorted({b for t in edges for b in (t - 1, t, t + 1)})
+        assert len(edges) >= 3 * 2**explorer_mod.SUBTABLE_BITS
+        assert budgets == sorted(GROWTH_EDGE_COUNTS)
+        for budget in budgets:
+            report = explore(sc, props, max_states=budget)
+            assert (report.outcome, report.states_stored, report.states_matched,
+                    report.max_depth) == (RESOURCE_LIMIT, budget, *GROWTH_EDGE_COUNTS[budget])
 
 
 class KeyCheck:
