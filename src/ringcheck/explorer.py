@@ -39,6 +39,12 @@ swapped it for a copy. So a stored state costs what its step touched, in the
 manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008).
 encode(g) stays the definition of state equality: two states get one key
 exactly when their encodings are equal, up to a 128-bit hash collision.
+The hash is blake2b from CPython's built-in _blake2 module, the very
+constructor hashlib.blake2b names; importing hashlib would also map
+OpenSSL (_hashlib, about 3.6 MB of RSS) for this one function, so hashlib
+is only the fallback where _blake2 is missing, as the stdlib's random takes
+_sha512. The search's records are NamedTuples for the same reason: the
+dataclasses module would load inspect, ast and dis (about 1 MB) at import.
 
 The store (VisitedKeys) keeps each key in a 16-byte slot, in the manner of
 SPIN's compact state store (Holzmann 1997): its high and low 64-bit words
@@ -78,14 +84,17 @@ uniform random chooser; replay walks a recorded schedule.
 
 from __future__ import annotations
 
-import hashlib
 import marshal
 import random
 import time
-from dataclasses import dataclass
 from itertools import compress
 from operator import or_
 from typing import Callable, Iterable, NamedTuple
+
+try:
+    from _blake2 import blake2b  # what hashlib.blake2b is, without loading OpenSSL
+except ImportError:
+    from hashlib import blake2b
 
 from .errors import CheckError, ContractViolation, PropertyViolation
 from .sockets import EVENT_CONNECT, EVENT_EOF  # noqa: F401 (wake step names)
@@ -192,7 +201,7 @@ def state_digest(g: GlobalState) -> bytes:
     independently of how it was reached, for tests and tools that compare
     states across runs.
     """
-    return hashlib.blake2b(encode(g), digest_size=16).digest()
+    return blake2b(encode(g), digest_size=16).digest()
 
 
 # The hash memo is cleared at this size: unbounded, it grew peak RSS by
@@ -215,7 +224,7 @@ def _component_hash(pos: int, c: tuple, memo: dict) -> int:
         if len(memo) >= MEMO_LIMIT:
             memo.clear()
         h = memo[item] = int.from_bytes(
-            hashlib.blake2b(marshal.dumps(item, 2), digest_size=16).digest(), "little")
+            blake2b(marshal.dumps(item, 2), digest_size=16).digest(), "little")
     return h
 
 
@@ -414,8 +423,7 @@ EVERY_STATE = "every_state"
 QUIESCENCE_ONLY = "quiescence"
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(NamedTuple):
     """A named check with its evaluation point."""
 
     kind: str
@@ -423,8 +431,7 @@ class Property:
     fn: Callable[[GlobalState], None]  # raises CheckError on failure
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     outcome: str
     states_stored: int
     states_matched: int
@@ -583,8 +590,7 @@ def explore(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WalkReport:
+class WalkReport(NamedTuple):
     """Where one walk ended: a simulation or a replay."""
 
     trace: tuple[ScheduleStep, ...]  # steps taken, a failing step included

@@ -6,7 +6,7 @@ already in the canonical form a state encoding stores; nothing re-encodes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Ring maintenance commands.
 RHS_INFO_REQUEST = "rhs_info_request"
@@ -39,8 +39,7 @@ ALL_COMMANDS = (
 CMD_INDEX = {cmd: i for i, cmd in enumerate(ALL_COMMANDS)}
 
 
-@dataclass(frozen=True, slots=True)
-class Identity:
+class Identity(NamedTuple):
     """Contact coordinates of a daemon: an opaque host label and a port."""
 
     host: str

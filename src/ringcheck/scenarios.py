@@ -18,7 +18,7 @@ left neighbor are the worst case and there are at most K of them in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import barrier, daemons
 from . import properties as props
@@ -34,8 +34,7 @@ ALGORITHMS = ("ring-seq", "ring-par", "trace", "recovery", "barrier")
 MAX_PROCESSES = 1000
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """User-facing knobs, as they arrive from the command line."""
 
     algorithm: str

@@ -197,6 +197,7 @@ def test_criterion_01_sequential_insertion_breaks_the_ring():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow  # reads the four-daemon establishment sweep
 def test_criterion_02_parallel_insertion_verifies_to_four_daemons(ring_par_sweep):
     reports, _ = ring_par_sweep
     for total in (1, 2, 3, 4):
@@ -342,6 +343,7 @@ def test_criterion_08_reports_seeds_and_replays_are_deterministic(run_cli, tmp_p
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow  # reads the four-daemon establishment sweep
 def test_criterion_09_state_counts_grow_with_model_size(
         ring_par_sweep, trace_sweep, recovery_sweep, barrier_sweep):
     families = {
@@ -361,6 +363,7 @@ def test_criterion_09_state_counts_grow_with_model_size(
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow  # reads the four-daemon establishment sweep
 def test_criterion_10_three_inserters_reach_every_ring_order(ring_par_sweep):
     _, orders = ring_par_sweep
     measured = orders[4]

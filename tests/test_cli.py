@@ -430,6 +430,25 @@ def test_module_entry_point_smoke():
     assert "outcome: VERIFIED" in proc.stdout
 
 
+def test_the_command_line_imports_only_what_it_runs():
+    # dataclasses would load inspect, ast and dis (about 1 MB of RSS), and
+    # hashlib maps OpenSSL's _hashlib for the one blake2b the explorer takes
+    # from _blake2. -S keeps site's .pth hooks out of the module list.
+    src = os.path.dirname(os.path.dirname(ringcheck.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ringcheck.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ringcheck.explorer" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    if importlib.util.find_spec("_blake2") is not None:
+        assert "_hashlib" not in loaded
+
+
 def test_run_tables_quick_sweep_prints_one_row_per_configuration():
     # The script puts its checkout's src on sys.path itself.
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_tables.py"

@@ -32,7 +32,9 @@ from ringcheck.explorer import (
     GlobalState,
     Property,
     ScheduleStep,
+    VerificationReport,
     VisitedKeys,
+    WalkReport,
     apply,
     enabled_steps,
     encode,
@@ -543,6 +545,7 @@ class TestVisitedKeys:
         assert (report.states_stored, report.states_matched) == (
             len(oracle), len(keys) - len(oracle))
 
+    @pytest.mark.slow
     def test_budgets_at_each_growth_keep_their_counts(self):
         sc = scenario_for("ring-seq", size=2, inserters=3, blocking=True)
         props = sc.default_properties()
@@ -1044,3 +1047,29 @@ def test_the_explorer_imports_no_protocol_module():
             names.update(part for alias in node.names for part in alias.name.split("."))
     assert "sockets" in names  # the walk over the tree sees the imports
     assert not names & {"daemons", "barrier", "properties", "scenarios"}
+
+
+class TestRecords:
+    def test_reports_keep_their_fields_and_none_defaults(self):
+        assert VerificationReport._fields == (
+            "outcome", "states_stored", "states_matched", "max_depth", "elapsed",
+            "violation", "trace")
+        report = VerificationReport(VERIFIED, 1, 0, 0, 0.0)
+        assert (report.violation, report.trace) == (None, None)
+        assert WalkReport._fields == ("trace", "final_state", "quiescent", "violation")
+        walked = WalkReport((), None, True)
+        assert walked.violation is None
+
+    def test_records_cannot_be_reassigned(self):
+        sc = scenario_for("ring-par", size=1, inserters=1)
+        prop = sc.default_properties()[0]
+        for record, field in ((explore(sc), "outcome"),
+                              (simulate(sc, seed=0), "violation"),
+                              (prop, "when")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_hashes_with_the_constructor_hashlib_names(self):
+        # Taken from _blake2 so that importing the explorer maps no OpenSSL;
+        # being hashlib's own object keeps every key and digest bit-identical.
+        assert explorer_mod.blake2b is hashlib.blake2b

@@ -32,6 +32,15 @@ def test_make_identities_are_deterministic_and_distinct():
     assert ids[2] == Identity("node2", 9002)
 
 
+def test_identity_is_an_immutable_record_that_renders_its_fields():
+    # Violation texts print identities this way (test_daemons pins one).
+    ident = Identity("node0", 9000)
+    assert str(ident) == repr(ident) == "Identity(host='node0', port=9000)"
+    assert (ident.host, ident.port) == ("node0", 9000)
+    with pytest.raises(AttributeError):
+        ident.port = 9001
+
+
 def test_registry_roundtrip():
     ids = make_identities(3)
     reg = Registry(ids)

@@ -151,3 +151,20 @@ class TestConfigRoundtrip:
     def test_incomplete_fields_are_rejected(self):
         with pytest.raises(ScenarioError, match="incomplete"):
             config_from_fields({"algorithm": "ring-par"})
+
+
+class TestConfigRecord:
+    def test_builds_positionally_with_no_failure_by_default(self):
+        # The benchmark's worker builds its configs this way.
+        cfg = ScenarioConfig("ring-seq", 2, 3, True)
+        assert (cfg.algorithm, cfg.size, cfg.inserters, cfg.blocking, cfg.fail_pid) == (
+            "ring-seq", 2, 3, True, None)
+        assert cfg == ScenarioConfig("ring-seq", size=2, inserters=3, blocking=True)
+        assert repr(cfg) == ("ScenarioConfig(algorithm='ring-seq', size=2, inserters=3, "
+                             "blocking=True, fail_pid=None)")
+
+    def test_defaults_and_immutability(self):
+        cfg = ScenarioConfig("barrier")
+        assert (cfg.size, cfg.inserters, cfg.blocking, cfg.fail_pid) == (2, 0, False, None)
+        with pytest.raises(AttributeError):
+            cfg.size = 3
