@@ -51,9 +51,10 @@ SPIN's compact state store (Holzmann 1997): its high and low 64-bit words
 sit at one index of two word arrays, in one of four open-addressing
 sub-tables that each double when 3/4 of their slots are used. A lookup
 compares both words, so all 128 bits are kept; an empty slot is all zero, so
-the key 0 is kept by a flag of its own. A stored state costs at most 43
-bytes once its sub-table has grown, where a set of Python ints took about 96
-(a 48-byte int object and its share of the set's table).
+the key 0 is kept by a flag of its own. Every key goes in and is looked up
+through VisitedKeys.add, the store's one probe. A stored state costs at most
+43 bytes once its sub-table has grown, where a set of Python ints took about
+96 (a 48-byte int object and its share of the set's table).
 
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
@@ -143,10 +144,10 @@ class GlobalState:
     A state is mutated only between its creation and its first state_key
     call, so a computed key never goes stale.
 
-    Listing a state's steps calls sockets.ready_events, which caches the
-    wake map on the socket table for the successors' tables to start from.
-    That cache is no part of the state: it never changes the slots, the
-    encoding or the key.
+    Listing a state's steps calls sockets.ready_events, which keeps the
+    wake map of the table's slots on the table until the table is next
+    written; the successors' tables start from it. That cache is no part of
+    the state: it never changes the slots, the encoding or the key.
     """
 
     __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "_key", "_link")
@@ -322,8 +323,8 @@ class VisitedKeys:
     whole store twice, and the store never holds more than 16 bytes / (3/8)
     = 43 bytes per key in a sub-table that has grown.
 
-    explore runs add's probe inline; the method serves the initial state's
-    key, the key 0 and the tests.
+    add is the store's one way in: explore stores and looks up every key
+    through it, the initial state's included.
     """
 
     __slots__ = ("tables", "room", "zero")
@@ -492,9 +493,8 @@ def explore(
     init = scenario.initial_state()
     memo: dict = {}  # component hashes, see state_key
     visited = VisitedKeys()
-    visited.add(state_key(init, memo))
-    tables = visited.tables
-    room = visited.room
+    add = visited.add
+    add(state_key(init, memo))
     stored = 1
     matched = 0
     deepest = 0
@@ -536,33 +536,9 @@ def explore(
                     except CheckError:
                         path.append(step)  # the trace ends with the failing step
                         raise
-                    key = state_key(succ, memo)
-                    # visited.add(key), inline: the probe is most of the store's cost.
-                    hi = key >> 64
-                    lo = key & WORD
-                    his, los, mask = tables[hi >> SUBTABLE_SHIFT]
-                    i = lo & mask
-                    w = los[i]
-                    if w != lo or his[i] != hi:
-                        stride = hi & mask | 1
-                        while w or his[i]:
-                            i = (i + stride) & mask
-                            w = los[i]
-                            if w == lo and his[i] == hi:
-                                break
-                        else:  # slot i is empty: key is new
-                            his[i] = hi
-                            los[i] = lo
-                            s = hi >> SUBTABLE_SHIFT
-                            room[s] -= 1
-                            if not room[s]:
-                                visited.grow(s)
-                            break
-                    # Slot i holds key; or key is 0, which add keeps apart.
-                    if key or not visited.add(key):
-                        matched += 1
-                        continue
-                    break
+                    if add(state_key(succ, memo)):
+                        break
+                    matched += 1
                 else:
                     stack.pop()  # every step of state is tried
                     if path:

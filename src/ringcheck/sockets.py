@@ -15,18 +15,15 @@ head of the channel. The protocol modules schedule and handle wakes by that
 one name.
 
 Listing the wakes costs the fds the state's step wrote plus the wakes
-listed, not the table's size. ``ready_events`` keeps the wake map, fd ->
-(owner, name) for every fd that has a wake, in ``_wakes = (log, n, map)``:
-the map as the slots stood once ``log[:n]`` had been written. From its own
-map (``log`` is its ``touched``) a table re-derives only ``touched[n:]``.
-``clone()`` hands the child its parent's tuple only if that map belongs to
-the parent's own log; the child then re-derives all of its ``touched``,
-provided the parent had listed after its last write (``n == len(log)``).
-A clone of a clone that never listed gets no map, so it cannot skip the
-middle step's writes. Any other table derives every fd. A map is shared
-with clones and never written; each listing builds a new one. So listing
-again after no write returns the same events, and no wake can disagree
-with the slots behind it.
+listed, not the table's size. The wake map, fd -> (owner, name) for every
+fd that has a wake, is kept in ``_wakes``: it is the map of the slots as
+they stand, or None. ``_put``, the one slot write, sets it to None, and
+``ready_events`` builds it again when it is None. ``clone()`` gives the
+child ``_base``, its parent's ``_wakes``: the map of the slots as they
+stood at the clone, or None. From a base the child re-derives only the fds
+in its ``touched``; without one it derives every fd. A map is shared with
+clones and never written once built, so no wake can disagree with the
+slots behind it.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -87,10 +84,6 @@ FREE_SLOT = (INVALID_FD, UNOWNED, FREE, ())
 EVENT_CONNECT = "connect"
 EVENT_EOF = "eof"
 
-# The wake tuple of a table whose map must be derived from every fd: its log
-# is no table's touched list and its n no log's length.
-_NO_WAKES = ((), -1, None)
-
 # Property kind of the table's structural invariant; every protocol lists it.
 SOCKET_INVARIANTS = "socket_invariants"
 
@@ -102,7 +95,7 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("qsz", "slots", "touched", "_wakes")
+    __slots__ = ("qsz", "slots", "touched", "_wakes", "_base")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
@@ -110,7 +103,8 @@ class SocketTable:
         self.qsz = qsz
         self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
-        self._wakes = _NO_WAKES  # (log, n, map); see ready_events
+        self._wakes = None  # the wake map of the slots as they stand, or None
+        self._base = None  # the wake map of the slots at clone(), or None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -119,8 +113,8 @@ class SocketTable:
         t.qsz = self.qsz
         t.slots = self.slots[:]
         t.touched = []
-        wakes = self._wakes
-        t._wakes = wakes if wakes[0] is self.touched else _NO_WAKES
+        t._wakes = None
+        t._base = self._wakes
         return t
 
     def canon(self) -> tuple:
@@ -128,9 +122,10 @@ class SocketTable:
         return tuple(zip(*self.slots))
 
     def _put(self, fd: int, slot: tuple) -> None:
-        """The one slot write: store slot at fd and log fd in touched."""
+        """The one slot write: store slot at fd, log fd in touched, drop the map."""
         self.slots[fd] = slot
         self.touched.append(fd)
+        self._wakes = None
 
     # -- small accessors ----------------------------------------------------
 
@@ -264,33 +259,31 @@ class SocketTable:
         readiness requires the descriptor to have been accepted. A message
         wake is named by the command of the message at its channel's head.
 
-        The wake map is re-derived only at the fds written since the map it
-        starts from (see the module docstring): touched[n:] from the table's
-        own map, all of touched from a current map inherited at clone(),
-        and every fd otherwise.
+        _wakes is the wake map of the slots as they stand, or None (see the
+        module docstring); a set map is reused. Otherwise the map is derived
+        from _base, the map at clone(), at the fds in touched, or from every
+        fd when there is no base, and kept in _wakes until the next write.
         """
-        log, n, old = self._wakes
-        touched, slots = self.touched, self.slots
-        if log is touched:
-            fds = touched[n:]
-        elif n == len(log):
-            fds = touched
-        else:
-            old, fds = {}, range(len(slots))
-        wakes = dict(old)
-        for fd in fds:
-            other, pid, flag, q = slots[fd]
-            if flag == AWAIT_ACCEPT:
-                wakes[fd] = (pid, EVENT_CONNECT)
-            elif flag == FREE:
-                wakes.pop(fd, None)
-            elif q:
-                wakes[fd] = (pid, command_of(q[0]))
-            elif other == INVALID_FD:
-                wakes[fd] = (pid, EVENT_EOF)
+        wakes = self._wakes
+        if wakes is None:
+            base, slots = self._base, self.slots
+            if base is None:
+                wakes, fds = {}, range(len(slots))
             else:
-                wakes.pop(fd, None)
-        self._wakes = (touched, len(touched), wakes)
+                wakes, fds = dict(base), self.touched
+            for fd in fds:
+                other, pid, flag, q = slots[fd]
+                if flag == AWAIT_ACCEPT:
+                    wakes[fd] = (pid, EVENT_CONNECT)
+                elif flag == FREE:
+                    wakes.pop(fd, None)
+                elif q:
+                    wakes[fd] = (pid, command_of(q[0]))
+                elif other == INVALID_FD:
+                    wakes[fd] = (pid, EVENT_EOF)
+                else:
+                    wakes.pop(fd, None)
+            self._wakes = wakes
         events: dict[int, list[tuple[int, str]]] = {}
         connecting = set()  # pids whose connect wake is already listed
         for fd in sorted(wakes):
@@ -324,7 +317,8 @@ class SocketTable:
         Covers link symmetry, ownership of allocated slots, cleanliness of
         free slots, channel bounds and the rule that dead processes own
         nothing. Wake soundness needs no check here: events are computed from
-        these same structures, so it holds by construction once they do.
+        these same structures, through a wake map that is current or None,
+        so it holds by construction once they do.
         """
         self._check_fds(range(len(self.slots)), dead_pids)
 

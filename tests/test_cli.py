@@ -469,3 +469,22 @@ def test_run_tables_quick_sweep_prints_one_row_per_configuration():
     assert seq[-1] == "VIOLATION"
     assert configs[-1] == ScenarioConfig("ring-seq", size=2, inserters=2, blocking=True)
     assert seq_blocking[-1] == "VERIFIED"
+
+
+def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
+    path = tmp_path / "mixed.py"
+    path.write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "def f(x):  # a comment after code\n"
+        "    '''A function docstring.'''\n"
+        "\n"
+        "    # another comment\n"
+        "    return x\n"
+    )
+    script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    proc = subprocess.run([sys.executable, str(script), str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", str(path), "2", "total"]

@@ -508,7 +508,10 @@ class TestVisitedKeys:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(keys=key_runs())
     @example(keys=[0, 0, TOP_KEY, 1, 1 << 64, TOP_KEY, 0, 1 << 64, 1])
-    def test_add_and_the_inline_probe_agree_with_a_set(self, keys):
+    def test_add_and_explore_agree_with_a_set(self, keys):
+        """add returns whether each key is new, as a set would; the store
+        grows exactly at the 3/4 bound; and explore, keyed with the same keys
+        through a star model, stores exactly the new ones, in order."""
         store = VisitedKeys()
         oracle = set()
         new = []  # whether each key was new when it came
@@ -544,6 +547,27 @@ class TestVisitedKeys:
         assert stored == [n for n, fresh in enumerate(new) if fresh]
         assert (report.states_stored, report.states_matched) == (
             len(oracle), len(keys) - len(oracle))
+
+    @pytest.mark.parametrize("algorithm,kw,outcome", [
+        ("ring-par", {"size": 1, "inserters": 2}, VERIFIED),
+        ("barrier", {"size": 3}, VERIFIED),
+        ("ring-seq", {"size": 2, "inserters": 2}, VIOLATION),
+    ], ids=["ring-par-1-2", "barrier-3", "ring-seq-2-2"])
+    def test_explore_stores_and_matches_every_key_through_add(self, algorithm, kw, outcome):
+        calls = 0
+        real_add = VisitedKeys.add
+
+        def add(self, key):
+            nonlocal calls
+            calls += 1
+            return real_add(self, key)
+
+        sc = scenario_for(algorithm, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VisitedKeys, "add", add)
+            report = explore(sc, sc.default_properties())
+        assert report.outcome == outcome and report.states_matched
+        assert calls == report.states_stored + report.states_matched
 
     @pytest.mark.slow
     def test_budgets_at_each_growth_keep_their_counts(self):
