@@ -25,6 +25,11 @@ from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, S
 BARRIER_INVARIANT = "barrier_invariant"
 BARRIER_END = "barrier_end"
 
+# Step commands whose handlers read only the acting record and logged socket
+# slots (see daemons.LOCAL_STEPS): none, as every barrier handler reads or
+# writes the shared BarrierBits.
+LOCAL_STEPS = frozenset()
+
 
 class ManagerState:
     """Per-manager record."""

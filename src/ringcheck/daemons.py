@@ -82,6 +82,20 @@ DEAD = 4
 
 PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", IN_RING: "in_ring", DEAD: "dead"}
 
+# The step commands whose handlers read nothing but the acting daemon's
+# record, the socket slots the table logs in its read record, the records
+# they read through g.record (eof's recovery reads the rhs2 daemon's phase)
+# and the static scenario: not the episode record or the dead set. explore
+# derives the key of such a step, where the steps since it last ran wrote
+# none of that, from the key change it made there. trace_req (the episode
+# and the dead set), trace_done and start_trace (the episode) are left out,
+# and so is inject_failure, whose scan reads every slot so that every step
+# conflicts with it. A step left out is re-run wherever it is enabled.
+LOCAL_STEPS = frozenset({
+    EVENT_CONNECT, EVENT_EOF, ACT_BEGIN_INSERTION, NEW_RHS, RECONNECT_RHS, NEW_LHS,
+    RHS2INFO, RHS_INFO_REQUEST, RHS_INFO_RETURN,
+})
+
 
 class DaemonState:
     """Mutable per-daemon record.
@@ -335,7 +349,7 @@ def act(g, d: DaemonState, action: str) -> None:
 def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
     """Handle the wake named name on d's descriptor fd."""
     if name == EVENT_CONNECT:
-        g.sockets.accept(d.pid)
+        g.sockets.accept_at(d.pid, fd)
         return
     if name == EVENT_EOF:
         _on_eof(g, d, fd)
@@ -567,7 +581,7 @@ def _recover_rhs(g, d):
         raise ProtocolViolation(f"d{d.pid}: right neighbor lost with no rhs2 recorded")
     if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: recorded rhs2 is an unknown identity")
-    if g.procs[target].phase == DEAD:
+    if g.record(target).phase == DEAD:
         raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
     d.rhs_id = target
     d.rhs2_id = ABSENT  # refreshed by the query below

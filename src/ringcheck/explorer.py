@@ -56,6 +56,33 @@ through VisitedKeys.add, the store's one probe. A stored state costs at most
 43 bytes once its sub-table has grown, where a set of Python ints took about
 96 (a 48-byte int object and its share of the set's table).
 
+The search runs no step whose successor key it can derive. A step changes
+the key by the hashes of the components it writes, new minus old: its
+delta. A step whose handler reads only its own process record, the socket
+slots its table logs in the read record (reads), the other records it
+reads through GlobalState.record and the static scenario, and so neither
+the episode record nor the dead set, is local; the protocol module names
+the local step commands (LOCAL_STEPS). Such a step writes only what it
+read, so in any state where its footprint (those slots and records) is as
+it was, it writes the same values over the same old ones, and its delta is
+the same. Each DFS frame therefore keeps (delta, footprint) for the local
+steps tried at its state and those its parent passed down; descending
+through a step t, a frame passes down the entries whose footprint t's
+writes (its table's touched fds and its own record) leave alone, in the
+manner of Godefroid's sleep sets ("Partial-Order Methods for the
+Verification of Concurrent Systems", 1996). Only a step its state lists
+uses an entry, so whether a step is enabled, and under which name (its fd,
+say: a connect wake names the lowest pending fd), is decided where it
+would run. Its key is then the state's key plus the delta, and it goes to
+VisitedKeys.add like any other: if it is stored, the step counts as
+matched with no apply and no state_key; if it is new, the step runs for
+real and its successor takes that key. So add sees the keys, in the order,
+of a search that runs every step, and every count, verdict and trace is
+that search's; unlike a sleep set, nothing is pruned. A step left unnamed
+is always run, so a missing name costs time, never soundness; a step named
+local that reads more would get wrong keys, which the tests check against
+a search that runs every step.
+
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
 the acting pid, so no check scans every process for failures; and the
@@ -138,6 +165,11 @@ class GlobalState:
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
 
+    reads has bit pid set for each record a handler read through record()
+    since the state was made; with the table's read record and the acting
+    record it is the footprint of the step that made the state (see the
+    module docstring).
+
     _key is the state's visited key once state_key has computed it. apply
     leaves a successor of a keyed state a _link, (predecessor, acting pid),
     from which state_key updates the predecessor's key; state_key drops it.
@@ -150,7 +182,8 @@ class GlobalState:
     the state: it never changes the slots, the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "_key", "_link")
+    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "reads", "_key",
+                 "_link")
 
     def __init__(self, scenario, sockets, procs, episode):
         self.scenario = scenario  # static, shared across all derived states
@@ -158,6 +191,7 @@ class GlobalState:
         self.procs = procs
         self.episode = episode
         self.derived_dead = None
+        self.reads = 0  # bit pid: record pid read through record() since clone()
         self._key = None
         self._link = None
 
@@ -169,9 +203,19 @@ class GlobalState:
         g.procs = self.procs[:]
         g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
+        g.reads = 0
         g._key = None
         g._link = None
         return g
+
+    def record(self, pid: int):
+        """Process pid's record, read by a handler of another process.
+
+        The read is logged in reads, as the socket table logs the slots a
+        handler reads, so that explore knows the step's footprint.
+        """
+        self.reads |= 1 << pid
+        return self.procs[pid]
 
     def dead_pids(self) -> frozenset[int]:
         """The pids of the processes that have failed."""
@@ -487,7 +531,8 @@ def explore(
 
     Properties run only on newly stored states, after the visited-store
     lookup, which is why the search does not share walk's loop; it shares
-    walk's state check, checked_steps.
+    walk's state check, checked_steps. A step whose successor key a frame
+    can derive (see the module docstring) is run only if that key is new.
     """
     t0 = time.perf_counter()
     init = scenario.initial_state()
@@ -511,10 +556,16 @@ def explore(
             trace=trace,
         )
 
+    local = scenario.protocol.LOCAL_STEPS
+    base = len(init.sockets.slots) if local else 0  # bit base + pid: pid's record
+    mask = _KEY_MASK
     path: list[ScheduleStep] = []
-    # Each frame: (state, an iterator over the steps of it not yet tried).
+    # Each frame: (state, an iterator over the steps of it not yet tried,
+    # known: step -> (key change, footprint) for the steps whose successor
+    # key is state's key plus that change; see the docstring).
     stack: list[tuple] = []
     state = init  # newly stored, reached by path; the root is no exception
+    known: dict = {}  # an empty known may be shared; it is replaced, not filled
     try:
         while True:
             steps = checked_steps(state, properties)
@@ -526,17 +577,35 @@ def explore(
                 if path:
                     path.pop()
             else:
-                stack.append((state, iter(steps)))
+                stack.append((state, iter(steps), known))
             # Find the next state not yet stored.
             while stack:
-                state, todo = stack[-1]
+                state, todo, known = stack[-1]
+                base_key = state._key
                 for step in todo:
+                    entry = known.get(step) if known else None
+                    if entry is not None:
+                        key = (base_key + entry[0]) & mask
+                        if not add(key):
+                            matched += 1  # no apply, no state_key
+                            continue
                     try:
                         succ = apply(state, step)
                     except CheckError:
                         path.append(step)  # the trace ends with the failing step
                         raise
-                    if add(state_key(succ, memo)):
+                    if entry is not None:
+                        succ._key = key
+                        succ._link = None
+                        break
+                    key = state_key(succ, memo)
+                    if local and step.cmd in local:
+                        if not known:  # the frame's first entry: the frame gets its own dict
+                            known = {}
+                            stack[-1] = (state, todo, known)
+                        known[step] = (key - base_key, succ.sockets.reads
+                                       | (succ.reads | 1 << step.pid) << base)
+                    if add(key):
                         break
                     matched += 1
                 else:
@@ -548,6 +617,11 @@ def explore(
                 stored += 1
                 if len(path) > deepest:
                     deepest = len(path)
+                if known:  # pass down the entries whose footprint step left alone
+                    writes = 1 << base + step.pid
+                    for fd in succ.sockets.touched:
+                        writes |= 1 << fd
+                    known = {u: e for u, e in known.items() if not e[1] & writes}
                 state = succ
                 break
             else:

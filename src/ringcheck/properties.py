@@ -13,13 +13,16 @@ invariants that no reachable state may break.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .barrier import BARRIER_END, BARRIER_INVARIANT, all_bits
 from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
 from .errors import PropertyViolation
-from .sockets import INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
+from .sockets import FREE, INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
 
 
-def ring_order(g) -> list:
+@lru_cache(maxsize=1)
+def ring_order(g) -> tuple:
     """Live daemons in clockwise order, derived purely from descriptors.
 
     Starts at the lowest-pid live daemon, follows each rhs_fd through the
@@ -27,6 +30,11 @@ def ring_order(g) -> list:
     the peer endpoint is exactly that owner's lhs_fd. Raises
     PropertyViolation unless the walk closes into a single ring covering
     every live daemon.
+
+    The topology, neighbour-state and trace checks of one quiescent state
+    all ask for its order, so the last state's order is kept (a raised
+    violation is not): no step writes a state once its properties run.
+    Slots are read through peek, outside the handlers' read record.
     """
     dead = g.dead_pids()
     live = [p for p in g.procs if p.pid not in dead]
@@ -52,31 +60,32 @@ def ring_order(g) -> list:
         order.append(cur)
         seen.add(cur.pid)
         fd = cur.rhs_fd
-        if fd == INVALID_FD or not sock.is_allocated(fd):
+        peer, owner, flag, _ = sock.peek(fd)
+        if flag == FREE:
             raise PropertyViolation(f"d{cur.pid} has no right-hand connection")
-        if sock.owner_of(fd) != cur.pid:
+        if owner != cur.pid:
             raise PropertyViolation(f"d{cur.pid} rhs_fd {fd} not owned by it")
-        if sock.flag_of(fd) != RHS:
+        if flag != RHS:
             raise PropertyViolation(f"d{cur.pid} rhs_fd {fd} lacks the RHS flag")
-        peer = sock.other_of(fd)
         if peer == INVALID_FD:
             raise PropertyViolation(f"d{cur.pid} right-hand connection is half open")
-        if not sock.is_allocated(peer) or sock.owner_of(peer) < 0:
+        _, owner, flag, _ = sock.peek(peer)
+        if flag == FREE or owner < 0:
             raise PropertyViolation(f"d{cur.pid} right-hand peer fd {peer} is dangling")
-        nxt = g.procs[sock.owner_of(peer)]
+        nxt = g.procs[owner]
         if nxt.lhs_fd != peer:
             raise PropertyViolation(
                 f"ring edge from d{cur.pid} enters d{nxt.pid} on fd {peer}, "
                 f"which is not its left side"
             )
-        if sock.flag_of(peer) != LHS:
+        if flag != LHS:
             raise PropertyViolation(f"d{nxt.pid} fd {peer} lacks the LHS flag")
         if nxt.pid in seen:
             if nxt.pid != order[0].pid or len(order) != len(live):
                 raise PropertyViolation(
                     f"ring closes after {len(order)} of {len(live)} live daemons"
                 )
-            return order
+            return tuple(order)
         cur = nxt
     raise PropertyViolation(f"walk of {len(live)} edges did not close the ring")
 
@@ -87,8 +96,8 @@ def check_ring_topology(g) -> None:
     sock = g.sockets
     dead = g.dead_pids()
     for fd in range(sock.conn_max):
-        if sock.is_allocated(fd) and sock.owner_of(fd) not in dead:
-            q = sock.queue_of(fd)
+        _, owner, flag, q = sock.peek(fd)
+        if flag != FREE and owner not in dead:
             if q:
                 raise PropertyViolation(
                     f"fd {fd} holds {len(q)} undelivered messages in a settled state"

@@ -47,6 +47,23 @@ it no longer does, the close that unlinked them wrote u's slot too.
 
 The explorer's visited key relies on the same log: it re-hashes only the
 logged slots, so a read is logged too, though a read breaks no invariant.
+
+Beside ``touched`` sits ``reads``, the read record: an int with bit fd set
+for every slot an operation read since construction or ``clone()``. Every
+slot read a handler can make logs its fd next to the read: the accessors,
+``_check_owner``, the peer reads of ``write`` and ``_close_slot``, and the
+scans of ``_alloc``, ``accept`` and ``inject_failure``, which log the range
+they passed over. ``accept_at``, the connect handler's accept, claims the fd
+its wake names and so reads that fd alone. A write never goes to a slot the
+operation did not read first, so ``touched`` is within ``reads``. The
+explorer takes a step's reads as part of its footprint: a local step (one
+that reads no other state; see the explorer) that finds those slots as
+they were has the same effect and changes the visited key by the same
+amount. The record
+is the handlers' alone: ``ready_events`` and the invariant checks index
+``slots`` directly, and property checks read through ``peek``, which logs
+nothing. They are not steps, so logging their reads would cost every
+checked state and tell the search nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +112,7 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("qsz", "slots", "touched", "_wakes", "_base")
+    __slots__ = ("qsz", "slots", "touched", "reads", "_wakes", "_base")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
@@ -103,6 +120,7 @@ class SocketTable:
         self.qsz = qsz
         self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
+        self.reads = 0  # bit fd set: slot fd read since construction or clone()
         self._wakes = None  # the wake map of the slots as they stand, or None
         self._base = None  # the wake map of the slots at clone(), or None
 
@@ -113,6 +131,7 @@ class SocketTable:
         t.qsz = self.qsz
         t.slots = self.slots[:]
         t.touched = []
+        t.reads = 0
         t._wakes = None
         t._base = self._wakes
         return t
@@ -127,6 +146,13 @@ class SocketTable:
         self.touched.append(fd)
         self._wakes = None
 
+    def peek(self, fd: int) -> tuple:
+        """fd's slot, FREE_SLOT for an fd outside the table; logs nothing.
+
+        For property checks, which read a state without stepping it.
+        """
+        return self.slots[fd] if 0 <= fd < len(self.slots) else FREE_SLOT
+
     # -- small accessors ----------------------------------------------------
 
     @property
@@ -134,29 +160,40 @@ class SocketTable:
         return len(self.slots)
 
     def is_allocated(self, fd: int) -> bool:
-        return 0 <= fd < len(self.slots) and self.slots[fd][FLAG] != FREE
+        if 0 <= fd < len(self.slots):
+            self.reads |= 1 << fd
+            return self.slots[fd][FLAG] != FREE
+        return False
 
     def other_of(self, fd: int) -> int:
+        self.reads |= 1 << fd
         return self.slots[fd][OTHER]
 
     def flag_of(self, fd: int) -> int:
+        self.reads |= 1 << fd
         return self.slots[fd][FLAG]
 
     def owner_of(self, fd: int) -> int:
+        self.reads |= 1 << fd
         return self.slots[fd][OWNER]
 
     def queue_of(self, fd: int) -> tuple:
+        self.reads |= 1 << fd
         return self.slots[fd][QUEUE]
 
     def set_flag(self, fd: int, flag: int) -> None:
         if not self.is_allocated(fd):
             raise ContractViolation(f"set_flag on unallocated fd {fd}")
-        other, owner, _, q = self.slots[fd]
+        other, owner, _, q = self.slots[fd]  # read by is_allocated
         self._put(fd, (other, owner, flag, q))
 
     def _check_owner(self, pid: int, fd: int, op: str) -> tuple:
         """fd's slot, once pid is known to own the allocated fd."""
-        slot = self.slots[fd] if 0 <= fd < len(self.slots) else FREE_SLOT
+        if 0 <= fd < len(self.slots):
+            self.reads |= 1 << fd
+            slot = self.slots[fd]
+        else:
+            slot = FREE_SLOT
         if slot[FLAG] == FREE:
             raise ContractViolation(f"{op} on unallocated fd {fd} by pid {pid}")
         if slot[OWNER] != pid:
@@ -168,6 +205,7 @@ class SocketTable:
     def _alloc(self, start: int = 0) -> int:
         for fd in range(start, len(self.slots)):
             if self.slots[fd][FLAG] == FREE:
+                self.reads |= (2 << fd) - (1 << start)  # the scan read start..fd
                 return fd
         raise ModelSizingError(
             f"descriptor table exhausted (conn_max={len(self.slots)}); size the model larger"
@@ -193,9 +231,21 @@ class SocketTable:
         """Claim the lowest-index pending connection owned by pid, flagged flag."""
         for fd, (other, owner, old, q) in enumerate(self.slots):
             if owner == pid and old == AWAIT_ACCEPT:
+                self.reads |= (2 << fd) - 1  # the scan read 0..fd
                 self._put(fd, (other, owner, flag, q))
                 return fd
         raise ContractViolation(f"accept by pid {pid} with no pending connection")
+
+    def accept_at(self, pid: int, fd: int) -> None:
+        """Claim the pending connection at fd, which must be pid's lowest.
+
+        A connect wake names exactly that fd (ready_events), so its handler
+        claims it without the scan accept makes, and reads fd alone.
+        """
+        other, owner, flag, q = self._check_owner(pid, fd, "accept")
+        if flag != AWAIT_ACCEPT:
+            raise ContractViolation(f"accept on fd {fd}, which is no pending connection")
+        self._put(fd, (other, owner, NEW, q))
 
     def write(self, pid: int, fd: int, msg) -> None:
         peer, _, flag, _ = self._check_owner(pid, fd, "write")
@@ -203,6 +253,7 @@ class SocketTable:
             raise ContractViolation(f"write on fd {fd} before it was accepted")
         if peer == INVALID_FD:
             raise BrokenConnectionError(f"write on fd {fd}: peer endpoint is closed")
+        self.reads |= 1 << peer
         back, owner, peer_flag, q = self.slots[peer]
         if len(q) >= self.qsz:
             raise ModelSizingError(
@@ -230,6 +281,7 @@ class SocketTable:
         a no-op because nothing is owned any more.
         """
         closed = []
+        self.reads |= (1 << len(self.slots)) - 1  # the scan reads every slot
         for fd, (_, owner, flag, _) in enumerate(self.slots):
             if owner == pid and flag != FREE:
                 self._close_slot(fd)
@@ -237,8 +289,10 @@ class SocketTable:
         return closed
 
     def _close_slot(self, fd: int) -> None:
+        self.reads |= 1 << fd
         peer = self.slots[fd][OTHER]
         if peer != INVALID_FD:
+            self.reads |= 1 << peer
             _, owner, flag, q = self.slots[peer]
             if flag != FREE:
                 # Half-close the survivor; its EOF becomes observable once its

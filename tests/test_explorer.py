@@ -48,16 +48,21 @@ from ringcheck.explorer import (
 from ringcheck.messages import (
     ALL_COMMANDS,
     CMD,
+    IDS,
     NEW_LHS,
     NEW_RHS,
     RECONNECT_RHS,
+    ORIGIN,
     RHS_INFO_RETURN,
+    TRACE_DONE,
     TRACE_REQ,
     command_of,
+    message,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
+    FLAG,
     FREE,
     INVALID_FD,
     OTHER,
@@ -358,7 +363,8 @@ class TestEncodingIsTheState:
     Over whole searches, keying each state by the digest of its full
     encoding must give the counts state_key gives, no two encodings may share
     a digest, and every encoding must be the marshal of the state's own
-    plain tuples.
+    plain tuples. A digest is no sum of component hashes, so a successor
+    key cannot be derived from it: the digest search re-runs every step.
     """
 
     @pytest.mark.parametrize("algorithm,kw", ENCODING_MODELS,
@@ -384,6 +390,7 @@ class TestEncodingIsTheState:
             return int.from_bytes(digest, "little")
 
         monkeypatch.setattr(explorer_mod, "state_key", full_key)
+        monkeypatch.setattr(sc.protocol, "LOCAL_STEPS", frozenset())
         by_encoding = explore(sc, sc.default_properties())
         assert (by_encoding.outcome, by_encoding.states_stored, by_encoding.states_matched,
                 by_encoding.max_depth) == (by_key.outcome, by_key.states_stored,
@@ -456,6 +463,8 @@ class Star:
     class Table:
         def clone(self):
             return self
+
+    LOCAL_STEPS = frozenset()  # keyed is no sum of component hashes: nothing is derived
 
     def __init__(self, keys):
         self.keys = keys
@@ -727,6 +736,229 @@ class TestIncrementalKey:
         monkeypatch.setattr(SocketTable, "read", unlogged)
         with pytest.raises(AssertionError, match="differs from a fresh one"):
             check_keys(scenario_for("ring-par", size=1, inserters=2))
+
+
+class SpyList(list):
+    """A list that notes the index of every item read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.seen = set()
+
+    def __getitem__(self, i):
+        self.seen.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            self.seen.add(i)  # as the loop gets to it: a scan may stop early
+            yield list.__getitem__(self, i)
+
+
+class SealedEpisode:
+    """An episode record that no local step may read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a local step read the episode record's {name}")
+
+
+def bits(n: int) -> set:
+    return {i for i in range(n.bit_length()) if n >> i & 1}
+
+
+def audit_footprint(g, step) -> None:
+    """Run a local step on a copy of g that notes what its handler reads.
+
+    Every slot it reads must be in the table's read record, and every record
+    but the acting one must be read through g.record; it must not read the
+    episode record, or the dead set, which scans every record.
+    """
+    h = g.clone()
+    p = h.procs[step.pid] = h.procs[step.pid].clone()
+    h.sockets.slots = slots = SpyList(h.sockets.slots)
+    h.procs = procs = SpyList(h.procs)
+    h.episode = SealedEpisode()
+    try:
+        if step.kind == KIND_ACTION:
+            g.scenario.protocol.act(h, p, step.cmd)
+        else:
+            g.scenario.protocol.handle_event(h, p, step.fd, step.cmd)
+    except CheckError:
+        return  # the search stops at a failing step; nothing is derived from it
+    unlogged = slots.seen - bits(h.sockets.reads)
+    assert not unlogged, f"{step.render()} read fds {sorted(unlogged)} outside the read record"
+    unlogged = procs.seen - bits(h.reads) - {step.pid}
+    assert not unlogged, f"{step.render()} read the records of {sorted(unlogged)} unlogged"
+
+
+def check_derived_keys(scenario, max_states: int = 50_000_000) -> int:
+    """Search scenario with derived keys and with none; the matches derived.
+
+    The two searches must end alike and call VisitedKeys.add with the same
+    keys in the same order, so each derived key is the key of
+    state_key(apply(state, step)) for the step it stands for; and every
+    local step the first search runs must pass audit_footprint. Returns how
+    many steps the first search matched without running them.
+    """
+    props = scenario.default_properties()
+    real_add, real_apply = VisitedKeys.add, explorer_mod.apply
+
+    def search(local):
+        keys, applied = [], []
+
+        def add(self, key):
+            keys.append(key)
+            return real_add(self, key)
+
+        def apply(g, step):
+            applied.append(step)
+            if step.cmd in local:
+                audit_footprint(g, step)
+            return real_apply(g, step)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(VisitedKeys, "add", add)
+            mp.setattr(explorer_mod, "apply", apply)
+            mp.setattr(scenario.protocol, "LOCAL_STEPS", local)
+            report = explore(scenario, props, max_states=max_states)
+        return report._replace(elapsed=None), keys, len(applied)
+
+    derived, keys, applied = search(scenario.protocol.LOCAL_STEPS)
+    full, full_keys, full_applied = search(frozenset())
+    assert derived == full
+    assert len(keys) == len(full_keys) == full.states_stored + full.states_matched
+    for n, (key, fresh) in enumerate(zip(keys, full_keys)):
+        assert key == fresh, f"add call {n + 1}: the derived key is not the step's key"
+    return full_applied - applied
+
+
+REUSE_MODELS = KEY_MODELS + [("barrier", {"size": 5})]
+# Steps matched without a run, frozen so that reuse cannot silently stop:
+# (algorithm, options, state budget, derived matches).
+DERIVED_MATCHES = [
+    ("ring-seq", {"size": 2, "inserters": 3, "blocking": True}, 20_000, 32_519),
+    ("ring-par", {"size": 2, "inserters": 2}, 50_000_000, 10_528),
+]
+
+
+def trace_req_in_place(g, d, fd, msg):
+    """_on_trace_req writing the shared episode record instead of a copy."""
+    t = g.episode
+    if t.started and t.initiator == d.pid:
+        t.collected = msg[IDS]
+        g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))
+        return
+    daemons_mod._on_trace_req(g, d, fd, msg)
+
+
+class PoppedSteps(list):
+    """One state's steps from checked_steps; on_pop(state) runs once explore
+    has tried them all, as it pops the state."""
+
+    def __init__(self, steps, state, on_pop):
+        super().__init__(steps)
+        self.state = state
+        self.on_pop = on_pop
+
+    def __iter__(self):
+        yield from super().__iter__()
+        self.on_pop(self.state)
+
+
+def recheck_keys(scenario) -> tuple:
+    """Search scenario, recomputing each state's key from scratch as the DFS
+    pops it. Returns the report, the states popped and those whose key was
+    not their fresh key."""
+    real = explorer_mod.checked_steps
+    popped, drifted = [], []
+
+    def on_pop(g):
+        popped.append(g)
+        if g._key != state_key(GlobalState(g.scenario, g.sockets, g.procs, g.episode), {}):
+            drifted.append(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer_mod, "checked_steps",
+                   lambda g, props: PoppedSteps(real(g, props), g, on_pop))
+        report = explore(scenario, scenario.default_properties())
+    return report, len(popped), len(drifted)
+
+
+class TestDerivedKeys:
+    """explore derives the key of a step that commutes with the path since it
+    last ran, and runs it only if that key is new."""
+
+    @pytest.mark.parametrize("algorithm,kw", REUSE_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in REUSE_MODELS])
+    def test_derived_keys_are_the_keys_of_the_steps_they_skip(self, algorithm, kw):
+        derived = check_derived_keys(scenario_for(algorithm, **kw))
+        # Every barrier step reads the shared bits; a trace passes one token.
+        assert (derived > 0) == (algorithm not in ("barrier", "trace")), derived
+
+    @pytest.mark.parametrize("algorithm,kw,max_states,derived", DERIVED_MATCHES,
+                             ids=["insert-seq", "ring-par-2-2"])
+    def test_derived_matches_keep_their_counts(self, algorithm, kw, max_states, derived):
+        assert check_derived_keys(scenario_for(algorithm, **kw), max_states) == derived
+
+    def test_a_scan_that_bypasses_the_read_record_is_caught(self, monkeypatch):
+        def alloc(self, start=0):  # records the slot it found, not the ones it passed
+            for fd in range(start, len(self.slots)):
+                if self.slots[fd][FLAG] == FREE:
+                    self.reads |= 1 << fd
+                    return fd
+            raise AssertionError("the model ran out of slots")
+
+        monkeypatch.setattr(SocketTable, "_alloc", alloc)
+        sc = scenario_for("ring-par", size=1, inserters=2)
+        with pytest.raises(AssertionError, match="outside the read record"):
+            check_derived_keys(sc)
+        # The footprint is too small for real: the derived keys alone show it.
+        monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
+        with pytest.raises(AssertionError):
+            check_derived_keys(sc)
+
+    def test_a_record_read_that_bypasses_g_record_is_caught(self, monkeypatch):
+        monkeypatch.setattr(GlobalState, "record", lambda g, pid: g.procs[pid])
+        with pytest.raises(AssertionError, match="unlogged"):
+            check_derived_keys(scenario_for("recovery", size=4))
+
+    def test_a_step_wrongly_named_local_is_caught(self, monkeypatch):
+        # trace_req reads the episode record and the dead set.
+        monkeypatch.setattr(daemons_mod, "LOCAL_STEPS", daemons_mod.LOCAL_STEPS | {TRACE_REQ})
+        with pytest.raises(AssertionError, match="episode"):
+            check_derived_keys(scenario_for("trace", size=3))
+
+    def test_property_checks_and_wake_listing_leave_the_read_record_alone(self):
+        sc = scenario_for("trace", size=3)
+        g = walk(sc, sc.default_properties(), lambda steps: steps[0] if steps else None
+                 ).final_state
+        reads = g.sockets.reads  # what the last step, trace_done's absorb, read
+        g.sockets.ready_events()
+        explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
+        explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)
+        assert g.sockets.reads == reads and not g.reads
+
+
+RECHECK_MODELS = REUSE_MODELS + [("ring-par", {"size": 2, "inserters": 2})]
+
+
+class TestKeyRecheck:
+    """Each state's key, recomputed from scratch when the DFS pops it, is the
+    key it was stored under: no later step wrote a record it shares."""
+
+    @pytest.mark.parametrize("algorithm,kw", RECHECK_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in RECHECK_MODELS])
+    def test_no_key_drifts(self, algorithm, kw):
+        report, popped, drifted = recheck_keys(scenario_for(algorithm, **kw))
+        assert popped == report.states_stored or report.outcome == VIOLATION
+        assert popped > 1 and drifted == 0
+
+    def test_an_episode_written_in_place_is_caught(self, monkeypatch):
+        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_in_place)
+        report, popped, drifted = recheck_keys(scenario_for("trace", size=3))
+        assert (report.states_stored, popped, drifted) == (8, 8, 7)
 
 
 def fresh_dead(g) -> frozenset:

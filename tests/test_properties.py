@@ -257,3 +257,21 @@ def test_factories_pin_kind_and_evaluation_point():
         checks = build_scenario(ScenarioConfig(algorithm, size=2)).default_properties()
         assert tuple((p.kind, p.when) for p in checks) == pairs, algorithm
         assert all(p.fn is props._CHECKS[p.kind] for p in checks)
+
+
+def test_each_quiescent_ring_is_walked_once(monkeypatch):
+    # Topology, neighbour state and trace completion all read the ring order.
+    from functools import lru_cache
+
+    from ringcheck import properties as props
+    from ringcheck.explorer import Property, explore
+
+    walks, quiescent = [], []
+    walk = props.ring_order.__wrapped__
+    monkeypatch.setattr(props, "ring_order",
+                        lru_cache(maxsize=1)(lambda g: walks.append(g) or walk(g)))
+    sc = build_scenario(ScenarioConfig("recovery", size=5))
+    counted = Property("count", QUIESCENCE_ONLY, quiescent.append)
+    report = explore(sc, sc.default_properties() + (counted,))
+    assert report.outcome == "VERIFIED" and len(quiescent) > 1
+    assert walks == quiescent
