@@ -940,16 +940,13 @@ class TestDerivedKeys:
         assert g.sockets.reads == reads and not g.reads
 
 
-RECHECK_MODELS = REUSE_MODELS + [("ring-par", {"size": 2, "inserters": 2})]
-
-
 class TestKeyRecheck:
     """Each state's key, recomputed from scratch when the DFS pops it, is the
     key it was stored under: no later step wrote a record it shares."""
 
-    @pytest.mark.parametrize("algorithm,kw", RECHECK_MODELS,
+    @pytest.mark.parametrize("algorithm,kw", REUSE_MODELS,
                              ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
-                                  for a, kw in RECHECK_MODELS])
+                                  for a, kw in REUSE_MODELS])
     def test_no_key_drifts(self, algorithm, kw):
         report, popped, drifted = recheck_keys(scenario_for(algorithm, **kw))
         assert popped == report.states_stored or report.outcome == VIOLATION
