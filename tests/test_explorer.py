@@ -933,11 +933,12 @@ class TestDerivedKeys:
         sc = scenario_for("trace", size=3)
         g = walk(sc, sc.default_properties(), lambda steps: steps[0] if steps else None
                  ).final_state
-        reads = g.sockets.reads  # what the last step, trace_done's absorb, read
+        g.sockets.reads = g.reads = 0  # the walk's last step and checks ran already
+        properties_mod.ring_order.cache_clear()
         g.sockets.ready_events()
         explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
         explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)
-        assert g.sockets.reads == reads and not g.reads
+        assert g.sockets.reads == g.reads == 0
 
 
 class TestKeyRecheck:
