@@ -10,6 +10,9 @@ releases it on arrival. When the token returns to the leader everyone has
 arrived, and a barrier_out token makes one clockwise circuit releasing each
 client. The leader releases its own client when barrier_out returns, so it
 is the last one out.
+
+The bit vectors are the state's episode record, which a handler reads
+through g.read_episode so that the read is logged (see explorer).
 """
 
 from __future__ import annotations
@@ -24,11 +27,6 @@ from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, S
 # Property kinds; the properties module holds their checks.
 BARRIER_INVARIANT = "barrier_invariant"
 BARRIER_END = "barrier_end"
-
-# Step commands whose handlers read only the acting record and logged socket
-# slots (see daemons.LOCAL_STEPS): none, as every barrier handler reads or
-# writes the shared BarrierBits.
-LOCAL_STEPS = frozenset()
 
 
 class ManagerState:
@@ -139,7 +137,7 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
-    bits = g.episode = g.episode.clone()
+    bits = g.episode = g.read_episode().clone()
     bit = 1 << m.pid
     if bits.client_barrier_in & bit:
         raise ProtocolViolation(f"m{m.pid}: client arrived twice in one episode")
@@ -155,14 +153,14 @@ def _on_barrier_in(g, m: ManagerState) -> None:
     if m.is_leader:
         # Token returned: every client is in, start releasing.
         _send_token(g, m, BARRIER_OUT)
-    elif g.episode.client_barrier_in & (1 << m.pid):
+    elif g.read_episode().client_barrier_in & (1 << m.pid):
         _send_token(g, m, BARRIER_IN)
     else:
         m.holding_barrier_in = True
 
 
 def _on_barrier_out(g, m: ManagerState) -> None:
-    bits = g.episode = g.episode.clone()
+    bits = g.episode = g.read_episode().clone()
     bit = 1 << m.pid
     if bits.client_barrier_out & bit:
         raise ProtocolViolation(f"m{m.pid}: barrier_out arrived twice")

@@ -10,7 +10,11 @@ entry daemon and closes the race.
 
 Every handler runs atomically between two scheduling points: it consumes one
 ready event, performs its reads, writes, connects and closes, and returns.
-Interleaving happens only between handler invocations.
+Interleaving happens only between handler invocations. Beyond the acting
+daemon's record and the socket slots it reads through the table, a handler
+reads another daemon's record, the trace episode and the set of dead pids
+only through g.read_record, g.read_episode and g.read_dead_pids, which log
+the read in the step's footprint (see explorer).
 
 Daemons name each other by pid: the neighbor fields, the trace collection
 and every message payload hold pids, -1 for "nobody", so a record's
@@ -81,20 +85,6 @@ IN_RING = 3
 DEAD = 4
 
 PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", IN_RING: "in_ring", DEAD: "dead"}
-
-# The step commands whose handlers read nothing but the acting daemon's
-# record, the socket slots the table logs in its read record, the records
-# they read through g.record (eof's recovery reads the rhs2 daemon's phase)
-# and the static scenario: not the episode record or the dead set. explore
-# derives the key of such a step, where the steps since it last ran wrote
-# none of that, from the key change it made there. trace_req (the episode
-# and the dead set), trace_done and start_trace (the episode) are left out,
-# and so is inject_failure, whose scan reads every slot so that every step
-# conflicts with it. A step left out is re-run wherever it is enabled.
-LOCAL_STEPS = frozenset({
-    EVENT_CONNECT, EVENT_EOF, ACT_BEGIN_INSERTION, NEW_RHS, RECONNECT_RHS, NEW_LHS,
-    RHS2INFO, RHS_INFO_REQUEST, RHS_INFO_RETURN,
-})
 
 
 class DaemonState:
@@ -283,7 +273,7 @@ def inject_failure(g, pid: int) -> None:
 
 def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
-    t = g.episode = g.episode.clone()
+    t = g.episode = g.read_episode().clone()
     t.initiator = d.pid
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
 
@@ -349,7 +339,7 @@ def act(g, d: DaemonState, action: str) -> None:
 def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
     """Handle the wake named name on d's descriptor fd."""
     if name == EVENT_CONNECT:
-        g.sockets.accept_at(d.pid, fd)
+        g.sockets.accept(d.pid, fd)
         return
     if name == EVENT_EOF:
         _on_eof(g, d, fd)
@@ -363,7 +353,7 @@ def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
 
 
 def _live_count(g) -> int:
-    return len(g.procs) - len(g.dead_pids())
+    return len(g.procs) - len(g.read_dead_pids())
 
 
 def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
@@ -529,7 +519,7 @@ def _on_rhs_info_return(g, d, fd, msg):
 
 
 def _on_trace_req(g, d, fd, msg):
-    t = g.episode
+    t = g.read_episode()
     if not t.started:
         raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
     if t.initiator == d.pid:
@@ -546,7 +536,7 @@ def _on_trace_req(g, d, fd, msg):
 
 
 def _on_trace_done(g, d, fd, msg):
-    if g.episode.initiator == d.pid:
+    if g.read_episode().initiator == d.pid:
         return  # completion report absorbed after its full circuit
     g.sockets.write(d.pid, d.rhs_fd, msg)
 
@@ -581,7 +571,7 @@ def _recover_rhs(g, d):
         raise ProtocolViolation(f"d{d.pid}: right neighbor lost with no rhs2 recorded")
     if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: recorded rhs2 is an unknown identity")
-    if g.record(target).phase == DEAD:
+    if g.read_record(target).phase == DEAD:
         raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
     d.rhs_id = target
     d.rhs2_id = ABSENT  # refreshed by the query below

@@ -58,30 +58,34 @@ through VisitedKeys.add, the store's one probe. A stored state costs at most
 
 The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
-delta. A step whose handler reads only its own process record, the socket
-slots its table logs in the read record (reads), the other records it
-reads through GlobalState.record and the static scenario, and so neither
-the episode record nor the dead set, is local; the protocol module names
-the local step commands (LOCAL_STEPS). Such a step writes only what it
-read, so in any state where its footprint (those slots and records) is as
-it was, it writes the same values over the same old ones, and its delta is
-the same. Each DFS frame therefore keeps (delta, footprint) for the local
-steps tried at its state and those its parent passed down; descending
-through a step t, a frame passes down the entries whose footprint t's
-writes (its table's touched fds and its own record) leave alone, in the
-manner of Godefroid's sleep sets ("Partial-Order Methods for the
-Verification of Concurrent Systems", 1996). Only a step its state lists
-uses an entry, so whether a step is enabled, and under which name (its fd,
-say: a connect wake names the lowest pending fd), is decided where it
-would run. Its key is then the state's key plus the delta, and it goes to
-VisitedKeys.add like any other: if it is stored, the step counts as
-matched with no apply and no state_key; if it is new, the step runs for
-real and its successor takes that key. So add sees the keys, in the order,
-of a search that runs every step, and every count, verdict and trace is
-that search's; unlike a sleep set, nothing is pruned. A step left unnamed
-is always run, so a missing name costs time, never soundness; a step named
-local that reads more would get wrong keys, which the tests check against
-a search that runs every step.
+delta. Its footprint is what its handler read: its own process record,
+the socket slots its table logged in the read record (SocketTable.reads),
+and the other records it read through GlobalState.read_record; the
+scenario is static. A step writes only what it read, so in any state where
+its footprint is as it was, it writes the same values over the same old
+ones, and its delta is the same. Each DFS frame therefore keeps (delta,
+footprint) for the steps tried at its state and those its parent passed
+down; descending through a step t, a frame passes down the entries whose
+footprint t's writes (its table's touched fds and its own record) leave
+alone, in the manner of Godefroid's sleep sets ("Partial-Order Methods for
+the Verification of Concurrent Systems", 1996). A step whose handler read
+a shared record, the episode record (read_episode) or the dead set
+(read_dead_pids), takes no entry. Barrier arrivals and releases and every
+trace step read the episode; on every model measured none of their
+entries was ever used, while keeping them, and checking each episode
+write and kill against them, cost the barrier and wide recovery searches
+about a tenth of their time.
+Only a step its state lists uses an entry, so whether a step is enabled,
+and under which name (its fd, say: a connect wake names the lowest pending
+fd), is decided where it would run. Its key is then the state's key plus
+the delta, and apply offers it to VisitedKeys.add like any other: if it is
+stored, the step counts as matched and neither runs nor is keyed; if it is
+new, the step runs for real and its successor takes that key. So add sees
+the keys, in the order, of a search that runs every step, every count,
+verdict and trace is that search's, and apply is called once per
+transition either way; unlike a sleep set, nothing is pruned. A handler
+read that bypasses the logging would give wrong keys, which the tests
+check against a search that runs every step.
 
 What a state knows about its step is kept to check it cheaply. apply
 derives the successor's set of dead pids from the predecessor's, updated at
@@ -154,6 +158,13 @@ class ScheduleStep(NamedTuple):
         return f"pid={self.pid} kind={self.kind} fd={fd} cmd={self.cmd}"
 
 
+# Bits of GlobalState.reads, a step's reads outside the socket table.
+EPISODE_READ = 1
+DEAD_READ = 2
+SHARED_READS = EPISODE_READ | DEAD_READ
+RECORD_READS = 2  # process record pid is bit RECORD_READS + pid
+
+
 class GlobalState:
     """Everything mutable in one scenario instant.
 
@@ -165,10 +176,17 @@ class GlobalState:
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
 
-    reads has bit pid set for each record a handler read through record()
-    since the state was made; with the table's read record and the acting
-    record it is the footprint of the step that made the state (see the
-    module docstring).
+    reads is the read record of the step that made the state: bit
+    EPISODE_READ if its handler read the episode record (read_episode),
+    DEAD_READ if it read the dead set (read_dead_pids), and bit
+    RECORD_READS + pid for each process record it read (read_record). With
+    the table's read record it is the step's footprint (see the module
+    docstring). Checks and step listing read the fields directly and log
+    nothing.
+
+    check_memo is what one property check of the state computed for the
+    others to share (properties keeps its ring walk there), or None. A
+    state is not written once its checks have run, so it never goes stale.
 
     _key is the state's visited key once state_key has computed it. apply
     leaves a successor of a keyed state a _link, (predecessor, acting pid),
@@ -182,8 +200,8 @@ class GlobalState:
     the state: it never changes the slots, the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "reads", "_key",
-                 "_link")
+    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "reads",
+                 "check_memo", "_key", "_link")
 
     def __init__(self, scenario, sockets, procs, episode):
         self.scenario = scenario  # static, shared across all derived states
@@ -191,7 +209,8 @@ class GlobalState:
         self.procs = procs
         self.episode = episode
         self.derived_dead = None
-        self.reads = 0  # bit pid: record pid read through record() since clone()
+        self.reads = 0  # see the class docstring
+        self.check_memo = None
         self._key = None
         self._link = None
 
@@ -204,18 +223,29 @@ class GlobalState:
         g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
         g.reads = 0
+        g.check_memo = None
         g._key = None
         g._link = None
         return g
 
-    def record(self, pid: int):
-        """Process pid's record, read by a handler of another process.
+    # A handler reads what is not its own record or socket slots through
+    # these, which log the read in reads, as the socket table's accessors
+    # log the slots a handler reads, so that explore knows the footprint.
 
-        The read is logged in reads, as the socket table logs the slots a
-        handler reads, so that explore knows the step's footprint.
-        """
-        self.reads |= 1 << pid
+    def read_record(self, pid: int):
+        """Process pid's record, read by a handler of another process."""
+        self.reads |= 1 << RECORD_READS + pid
         return self.procs[pid]
+
+    def read_episode(self):
+        """The episode record, read by a handler; one that writes it reads it first."""
+        self.reads |= EPISODE_READ
+        return self.episode
+
+    def read_dead_pids(self) -> frozenset[int]:
+        """dead_pids(), read by a handler."""
+        self.reads |= DEAD_READ
+        return self.dead_pids()
 
     def dead_pids(self) -> frozenset[int]:
         """The pids of the processes that have failed."""
@@ -432,7 +462,8 @@ def enabled_steps(g: GlobalState) -> list[ScheduleStep]:
     return g.scenario.protocol.steps(g)
 
 
-def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
+def apply(g: GlobalState, step: ScheduleStep, key: int | None = None,
+          add: Callable[[int], bool] | None = None) -> GlobalState | None:
     """Execute one step on a copy of g and return the successor.
 
     The step must be one of enabled_steps(g); its callers, explore and walk,
@@ -444,11 +475,20 @@ def apply(g: GlobalState, step: ScheduleStep) -> GlobalState:
     the same reason h's dead set differs from g's at most at step.pid, and
     once g is keyed, h's key differs from g's only at what the step touched
     (see state_key).
+
+    explore takes every transition through apply, also one whose successor
+    key it derived (see the module docstring): it passes that key and its
+    store's add. apply offers the key to add first and returns None, running
+    nothing, if it was stored already; else the successor takes the key.
     """
+    if add is not None and not add(key):
+        return None  # a derived key already stored: the step need not run
     h = g.clone()
     pid = step.pid
     p = h.procs[pid] = h.procs[pid].clone()
-    if g._key is not None:
+    if key is not None:
+        h._key = key
+    elif g._key is not None:
         h._link = (g, pid)
     dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
     if step.kind == KIND_ACTION:
@@ -539,7 +579,8 @@ def explore(
     memo: dict = {}  # component hashes, see state_key
     visited = VisitedKeys()
     add = visited.add
-    add(state_key(init, memo))
+    key = state_key(init, memo)
+    add(key)
     stored = 1
     matched = 0
     deepest = 0
@@ -556,15 +597,14 @@ def explore(
             trace=trace,
         )
 
-    local = scenario.protocol.LOCAL_STEPS
-    base = len(init.sockets.slots) if local else 0  # bit base + pid: pid's record
+    base = len(init.sockets.slots)  # footprint bit base + b: GlobalState.reads bit b
     mask = _KEY_MASK
     path: list[ScheduleStep] = []
-    # Each frame: (state, an iterator over the steps of it not yet tried,
-    # known: step -> (key change, footprint) for the steps whose successor
-    # key is state's key plus that change; see the docstring).
+    # Each frame: (state, its key, an iterator over the steps of it not yet
+    # tried, known: step -> (key change, footprint) for the steps whose
+    # successor key is state's key plus that change; see the docstring).
     stack: list[tuple] = []
-    state = init  # newly stored, reached by path; the root is no exception
+    state = init  # newly stored with key, reached by path; the root is no exception
     known: dict = {}  # an empty known may be shared; it is replaced, not filled
     try:
         while True:
@@ -577,34 +617,33 @@ def explore(
                 if path:
                     path.pop()
             else:
-                stack.append((state, iter(steps), known))
+                stack.append((state, key, iter(steps), known))
             # Find the next state not yet stored.
             while stack:
-                state, todo, known = stack[-1]
-                base_key = state._key
+                state, base_key, todo, known = stack[-1]
                 for step in todo:
                     entry = known.get(step) if known else None
-                    if entry is not None:
-                        key = (base_key + entry[0]) & mask
-                        if not add(key):
-                            matched += 1  # no apply, no state_key
-                            continue
                     try:
-                        succ = apply(state, step)
+                        if entry is None:
+                            succ = apply(state, step)
+                        else:
+                            key = (base_key + entry[0]) & mask
+                            succ = apply(state, step, key, add)
                     except CheckError:
                         path.append(step)  # the trace ends with the failing step
                         raise
                     if entry is not None:
-                        succ._key = key
-                        succ._link = None
-                        break
+                        if succ is None:
+                            matched += 1  # the derived key was stored; the step did not run
+                            continue
+                        break  # apply stored the new derived key
                     key = state_key(succ, memo)
-                    if local and step.cmd in local:
+                    if not succ.reads & SHARED_READS:  # see the docstring
                         if not known:  # the frame's first entry: the frame gets its own dict
                             known = {}
-                            stack[-1] = (state, todo, known)
+                            stack[-1] = (state, base_key, todo, known)
                         known[step] = (key - base_key, succ.sockets.reads
-                                       | (succ.reads | 1 << step.pid) << base)
+                                       | (succ.reads | 1 << RECORD_READS + step.pid) << base)
                     if add(key):
                         break
                     matched += 1
@@ -617,8 +656,8 @@ def explore(
                 stored += 1
                 if len(path) > deepest:
                     deepest = len(path)
-                if known:  # pass down the entries whose footprint step left alone
-                    writes = 1 << base + step.pid
+                if known:  # pass down the entries whose footprint step's writes left alone
+                    writes = 1 << base + RECORD_READS + step.pid
                     for fd in succ.sockets.touched:
                         writes |= 1 << fd
                     known = {u: e for u, e in known.items() if not e[1] & writes}

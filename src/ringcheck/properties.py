@@ -13,15 +13,12 @@ invariants that no reachable state may break.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .barrier import BARRIER_END, BARRIER_INVARIANT, all_bits
 from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
 from .errors import PropertyViolation
 from .sockets import FREE, INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
 
 
-@lru_cache(maxsize=1)
 def ring_order(g) -> tuple:
     """Live daemons in clockwise order, derived purely from descriptors.
 
@@ -31,9 +28,6 @@ def ring_order(g) -> tuple:
     PropertyViolation unless the walk closes into a single ring covering
     every live daemon.
 
-    The topology, neighbour-state and trace checks of one quiescent state
-    all ask for its order, so the last state's order is kept (a raised
-    violation is not): no step writes a state once its properties run.
     Slots are read through peek, outside the handlers' read record.
     """
     dead = g.dead_pids()
@@ -90,8 +84,17 @@ def ring_order(g) -> tuple:
     raise PropertyViolation(f"walk of {len(live)} edges did not close the ring")
 
 
+def _walked_ring(g) -> tuple:
+    """ring_order(g), walked once per state: the topology, neighbour-state
+    and trace checks of a quiescent state share it through g.check_memo."""
+    order = g.check_memo
+    if order is None:
+        order = g.check_memo = ring_order(g)
+    return order
+
+
 def check_ring_topology(g) -> None:
-    ring_order(g)
+    _walked_ring(g)
     # A settled ring has nothing in flight on live connections.
     sock = g.sockets
     dead = g.dead_pids()
@@ -106,7 +109,7 @@ def check_ring_topology(g) -> None:
 
 def check_neighbor_state(g) -> None:
     """Recorded identities must match actual one- and two-hop ring walks."""
-    order = ring_order(g)
+    order = _walked_ring(g)
     name = g.scenario.registry.name
     n = len(order)
     for i, d in enumerate(order):
@@ -134,7 +137,7 @@ def check_trace_completion(g) -> None:
         raise PropertyViolation("trace episode never started")
     if not t.done:
         raise PropertyViolation("trace episode started but never completed")
-    order = ring_order(g)
+    order = _walked_ring(g)
     initiator = g.procs[t.initiator]
     if initiator.phase == DEAD:
         raise PropertyViolation("trace initiator is dead")

@@ -51,19 +51,17 @@ logged slots, so a read is logged too, though a read breaks no invariant.
 Beside ``touched`` sits ``reads``, the read record: an int with bit fd set
 for every slot an operation read since construction or ``clone()``. Every
 slot read a handler can make logs its fd next to the read: the accessors,
-``_check_owner``, the peer reads of ``write`` and ``_close_slot``, and the
-scans of ``_alloc``, ``accept`` and ``inject_failure``, which log the range
-they passed over. ``accept_at``, the connect handler's accept, claims the fd
-its wake names and so reads that fd alone. A write never goes to a slot the
-operation did not read first, so ``touched`` is within ``reads``. The
-explorer takes a step's reads as part of its footprint: a local step (one
-that reads no other state; see the explorer) that finds those slots as
-they were has the same effect and changes the visited key by the same
-amount. The record
-is the handlers' alone: ``ready_events`` and the invariant checks index
-``slots`` directly, and property checks read through ``peek``, which logs
-nothing. They are not steps, so logging their reads would cost every
-checked state and tell the search nothing.
+``_check_owner`` (so ``accept``, ``read`` and ``close`` read their own fd),
+the peer reads of ``write`` and ``_close_slot``, and the scans of
+``_alloc`` and ``inject_failure``, which log the range they passed over. A
+write never goes to a slot the operation did not read first, so
+``touched`` is within ``reads``. The explorer takes a step's reads as part
+of its footprint: a step that finds its footprint as it was has the same
+effect and changes the visited key by the same amount. The record is the
+handlers' alone: ``ready_events`` and the invariant checks index ``slots``
+directly, and property checks read through ``peek``, which logs nothing.
+They are not steps, so logging their reads would cost every checked state
+and tell the search nothing.
 """
 
 from __future__ import annotations
@@ -227,25 +225,16 @@ class SocketTable:
         self._put(client_fd, (server_fd, client_pid, flag, ()))
         return client_fd
 
-    def accept(self, pid: int, flag: int = NEW) -> int:
-        """Claim the lowest-index pending connection owned by pid, flagged flag."""
-        for fd, (other, owner, old, q) in enumerate(self.slots):
-            if owner == pid and old == AWAIT_ACCEPT:
-                self.reads |= (2 << fd) - 1  # the scan read 0..fd
-                self._put(fd, (other, owner, flag, q))
-                return fd
-        raise ContractViolation(f"accept by pid {pid} with no pending connection")
+    def accept(self, pid: int, fd: int, flag: int = NEW) -> None:
+        """Claim the pending connection at fd, owned by pid, flagged flag.
 
-    def accept_at(self, pid: int, fd: int) -> None:
-        """Claim the pending connection at fd, which must be pid's lowest.
-
-        A connect wake names exactly that fd (ready_events), so its handler
-        claims it without the scan accept makes, and reads fd alone.
+        Reads fd alone. A connect wake names pid's lowest pending fd
+        (ready_events), which is the one its handler claims.
         """
-        other, owner, flag, q = self._check_owner(pid, fd, "accept")
-        if flag != AWAIT_ACCEPT:
+        other, owner, old, q = self._check_owner(pid, fd, "accept")
+        if old != AWAIT_ACCEPT:
             raise ContractViolation(f"accept on fd {fd}, which is no pending connection")
-        self._put(fd, (other, owner, NEW, q))
+        self._put(fd, (other, owner, flag, q))
 
     def write(self, pid: int, fd: int, msg) -> None:
         peer, _, flag, _ = self._check_owner(pid, fd, "write")
@@ -307,8 +296,8 @@ class SocketTable:
 
         Maps each pid that has a wake to its (fd, name) pairs, ordered by fd
         index; a pid with none is absent. Exactly one connect wake is
-        surfaced per process (for its lowest AWAIT_ACCEPT descriptor) because
-        accept itself always claims the lowest pending slot. Message and EOF
+        surfaced per process, for its lowest AWAIT_ACCEPT descriptor, so a
+        process accepts its pending connections in fd order. Message and EOF
         wakes are per descriptor; EOF requires a drained channel, message
         readiness requires the descriptor to have been accepted. A message
         wake is named by the command of the message at its channel's head.
@@ -425,4 +414,5 @@ def wire_ring(table: SocketTable, procs: list) -> None:
     for i, p in enumerate(procs):
         q = procs[(i + 1) % n]
         p.rhs_fd = table.connect(p.pid, q.pid, RHS)
-        q.lhs_fd = table.accept(q.pid, LHS)
+        q.lhs_fd = table.slots[p.rhs_fd][OTHER]
+        table.accept(q.pid, q.lhs_fd, LHS)

@@ -263,19 +263,20 @@ def test_criterion_06_ten_thousand_random_socket_sequences():
 
     t = SocketTable(8, 4)
     cfd = t.connect(1, 2)
-    sfd = t.accept(2)
+    sfd = t.other_of(cfd)
+    t.accept(2, sfd)
     t.close(2, sfd)
     with pytest.raises(BrokenConnectionError):
         t.write(1, cfd, message("new_rhs"))  # write after close
 
     t2 = SocketTable(8, 4)
     c2 = t2.connect(1, 2)
-    t2.accept(2)
+    t2.accept(2, t2.other_of(c2))
     with pytest.raises(ContractViolation):
         t2.read(1, c2)  # read on an empty channel
 
     with pytest.raises(ContractViolation):
-        SocketTable(8, 4).accept(3)  # accept without a pending connect
+        SocketTable(8, 4).accept(3, 0)  # accept without a pending connect
 
     record(6, "10,000 random op sequences upheld all six invariants; "
               "all three negative cases raised their errors")

@@ -225,7 +225,7 @@ class TestNewLhs:
         # keeps the deferral as a defensive path, so drive it directly.
         nfd = g.sockets.connect(3, 2)
         g.sockets.write(3, nfd, message(NEW_LHS, a=3))
-        g.sockets.accept(2)
+        g.sockets.accept(2, g.sockets.other_of(nfd))
         sfd = [fd for fd in owned_by(g, 2) if g.sockets.queue_of(fd)][0]
         handle_event(g, d, sfd, NEW_LHS)
         assert d.pending_rhs2_for == 3
@@ -277,8 +277,7 @@ class TestSequentialEntry:
         entry = g.procs[0]
         for pid in (2, 3):
             begin_insertion(g, g.procs[pid])
-        g.sockets.accept(0)
-        g.sockets.accept(0)
+            g.sockets.accept(0, g.sockets.other_of(g.procs[pid].lhs_fd))
         deliver(g, 0, cmd=RHS_INFO_REQUEST)
         deliver(g, 0, cmd=RHS_INFO_REQUEST)
         assert len(entry.pending_requesters) == 2

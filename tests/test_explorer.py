@@ -390,7 +390,7 @@ class TestEncodingIsTheState:
             return int.from_bytes(digest, "little")
 
         monkeypatch.setattr(explorer_mod, "state_key", full_key)
-        monkeypatch.setattr(sc.protocol, "LOCAL_STEPS", frozenset())
+        run_every_step(monkeypatch)
         by_encoding = explore(sc, sc.default_properties())
         assert (by_encoding.outcome, by_encoding.states_stored, by_encoding.states_matched,
                 by_encoding.max_depth) == (by_key.outcome, by_key.states_stored,
@@ -461,10 +461,11 @@ class Star:
             return Star.Record(self.n)
 
     class Table:
+        slots = touched = ()
+        reads = 0
+
         def clone(self):
             return self
-
-    LOCAL_STEPS = frozenset()  # keyed is no sum of component hashes: nothing is derived
 
     def __init__(self, keys):
         self.keys = keys
@@ -755,11 +756,34 @@ class SpyList(list):
             yield list.__getitem__(self, i)
 
 
-class SealedEpisode:
-    """An episode record that no local step may read."""
+class SpiedRecord:
+    """A stand-in for a shared record that notes whether it was read."""
 
-    def __getattr__(self, name):
-        raise AssertionError(f"a local step read the episode record's {name}")
+    def __init__(self, real):
+        self.real = real
+        self.read = False
+
+    def __getattr__(self, name):  # any attribute but real and read
+        self.read = True
+        return getattr(self.real, name)
+
+
+class SpiedSet(frozenset):
+    """A dead set that notes whether it was read."""
+
+    read = False
+
+    def __len__(self):
+        self.read = True
+        return super().__len__()
+
+    def __contains__(self, item):
+        self.read = True
+        return super().__contains__(item)
+
+    def __iter__(self):
+        self.read = True
+        return super().__iter__()
 
 
 def bits(n: int) -> set:
@@ -767,17 +791,18 @@ def bits(n: int) -> set:
 
 
 def audit_footprint(g, step) -> None:
-    """Run a local step on a copy of g that notes what its handler reads.
+    """Run step on a copy of g that notes what its handler reads.
 
-    Every slot it reads must be in the table's read record, and every record
-    but the acting one must be read through g.record; it must not read the
-    episode record, or the dead set, which scans every record.
+    Every slot it reads must be in the table's read record, and every other
+    record, the episode record and the dead set it reads must be in the
+    state's; what it writes, it must have read.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
     h.sockets.slots = slots = SpyList(h.sockets.slots)
     h.procs = procs = SpyList(h.procs)
-    h.episode = SealedEpisode()
+    h.episode = episode = SpiedRecord(g.episode)
+    h.derived_dead = dead = SpiedSet(g.dead_pids())
     try:
         if step.kind == KIND_ACTION:
             g.scenario.protocol.act(h, p, step.cmd)
@@ -785,10 +810,31 @@ def audit_footprint(g, step) -> None:
             g.scenario.protocol.handle_event(h, p, step.fd, step.cmd)
     except CheckError:
         return  # the search stops at a failing step; nothing is derived from it
-    unlogged = slots.seen - bits(h.sockets.reads)
-    assert not unlogged, f"{step.render()} read fds {sorted(unlogged)} outside the read record"
-    unlogged = procs.seen - bits(h.reads) - {step.pid}
-    assert not unlogged, f"{step.render()} read the records of {sorted(unlogged)} unlogged"
+    name, reads = step.render(), h.sockets.reads
+    unlogged = slots.seen - bits(reads)
+    assert not unlogged, f"{name} read fds {sorted(unlogged)} outside the read record"
+    assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
+    records = {b - explorer_mod.RECORD_READS for b in bits(h.reads)
+               if b >= explorer_mod.RECORD_READS}
+    unlogged = procs.seen - records - {step.pid}
+    assert not unlogged, f"{name} read the records of {sorted(unlogged)} unlogged"
+    if episode.read or h.episode is not episode:
+        assert h.reads & explorer_mod.EPISODE_READ, f"{name} read the episode record unlogged"
+    if dead.read:
+        assert h.reads & explorer_mod.DEAD_READ, f"{name} read the dead set unlogged"
+
+
+def run_every_step(mp) -> None:
+    """Log an episode read for every step, so that explore keeps no entry,
+    derives no key and runs every step."""
+    real = explorer_mod.apply
+
+    def apply(g, step, key=None, add=None):
+        h = real(g, step, key, add)
+        h.reads |= explorer_mod.EPISODE_READ
+        return h
+
+    mp.setattr(explorer_mod, "apply", apply)
 
 
 def check_derived_keys(scenario, max_states: int = 50_000_000) -> int:
@@ -797,39 +843,45 @@ def check_derived_keys(scenario, max_states: int = 50_000_000) -> int:
     The two searches must end alike and call VisitedKeys.add with the same
     keys in the same order, so each derived key is the key of
     state_key(apply(state, step)) for the step it stands for; and every
-    local step the first search runs must pass audit_footprint. Returns how
-    many steps the first search matched without running them.
+    step the first search runs must pass audit_footprint. Returns how many
+    steps the first search matched without running them.
     """
     props = scenario.default_properties()
-    real_add, real_apply = VisitedKeys.add, explorer_mod.apply
+    real_add = VisitedKeys.add
 
-    def search(local):
-        keys, applied = [], []
+    def search(derive):
+        keys, skipped = [], []
 
         def add(self, key):
             keys.append(key)
             return real_add(self, key)
 
-        def apply(g, step):
-            applied.append(step)
-            if step.cmd in local:
-                audit_footprint(g, step)
-            return real_apply(g, step)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(VisitedKeys, "add", add)
-            mp.setattr(explorer_mod, "apply", apply)
-            mp.setattr(scenario.protocol, "LOCAL_STEPS", local)
-            report = explore(scenario, props, max_states=max_states)
-        return report._replace(elapsed=None), keys, len(applied)
+            if derive:
+                real = explorer_mod.apply
 
-    derived, keys, applied = search(scenario.protocol.LOCAL_STEPS)
-    full, full_keys, full_applied = search(frozenset())
-    assert derived == full
+                def apply(g, step, key=None, add=None):
+                    if key is None:
+                        audit_footprint(g, step)
+                    h = real(g, step, key, add)
+                    if h is None:
+                        skipped.append(step)
+                    return h
+
+                mp.setattr(explorer_mod, "apply", apply)
+            else:
+                run_every_step(mp)
+            mp.setattr(VisitedKeys, "add", add)
+            report = explore(scenario, props, max_states=max_states)
+        return report._replace(elapsed=None), keys, len(skipped)
+
+    derived, keys, skipped = search(True)
+    full, full_keys, none_skipped = search(False)
+    assert derived == full and none_skipped == 0
     assert len(keys) == len(full_keys) == full.states_stored + full.states_matched
     for n, (key, fresh) in enumerate(zip(keys, full_keys)):
         assert key == fresh, f"add call {n + 1}: the derived key is not the step's key"
-    return full_applied - applied
+    return skipped
 
 
 REUSE_MODELS = KEY_MODELS + [("barrier", {"size": 5})]
@@ -918,23 +970,35 @@ class TestDerivedKeys:
         with pytest.raises(AssertionError):
             check_derived_keys(sc)
 
-    def test_a_record_read_that_bypasses_g_record_is_caught(self, monkeypatch):
-        monkeypatch.setattr(GlobalState, "record", lambda g, pid: g.procs[pid])
-        with pytest.raises(AssertionError, match="unlogged"):
-            check_derived_keys(scenario_for("recovery", size=4))
+    @pytest.mark.parametrize("accessor,algorithm,kw,what", [
+        ("read_record", "recovery", {"size": 4}, "records"),
+        ("read_episode", "trace", {"size": 3}, "episode"),
+        ("read_dead_pids", "trace", {"size": 3}, "dead set"),
+        ("read_episode", "barrier", {"size": 4}, "episode"),
+    ], ids=["record-recovery", "episode-trace", "dead-set-trace", "episode-barrier"])
+    def test_a_read_that_bypasses_the_state_read_record_is_caught(
+            self, monkeypatch, accessor, algorithm, kw, what):
+        # The accessor as a handler would read the field directly.
+        unlogged = {"read_record": lambda g, pid: g.procs[pid],
+                    "read_episode": lambda g: g.episode,
+                    "read_dead_pids": lambda g: g.dead_pids()}[accessor]
+        monkeypatch.setattr(GlobalState, accessor, unlogged)
+        with pytest.raises(AssertionError, match=f"read the {what}.* unlogged"):
+            check_derived_keys(scenario_for(algorithm, **kw))
 
-    def test_a_step_wrongly_named_local_is_caught(self, monkeypatch):
-        # trace_req reads the episode record and the dead set.
-        monkeypatch.setattr(daemons_mod, "LOCAL_STEPS", daemons_mod.LOCAL_STEPS | {TRACE_REQ})
-        with pytest.raises(AssertionError, match="episode"):
-            check_derived_keys(scenario_for("trace", size=3))
+    def test_an_unlogged_episode_read_gives_wrong_keys(self, monkeypatch):
+        # A barrier_in derived past a client's arrival would miss the new bits.
+        monkeypatch.setattr(GlobalState, "read_episode", lambda g: g.episode)
+        monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
+        with pytest.raises(AssertionError):
+            check_derived_keys(scenario_for("barrier", size=4))
 
     def test_property_checks_and_wake_listing_leave_the_read_record_alone(self):
         sc = scenario_for("trace", size=3)
         g = walk(sc, sc.default_properties(), lambda steps: steps[0] if steps else None
                  ).final_state
         g.sockets.reads = g.reads = 0  # the walk's last step and checks ran already
-        properties_mod.ring_order.cache_clear()
+        g.check_memo = None
         g.sockets.ready_events()
         explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
         explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)

@@ -51,7 +51,8 @@ class TestRingOrder:
         g.sockets.close(2, d2.lhs_fd)
         cfd = g.sockets.connect(0, 2)
         g.sockets.set_flag(cfd, RHS)
-        sfd = g.sockets.accept(2)
+        sfd = g.sockets.other_of(cfd)
+        g.sockets.accept(2, sfd)
         g.sockets.set_flag(sfd, LHS)
         d0.rhs_fd = cfd
         d2.lhs_fd = sfd
@@ -85,7 +86,8 @@ class TestRingOrder:
         g.sockets.close(0, d0.lhs_fd)
         cfd = g.sockets.connect(1, 0)
         g.sockets.set_flag(cfd, RHS)
-        sfd = g.sockets.accept(0)
+        sfd = g.sockets.other_of(cfd)
+        g.sockets.accept(0, sfd)
         g.sockets.set_flag(sfd, LHS)
         d1.rhs_fd = cfd
         d0.lhs_fd = sfd
@@ -261,17 +263,30 @@ def test_factories_pin_kind_and_evaluation_point():
 
 def test_each_quiescent_ring_is_walked_once(monkeypatch):
     # Topology, neighbour state and trace completion all read the ring order.
-    from functools import lru_cache
-
     from ringcheck import properties as props
     from ringcheck.explorer import Property, explore
 
     walks, quiescent = [], []
-    walk = props.ring_order.__wrapped__
-    monkeypatch.setattr(props, "ring_order",
-                        lru_cache(maxsize=1)(lambda g: walks.append(g) or walk(g)))
+    walk = props.ring_order
+    monkeypatch.setattr(props, "ring_order", lambda g: walks.append(g) or walk(g))
     sc = build_scenario(ScenarioConfig("recovery", size=5))
     counted = Property("count", QUIESCENCE_ONLY, quiescent.append)
     report = explore(sc, sc.default_properties() + (counted,))
     assert report.outcome == "VERIFIED" and len(quiescent) > 1
     assert walks == quiescent
+
+
+def test_the_shared_walk_is_the_states_own():
+    # A state's checks share its walk; another state, or a fresh copy, walks anew.
+    from ringcheck.properties import check_neighbor_state, check_ring_topology
+
+    g = build_scenario(ScenarioConfig("ring-seq", size=3)).initial_state()
+    check_ring_topology(g)
+    assert [d.pid for d in g.check_memo] == [0, 1, 2]
+    h = g.clone()
+    d1 = h.procs[1] = h.procs[1].clone()
+    d1.rhs_id = 1
+    assert h.check_memo is None
+    with pytest.raises(PropertyViolation, match="records rhs"):
+        check_neighbor_state(h)
+    check_neighbor_state(g)

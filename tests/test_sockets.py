@@ -55,23 +55,35 @@ class TestConnectAccept:
         sfd = t.other_of(cfd)
         t.write(1, cfd, message(NEW_RHS))
         assert [command_of(m) for m in t.queue_of(sfd)] == [NEW_RHS]
-        fd = t.accept(2)
-        assert fd == sfd
+        t.accept(2, sfd)
         assert command_of(t.read(2, sfd)) == NEW_RHS
 
-    def test_accept_claims_lowest_pending(self):
+    def test_accept_claims_the_named_fd_alone(self):
         t = make_table()
         c1 = t.connect(1, 3)
         c2 = t.connect(2, 3)
         s1, s2 = t.other_of(c1), t.other_of(c2)
-        assert s1 < s2
-        assert t.accept(3) == s1
-        assert t.accept(3) == s2
+        u = t.clone()
+        u.accept(3, s2, LHS)
+        assert (u.flag_of(s1), u.flag_of(s2)) == (AWAIT_ACCEPT, LHS)
+        assert u.touched == [s2]
 
     def test_accept_without_connect_raises(self):
         t = make_table()
         with pytest.raises(ContractViolation):
-            t.accept(0)
+            t.accept(0, 0)
+
+    def test_accept_of_an_fd_that_is_not_pending_or_not_owned_raises(self):
+        t = make_table()
+        cfd = t.connect(1, 2)
+        sfd = t.other_of(cfd)
+        for pid, fd in ((1, cfd), (1, sfd), (2, cfd), (2, -1), (2, t.conn_max)):
+            with pytest.raises(ContractViolation):
+                t.accept(pid, fd)
+        t.accept(2, sfd)
+        with pytest.raises(ContractViolation):
+            t.accept(2, sfd)  # accepted already
+        assert t.flag_of(sfd) == NEW
 
     def test_server_cannot_use_fd_before_accept(self):
         t = make_table()
@@ -92,7 +104,7 @@ class TestConnectAccept:
         t = make_table(conn_max=4)
         c1 = t.connect(0, 1)
         s1 = t.other_of(c1)
-        t.accept(1)
+        t.accept(1, s1)
         t.close(1, s1)
         c2 = t.connect(2, 3)
         assert t.other_of(c2) == s1  # the freed low slot is taken first
@@ -102,7 +114,8 @@ class TestReadWrite:
     def setup_method(self):
         self.t = make_table()
         self.cfd = self.t.connect(1, 2)
-        self.sfd = self.t.accept(2)
+        self.sfd = self.t.other_of(self.cfd)
+        self.t.accept(2, self.sfd)
 
     def test_fifo_order(self):
         self.t.write(1, self.cfd, message(NEW_RHS, hops=1))
@@ -139,7 +152,8 @@ class TestClose:
     def test_close_discards_own_inbound_and_half_closes_peer(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        sfd = t.accept(2)
+        sfd = t.other_of(cfd)
+        t.accept(2, sfd)
         t.write(2, sfd, message(NEW_RHS))   # toward the client
         t.write(1, cfd, message(NEW_LHS))   # toward the server
         t.close(1, cfd)
@@ -151,7 +165,8 @@ class TestClose:
     def test_eof_only_after_queue_drains(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        sfd = t.accept(2)
+        sfd = t.other_of(cfd)
+        t.accept(2, sfd)
         t.write(1, cfd, message(NEW_RHS))
         t.close(1, cfd)
         assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
@@ -168,7 +183,7 @@ class TestClose:
         t = make_table()
         c1 = t.connect(1, 2)
         c2 = t.connect(1, 3)
-        t.accept(2)
+        t.accept(2, t.other_of(c1))
         closed = t.inject_failure(1)
         assert sorted(closed) == sorted([c1, c2])
         assert [fd for fd in range(t.conn_max) if t.owner_of(fd) == 1] == []
@@ -191,7 +206,7 @@ class TestReadiness:
         c2 = t.connect(2, 3)
         s1, s2 = t.other_of(c1), t.other_of(c2)
         assert t.ready_events().get(3, []) == [(s1, EVENT_CONNECT)]
-        t.accept(3)
+        t.accept(3, s1)
         assert t.ready_events().get(3, []) == [(s2, EVENT_CONNECT)]
 
     def test_message_not_ready_before_accept(self):
@@ -200,13 +215,13 @@ class TestReadiness:
         sfd = t.other_of(cfd)
         t.write(1, cfd, message(NEW_RHS))
         assert t.ready_events().get(2, []) == [(sfd, EVENT_CONNECT)]
-        t.accept(2)
+        t.accept(2, sfd)
         assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
 
     def test_select_is_derived_and_idempotent(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        t.accept(2)
+        t.accept(2, t.other_of(cfd))
         t.write(2, t.other_of(cfd), message(NEW_RHS))
         first = t.ready_events()
         assert t.ready_events() == first == {1: [(cfd, NEW_RHS)]}
@@ -217,8 +232,8 @@ class TestReadiness:
         t = make_table()
         c1 = t.connect(1, 2)
         c2 = t.connect(1, 2)
-        t.accept(2)
-        t.accept(2)
+        t.accept(2, t.other_of(c1))
+        t.accept(2, t.other_of(c2))
         t.write(2, t.other_of(c1), message(NEW_RHS))
         t.write(2, t.other_of(c2), message(NEW_RHS))
         evs = t.ready_events().get(1, [])
@@ -230,7 +245,7 @@ class TestCloneAndCanon:
     def test_clone_is_independent(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        t.accept(2)
+        t.accept(2, t.other_of(cfd))
         u = t.clone()
         t.write(1, cfd, message(NEW_RHS))
         assert u.queue_of(u.other_of(cfd)) == ()
@@ -240,7 +255,7 @@ class TestCloneAndCanon:
         def build():
             t = make_table()
             c = t.connect(1, 2)
-            t.accept(2)
+            t.accept(2, t.other_of(c))
             t.write(1, c, message(NEW_RHS, hops=3))
             return t
 
@@ -249,7 +264,7 @@ class TestCloneAndCanon:
     def test_dump_names_every_allocated_fd(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        t.accept(2)
+        t.accept(2, t.other_of(cfd))
         t.write(1, cfd, message(NEW_RHS))
         text = t.dump()
         sfd = t.other_of(cfd)
@@ -268,8 +283,7 @@ def _unowned_fd(t):
 
 
 def _overfull_channel(t):
-    t.connect(1, 2)
-    t.accept(2)
+    t.accept(2, t.other_of(t.connect(1, 2)))
     poke(t, 0, QUEUE, (message(NEW_RHS),) * (t.qsz + 1))
 
 
@@ -327,7 +341,7 @@ class TestInvariantChecker:
         t = make_table()
         t.check_invariants()
         cfd = t.connect(1, 2)
-        t.accept(2)
+        t.accept(2, t.other_of(cfd))
         t.write(1, cfd, message(NEW_RHS))
         t.check_invariants()
 
