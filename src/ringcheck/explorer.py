@@ -32,11 +32,15 @@ The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
 tuple (hashed whole; its layout is the socket table's), each process record
 and the episode record, hashed with its position (state_key). A successor's
-key is its predecessor's plus the difference of the hashes of the components
-its step replaced: the fds its socket table logged as written, the acting
-pid's record if its canon() changed, and the episode record if the step
-swapped it for a copy. So a stored state costs what its step touched, in the
-manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008).
+key is its predecessor's plus its step's delta (step_delta), the difference
+of the hashes of the components the step replaced: the fds its socket table
+logged as written, the acting pid's record if its canon() changed, and the
+episode record if the step swapped it for a copy. step_delta is the one
+incremental path; only the initial state's key sums every component. So a
+stored state costs what its step touched, in the manner of Nguyen & Ruys,
+"Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
+not in the states: each DFS frame holds its state's key, and a state never
+learns its own.
 encode(g) stays the definition of state equality: two states get one key
 exactly when their encodings are equal, up to a 128-bit hash collision.
 The hash is blake2b from CPython's built-in _blake2 module, the very
@@ -65,7 +69,8 @@ scenario is static. A step writes only what it read, so in any state where
 its footprint is as it was, it writes the same values over the same old
 ones, and its delta is the same. Each DFS frame therefore keeps (delta,
 footprint) for the steps tried at its state and those its parent passed
-down; descending through a step t, a frame passes down the entries whose
+down, the delta being the very step_delta that keyed the step where it
+ran; descending through a step t, a frame passes down the entries whose
 footprint t's writes (its table's touched fds and its own record) leave
 alone, in the manner of Godefroid's sleep sets ("Partial-Order Methods for
 the Verification of Concurrent Systems", 1996). A step whose handler read
@@ -78,10 +83,10 @@ about a tenth of their time.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
-the delta, and apply offers it to VisitedKeys.add like any other: if it is
-stored, the step counts as matched and neither runs nor is keyed; if it is
-new, the step runs for real and its successor takes that key. So add sees
-the keys, in the order, of a search that runs every step, every count,
+the stored delta, and apply offers it to VisitedKeys.add like any other: if
+it is stored, the step counts as matched and neither runs nor is keyed; if
+it is new, the step runs for real and its successor takes that key. So add
+sees the keys, in the order, of a search that runs every step, every count,
 verdict and trace is that search's, and apply is called once per
 transition either way; unlike a sleep set, nothing is pruned. A handler
 read that bypasses the logging would give wrong keys, which the tests
@@ -188,11 +193,8 @@ class GlobalState:
     others to share (properties keeps its ring walk there), or None. A
     state is not written once its checks have run, so it never goes stale.
 
-    _key is the state's visited key once state_key has computed it. apply
-    leaves a successor of a keyed state a _link, (predecessor, acting pid),
-    from which state_key updates the predecessor's key; state_key drops it.
-    A state is mutated only between its creation and its first state_key
-    call, so a computed key never goes stale.
+    A state does not hold its visited key: explore keeps each key in the
+    DFS frame of its state (see state_key and step_delta).
 
     Listing a state's steps calls sockets.ready_events, which keeps the
     wake map of the table's slots on the table until the table is next
@@ -201,7 +203,7 @@ class GlobalState:
     """
 
     __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "reads",
-                 "check_memo", "_key", "_link")
+                 "check_memo")
 
     def __init__(self, scenario, sockets, procs, episode):
         self.scenario = scenario  # static, shared across all derived states
@@ -211,8 +213,6 @@ class GlobalState:
         self.derived_dead = None
         self.reads = 0  # see the class docstring
         self.check_memo = None
-        self._key = None
-        self._link = None
 
     def clone(self) -> "GlobalState":
         """A successor to mutate; records stay shared, see apply."""
@@ -224,8 +224,6 @@ class GlobalState:
         g.derived_dead = None
         g.reads = 0
         g.check_memo = None
-        g._key = None
-        g._link = None
         return g
 
     # A handler reads what is not its own record or socket slots through
@@ -308,51 +306,50 @@ def state_key(g: GlobalState, memo: dict) -> int:
 
     The components are each fd's slot tuple at position fd, each process
     record at position len(slots) + pid, and the episode record's canon()
-    at position -1. A state with a _link updates its predecessor's key at
-    the components its step may have replaced: the fds its table logged in
-    touched, the acting pid's record unless its canon() equals the
-    predecessor's, and the episode record if it is no longer the
-    predecessor's object. Any other state sums every component. memo maps
-    (position, component) to its hash; one search shares one memo. Unequal
-    states collide with chance 2**-128 per pair, below 1e-20 across even
-    10**9 stored states, so exhaustiveness is not meaningfully weakened.
+    at position -1. memo maps (position, component) to its hash; one search
+    shares one memo. Unequal states collide with chance 2**-128 per pair,
+    below 1e-20 across even 10**9 stored states, so exhaustiveness is not
+    meaningfully weakened. explore sums every component only for the
+    initial state; a successor's key is its predecessor's plus step_delta.
 
     explore stores the key whole in VisitedKeys: 16 bytes per slot, at most
     3/4 of a sub-table's slots used, both 64-bit words compared on lookup,
     and the key 0, which would read as an empty slot, kept by its own flag.
     """
-    key = g._key
-    if key is not None:
-        return key
     slots = g.sockets.slots
     base = len(slots)
-    link = g._link
-    if link is None:
-        key = 0
-        for fd, slot in enumerate(slots):
-            key += _component_hash(fd, slot, memo)
-        for pid, p in enumerate(g.procs):
-            key += _component_hash(base + pid, p.canon(), memo)
-        key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
-    else:
-        g._link = None
-        prev, pid = link
-        key = prev._key
-        old = prev.sockets.slots
-        for fd in set(g.sockets.touched):
-            key += _component_hash(fd, slots[fd], memo) - _component_hash(
-                fd, old[fd], memo)
-        now = g.procs[pid].canon()
-        was = prev.procs[pid].canon()
-        if now != was:
-            pos = base + pid
-            key += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
-        if g.episode is not prev.episode:
-            key += _component_hash(EPISODE_POS, g.episode.canon(), memo) - _component_hash(
-                EPISODE_POS, prev.episode.canon(), memo)
-    key &= _KEY_MASK
-    g._key = key
-    return key
+    key = 0
+    for fd, slot in enumerate(slots):
+        key += _component_hash(fd, slot, memo)
+    for pid, p in enumerate(g.procs):
+        key += _component_hash(base + pid, p.canon(), memo)
+    key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
+    return key & _KEY_MASK
+
+
+def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
+    """state_key(h) - state_key(g) mod 2**128, h made from g by a step of pid.
+
+    The one incremental path of the key: the difference is taken at the
+    components the step may have replaced, the fds h's table logged in
+    touched, pid's record unless its canon() equals g's, and the episode
+    record if h's is no longer g's object. The result is not reduced mod
+    2**128; memo is state_key's.
+    """
+    slots = h.sockets.slots
+    old = g.sockets.slots
+    delta = 0
+    for fd in set(h.sockets.touched):
+        delta += _component_hash(fd, slots[fd], memo) - _component_hash(fd, old[fd], memo)
+    now = h.procs[pid].canon()
+    was = g.procs[pid].canon()
+    if now != was:
+        pos = len(slots) + pid
+        delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
+    if h.episode is not g.episode:
+        delta += _component_hash(EPISODE_POS, h.episode.canon(), memo) - _component_hash(
+            EPISODE_POS, g.episode.canon(), memo)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +470,19 @@ def apply(g: GlobalState, step: ScheduleStep, key: int | None = None,
     Only the acting process is copied: every handler and action mutates
     h.procs[step.pid] alone, and the other records stay shared with g. For
     the same reason h's dead set differs from g's at most at step.pid, and
-    once g is keyed, h's key differs from g's only at what the step touched
-    (see state_key).
+    h's key differs from g's only at what the step touched (step_delta).
 
     explore takes every transition through apply, also one whose successor
     key it derived (see the module docstring): it passes that key and its
     store's add. apply offers the key to add first and returns None, running
-    nothing, if it was stored already; else the successor takes the key.
+    nothing, if it was stored already; else it runs the step. apply keys
+    nothing itself: the key stays with explore.
     """
     if add is not None and not add(key):
         return None  # a derived key already stored: the step need not run
     h = g.clone()
     pid = step.pid
     p = h.procs[pid] = h.procs[pid].clone()
-    if key is not None:
-        h._key = key
-    elif g._key is not None:
-        h._link = (g, pid)
     dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
     if step.kind == KIND_ACTION:
         h.scenario.protocol.act(h, p, step.cmd)
@@ -601,8 +594,8 @@ def explore(
     mask = _KEY_MASK
     path: list[ScheduleStep] = []
     # Each frame: (state, its key, an iterator over the steps of it not yet
-    # tried, known: step -> (key change, footprint) for the steps whose
-    # successor key is state's key plus that change; see the docstring).
+    # tried, known: step -> (step_delta, footprint) for the steps whose
+    # successor key is state's key plus that delta; see the docstring).
     stack: list[tuple] = []
     state = init  # newly stored with key, reached by path; the root is no exception
     known: dict = {}  # an empty known may be shared; it is replaced, not filled
@@ -637,12 +630,13 @@ def explore(
                             matched += 1  # the derived key was stored; the step did not run
                             continue
                         break  # apply stored the new derived key
-                    key = state_key(succ, memo)
+                    delta = step_delta(state, succ, step.pid, memo)
+                    key = (base_key + delta) & mask
                     if not succ.reads & SHARED_READS:  # see the docstring
                         if not known:  # the frame's first entry: the frame gets its own dict
                             known = {}
                             stack[-1] = (state, base_key, todo, known)
-                        known[step] = (key - base_key, succ.sockets.reads
+                        known[step] = (delta, succ.sockets.reads
                                        | (succ.reads | 1 << RECORD_READS + step.pid) << base)
                     if add(key):
                         break

@@ -257,6 +257,7 @@ def test_criterion_05_barrier_verifies_to_twelve_managers(barrier_sweep):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow  # about 10 s: ten thousand random socket sequences
 def test_criterion_06_ten_thousand_random_socket_sequences():
     for seed in range(10_000):
         run_random_sequence(seed, n_ops=16, with_failure=bool(seed % 2))

@@ -488,3 +488,16 @@ def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", str(path), "2", "total"]
+
+
+def test_cli_matrix_digests_the_same_runs_alike_twice():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_matrix.py"
+    outputs = [subprocess.run([sys.executable, str(script), "ring-seq-2-2"],
+                              capture_output=True, text=True, timeout=300) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in outputs), outputs[0].stderr
+    first, second = (proc.stdout.splitlines() for proc in outputs)
+    assert first == second
+    # Two verifies, three counterexample replays, four runs per seed for 4 seeds.
+    assert len(first) == 2 + 3 + 4 * 4 + 1 and first[-1].endswith("total (21 runs)")
+    replays = [line.split()[0] for line in first if " replay " in line][:2]
+    assert replays[0] == replays[1]  # both searches found one counterexample

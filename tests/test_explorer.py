@@ -43,6 +43,7 @@ from ringcheck.explorer import (
     simulate,
     state_digest,
     state_key,
+    step_delta,
     walk,
 )
 from ringcheck.messages import (
@@ -364,7 +365,8 @@ class TestEncodingIsTheState:
     encoding must give the counts state_key gives, no two encodings may share
     a digest, and every encoding must be the marshal of the state's own
     plain tuples. A digest is no sum of component hashes, so a successor
-    key cannot be derived from it: the digest search re-runs every step.
+    key cannot be derived from it: the digest search re-runs every step,
+    and its step_delta is the difference of the two digests.
     """
 
     @pytest.mark.parametrize("algorithm,kw", ENCODING_MODELS,
@@ -389,7 +391,12 @@ class TestEncodingIsTheState:
             assert encodings.setdefault(digest, code) == code, "two encodings, one digest"
             return int.from_bytes(digest, "little")
 
+        def digest_delta(g, h, pid, memo):
+            # g was keyed by full_key when it was stored; h is new here.
+            return full_key(h, memo) - int.from_bytes(state_digest(g), "little")
+
         monkeypatch.setattr(explorer_mod, "state_key", full_key)
+        monkeypatch.setattr(explorer_mod, "step_delta", digest_delta)
         run_every_step(monkeypatch)
         by_encoding = explore(sc, sc.default_properties())
         assert (by_encoding.outcome, by_encoding.states_stored, by_encoding.states_matched,
@@ -448,7 +455,8 @@ def key_runs(draw):
 
 class Star:
     """A model whose initial state has one step per further key; each successor
-    is quiescent. keyed replaces state_key: a state's key is keys[its step]."""
+    is quiescent. keyed replaces state_key and delta step_delta: a state's
+    key is keys[its step]."""
 
     class Record:
         pid = 0
@@ -484,6 +492,9 @@ class Star:
 
     def keyed(self, g, memo):
         return self.keys[g.procs[0].n]
+
+    def delta(self, g, h, pid, memo):
+        return self.keyed(h, memo) - self.keyed(g, memo)
 
 
 # (states_matched, max_depth) of `verify ring-seq --size 2 --inserters 3
@@ -553,6 +564,7 @@ class TestVisitedKeys:
         seen = Property("stored", EVERY_STATE, lambda g: stored.append(g.procs[0].n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(explorer_mod, "state_key", star.keyed)
+            mp.setattr(explorer_mod, "step_delta", star.delta)
             report = explore(star, (seen,))
         assert stored == [n for n, fresh in enumerate(new) if fresh]
         assert (report.states_stored, report.states_matched) == (
@@ -603,12 +615,12 @@ class TestVisitedKeys:
 
 
 class KeyCheck:
-    """Checks the visited key of each state it is given.
+    """Checks the key change of each step it is given.
 
-    A state's key, updated from its predecessor's where apply left a link,
-    must equal the key of a fresh copy, which sums every component; and two
-    states checked here must share a key exactly when their encodings are
-    equal.
+    A step's step_delta added to its predecessor's key must give, mod
+    2**128, the key of its successor, which sums every component with a memo
+    of its own; and two states checked here must share a key exactly when
+    their encodings are equal.
     """
 
     def __init__(self):
@@ -617,14 +629,15 @@ class KeyCheck:
         self.by_key = {}
         self.by_encoding = {}
 
-    def __call__(self, g, where) -> bool:
-        """Check g; True if its encoding was not seen before."""
-        fresh = GlobalState(g.scenario, g.sockets, g.procs, g.episode)
-        key = state_key(g, self.memo)
-        assert len(self.memo) <= explorer_mod.MEMO_LIMIT
-        assert key == state_key(fresh, self.reference), (
-            f"{where}: the incremental key differs from a fresh one")
-        code = encode(g)
+    def __call__(self, h, where, g=None, pid=None) -> bool:
+        """Check h, made from g by a step of pid if g is given; True if its
+        encoding was not seen before."""
+        key = state_key(h, self.reference)
+        if g is not None:
+            stepped = (state_key(g, self.memo) + step_delta(g, h, pid, self.memo)) % 2**128
+            assert len(self.memo) <= explorer_mod.MEMO_LIMIT
+            assert stepped == key, f"{where}: the incremental key differs from a fresh one"
+        code = encode(h)
         new = code not in self.by_encoding
         assert self.by_key.setdefault(key, code) == code, f"{where}: two encodings, one key"
         assert self.by_encoding.setdefault(code, key) == key, f"{where}: one encoding, two keys"
@@ -648,7 +661,7 @@ def check_keys(scenario) -> int:
                 h = apply(g, step)
             except CheckError:
                 continue
-            if check(h, f"after {step.render()}"):
+            if check(h, f"after {step.render()}", g, step.pid):
                 stack.append(h)
     return len(check.by_encoding)
 
@@ -671,7 +684,7 @@ def walk_keys(scenario, seed: int, max_steps: int = 2_000) -> int:
                 h = apply(g, step)
             except CheckError:
                 continue
-            check(h, f"after step {taken + 1}, {step.render()}")
+            check(h, f"after step {taken + 1}, {step.render()}", g, step.pid)
             g = h
             break
         else:
@@ -688,7 +701,8 @@ KEY_WALKS = [
 
 
 class TestIncrementalKey:
-    """The visited key is updated from the predecessor's at what a step touched."""
+    """A successor's key is its predecessor's plus step_delta, which looks only
+    at what the step touched."""
 
     @pytest.mark.parametrize("algorithm,kw", KEY_MODELS,
                              ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
@@ -920,19 +934,33 @@ class PoppedSteps(list):
 def recheck_keys(scenario) -> tuple:
     """Search scenario, recomputing each state's key from scratch as the DFS
     pops it. Returns the report, the states popped and those whose key was
-    not their fresh key."""
-    real = explorer_mod.checked_steps
+    not the key the add() call that stored them was given."""
+    real_checked, real_add = explorer_mod.checked_steps, VisitedKeys.add
+    stored = []  # the key of each add() call that stored one
     popped, drifted = [], []
 
-    def on_pop(g):
-        popped.append(g)
-        if g._key != state_key(GlobalState(g.scenario, g.sockets, g.procs, g.episode), {}):
-            drifted.append(g)
+    def add(self, key):
+        new = real_add(self, key)
+        if new:
+            stored.append(key)
+        return new
+
+    def checked_steps(g, props):
+        # explore checks each state right after the add() that stored it.
+        key = stored[-1]
+
+        def on_pop(g):
+            popped.append(g)
+            if key != state_key(g, {}):
+                drifted.append(g)
+
+        return PoppedSteps(real_checked(g, props), g, on_pop)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(explorer_mod, "checked_steps",
-                   lambda g, props: PoppedSteps(real(g, props), g, on_pop))
+        mp.setattr(VisitedKeys, "add", add)
+        mp.setattr(explorer_mod, "checked_steps", checked_steps)
         report = explore(scenario, scenario.default_properties())
+    assert len(stored) == report.states_stored
     return report, len(popped), len(drifted)
 
 
