@@ -12,9 +12,9 @@ Every handler runs atomically between two scheduling points: it consumes one
 ready event, performs its reads, writes, connects and closes, and returns.
 Interleaving happens only between handler invocations. Beyond the acting
 daemon's record and the socket slots it reads through the table, a handler
-reads another daemon's record, the trace episode and the set of dead pids
-only through g.read_record, g.read_episode and g.read_dead_pids, which log
-the read in the step's footprint (see explorer).
+reads the trace episode and the set of dead pids only through
+g.read_episode and g.read_dead_pids, which mark the step as one that read
+a shared record (see explorer), and no other daemon's record.
 
 Daemons name each other by pid: the neighbor fields, the trace collection
 and every message payload hold pids, -1 for "nobody", so a record's
@@ -571,7 +571,7 @@ def _recover_rhs(g, d):
         raise ProtocolViolation(f"d{d.pid}: right neighbor lost with no rhs2 recorded")
     if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: recorded rhs2 is an unknown identity")
-    if g.read_record(target).phase == DEAD:
+    if target in g.read_dead_pids():
         raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
     d.rhs_id = target
     d.rhs2_id = ABSENT  # refreshed by the query below

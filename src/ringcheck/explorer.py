@@ -62,24 +62,25 @@ through VisitedKeys.add, the store's one probe. A stored state costs at most
 
 The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
-delta. Its footprint is what its handler read: its own process record,
-the socket slots its table logged in the read record (SocketTable.reads),
-and the other records it read through GlobalState.read_record; the
-scenario is static. A step writes only what it read, so in any state where
-its footprint is as it was, it writes the same values over the same old
-ones, and its delta is the same. Each DFS frame therefore keeps (delta,
-footprint) for the steps tried at its state and those its parent passed
-down, the delta being the very step_delta that keyed the step where it
-ran; descending through a step t, a frame passes down the entries whose
-footprint t's writes (its table's touched fds and its own record) leave
-alone, in the manner of Godefroid's sleep sets ("Partial-Order Methods for
-the Verification of Concurrent Systems", 1996). A step whose handler read
-a shared record, the episode record (read_episode) or the dead set
-(read_dead_pids), takes no entry. Barrier arrivals and releases and every
-trace step read the episode; on every model measured none of their
-entries was ever used, while keeping them, and checking each episode
-write and kill against them, cost the barrier and wide recovery searches
-about a tenth of their time.
+delta. A handler reads its own process record, the socket slots its table
+logs in the read record (SocketTable.reads) and nothing else of the state
+but through GlobalState.read_episode and read_dead_pids; the scenario is
+static. A step writes only what it read, so in any state where what it
+read is as it was, it writes the same values over the same old ones, and
+its delta is the same. Each DFS frame therefore keeps (delta, footprint),
+the footprint being the table's read record, for the steps tried at its
+state and those its parent passed down, the delta being the very
+step_delta that keyed the step where it ran; descending through a step t,
+a frame passes down the entries of the other pids whose footprint t's
+touched fds leave alone (t wrote its own record, which only the steps of
+its pid read), in the manner of Godefroid's sleep sets ("Partial-Order
+Methods for the Verification of Concurrent Systems", 1996). A step whose
+handler read a shared record, the episode record or the dead set, takes
+no entry. Barrier arrivals and releases and every trace step read the
+episode; on every model measured none of their entries was ever used,
+while keeping them, and checking each episode write and kill against
+them, cost the barrier and wide recovery searches about a tenth of their
+time.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
@@ -163,13 +164,6 @@ class ScheduleStep(NamedTuple):
         return f"pid={self.pid} kind={self.kind} fd={fd} cmd={self.cmd}"
 
 
-# Bits of GlobalState.reads, a step's reads outside the socket table.
-EPISODE_READ = 1
-DEAD_READ = 2
-SHARED_READS = EPISODE_READ | DEAD_READ
-RECORD_READS = 2  # process record pid is bit RECORD_READS + pid
-
-
 class GlobalState:
     """Everything mutable in one scenario instant.
 
@@ -181,13 +175,10 @@ class GlobalState:
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
 
-    reads is the read record of the step that made the state: bit
-    EPISODE_READ if its handler read the episode record (read_episode),
-    DEAD_READ if it read the dead set (read_dead_pids), and bit
-    RECORD_READS + pid for each process record it read (read_record). With
-    the table's read record it is the step's footprint (see the module
-    docstring). Checks and step listing read the fields directly and log
-    nothing.
+    shared_read is True if the handler of the step that made the state read
+    the episode record (read_episode) or the dead set (read_dead_pids);
+    explore keeps no entry for such a step (see the module docstring).
+    Checks and step listing read the fields directly and log nothing.
 
     check_memo is what one property check of the state computed for the
     others to share (properties keeps its ring walk there), or None. A
@@ -202,7 +193,7 @@ class GlobalState:
     the state: it never changes the slots, the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "reads",
+    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read",
                  "check_memo")
 
     def __init__(self, scenario, sockets, procs, episode):
@@ -211,7 +202,7 @@ class GlobalState:
         self.procs = procs
         self.episode = episode
         self.derived_dead = None
-        self.reads = 0  # see the class docstring
+        self.shared_read = False  # see the class docstring
         self.check_memo = None
 
     def clone(self) -> "GlobalState":
@@ -222,27 +213,21 @@ class GlobalState:
         g.procs = self.procs[:]
         g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
-        g.reads = 0
+        g.shared_read = False
         g.check_memo = None
         return g
 
-    # A handler reads what is not its own record or socket slots through
-    # these, which log the read in reads, as the socket table's accessors
-    # log the slots a handler reads, so that explore knows the footprint.
-
-    def read_record(self, pid: int):
-        """Process pid's record, read by a handler of another process."""
-        self.reads |= 1 << RECORD_READS + pid
-        return self.procs[pid]
+    # A handler reads the shared records through these, which set
+    # shared_read, as the socket table's accessors log the slots it reads.
 
     def read_episode(self):
         """The episode record, read by a handler; one that writes it reads it first."""
-        self.reads |= EPISODE_READ
+        self.shared_read = True
         return self.episode
 
     def read_dead_pids(self) -> frozenset[int]:
         """dead_pids(), read by a handler."""
-        self.reads |= DEAD_READ
+        self.shared_read = True
         return self.dead_pids()
 
     def dead_pids(self) -> frozenset[int]:
@@ -590,15 +575,15 @@ def explore(
             trace=trace,
         )
 
-    base = len(init.sockets.slots)  # footprint bit base + b: GlobalState.reads bit b
     mask = _KEY_MASK
     path: list[ScheduleStep] = []
     # Each frame: (state, its key, an iterator over the steps of it not yet
-    # tried, known: step -> (step_delta, footprint) for the steps whose
-    # successor key is state's key plus that delta; see the docstring).
+    # tried, known: its own dict, step -> (step_delta, footprint) for the
+    # steps whose successor key is state's key plus that delta; see the
+    # docstring).
     stack: list[tuple] = []
     state = init  # newly stored with key, reached by path; the root is no exception
-    known: dict = {}  # an empty known may be shared; it is replaced, not filled
+    known: dict = {}
     try:
         while True:
             steps = checked_steps(state, properties)
@@ -632,12 +617,8 @@ def explore(
                         break  # apply stored the new derived key
                     delta = step_delta(state, succ, step.pid, memo)
                     key = (base_key + delta) & mask
-                    if not succ.reads & SHARED_READS:  # see the docstring
-                        if not known:  # the frame's first entry: the frame gets its own dict
-                            known = {}
-                            stack[-1] = (state, base_key, todo, known)
-                        known[step] = (delta, succ.sockets.reads
-                                       | (succ.reads | 1 << RECORD_READS + step.pid) << base)
+                    if not succ.shared_read:  # see the docstring
+                        known[step] = (delta, succ.sockets.reads)
                     if add(key):
                         break
                     matched += 1
@@ -650,11 +631,15 @@ def explore(
                 stored += 1
                 if len(path) > deepest:
                     deepest = len(path)
-                if known:  # pass down the entries whose footprint step's writes left alone
-                    writes = 1 << base + RECORD_READS + step.pid
+                if known:  # pass down the other pids' entries that step's writes left alone
+                    writes = 0
                     for fd in succ.sockets.touched:
                         writes |= 1 << fd
-                    known = {u: e for u, e in known.items() if not e[1] & writes}
+                    pid = step.pid
+                    known = {u: e for u, e in known.items()
+                             if u.pid != pid and not e[1] & writes}
+                else:
+                    known = {}
                 state = succ
                 break
             else:

@@ -31,8 +31,10 @@ before the hangup is observable.
 
 The table is one list, ``slots``, of immutable per-fd tuples (other, owner,
 flag, queue) at positions OTHER to QUEUE; a free slot is exactly FREE_SLOT.
-Only this module knows that layout: the explorer hashes each slot whole,
-and ``canon()`` transposes the slots into the canonical encoding's columns.
+The explorer hashes each slot whole, and ``canon()`` transposes the slots
+into the canonical encoding's columns. Outside this module only the
+property checks know the layout: ``properties.ring_order`` and
+``check_ring_topology`` unpack the slot tuple that ``peek`` returns.
 
 Every slot write goes through ``_put``, which logs the fd in ``touched``.
 The log starts empty in a new table and in every ``clone()``; a clone is the

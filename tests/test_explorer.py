@@ -807,9 +807,10 @@ def bits(n: int) -> set:
 def audit_footprint(g, step) -> None:
     """Run step on a copy of g that notes what its handler reads.
 
-    Every slot it reads must be in the table's read record, and every other
-    record, the episode record and the dead set it reads must be in the
-    state's; what it writes, it must have read.
+    Every slot it reads must be in the table's read record, it must read no
+    process record but its own, and if it reads the episode record or the
+    dead set, the state must say so (shared_read); what it writes, it must
+    have read.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
@@ -828,14 +829,12 @@ def audit_footprint(g, step) -> None:
     unlogged = slots.seen - bits(reads)
     assert not unlogged, f"{name} read fds {sorted(unlogged)} outside the read record"
     assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
-    records = {b - explorer_mod.RECORD_READS for b in bits(h.reads)
-               if b >= explorer_mod.RECORD_READS}
-    unlogged = procs.seen - records - {step.pid}
-    assert not unlogged, f"{name} read the records of {sorted(unlogged)} unlogged"
+    others = procs.seen - {step.pid}
+    assert not others, f"{name} read the records of {sorted(others)}"
     if episode.read or h.episode is not episode:
-        assert h.reads & explorer_mod.EPISODE_READ, f"{name} read the episode record unlogged"
+        assert h.shared_read, f"{name} read the episode record unlogged"
     if dead.read:
-        assert h.reads & explorer_mod.DEAD_READ, f"{name} read the dead set unlogged"
+        assert h.shared_read, f"{name} read the dead set unlogged"
 
 
 def run_every_step(mp) -> None:
@@ -845,7 +844,7 @@ def run_every_step(mp) -> None:
 
     def apply(g, step, key=None, add=None):
         h = real(g, step, key, add)
-        h.reads |= explorer_mod.EPISODE_READ
+        h.shared_read = True
         return h
 
     mp.setattr(explorer_mod, "apply", apply)
@@ -999,20 +998,25 @@ class TestDerivedKeys:
             check_derived_keys(sc)
 
     @pytest.mark.parametrize("accessor,algorithm,kw,what", [
-        ("read_record", "recovery", {"size": 4}, "records"),
+        ("read_dead_pids", "recovery", {"size": 4}, "dead set"),
         ("read_episode", "trace", {"size": 3}, "episode"),
-        ("read_dead_pids", "trace", {"size": 3}, "dead set"),
         ("read_episode", "barrier", {"size": 4}, "episode"),
-    ], ids=["record-recovery", "episode-trace", "dead-set-trace", "episode-barrier"])
+    ], ids=["dead-set-recovery", "episode-trace", "episode-barrier"])
     def test_a_read_that_bypasses_the_state_read_record_is_caught(
             self, monkeypatch, accessor, algorithm, kw, what):
         # The accessor as a handler would read the field directly.
-        unlogged = {"read_record": lambda g, pid: g.procs[pid],
-                    "read_episode": lambda g: g.episode,
+        unlogged = {"read_episode": lambda g: g.episode,
                     "read_dead_pids": lambda g: g.dead_pids()}[accessor]
         monkeypatch.setattr(GlobalState, accessor, unlogged)
         with pytest.raises(AssertionError, match=f"read the {what}.* unlogged"):
             check_derived_keys(scenario_for(algorithm, **kw))
+
+    def test_a_read_of_another_daemons_record_is_caught(self, monkeypatch):
+        # The dead set as a handler would find it by scanning every record.
+        monkeypatch.setattr(GlobalState, "read_dead_pids",
+                            lambda g: frozenset(p.pid for p in g.procs if p.dead))
+        with pytest.raises(AssertionError, match="read the records of"):
+            check_derived_keys(scenario_for("recovery", size=4))
 
     def test_an_unlogged_episode_read_gives_wrong_keys(self, monkeypatch):
         # A barrier_in derived past a client's arrival would miss the new bits.
@@ -1025,12 +1029,13 @@ class TestDerivedKeys:
         sc = scenario_for("trace", size=3)
         g = walk(sc, sc.default_properties(), lambda steps: steps[0] if steps else None
                  ).final_state
-        g.sockets.reads = g.reads = 0  # the walk's last step and checks ran already
+        g.sockets.reads = 0  # the walk's last step and checks ran already
+        g.shared_read = False
         g.check_memo = None
         g.sockets.ready_events()
         explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
         explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)
-        assert g.sockets.reads == g.reads == 0
+        assert g.sockets.reads == 0 and not g.shared_read
 
 
 class TestKeyRecheck:
