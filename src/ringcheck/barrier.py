@@ -11,8 +11,12 @@ arrived, and a barrier_out token makes one clockwise circuit releasing each
 client. The leader releases its own client when barrier_out returns, so it
 is the last one out.
 
-The bit vectors are the state's episode record, which a handler reads
-through g.read_episode so that the read is logged (see explorer).
+The bit vectors are the state's episode record. The visited key hashes
+them one part per manager, its (in, out) bits, and a handler reads and
+writes only its own manager's bits, straight from g.episode: like the
+manager's own record, that part is read by no other manager's step, so a
+barrier step's key delta can be reused past the steps of the others (see
+explorer).
 """
 
 from __future__ import annotations
@@ -76,23 +80,32 @@ class BarrierBits:
 
     It is a barrier state's episode record. States share one record until a
     step writes it; the writer, client_reaches_barrier or _on_barrier_out,
-    replaces g.episode with a clone first.
+    replaces g.episode with a clone first. Its parts for the visited key are
+    one per manager, pid's (in, out) bits at index pid; its encoding column
+    stays the two vectors whole (canon).
     """
 
-    __slots__ = ("client_barrier_in", "client_barrier_out")
+    __slots__ = ("client_barrier_in", "client_barrier_out", "managers")
 
-    def __init__(self):
+    def __init__(self, managers: int):
         self.client_barrier_in = 0
         self.client_barrier_out = 0
+        self.managers = managers  # static: one part per manager
 
     def clone(self) -> "BarrierBits":
         b = BarrierBits.__new__(BarrierBits)
         b.client_barrier_in = self.client_barrier_in
         b.client_barrier_out = self.client_barrier_out
+        b.managers = self.managers
         return b
 
     def canon(self) -> tuple:
         return (self.client_barrier_in, self.client_barrier_out)
+
+    def parts(self) -> tuple:
+        """The visited key's episode parts: manager pid's (in, out) bits at index pid."""
+        i, o = self.client_barrier_in, self.client_barrier_out
+        return tuple([((i >> pid) & 1, (o >> pid) & 1) for pid in range(self.managers)])
 
     def columns(self) -> tuple:
         return ((), self.canon())  # the trace column stays empty
@@ -112,7 +125,7 @@ def initial_state(sc) -> GlobalState:
     table = SocketTable(sc.conn_max, sc.qsz)
     procs = [ManagerState(i) for i in range(sc.n_initial)]
     wire_ring(table, procs)
-    return GlobalState(sc, table, procs, BarrierBits())
+    return GlobalState(sc, table, procs, BarrierBits(sc.n_initial))
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:
@@ -137,7 +150,7 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
-    bits = g.episode = g.read_episode().clone()
+    bits = g.episode = g.episode.clone()
     bit = 1 << m.pid
     if bits.client_barrier_in & bit:
         raise ProtocolViolation(f"m{m.pid}: client arrived twice in one episode")
@@ -153,14 +166,14 @@ def _on_barrier_in(g, m: ManagerState) -> None:
     if m.is_leader:
         # Token returned: every client is in, start releasing.
         _send_token(g, m, BARRIER_OUT)
-    elif g.read_episode().client_barrier_in & (1 << m.pid):
+    elif g.episode.client_barrier_in & (1 << m.pid):
         _send_token(g, m, BARRIER_IN)
     else:
         m.holding_barrier_in = True
 
 
 def _on_barrier_out(g, m: ManagerState) -> None:
-    bits = g.episode = g.read_episode().clone()
+    bits = g.episode = g.episode.clone()
     bit = 1 << m.pid
     if bits.client_barrier_out & bit:
         raise ProtocolViolation(f"m{m.pid}: barrier_out arrived twice")

@@ -194,6 +194,9 @@ class TraceState:
     def canon(self) -> tuple:
         return (int(self.started), self.initiator, self.collected, int(self.done))
 
+    def parts(self) -> tuple:
+        return (self.canon(),)  # the visited key's one episode part
+
     def columns(self) -> tuple:
         return (self.canon(), ())  # the trace column; the barrier bits stay empty
 

@@ -31,11 +31,13 @@ at the fds its step wrote.
 The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
 tuple (hashed whole; its layout is the socket table's), each process record
-and the episode record, hashed with its position (state_key). A successor's
-key is its predecessor's plus its step's delta (step_delta), the difference
-of the hashes of the components the step replaced: the fds its socket table
-logged as written, the acting pid's record if its canon() changed, and the
-episode record if the step swapped it for a copy. step_delta is the one
+and each part of the episode record, hashed with its position (state_key).
+The record names its parts: the trace record is one part, the barrier bits
+one per manager. A successor's key is its predecessor's plus its step's
+delta (step_delta), the difference of the hashes of the components the step
+replaced: the fds its socket table logged as written, the acting pid's
+record if its canon() changed, and the episode parts that changed if the
+step swapped the record for a copy. step_delta is the one
 incremental path; only the initial state's key sums every component. So a
 stored state costs what its step touched, in the manner of Nguyen & Ruys,
 "Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
@@ -63,24 +65,24 @@ through VisitedKeys.add, the store's one probe. A stored state costs at most
 The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
 delta. A handler reads its own process record, the socket slots its table
-logs in the read record (SocketTable.reads) and nothing else of the state
-but through GlobalState.read_episode and read_dead_pids; the scenario is
-static. A step writes only what it read, so in any state where what it
-read is as it was, it writes the same values over the same old ones, and
-its delta is the same. Each DFS frame therefore keeps (delta, footprint),
+logs in the read record (SocketTable.reads), its own part of an episode
+record keyed one part per pid, and nothing else of the state but through
+GlobalState.read_episode and read_dead_pids; the scenario is static. A step
+writes only what it read, so in any state where what it read is as it was,
+it writes the same values over the same old ones, and its delta is the
+same. Each DFS frame therefore keeps (delta, footprint),
 the footprint being the table's read record, for the steps tried at its
 state and those its parent passed down, the delta being the very
 step_delta that keyed the step where it ran; descending through a step t,
 a frame passes down the entries of the other pids whose footprint t's
-touched fds leave alone (t wrote its own record, which only the steps of
-its pid read), in the manner of Godefroid's sleep sets ("Partial-Order
-Methods for the Verification of Concurrent Systems", 1996). A step whose
-handler read a shared record, the episode record or the dead set, takes
-no entry. Barrier arrivals and releases and every trace step read the
-episode; on every model measured none of their entries was ever used,
-while keeping them, and checking each episode write and kill against
-them, cost the barrier and wide recovery searches about a tenth of their
-time.
+touched fds leave alone (t wrote its own record and episode part, which
+only the steps of its pid read), in the manner of Godefroid's sleep sets
+("Partial-Order Methods for the Verification of Concurrent Systems", 1996).
+A step whose handler read a shared record, the episode record through
+read_episode or the dead set, takes no entry; every trace step reads the
+trace record so. A barrier arrival or release reads and writes only its
+own manager's bits, one part of the key, so it takes an entry like any
+other step: barrier 13 matches 90,102 of its 106,509 transitions unrun.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
@@ -168,8 +170,9 @@ class GlobalState:
     """Everything mutable in one scenario instant.
 
     episode is the protocol's record of the running episode. It supplies
-    its two encoding columns (columns), its flat component tuple for the
-    visited key (canon) and its dump line (dump, "" for none).
+    its two encoding columns (columns), its parts for the visited key
+    (parts, a tuple of component tuples; see state_key) and its dump line
+    (dump, "" for none).
 
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
@@ -221,7 +224,14 @@ class GlobalState:
     # shared_read, as the socket table's accessors log the slots it reads.
 
     def read_episode(self):
-        """The episode record, read by a handler; one that writes it reads it first."""
+        """The episode record, read by a handler; one that writes it reads it first.
+
+        The one exception: where the record has one part per pid, part i
+        being pid i's, a handler may read and write its own pid's part
+        straight from self.episode (copying the record before it writes),
+        as it does its own process record. A read of any other part goes
+        through here.
+        """
         self.shared_read = True
         return self.episode
 
@@ -262,8 +272,9 @@ def state_digest(g: GlobalState) -> bytes:
     return blake2b(encode(g), digest_size=16).digest()
 
 
-# The hash memo is cleared at this size: unbounded, it grew peak RSS by
-# 1.6 MB on barrier 13, whose episode record is almost unique per state.
+# The hash memo is cleared at this size: unbounded, it held 4,502 entries
+# and grew peak RSS by 1.0 MB on recovery 48, whose many slot tuples are
+# seldom met twice. barrier 13, keyed one part per manager, needs 142.
 MEMO_LIMIT = 1024
 
 _KEY_MASK = (1 << 128) - 1
@@ -290,12 +301,13 @@ def state_key(g: GlobalState, memo: dict) -> int:
     """The visited key of g: the sum mod 2**128 of its component hashes.
 
     The components are each fd's slot tuple at position fd, each process
-    record at position len(slots) + pid, and the episode record's canon()
-    at position -1. memo maps (position, component) to its hash; one search
-    shares one memo. Unequal states collide with chance 2**-128 per pair,
-    below 1e-20 across even 10**9 stored states, so exhaustiveness is not
-    meaningfully weakened. explore sums every component only for the
-    initial state; a successor's key is its predecessor's plus step_delta.
+    record at position len(slots) + pid, and part i of the episode
+    record's parts() at position EPISODE_POS - i: -1, -2, and so on. memo
+    maps (position, component) to its hash; one search shares one memo.
+    Unequal states collide with chance 2**-128 per pair, below 1e-20
+    across even 10**9 stored states, so exhaustiveness is not meaningfully
+    weakened. explore sums every component only for the initial state; a
+    successor's key is its predecessor's plus step_delta.
 
     explore stores the key whole in VisitedKeys: 16 bytes per slot, at most
     3/4 of a sub-table's slots used, both 64-bit words compared on lookup,
@@ -308,7 +320,8 @@ def state_key(g: GlobalState, memo: dict) -> int:
         key += _component_hash(fd, slot, memo)
     for pid, p in enumerate(g.procs):
         key += _component_hash(base + pid, p.canon(), memo)
-    key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
+    for i, part in enumerate(g.episode.parts()):
+        key += _component_hash(EPISODE_POS - i, part, memo)
     return key & _KEY_MASK
 
 
@@ -317,9 +330,9 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
 
     The one incremental path of the key: the difference is taken at the
     components the step may have replaced, the fds h's table logged in
-    touched, pid's record unless its canon() equals g's, and the episode
-    record if h's is no longer g's object. The result is not reduced mod
-    2**128; memo is state_key's.
+    touched, pid's record unless its canon() equals g's, and, if h's episode
+    record is no longer g's object, each of its parts that differs from g's.
+    The result is not reduced mod 2**128; memo is state_key's.
     """
     slots = h.sockets.slots
     old = g.sockets.slots
@@ -332,8 +345,10 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
         pos = len(slots) + pid
         delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
     if h.episode is not g.episode:
-        delta += _component_hash(EPISODE_POS, h.episode.canon(), memo) - _component_hash(
-            EPISODE_POS, g.episode.canon(), memo)
+        for i, (now, was) in enumerate(zip(h.episode.parts(), g.episode.parts())):
+            if now != was:
+                pos = EPISODE_POS - i
+                delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
     return delta
 
 

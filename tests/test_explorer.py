@@ -48,6 +48,8 @@ from ringcheck.explorer import (
 )
 from ringcheck.messages import (
     ALL_COMMANDS,
+    BARRIER_IN,
+    BARRIER_OUT,
     CMD,
     IDS,
     NEW_LHS,
@@ -727,15 +729,22 @@ class TestIncrementalKey:
             data = marshal.dumps((pos, c), 2)
             return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
-        # Either record type sits at the one episode position, hashed flat.
+        # The trace record is one part at -1, hashed flat; the barrier bits
+        # are one part per manager, pid's (in, out) bits at -1 - pid.
         for algorithm, record in [("barrier", barrier_mod.BarrierBits),
                                   ("trace", daemons_mod.TraceState)]:
-            g = scenario_for(algorithm, size=2).initial_state()
+            g = scenario_for(algorithm, size=3).initial_state()
             t = g.sockets
             assert type(g.episode) is record
+            if record is barrier_mod.BarrierBits:
+                g.episode.client_barrier_in = 0b011  # three unequal parts
+                g.episode.client_barrier_out = 0b010
+                parts = {-1: (1, 0), -2: (1, 1), -3: (0, 0)}
+            else:
+                parts = {-1: g.episode.canon()}
             total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
             total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
-            total += h(-1, g.episode.canon())
+            total += sum(h(pos, part) for pos, part in parts.items())
             assert state_key(g, {}) == total % 2**128, algorithm
 
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
@@ -804,13 +813,40 @@ def bits(n: int) -> set:
     return {i for i in range(n.bit_length()) if n >> i & 1}
 
 
+def other_managers_flipped(bits, pid: int):
+    """A copy of barrier bits with every manager's bits flipped but pid's."""
+    b = bits.clone()
+    others = ((1 << len(bits.parts())) - 1) ^ (1 << pid)
+    b.client_barrier_in ^= others
+    b.client_barrier_out ^= others
+    return b
+
+
+# The episode records a handler may read without a log at its own pid's
+# part, each with a copy of the record that changes every other part.
+OWN_PART_RECORDS = {barrier_mod.BarrierBits: other_managers_flipped}
+
+
+def own_part_effect(g, step):
+    """What step does from g: the failure it raises, or the slots, the
+    acting pid's record and the acting pid's episode part it leaves."""
+    try:
+        h = apply(g, step)
+    except CheckError as e:
+        return type(e), str(e)
+    return tuple(h.sockets.slots), h.procs[step.pid].canon(), h.episode.parts()[step.pid]
+
+
 def audit_footprint(g, step) -> None:
     """Run step on a copy of g that notes what its handler reads.
 
     Every slot it reads must be in the table's read record, it must read no
     process record but its own, and if it reads the episode record or the
     dead set, the state must say so (shared_read); what it writes, it must
-    have read.
+    have read. A handler may read and write the acting pid's part of an
+    OWN_PART_RECORDS record without a log, and no other part: it must write
+    no other part, and must act alike from a copy of g with every other
+    part changed.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
@@ -831,8 +867,17 @@ def audit_footprint(g, step) -> None:
     assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
     others = procs.seen - {step.pid}
     assert not others, f"{name} read the records of {sorted(others)}"
-    if episode.read or h.episode is not episode:
-        assert h.shared_read, f"{name} read the episode record unlogged"
+    if (episode.read or h.episode is not episode) and not h.shared_read:
+        flip = OWN_PART_RECORDS.get(type(g.episode))
+        assert flip is not None, f"{name} read the episode record unlogged"
+        before, after = g.episode.parts(), h.episode.parts()
+        wrote = {i for i, (a, b) in enumerate(zip(after, before)) if a != b} - {step.pid}
+        assert not wrote, f"{name} wrote the episode parts of {sorted(wrote)}"
+        other = g.clone()
+        other.episode = flip(g.episode, step.pid)
+        other.derived_dead = g.derived_dead
+        assert own_part_effect(g, step) == own_part_effect(other, step), (
+            f"{name} read the episode parts of other pids")
     if dead.read:
         assert h.shared_read, f"{name} read the dead set unlogged"
 
@@ -897,13 +942,23 @@ def check_derived_keys(scenario, max_states: int = 50_000_000) -> int:
     return skipped
 
 
-REUSE_MODELS = KEY_MODELS + [("barrier", {"size": 5})]
+REUSE_MODELS = KEY_MODELS + [("barrier", {"size": 5}), ("barrier", {"size": 8})]
 # Steps matched without a run, frozen so that reuse cannot silently stop:
 # (algorithm, options, state budget, derived matches).
 DERIVED_MATCHES = [
     ("ring-seq", {"size": 2, "inserters": 3, "blocking": True}, 20_000, 32_519),
     ("ring-par", {"size": 2, "inserters": 2}, 50_000_000, 10_528),
+    ("barrier", {"size": 10}, 50_000_000, 8_185),
 ]
+
+
+def on_barrier_in_awaits_the_leader(g, m):
+    """_on_barrier_in that also parks the token until the leader's client arrived."""
+    both = 1 << m.pid | 1
+    if m.is_leader or g.episode.client_barrier_in & both == both:
+        barrier_mod._send_token(g, m, BARRIER_OUT if m.is_leader else BARRIER_IN)
+    else:
+        m.holding_barrier_in = True
 
 
 def trace_req_in_place(g, d, fd, msg):
@@ -972,11 +1027,12 @@ class TestDerivedKeys:
                                   for a, kw in REUSE_MODELS])
     def test_derived_keys_are_the_keys_of_the_steps_they_skip(self, algorithm, kw):
         derived = check_derived_keys(scenario_for(algorithm, **kw))
-        # Barrier and trace steps mostly read the episode, and no entry of theirs is used.
-        assert (derived > 0) == (algorithm not in ("barrier", "trace")), derived
+        # Every trace step reads the trace record through read_episode, so
+        # takes no entry, and trace 3 matches no state at all.
+        assert (derived > 0) == (algorithm != "trace"), derived
 
     @pytest.mark.parametrize("algorithm,kw,max_states,derived", DERIVED_MATCHES,
-                             ids=["insert-seq", "ring-par-2-2"])
+                             ids=["insert-seq", "ring-par-2-2", "barrier-10"])
     def test_derived_matches_keep_their_counts(self, algorithm, kw, max_states, derived):
         assert check_derived_keys(scenario_for(algorithm, **kw), max_states) == derived
 
@@ -1000,8 +1056,7 @@ class TestDerivedKeys:
     @pytest.mark.parametrize("accessor,algorithm,kw,what", [
         ("read_dead_pids", "recovery", {"size": 4}, "dead set"),
         ("read_episode", "trace", {"size": 3}, "episode"),
-        ("read_episode", "barrier", {"size": 4}, "episode"),
-    ], ids=["dead-set-recovery", "episode-trace", "episode-barrier"])
+    ], ids=["dead-set-recovery", "episode-trace"])
     def test_a_read_that_bypasses_the_state_read_record_is_caught(
             self, monkeypatch, accessor, algorithm, kw, what):
         # The accessor as a handler would read the field directly.
@@ -1018,11 +1073,34 @@ class TestDerivedKeys:
         with pytest.raises(AssertionError, match="read the records of"):
             check_derived_keys(scenario_for("recovery", size=4))
 
-    def test_an_unlogged_episode_read_gives_wrong_keys(self, monkeypatch):
-        # A barrier_in derived past a client's arrival would miss the new bits.
-        monkeypatch.setattr(GlobalState, "read_episode", lambda g: g.episode)
+    def test_a_barrier_read_of_another_managers_bits_is_caught(self, monkeypatch):
+        # barrier_in reaches a manager only after the leader's client arrived,
+        # so this read of the leader's bit changes no verdict and no key.
+        sc = scenario_for("barrier", size=4)
+        monkeypatch.setattr(barrier_mod, "_on_barrier_in", on_barrier_in_awaits_the_leader)
+        with pytest.raises(AssertionError, match="read the episode parts of other pids"):
+            check_derived_keys(sc)
         monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
-        with pytest.raises(AssertionError):
+        assert check_derived_keys(sc) > 0
+
+    def test_a_barrier_write_of_another_managers_bits_is_caught(self, monkeypatch):
+        real = barrier_mod._on_barrier_out
+
+        def releases_the_next_client_too(g, m):
+            real(g, m)  # which replaced g.episode with a copy
+            g.episode.client_barrier_out |= 1 << (m.pid + 1) % len(g.procs)
+
+        monkeypatch.setattr(barrier_mod, "_on_barrier_out", releases_the_next_client_too)
+        with pytest.raises(AssertionError, match="wrote the episode parts of"):
+            check_derived_keys(scenario_for("barrier", size=4))
+
+    def test_flat_barrier_parts_give_wrong_keys(self, monkeypatch):
+        # One part for all the bits: an arrival derived past another
+        # manager's arrival would miss that manager's new bit, and match a
+        # state never stored, so the derived search ends with other counts.
+        monkeypatch.setattr(barrier_mod.BarrierBits, "parts", lambda self: (self.canon(),))
+        monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
+        with pytest.raises(AssertionError, match="states_stored"):
             check_derived_keys(scenario_for("barrier", size=4))
 
     def test_property_checks_and_wake_listing_leave_the_read_record_alone(self):
