@@ -36,14 +36,13 @@ BARRIER_END = "barrier_end"
 class ManagerState:
     """Per-manager record."""
 
-    __slots__ = ("pid", "lhs_fd", "rhs_fd", "holding_barrier_in",
+    __slots__ = ("pid", "rhs_fd", "holding_barrier_in",
                  "sent_barrier_in", "sent_barrier_out")
 
     dead = False  # managers never fail
 
     def __init__(self, pid: int):
         self.pid = pid
-        self.lhs_fd = INVALID_FD
         self.rhs_fd = INVALID_FD
         self.holding_barrier_in = False
         # Circuit accounting: each token kind crosses each right-hand channel
@@ -58,7 +57,6 @@ class ManagerState:
     def clone(self) -> "ManagerState":
         m = ManagerState.__new__(ManagerState)
         m.pid = self.pid
-        m.lhs_fd = self.lhs_fd
         m.rhs_fd = self.rhs_fd
         m.holding_barrier_in = self.holding_barrier_in
         m.sent_barrier_in = self.sent_barrier_in

@@ -215,6 +215,7 @@ def initial_state(sc) -> GlobalState:
     wire_ring(table, procs[:m])
     for i in range(m):
         d = procs[i]
+        d.lhs_fd = table.other_of(procs[(i - 1) % m].rhs_fd)
         d.rhs_id = (i + 1) % m
         d.rhs2_id = (i + 2) % m
         d.lhs_id = (i - 1) % m

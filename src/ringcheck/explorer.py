@@ -25,8 +25,8 @@ ever mutate the acting process, so a successor shares every other process
 record with its predecessor (copy on write: apply copies the acting one).
 The episode record is shared the same way: the few handlers that write it
 copy it first. The ready events of all processes come from the socket
-table's wake map, which a successor's table derives from its predecessor's
-at the fds its step wrote.
+table's wake map, which a successor's table copies from its predecessor's
+and every slot write keeps current.
 
 The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
@@ -190,10 +190,10 @@ class GlobalState:
     A state does not hold its visited key: explore keeps each key in the
     DFS frame of its state (see state_key and step_delta).
 
-    Listing a state's steps calls sockets.ready_events, which keeps the
-    wake map of the table's slots on the table until the table is next
-    written; the successors' tables start from it. That cache is no part of
-    the state: it never changes the slots, the encoding or the key.
+    Listing a state's steps calls sockets.ready_events, which reads the
+    table's wake map: every slot write keeps it current, and a successor's
+    table starts from a copy. The map is no part of the state: it follows
+    from the slots, so it adds nothing to the encoding or the key.
     """
 
     __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read",

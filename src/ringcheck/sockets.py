@@ -14,16 +14,11 @@ drained half-closed descriptor, otherwise the command of the message at the
 head of the channel. The protocol modules schedule and handle wakes by that
 one name.
 
-Listing the wakes costs the fds the state's step wrote plus the wakes
-listed, not the table's size. The wake map, fd -> (owner, name) for every
-fd that has a wake, is kept in ``_wakes``: it is the map of the slots as
-they stand, or None. ``_put``, the one slot write, sets it to None, and
-``ready_events`` builds it again when it is None. ``clone()`` gives the
-child ``_base``, its parent's ``_wakes``: the map of the slots as they
-stood at the clone, or None. From a base the child re-derives only the fds
-in its ``touched``; without one it derives every fd. A map is shared with
-clones and never written once built, so no wake can disagree with the
-slots behind it.
+The wake map, fd -> (owner, name) for every fd that has a wake, is kept
+in ``_wakes`` and is always the map of the slots as they stand: a new table
+has none, ``clone()`` copies its parent's, and ``_put``, the one slot write,
+sets or drops the wake of the fd it stored. Listing the wakes therefore
+costs the wakes listed, not the table's size.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -112,7 +107,7 @@ class SocketTable:
     ownership, mirroring the rule that a process may only touch its own fds.
     """
 
-    __slots__ = ("qsz", "slots", "touched", "reads", "_wakes", "_base")
+    __slots__ = ("qsz", "slots", "touched", "reads", "_wakes")
 
     def __init__(self, conn_max: int, qsz: int):
         if conn_max < 2 or qsz < 1:
@@ -121,8 +116,7 @@ class SocketTable:
         self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
         self.reads = 0  # bit fd set: slot fd read since construction or clone()
-        self._wakes = None  # the wake map of the slots as they stand, or None
-        self._base = None  # the wake map of the slots at clone(), or None
+        self._wakes: dict[int, tuple[int, str]] = {}  # every slot is free: no wakes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,8 +126,7 @@ class SocketTable:
         t.slots = self.slots[:]
         t.touched = []
         t.reads = 0
-        t._wakes = None
-        t._base = self._wakes
+        t._wakes = self._wakes.copy()
         return t
 
     def canon(self) -> tuple:
@@ -141,10 +134,18 @@ class SocketTable:
         return tuple(zip(*self.slots))
 
     def _put(self, fd: int, slot: tuple) -> None:
-        """The one slot write: store slot at fd, log fd in touched, drop the map."""
+        """The one slot write: store slot at fd, log fd in touched, set fd's wake."""
         self.slots[fd] = slot
         self.touched.append(fd)
-        self._wakes = None
+        other, pid, flag, q = slot
+        if flag == AWAIT_ACCEPT:
+            self._wakes[fd] = (pid, EVENT_CONNECT)
+        elif flag != FREE and q:
+            self._wakes[fd] = (pid, command_of(q[0]))
+        elif flag != FREE and other == INVALID_FD:
+            self._wakes[fd] = (pid, EVENT_EOF)
+        else:
+            self._wakes.pop(fd, None)
 
     def peek(self, fd: int) -> tuple:
         """fd's slot, FREE_SLOT for an fd outside the table; logs nothing.
@@ -294,7 +295,7 @@ class SocketTable:
     # -- readiness ----------------------------------------------------------
 
     def ready_events(self) -> dict[int, list[tuple[int, str]]]:
-        """Every pending wake of every process, updated at the fds last written.
+        """Every pending wake of every process, from the wake map.
 
         Maps each pid that has a wake to its (fd, name) pairs, ordered by fd
         index; a pid with none is absent. Exactly one connect wake is
@@ -303,32 +304,8 @@ class SocketTable:
         wakes are per descriptor; EOF requires a drained channel, message
         readiness requires the descriptor to have been accepted. A message
         wake is named by the command of the message at its channel's head.
-
-        _wakes is the wake map of the slots as they stand, or None (see the
-        module docstring); a set map is reused. Otherwise the map is derived
-        from _base, the map at clone(), at the fds in touched, or from every
-        fd when there is no base, and kept in _wakes until the next write.
         """
         wakes = self._wakes
-        if wakes is None:
-            base, slots = self._base, self.slots
-            if base is None:
-                wakes, fds = {}, range(len(slots))
-            else:
-                wakes, fds = dict(base), self.touched
-            for fd in fds:
-                other, pid, flag, q = slots[fd]
-                if flag == AWAIT_ACCEPT:
-                    wakes[fd] = (pid, EVENT_CONNECT)
-                elif flag == FREE:
-                    wakes.pop(fd, None)
-                elif q:
-                    wakes[fd] = (pid, command_of(q[0]))
-                elif other == INVALID_FD:
-                    wakes[fd] = (pid, EVENT_EOF)
-                else:
-                    wakes.pop(fd, None)
-            self._wakes = wakes
         events: dict[int, list[tuple[int, str]]] = {}
         connecting = set()  # pids whose connect wake is already listed
         for fd in sorted(wakes):
@@ -361,9 +338,8 @@ class SocketTable:
 
         Covers link symmetry, ownership of allocated slots, cleanliness of
         free slots, channel bounds and the rule that dead processes own
-        nothing. Wake soundness needs no check here: events are computed from
-        these same structures, through a wake map that is current or None,
-        so it holds by construction once they do.
+        nothing. Wake soundness needs no check here: the wake map is set from
+        each slot as it is stored, so it holds by construction once they do.
         """
         self._check_fds(range(len(self.slots)), dead_pids)
 
@@ -408,7 +384,8 @@ class SocketTable:
 
 
 def wire_ring(table: SocketTable, procs: list) -> None:
-    """Connect procs clockwise: each one's rhs_fd reaches the next one's lhs_fd.
+    """Connect procs clockwise: each one's rhs_fd reaches the next one's left
+    side, which the next one accepts flagged LHS.
 
     A ring of one is a process connected to its own port.
     """
@@ -416,5 +393,4 @@ def wire_ring(table: SocketTable, procs: list) -> None:
     for i, p in enumerate(procs):
         q = procs[(i + 1) % n]
         p.rhs_fd = table.connect(p.pid, q.pid, RHS)
-        q.lhs_fd = table.slots[p.rhs_fd][OTHER]
-        table.accept(q.pid, q.lhs_fd, LHS)
+        table.accept(q.pid, table.slots[p.rhs_fd][OTHER], LHS)

@@ -22,8 +22,8 @@ the explorer continues on a successor's table, in one of three ways (see
 ``branch``): from a table it just listed, from one that wrote since it was
 last listed (or a clone of such a clone), or from one side of a fork whose
 other side, the parent or the clone, writes and is checked first. A clone
-inherits its parent's wake map, so the wake oracles then check the map
-each way it can be handed on.
+starts from a copy of its parent's wake map, so the wake oracles then check
+the map each way it can be handed on.
 """
 
 from __future__ import annotations

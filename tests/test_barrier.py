@@ -7,12 +7,19 @@ from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import EVENT_CONNECT
+from ringcheck.sockets import EVENT_CONNECT, LHS
 
 
 def barrier_state(n):
     scenario = build_scenario(ScenarioConfig("barrier", size=n))
     return scenario, scenario.initial_state()
+
+
+def lhs_of(g, pid):
+    """Manager pid's left side: the peer of its left neighbour's rhs_fd."""
+    fd = g.sockets.other_of(g.procs[(pid - 1) % len(g.procs)].rhs_fd)
+    assert g.sockets.owner_of(fd) == pid and g.sockets.flag_of(fd) == LHS
+    return fd
 
 
 def deliver(g, pid):
@@ -27,7 +34,7 @@ class TestTokens:
         client_reaches_barrier(g, g.procs[0])
         assert g.episode.client_barrier_in == 0b001
         assert g.procs[0].sent_barrier_in
-        q = g.sockets.queue_of(g.procs[1].lhs_fd)
+        q = g.sockets.queue_of(lhs_of(g, 1))
         assert [command_of(m) for m in q] == [BARRIER_IN]
 
     def test_follower_arrival_alone_sends_nothing(self):
@@ -44,7 +51,7 @@ class TestTokens:
         assert not g.procs[1].sent_barrier_in
         client_reaches_barrier(g, g.procs[1])
         assert not g.procs[1].holding_barrier_in
-        assert [command_of(m) for m in g.sockets.queue_of(g.procs[2].lhs_fd)] == [BARRIER_IN]
+        assert [command_of(m) for m in g.sockets.queue_of(lhs_of(g, 2))] == [BARRIER_IN]
 
     def test_token_passes_straight_through_an_arrived_manager(self):
         scenario, g = barrier_state(3)

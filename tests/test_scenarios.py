@@ -13,6 +13,7 @@ from ringcheck.scenarios import (
     build_scenario,
     config_from_fields,
 )
+from ringcheck.sockets import LHS, RHS
 
 
 class TestValidation:
@@ -123,7 +124,7 @@ class TestInitialState:
         for i, m in enumerate(g.procs):
             peer = g.sockets.other_of(m.rhs_fd)
             assert g.sockets.owner_of(peer) == (i + 1) % 4
-            assert g.procs[(i + 1) % 4].lhs_fd == peer
+            assert g.sockets.flag_of(peer) == LHS and g.sockets.flag_of(m.rhs_fd) == RHS
         g.sockets.check_invariants()
 
     def test_ring_states_carry_a_trace_slot(self):

@@ -1,7 +1,11 @@
 """Unit tests for the descriptor table: one scenario per operation contract."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from ringcheck import sockets as sockets_mod
 from ringcheck.errors import (
     BrokenConnectionError,
     ContractViolation,
@@ -245,11 +249,18 @@ class TestCloneAndCanon:
     def test_clone_is_independent(self):
         t = make_table()
         cfd = t.connect(1, 2)
-        t.accept(2, t.other_of(cfd))
+        sfd = t.other_of(cfd)
+        t.accept(2, sfd)
         u = t.clone()
         t.write(1, cfd, message(NEW_RHS))
-        assert u.queue_of(u.other_of(cfd)) == ()
-        assert t.queue_of(t.other_of(cfd)) != ()
+        assert u.queue_of(sfd) == ()
+        assert t.queue_of(sfd) != ()
+        # Each side lists its own wakes, whichever of them wrote.
+        assert t.ready_events() == {2: [(sfd, NEW_RHS)]}
+        assert u.ready_events() == {}
+        u.close(2, sfd)
+        assert u.ready_events() == {1: [(cfd, EVENT_EOF)]}
+        assert t.ready_events() == {2: [(sfd, NEW_RHS)]}
 
     def test_canon_equal_for_equal_tables(self):
         def build():
@@ -363,3 +374,32 @@ class TestInvariantChecker:
         poke(t, 5, OWNER, 3)
         with pytest.raises(InvariantViolation):
             t.check_invariants()
+
+
+def test_put_is_the_only_slot_write():
+    # A slot write must set the fd's wake and log the fd in touched, which
+    # _put does; no other code in the module may store into slots.
+    tree = ast.parse(Path(sockets_mod.__file__).read_text())
+
+    def is_slots(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "slots"
+                or isinstance(node, ast.Name) and node.id == "slots")
+
+    writers = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                targets = []
+            if any(isinstance(sub, ast.Subscript) and is_slots(sub.value)
+                   for target in targets for sub in ast.walk(target)):
+                writers.append(func.name)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and is_slots(node.func.value)):
+                writers.append(func.name)  # a list method, such as slots.append
+    assert writers == ["_put"]
