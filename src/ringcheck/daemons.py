@@ -46,7 +46,6 @@ from .messages import (
     A,
     ABSENT,
     B,
-    HOPS,
     IDS,
     NEW_LHS,
     NEW_RHS,
@@ -95,15 +94,13 @@ class DaemonState:
     new_lhs messages (and from ring construction); it is what makes the
     addressed counterclockwise rhs2info sends expressible. pending_requesters
     is the sequential variant's FIFO of fds awaiting a relayed coordinate
-    answer. pending_rhs2_for holds the pid of a left neighbor that attached
-    before this daemon knew its own right side; the deferred update is sent
-    once it does.
+    answer.
     """
 
     __slots__ = (
         "pid", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
-        "await_cmd", "pending_requesters", "pending_rhs2_for",
+        "await_cmd", "pending_requesters",
     )
 
     def __init__(self, pid: int):
@@ -116,7 +113,6 @@ class DaemonState:
         self.rhs2_id = ABSENT
         self.await_cmd: str | None = None
         self.pending_requesters: tuple[int, ...] = ()
-        self.pending_rhs2_for = ABSENT
 
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
@@ -129,7 +125,6 @@ class DaemonState:
         d.rhs2_id = self.rhs2_id
         d.await_cmd = self.await_cmd
         d.pending_requesters = self.pending_requesters
-        d.pending_rhs2_for = self.pending_rhs2_for
         return d
 
     @property
@@ -148,7 +143,7 @@ class DaemonState:
             self.rhs2_id,
             self.await_cmd or "",
             self.pending_requesters,
-            self.pending_rhs2_for,
+            ABSENT,  # a removed field's slot, kept so every encoding stays the same
         )
 
     def summary(self) -> str:
@@ -267,8 +262,6 @@ def begin_insertion(g, d: DaemonState) -> None:
 def inject_failure(g, pid: int) -> None:
     """Kill one daemon: the OS closes its descriptors, peers see EOF later."""
     d = g.procs[pid]
-    if d.phase == DEAD:
-        return  # second injection has nothing left to close
     d.phase = DEAD
     d.lhs_fd = INVALID_FD
     d.rhs_fd = INVALID_FD
@@ -305,8 +298,6 @@ def steps(g) -> list[ScheduleStep]:
         pids = sorted(ready)
     out: list[ScheduleStep] = []
     for pid in pids:
-        if pid in dead:
-            continue
         p = procs[pid]
         for fd, name in ready.get(pid, ()):
             # Blocking-read surrogate: an awaiting daemon handles only the reply.
@@ -428,17 +419,6 @@ def _on_reconnect_rhs(g, d, fd, msg):
     d.rhs_id = target
     d.phase = IN_RING
     d.await_cmd = None
-    if d.pending_rhs2_for >= 0:
-        # A left neighbor attached while this daemon's right side was still
-        # unknown; deliver the deferred second-right update now.
-        if d.lhs_fd != INVALID_FD and g.sockets.other_of(d.lhs_fd) != INVALID_FD:
-            g.sockets.write(
-                d.pid,
-                d.lhs_fd,
-                message(RHS2INFO, a=d.pending_rhs2_for, b=d.rhs_id,
-                        hops=len(g.procs)),
-            )
-        d.pending_rhs2_for = ABSENT
 
 
 def _on_new_lhs(g, d, fd, msg):
@@ -448,26 +428,18 @@ def _on_new_lhs(g, d, fd, msg):
     d.lhs_id = msg[A]
     if g.scenario.variant != PARALLEL:
         return
-    if d.rhs_id >= 0:
-        # The newcomer's second-right neighbor is this daemon's right.
-        g.sockets.write(
-            d.pid, fd,
-            message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=len(g.procs)),
-        )
-    else:
-        d.pending_rhs2_for = msg[A]
+    # The newcomer's second-right neighbor is this daemon's right, known by
+    # now: a joiner's await_cmd lets no new_lhs in before its reconnect_rhs.
+    g.sockets.write(d.pid, fd, message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=len(g.procs)))
 
 
 def _on_rhs2info(g, d, fd, msg):
-    if msg[A] == d.pid:
-        d.rhs2_id = msg[B]
-        return
-    if msg[HOPS] <= 0:
+    # Every rhs2info is written to its addressee's own channel, so it is
+    # never passed on.
+    if msg[A] != d.pid:
         target = g.scenario.registry.name(msg[A])
-        raise ProtocolViolation(f"d{d.pid}: rhs2info for {target} exceeded hop budget")
-    if d.lhs_fd == INVALID_FD or g.sockets.other_of(d.lhs_fd) == INVALID_FD:
-        raise ProtocolViolation(f"d{d.pid}: cannot forward rhs2info, left side gone")
-    g.sockets.write(d.pid, d.lhs_fd, msg[:HOPS] + (msg[HOPS] - 1,))
+        raise ProtocolViolation(f"d{d.pid}: rhs2info addressed to {target}")
+    d.rhs2_id = msg[B]
 
 
 def _on_rhs_info_request(g, d, fd, msg):
@@ -546,20 +518,17 @@ def _on_trace_done(g, d, fd, msg):
 
 
 def _on_eof(g, d, fd):
+    g.sockets.close(d.pid, fd)
     if fd == d.rhs_fd:
-        g.sockets.close(d.pid, fd)
         d.rhs_fd = INVALID_FD
         if g.scenario.variant == SEQUENTIAL:
             return  # keeps no neighbor state, so there is nothing to recover with
         _recover_rhs(g, d)
     elif fd == d.lhs_fd:
-        # Left side vanished. Free the slot and wait: either a new_lhs
-        # connection re-establishes the left side, or the ring stays broken
-        # and the topology check at quiescence says so.
-        g.sockets.close(d.pid, fd)
+        # Left side vanished. Wait: either a new_lhs connection
+        # re-establishes the left side, or the ring stays broken and the
+        # topology check at quiescence says so.
         d.lhs_fd = INVALID_FD
-    else:
-        g.sockets.close(d.pid, fd)  # stray endpoint whose peer went away
 
 
 def _recover_rhs(g, d):

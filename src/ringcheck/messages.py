@@ -54,8 +54,8 @@ class Identity(NamedTuple):
 #   new_rhs, new_lhs   a = the sender
 #   reconnect_rhs      a = the daemon to attach to on the right
 #   rhs2info           a = target daemon, b = its new second-right neighbor,
-#                      hops = remaining counterclockwise forwarding budget,
-#                      at first the number of processes
+#                      hops = the number of processes; nothing reads it, but
+#                      queued messages are part of every pinned encoding
 #   rhs_info_return    a = the daemon being answered
 #   trace_req/done     origin = initiator, ids = daemons collected so far
 CMD, A, B, ORIGIN, IDS, HOPS = range(6)

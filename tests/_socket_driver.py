@@ -18,12 +18,11 @@ Messages carry a unique serial in their hops field so FIFO order and
 conservation are checkable without trusting the table's own queues.
 
 With a clone rate, the driver sometimes continues on ``table.clone()``, as
-the explorer continues on a successor's table, in one of three ways (see
-``branch``): from a table it just listed, from one that wrote since it was
-last listed (or a clone of such a clone), or from one side of a fork whose
-other side, the parent or the clone, writes and is checked first. A clone
-starts from a copy of its parent's wake map, so the wake oracles then check
-the map each way it can be handed on.
+the explorer continues on a successor's table, in one of two ways (see
+``branch``): on the clone alone, or on one side of a fork whose other side,
+the parent or the clone, writes and is checked first. A clone starts from a
+copy of its parent's wake map, so the wake oracles then check that the copy
+and the parent's map each stay their own table's.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class MirrorSlot:
 
 
 # The ways branch continues on a clone of the table.
-CLONE_LISTED, CLONE_UNLISTED, FORK = "listed", "unlisted", "fork"
+CLONE, FORK = "clone", "fork"
 
 
 class Driver:
@@ -70,7 +69,7 @@ class Driver:
         self.qsz = qsz
         self.n_pids = n_pids
         self.clone_rate = clone_rate
-        self.branches = {CLONE_LISTED: 0, CLONE_UNLISTED: 0, FORK: 0}
+        self.branches = {CLONE: 0, FORK: 0}
         self.slots: dict[int, MirrorSlot] = {}
         self.sent = 0
         self.read_count = 0
@@ -256,20 +255,15 @@ class Driver:
         return True
 
     def branch(self, rng: random.Random) -> bool:
-        """Continue on a clone of the table, in one of three ways.
+        """Continue on a clone of the table, in one of two ways.
 
-        The table was listed by the last check_all, if any. CLONE_LISTED
-        clones it and runs one op. CLONE_UNLISTED first runs one or two ops
-        that no listing follows, each on the table or on a new clone of it,
-        so the clone taken next starts from a table that wrote since it was
-        listed, or from a clone of a clone that never listed; then it does
-        as CLONE_LISTED does. FORK clones the table and runs one op on the
-        parent or on the clone, then goes back to the other side and its
-        copy of the mirror, unwritten since the fork; the parent may then
-        write again after it was cloned. Every listing is checked against
-        the mirror.
+        CLONE clones the table and runs one op on the clone. FORK clones the
+        table and runs one op on the parent or on the clone, then goes back
+        to the other side and its copy of the mirror, unwritten since the
+        fork; the parent may then write again after it was cloned. Every
+        listing is checked against the mirror.
         """
-        how = rng.choice((CLONE_LISTED, CLONE_UNLISTED, FORK))
+        how = rng.choice((CLONE, FORK))
         self.branches[how] += 1
         if how == FORK:
             parent, clone = self.table, self.table.clone()
@@ -282,11 +276,6 @@ class Driver:
             self.table = then
             self._restore(mirror)
         else:
-            if how == CLONE_UNLISTED:
-                for _ in range(rng.choice((1, 2))):
-                    if rng.random() < 0.5:
-                        self.table = self.table.clone()
-                    self._run_op(rng)
             self.table = self.table.clone()
             ran = self._run_op(rng)
         self.check_all()

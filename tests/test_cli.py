@@ -504,3 +504,27 @@ def test_cli_matrix_digests_the_same_runs_alike_twice():
     assert first[-1] == "5617c6bfc978bde5 total (21 runs)"
     replays = [line.split()[0] for line in first if " replay " in line][:2]
     assert replays[0] == replays[1]  # both searches found one counterexample
+
+
+def test_unreached_lists_the_failure_code_a_ring_without_failures_never_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "unreached.py"
+    proc = subprocess.run([sys.executable, str(script), "ring-par", "--size", "1",
+                           "--inserters", "1"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *found, count = proc.stdout.splitlines()
+    assert count == f"{len(found)} statements unreached"
+    # Each line is "module:line function: source"; match by function name.
+    by_function: dict = {}
+    for line in found:
+        where, function, source = line.split(" ", 2)
+        by_function.setdefault((where.split(":")[0], function.rstrip(":")), []).append(source)
+    # ring-par has no failure: neither the daemon's nor the table's runs.
+    assert by_function[("daemons.py", "inject_failure")] == [
+        "d = g.procs[pid]", "d.phase = DEAD", "d.lhs_fd = INVALID_FD",
+        "d.rhs_fd = INVALID_FD", "g.sockets.inject_failure(pid)"]
+    assert ("sockets.py", "SocketTable.inject_failure") in by_function
+    # The parallel insertion runs; its guard and the sequential branch do not.
+    begin = by_function[("daemons.py", "begin_insertion")]
+    assert begin[0] == 'raise ProtocolViolation(f"d{d.pid}: begin_insertion outside IDLE")'
+    assert "g.sockets.write(d.pid, fd, message(RHS_INFO_REQUEST))" in begin
+    assert "d.await_cmd = RECONNECT_RHS" not in begin

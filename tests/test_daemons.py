@@ -21,7 +21,9 @@ from ringcheck.daemons import (
     inject_failure,
     start_trace,
 )
+from ringcheck import daemons as daemons_mod
 from ringcheck.errors import ProtocolViolation
+from ringcheck.explorer import VERIFIED, explore
 from ringcheck.messages import (
     BARRIER_IN,
     NEW_LHS,
@@ -216,27 +218,31 @@ class TestNewLhs:
         assert [command_of(m) for m in reply] == [RHS2INFO]
         assert reply[0][A] == 3 and reply[0][B] == d.rhs_id
 
-    def test_defers_the_update_until_own_rhs_is_known(self):
-        scenario, g = ring_state("ring-par", 2, inserters=2)
-        d = g.procs[2]
-        begin_insertion(g, d)
-        # Another daemon greets d while d still has no right side. The entry
-        # handshake normally shields d from this interleaving; the handler
-        # keeps the deferral as a defensive path, so drive it directly.
-        nfd = g.sockets.connect(3, 2)
-        g.sockets.write(3, nfd, message(NEW_LHS, a=3))
-        g.sockets.accept(2, g.sockets.other_of(nfd))
-        sfd = [fd for fd in owned_by(g, 2) if g.sockets.queue_of(fd)][0]
-        handle_event(g, d, sfd, NEW_LHS)
-        assert d.pending_rhs2_for == 3
-        assert g.sockets.queue_of(nfd) == ()
-        # Once a splice reply lands, the deferred update goes out to whoever
-        # now holds d's left side.
-        g.sockets.write(3, nfd, message(RECONNECT_RHS, a=1))
-        handle_event(g, d, d.lhs_fd, RECONNECT_RHS)
-        assert d.pending_rhs2_for == -1
-        assert [command_of(m) for m in g.sockets.queue_of(nfd)] == [RHS2INFO]
-        assert g.sockets.queue_of(nfd)[0][B] == 1
+    @pytest.mark.parametrize("algorithm,size,inserters", [
+        ("ring-par", 1, 2), ("ring-par", 2, 2),
+        *[("recovery", n, 0) for n in range(2, 7)],
+        *[("trace", n, 0) for n in range(1, 5)],
+    ])
+    def test_every_greeted_daemon_knows_its_right_side(self, monkeypatch, algorithm, size,
+                                                       inserters):
+        # _on_new_lhs sends the greeter this daemon's rhs_id as its rhs2 at
+        # once: a joiner's await_cmd keeps every new_lhs out until its
+        # reconnect_rhs has set rhs_id. Over whole searches, no new_lhs
+        # finds rhs_id unknown.
+        real = daemons_mod._DISPATCH[NEW_LHS]
+        calls = []
+
+        def checked(g, d, fd, msg):
+            assert d.rhs_id >= 0, f"d{d.pid} greeted before it knew its right side"
+            calls.append(d.pid)
+            real(g, d, fd, msg)
+            g.shared_read = True  # derive no new_lhs key, so every one runs here
+
+        monkeypatch.setitem(daemons_mod._DISPATCH, NEW_LHS, checked)
+        scenario = build_scenario(ScenarioConfig(algorithm, size=size, inserters=inserters))
+        report = explore(scenario, scenario.default_properties())
+        assert report.outcome == VERIFIED
+        assert calls or algorithm == "trace"
 
 
 class TestRhs2Info:
@@ -248,27 +254,19 @@ class TestRhs2Info:
         deliver(g, 1, cmd=RHS2INFO)
         assert d.rhs2_id == 0
 
-    def test_unaddressed_update_is_forwarded_counterclockwise(self):
-        scenario, g = ring_state("ring-par", 3)
-        target = 0
-        g.sockets.write(2, g.procs[2].lhs_fd, message(
-            RHS2INFO, a=target, b=2, hops=3))
-        deliver(g, 1, cmd=RHS2INFO)
-        assert g.procs[1].rhs2_id == 0  # unchanged prewiring
-        # Writes on a daemon's left side land on its left neighbor's right fd.
-        forwarded = list(g.sockets.queue_of(g.procs[0].rhs_fd))
-        assert [command_of(m) for m in forwarded] == [RHS2INFO]
-        assert forwarded[0][HOPS] == 2
-
-    def test_exhausted_hop_budget_is_a_violation(self):
+    def test_misaddressed_rhs2info_is_a_violation(self):
+        # Each update is written to its addressee's own channel; one that
+        # names another daemon is not passed on.
         scenario, g = ring_state("ring-par", 3)
         g.sockets.write(2, g.procs[2].lhs_fd, message(
-            RHS2INFO, a=0, b=2, hops=0))
+            RHS2INFO, a=0, b=2, hops=3))
         with pytest.raises(ProtocolViolation) as e:
             deliver(g, 1, cmd=RHS2INFO)
-        # The target pid is rendered as its identity, as in every violation text.
+        # The target pid is rendered as its identity.
         assert str(e.value) == (
-            "d1: rhs2info for Identity(host='node0', port=9000) exceeded hop budget")
+            "d1: rhs2info addressed to Identity(host='node0', port=9000)")
+        assert g.procs[1].rhs2_id == 0  # unchanged prewiring
+        assert g.sockets.queue_of(g.procs[0].rhs_fd) == ()
 
 
 class TestSequentialEntry:
@@ -365,6 +363,21 @@ class TestFailureRecovery:
         handle_event(g, d, ev[0], EVENT_EOF)
         assert d.lhs_fd == INVALID_FD
         assert d.rhs_id == 0  # untouched
+
+    def test_eof_on_neither_side_only_closes_that_fd(self):
+        scenario, g = ring_state("ring-par", 2, inserters=1)
+        d = g.procs[0]
+        # A connection from pid 2 that d accepts but never adopts as a side.
+        cfd = g.sockets.connect(2, 0)
+        deliver(g, 0)  # accept
+        stray = g.sockets.other_of(cfd)
+        g.sockets.close(2, cfd)
+        lhs_fd, rhs_fd = d.lhs_fd, d.rhs_fd
+        assert (stray, EVENT_EOF) in g.sockets.ready_events()[0]
+        handle_event(g, d, stray, EVENT_EOF)
+        assert not g.sockets.is_allocated(stray)
+        assert (d.lhs_fd, d.rhs_fd) == (lhs_fd, rhs_fd)
+        assert g.sockets.is_allocated(lhs_fd) and g.sockets.is_allocated(rhs_fd)
 
     def test_sequential_daemons_do_not_recover(self):
         scenario, g = ring_state("ring-seq", 3)

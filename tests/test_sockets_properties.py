@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _socket_driver import CLONE_LISTED, CLONE_UNLISTED, FORK, Driver, run_random_sequence
+from _socket_driver import CLONE, FORK, Driver, run_random_sequence
 from ringcheck.sockets import SocketTable
 
 # The share of steps that continue on a clone when a test draws clones.
@@ -54,7 +54,7 @@ def test_invariants_hold_across_table_geometries(seed, conn_max, qsz, n_pids, cl
 
 def test_sequences_continue_on_clones_every_way():
     # Fixed seeds, so every way of handing a wake map on is run each time.
-    ways = {CLONE_LISTED: 0, CLONE_UNLISTED: 0, FORK: 0}
+    ways = {CLONE: 0, FORK: 0}
     for seed in range(200):
         drv = run_random_sequence(seed, n_ops=32, with_failure=bool(seed % 2),
                                   clone_rate=CLONE_RATE)
