@@ -14,16 +14,16 @@ is the last one out.
 The bit vectors are the state's episode record. The visited key hashes
 them one part per manager, its (in, out) bits, and a handler reads and
 writes only its own manager's bits, straight from g.episode: like the
-manager's own record, that part is read by no other manager's step, so a
-barrier step's key delta can be reused past the steps of the others (see
-explorer).
+manager's own record, that part is read by no other manager's step. So a
+barrier step's key delta hashes that part alone, and it can be reused past
+the steps of the others (see explorer).
 """
 
 from __future__ import annotations
 
 from .errors import ContractViolation, ProtocolViolation
 from .explorer import (ACT_CLIENT_ARRIVAL, EVERY_STATE, KIND_ACTION, KIND_EVENT, QUIESCENCE_ONLY,
-                       GlobalState, ScheduleStep)
+                       GlobalState, ScheduleStep, schedule_step)
 from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, SocketTable,
                       wire_ring)
@@ -79,8 +79,10 @@ class BarrierBits:
     It is a barrier state's episode record. States share one record until a
     step writes it; the writer, client_reaches_barrier or _on_barrier_out,
     replaces g.episode with a clone first. Its parts for the visited key are
-    one per manager, pid's (in, out) bits at index pid; its encoding column
-    stays the two vectors whole (canon).
+    one per manager, part(pid) being pid's (in, out) bits, and parts() lists
+    them by pid; its encoding column stays the two vectors whole (canon). A
+    barrier step reads and writes its own part unlogged, so step_delta
+    hashes that part alone.
     """
 
     __slots__ = ("client_barrier_in", "client_barrier_out", "managers")
@@ -100,10 +102,13 @@ class BarrierBits:
     def canon(self) -> tuple:
         return (self.client_barrier_in, self.client_barrier_out)
 
+    def part(self, pid: int) -> tuple:
+        """The visited key's episode part pid: manager pid's (in, out) bits."""
+        return ((self.client_barrier_in >> pid) & 1, (self.client_barrier_out >> pid) & 1)
+
     def parts(self) -> tuple:
-        """The visited key's episode parts: manager pid's (in, out) bits at index pid."""
-        i, o = self.client_barrier_in, self.client_barrier_out
-        return tuple([((i >> pid) & 1, (o >> pid) & 1) for pid in range(self.managers)])
+        """Every part, part(pid) at index pid."""
+        return tuple(map(self.part, range(self.managers)))
 
     def columns(self) -> tuple:
         return ((), self.canon())  # the trace column stays empty
@@ -196,9 +201,9 @@ def steps(g) -> list[ScheduleStep]:
     for m in g.procs:
         pid = m.pid
         for fd, name in ready.get(pid, ()):
-            out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+            out.append(schedule_step(pid, KIND_EVENT, fd, name))
         if not (arrived >> pid) & 1:
-            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
     return out
 
 

@@ -41,6 +41,7 @@ from .explorer import (
     QUIESCENCE_ONLY,
     GlobalState,
     ScheduleStep,
+    schedule_step,
 )
 from .messages import (
     A,
@@ -189,8 +190,12 @@ class TraceState:
     def canon(self) -> tuple:
         return (int(self.started), self.initiator, self.collected, int(self.done))
 
+    def part(self, i: int) -> tuple:
+        """The visited key's episode part i; the record is one part, part 0."""
+        return self.parts()[i]
+
     def parts(self) -> tuple:
-        return (self.canon(),)  # the visited key's one episode part
+        return (self.canon(),)
 
     def columns(self) -> tuple:
         return (self.canon(), ())  # the trace column; the barrier bits stay empty
@@ -302,15 +307,15 @@ def steps(g) -> list[ScheduleStep]:
         for fd, name in ready.get(pid, ()):
             # Blocking-read surrogate: an awaiting daemon handles only the reply.
             if p.await_cmd is None or name == p.await_cmd:
-                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+                out.append(schedule_step(pid, KIND_EVENT, fd, name))
         if p.phase == IDLE and pid >= sc.n_initial:
-            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
+            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
         if armed and (failure == FAIL_NONDET or failure == pid):
-            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
     if not out and sc.trace_enabled and not g.episode.started:
         first = next((pid for pid in range(len(procs)) if pid not in dead), None)
         if first is not None:
-            out.append(ScheduleStep(first, KIND_ACTION, -1, ACT_START_TRACE))
+            out.append(schedule_step(first, KIND_ACTION, -1, ACT_START_TRACE))
     return out
 
 
@@ -362,7 +367,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
     """
     if d.lhs_id < 0 or d.lhs_id == d.pid:
         return
-    if d.lhs_fd == INVALID_FD or not g.sockets.is_allocated(d.lhs_fd):
+    if not g.sockets.is_allocated(d.lhs_fd):
         return
     if g.sockets.other_of(d.lhs_fd) == INVALID_FD:
         return
@@ -374,7 +379,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
 
 
 def _close_if_open(g, d: DaemonState, fd: int) -> None:
-    if fd != INVALID_FD and g.sockets.is_allocated(fd) and g.sockets.owner_of(fd) == d.pid:
+    if g.sockets.is_allocated(fd) and g.sockets.owner_of(fd) == d.pid:
         g.sockets.close(d.pid, fd)
 
 

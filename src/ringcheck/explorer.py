@@ -36,8 +36,12 @@ The record names its parts: the trace record is one part, the barrier bits
 one per manager. A successor's key is its predecessor's plus its step's
 delta (step_delta), the difference of the hashes of the components the step
 replaced: the fds its socket table logged as written, the acting pid's
-record if its canon() changed, and the episode parts that changed if the
-step swapped the record for a copy. step_delta is the one
+record if its canon() changed, and, if the step swapped the episode record
+for a copy, the parts that changed. A step whose handler read the record
+through read_episode may have changed any part, so every part is compared;
+any other step wrote its own pid's part alone (see below), so that part
+alone is hashed, and a barrier step costs the same at any manager count.
+step_delta is the one
 incremental path; only the initial state's key sums every component. So a
 stored state costs what its step touched, in the manner of Nguyen & Ruys,
 "Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
@@ -109,7 +113,9 @@ protocol module (daemons or barrier) builds the initial state
 (initial_state), lists the properties to check (properties), lists a
 state's enabled steps in a fixed order (steps) and runs one (act for a
 spontaneous action, handle_event for a wake, whose step cmd is the name the
-socket table gave the wake).
+socket table gave the wake). A protocol makes its steps with schedule_step,
+which interns them: every listing of a step is one object, built once, not
+once per state.
 Quiescence is the absence of any step at all, and is where the end-state
 properties are evaluated (checked_steps, the one state check of search and
 walk); a state with undeliverable or unconsumed messages is never quiescent
@@ -124,6 +130,7 @@ uniform random chooser; replay walks a recorded schedule.
 
 from __future__ import annotations
 
+import functools
 import marshal
 import random
 import time
@@ -166,13 +173,20 @@ class ScheduleStep(NamedTuple):
         return f"pid={self.pid} kind={self.kind} fd={fd} cmd={self.cmd}"
 
 
+# The protocols make their steps through this interned constructor, one
+# object per distinct step, so listing a state builds no step built before.
+# Steps are immutable and few (pids x fds x names), so the cache may keep
+# them for the life of the process. Equal steps compare equal however made.
+schedule_step = functools.cache(ScheduleStep)
+
+
 class GlobalState:
     """Everything mutable in one scenario instant.
 
     episode is the protocol's record of the running episode. It supplies
     its two encoding columns (columns), its parts for the visited key
-    (parts, a tuple of component tuples; see state_key) and its dump line
-    (dump, "" for none).
+    (parts, a tuple of component tuples, and part(i), its part i alone; see
+    state_key and step_delta) and its dump line (dump, "" for none).
 
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
@@ -331,8 +345,12 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
     The one incremental path of the key: the difference is taken at the
     components the step may have replaced, the fds h's table logged in
     touched, pid's record unless its canon() equals g's, and, if h's episode
-    record is no longer g's object, each of its parts that differs from g's.
-    The result is not reduced mod 2**128; memo is state_key's.
+    record is no longer g's object, the episode parts that differ from g's:
+    every part if the handler read the record through read_episode
+    (h.shared_read), else part pid alone, the one part a handler may read
+    and write unlogged (GlobalState.read_episode), so that a barrier step
+    hashes one manager's bits, not all N. The result is not reduced mod
+    2**128; memo is state_key's.
     """
     slots = h.sockets.slots
     old = g.sockets.slots
@@ -345,7 +363,11 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
         pos = len(slots) + pid
         delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
     if h.episode is not g.episode:
-        for i, (now, was) in enumerate(zip(h.episode.parts(), g.episode.parts())):
+        if h.shared_read:
+            changed = enumerate(zip(h.episode.parts(), g.episode.parts()))
+        else:  # the step read and wrote its own part alone
+            changed = ((pid, (h.episode.part(pid), g.episode.part(pid))),)
+        for i, (now, was) in changed:
             if now != was:
                 pos = EPISODE_POS - i
                 delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)

@@ -161,6 +161,8 @@ class SocketTable:
         return len(self.slots)
 
     def is_allocated(self, fd: int) -> bool:
+        """False, logging no read, for an fd outside the table, INVALID_FD
+        included: slots[-1] would be the last slot."""
         if 0 <= fd < len(self.slots):
             self.reads |= 1 << fd
             return self.slots[fd][FLAG] != FREE

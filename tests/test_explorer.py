@@ -96,6 +96,18 @@ class TestEnabledSteps:
             assert steps == sorted(steps, key=lambda s: (s.pid, s.fd))
             g = apply(g, steps[0])
 
+    @pytest.mark.parametrize("algorithm,kw", [("barrier", {"size": 5}),
+                                              ("ring-par", {"size": 1, "inserters": 2})],
+                             ids=["barrier-5", "ring-par-1-2"])
+    def test_a_state_lists_the_same_step_objects_each_time(self, algorithm, kw):
+        sc = scenario_for(algorithm, **kw)
+        g = sc.initial_state()
+        g = apply(g, sc.protocol.steps(g)[0])  # a state with a wake and an action
+        first, again = sc.protocol.steps(g), sc.protocol.steps(g)
+        assert {step.kind for step in first} == {KIND_EVENT, KIND_ACTION}
+        assert len(first) == len(again)
+        assert all(a is b for a, b in zip(first, again))
+
     def test_steps_are_ordered_by_pid_then_fd_across_processes(self):
         # Three pending splices at the entry daemon of a ring of one: pid 0
         # has two events, pids 1 and 2 one each, and pid 4 has not started.
@@ -747,6 +759,31 @@ class TestIncrementalKey:
             total += sum(h(pos, part) for pos, part in parts.items())
             assert state_key(g, {}) == total % 2**128, algorithm
 
+    def test_each_barrier_part_is_its_index_in_parts(self, monkeypatch):
+        real = explorer_mod.checked_steps
+        episodes = []
+
+        def checked_steps(g, props):
+            episodes.append(g.episode)
+            return real(g, props)
+
+        monkeypatch.setattr(explorer_mod, "checked_steps", checked_steps)
+        sc = scenario_for("barrier", size=5)
+        report = explore(sc, sc.default_properties())
+        assert report.outcome == VERIFIED and len(episodes) == report.states_stored
+        for bits in episodes:
+            parts = bits.parts()
+            assert len(parts) == 5
+            assert all(bits.part(i) == parts[i] for i in range(5))
+
+    def test_a_barrier_write_of_another_managers_bits_needs_the_audit(self, monkeypatch):
+        # step_delta keys an unlogged episode swap at the acting manager's
+        # part alone, so only audit_footprint's write check keeps a handler
+        # from writing another manager's bits; without it, the key is wrong.
+        monkeypatch.setattr(barrier_mod, "_on_barrier_out", releases_the_next_client_too)
+        with pytest.raises(AssertionError, match="differs from a fresh one"):
+            check_keys(scenario_for("barrier", size=4))
+
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
         # The touched-fd socket check cannot see this: a read only shortens
         # a queue, which no invariant can break. The key can.
@@ -961,6 +998,13 @@ def on_barrier_in_awaits_the_leader(g, m):
         m.holding_barrier_in = True
 
 
+def releases_the_next_client_too(g, m, release=barrier_mod._on_barrier_out):
+    """_on_barrier_out (release, bound before any patch) that also sets the
+    next manager's out bit."""
+    release(g, m)  # which replaced g.episode with a copy
+    g.episode.client_barrier_out |= 1 << (m.pid + 1) % len(g.procs)
+
+
 def trace_req_in_place(g, d, fd, msg):
     """_on_trace_req writing the shared episode record instead of a copy."""
     t = g.episode
@@ -1084,21 +1128,17 @@ class TestDerivedKeys:
         assert check_derived_keys(sc) > 0
 
     def test_a_barrier_write_of_another_managers_bits_is_caught(self, monkeypatch):
-        real = barrier_mod._on_barrier_out
-
-        def releases_the_next_client_too(g, m):
-            real(g, m)  # which replaced g.episode with a copy
-            g.episode.client_barrier_out |= 1 << (m.pid + 1) % len(g.procs)
-
         monkeypatch.setattr(barrier_mod, "_on_barrier_out", releases_the_next_client_too)
         with pytest.raises(AssertionError, match="wrote the episode parts of"):
             check_derived_keys(scenario_for("barrier", size=4))
 
     def test_flat_barrier_parts_give_wrong_keys(self, monkeypatch):
-        # One part for all the bits: an arrival derived past another
-        # manager's arrival would miss that manager's new bit, and match a
-        # state never stored, so the derived search ends with other counts.
-        monkeypatch.setattr(barrier_mod.BarrierBits, "parts", lambda self: (self.canon(),))
+        # Every part all the bits, flat; parts() is built from part, so it
+        # holds one such copy per manager. An arrival keyed at its own part
+        # alone leaves the other copies stale, and one derived past another
+        # manager's arrival misses that manager's new bit: the derived
+        # search keys states by their paths and ends with other counts.
+        monkeypatch.setattr(barrier_mod.BarrierBits, "part", lambda self, pid: self.canon())
         monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
         with pytest.raises(AssertionError, match="states_stored"):
             check_derived_keys(scenario_for("barrier", size=4))
