@@ -21,9 +21,11 @@ the steps of the others (see explorer).
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ContractViolation, ProtocolViolation
 from .explorer import (ACT_CLIENT_ARRIVAL, EVERY_STATE, KIND_ACTION, KIND_EVENT, QUIESCENCE_ONLY,
-                       GlobalState, ScheduleStep, schedule_step)
+                       GlobalState, ScheduleStep, schedule_step, step_pid)
 from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, SocketTable,
                       wire_ring)
@@ -193,18 +195,26 @@ def steps(g) -> list[ScheduleStep]:
     """Every step the barrier can take from g, in a fixed order.
 
     By pid, each manager offers its wakes by descriptor index, then its
-    client's arrival while that client has not arrived.
+    client's arrival while that client has not arrived. The wakes come
+    sorted from the table and the arrivals from one interned tuple; a
+    stable sort by pid merges them, each wake before its manager's arrival.
     """
-    ready = g.sockets.ready_events()
     arrived = g.episode.client_barrier_in
-    out: list[ScheduleStep] = []
-    for m in g.procs:
-        pid = m.pid
-        for fd, name in ready.get(pid, ()):
-            out.append(schedule_step(pid, KIND_EVENT, fd, name))
-        if not (arrived >> pid) & 1:
-            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+    out = []
+    for pid, fd, name in g.sockets.ready_events():
+        out.append(schedule_step(pid, KIND_EVENT, fd, name))
+    for bit, arrival in _arrivals(len(g.procs)):
+        if not arrived & bit:
+            out.append(arrival)
+    out.sort(key=step_pid)
     return out
+
+
+@functools.cache
+def _arrivals(n: int) -> tuple[tuple[int, ScheduleStep], ...]:
+    """Each of n managers' client_barrier_in bit and its client's arrival step."""
+    return tuple((1 << pid, schedule_step(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+                 for pid in range(n))
 
 
 def act(g, m: ManagerState, action: str) -> None:

@@ -30,6 +30,8 @@ structures.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import ContractViolation, ProtocolViolation
 from .explorer import (
     ACT_BEGIN_INSERTION,
@@ -42,6 +44,7 @@ from .explorer import (
     GlobalState,
     ScheduleStep,
     schedule_step,
+    step_pid,
 )
 from .messages import (
     A,
@@ -285,38 +288,43 @@ def steps(g) -> list[ScheduleStep]:
 
     By pid, each live daemon offers its wakes by descriptor index (only the
     awaited reply while it blocks on one), then its insertion while it is an
-    idle inserter, then its failure while no daemon has failed yet. The
-    trace start is a timeout: it is offered, by the lowest-pid live daemon,
-    only when no other step is, so a trace runs on a settled ring. In a
-    scenario with no inserters, once no failure can happen, only the pids
-    with a wake are visited.
+    idle inserter, or its failure while no daemon has failed yet; no
+    scenario has both inserters and a failure. The wakes come sorted from
+    the table and the actions from one interned tuple; a stable sort by pid
+    merges them. The trace start is a timeout: it is offered, by the
+    lowest-pid live daemon, only when no other step is, so a trace runs on
+    a settled ring.
     """
     sc = g.scenario
     procs = g.procs
-    dead = g.dead_pids()
-    failure = sc.failure
-    armed = failure is not None and not dead
-    ready = g.sockets.ready_events()
-    if armed or sc.n_inserters:
-        pids = range(len(procs))
-    else:
-        pids = sorted(ready)
-    out: list[ScheduleStep] = []
-    for pid in pids:
-        p = procs[pid]
-        for fd, name in ready.get(pid, ()):
-            # Blocking-read surrogate: an awaiting daemon handles only the reply.
-            if p.await_cmd is None or name == p.await_cmd:
-                out.append(schedule_step(pid, KIND_EVENT, fd, name))
-        if p.phase == IDLE and pid >= sc.n_initial:
-            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
-        if armed and (failure == FAIL_NONDET or failure == pid):
-            out.append(schedule_step(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+    out = []
+    for pid, fd, name in g.sockets.ready_events():
+        awaited = procs[pid].await_cmd
+        # Blocking-read surrogate: an awaiting daemon handles only the reply.
+        if awaited is None or awaited == name:
+            out.append(schedule_step(pid, KIND_EVENT, fd, name))
+    if sc.n_inserters:
+        for insertion in _actions(ACT_BEGIN_INSERTION, sc.n_initial, len(procs)):
+            if procs[insertion.pid].phase == IDLE:
+                out.append(insertion)
+        out.sort(key=step_pid)
+    elif sc.failure is not None and not g.dead_pids():
+        victim = sc.failure
+        out += (_actions(ACT_INJECT_FAILURE, 0, len(procs)) if victim == FAIL_NONDET
+                else _actions(ACT_INJECT_FAILURE, victim, victim + 1))
+        out.sort(key=step_pid)
     if not out and sc.trace_enabled and not g.episode.started:
+        dead = g.dead_pids()
         first = next((pid for pid in range(len(procs)) if pid not in dead), None)
         if first is not None:
             out.append(schedule_step(first, KIND_ACTION, -1, ACT_START_TRACE))
     return out
+
+
+@functools.cache
+def _actions(action: str, first: int, stop: int) -> tuple[ScheduleStep, ...]:
+    """The steps of action at pids first up to stop, interned as one tuple."""
+    return tuple(schedule_step(pid, KIND_ACTION, -1, action) for pid in range(first, stop))
 
 
 def act(g, d: DaemonState, action: str) -> None:

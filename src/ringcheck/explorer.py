@@ -26,7 +26,9 @@ record with its predecessor (copy on write: apply copies the acting one).
 The episode record is shared the same way: the few handlers that write it
 copy it first. The ready events of all processes come from the socket
 table's wake map, which a successor's table copies from its predecessor's
-and every slot write keeps current.
+and every slot write keeps current. Sorted, the map lists the wakes by pid,
+so a protocol lists a state's steps by merging that list with its pending
+actions, not by visiting every process.
 
 The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
@@ -115,7 +117,9 @@ state's enabled steps in a fixed order (steps) and runs one (act for a
 spontaneous action, handle_event for a wake, whose step cmd is the name the
 socket table gave the wake). A protocol makes its steps with schedule_step,
 which interns them: every listing of a step is one object, built once, not
-once per state.
+once per state. A protocol lists its wakes and its actions each in pid
+order, and a stable sort by step_pid merges them, each wake before its own
+pid's actions.
 Quiescence is the absence of any step at all, and is where the end-state
 properties are evaluated (checked_steps, the one state check of search and
 walk); a state with undeliverable or unconsumed messages is never quiescent
@@ -135,7 +139,7 @@ import marshal
 import random
 import time
 from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Iterable, NamedTuple
 
 try:
@@ -180,6 +184,9 @@ class ScheduleStep(NamedTuple):
 schedule_step = functools.cache(ScheduleStep)
 
 
+step_pid = itemgetter(0)  # a ScheduleStep's pid, the sort key that merges listed steps
+
+
 class GlobalState:
     """Everything mutable in one scenario instant.
 
@@ -204,10 +211,13 @@ class GlobalState:
     A state does not hold its visited key: explore keeps each key in the
     DFS frame of its state (see state_key and step_delta).
 
-    Listing a state's steps calls sockets.ready_events, which reads the
-    table's wake map: every slot write keeps it current, and a successor's
-    table starts from a copy. The map is no part of the state: it follows
-    from the slots, so it adds nothing to the encoding or the key.
+    Listing a state's steps calls sockets.ready_events, which sorts the
+    table's wake map into a (pid, fd, name) list: every slot write keeps
+    the map current, and a successor's table starts from a copy. The
+    protocol merges its pending actions into that list, so a listing costs
+    the wakes and actions it lists, not the number of processes. The map
+    is no part of the state: it follows from the slots, so it adds nothing
+    to the encoding or the key.
     """
 
     __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read",

@@ -8,17 +8,18 @@ directly and plants an AWAIT_ACCEPT descriptor on it.
 
 Readiness is derived from the table, never stored in a slot: a process has
 a pending wake exactly when one of its descriptors satisfies a wake
-condition. Each wake is an ``(fd, name)`` pair whose name is already the
-schedule step's command: ``connect`` for a pending accept, ``eof`` for a
-drained half-closed descriptor, otherwise the command of the message at the
-head of the channel. The protocol modules schedule and handle wakes by that
-one name.
+condition. Each wake is an ``(owner, fd, name)`` triple whose name is
+already the schedule step's command: ``connect`` for a pending accept,
+``eof`` for a drained half-closed descriptor, otherwise the command of the
+message at the head of the channel. The protocol modules schedule and
+handle wakes by that one name.
 
-The wake map, fd -> (owner, name) for every fd that has a wake, is kept
+The wake map, fd -> (owner, fd, name) for every fd that has a wake, is kept
 in ``_wakes`` and is always the map of the slots as they stand: a new table
 has none, ``clone()`` copies its parent's, and ``_put``, the one slot write,
-sets or drops the wake of the fd it stored. Listing the wakes therefore
-costs the wakes listed, not the table's size.
+sets or drops the wake of the fd it stored. Its values sorted are the wakes
+in pid-then-fd order, the order the protocols list steps in, so listing the
+wakes (``ready_events``) costs the wakes listed, not the table's size.
 
 End-of-file follows stream semantics: a half-closed descriptor reports EOF
 only once its channel has drained, so buffered messages are always readable
@@ -55,8 +56,9 @@ write never goes to a slot the operation did not read first, so
 ``touched`` is within ``reads``. The explorer takes a step's reads as part
 of its footprint: a step that finds its footprint as it was has the same
 effect and changes the visited key by the same amount. The record is the
-handlers' alone: ``ready_events`` and the invariant checks index ``slots``
-directly, and property checks read through ``peek``, which logs nothing.
+handlers' alone: ``ready_events`` reads the wake map, the invariant checks
+index ``slots`` directly, and property checks read through ``peek``, which
+logs nothing.
 They are not steps, so logging their reads would cost every checked state
 and tell the search nothing.
 """
@@ -116,7 +118,7 @@ class SocketTable:
         self.slots: list[tuple] = [FREE_SLOT] * conn_max
         self.touched: list[int] = []  # fds written since construction or clone()
         self.reads = 0  # bit fd set: slot fd read since construction or clone()
-        self._wakes: dict[int, tuple[int, str]] = {}  # every slot is free: no wakes
+        self._wakes: dict[int, tuple[int, int, str]] = {}  # every slot is free: no wakes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -139,11 +141,11 @@ class SocketTable:
         self.touched.append(fd)
         other, pid, flag, q = slot
         if flag == AWAIT_ACCEPT:
-            self._wakes[fd] = (pid, EVENT_CONNECT)
+            self._wakes[fd] = (pid, fd, EVENT_CONNECT)
         elif flag != FREE and q:
-            self._wakes[fd] = (pid, command_of(q[0]))
+            self._wakes[fd] = (pid, fd, command_of(q[0]))
         elif flag != FREE and other == INVALID_FD:
-            self._wakes[fd] = (pid, EVENT_EOF)
+            self._wakes[fd] = (pid, fd, EVENT_EOF)
         else:
             self._wakes.pop(fd, None)
 
@@ -179,10 +181,6 @@ class SocketTable:
     def owner_of(self, fd: int) -> int:
         self.reads |= 1 << fd
         return self.slots[fd][OWNER]
-
-    def queue_of(self, fd: int) -> tuple:
-        self.reads |= 1 << fd
-        return self.slots[fd][QUEUE]
 
     def set_flag(self, fd: int, flag: int) -> None:
         if not self.is_allocated(fd):
@@ -296,27 +294,25 @@ class SocketTable:
 
     # -- readiness ----------------------------------------------------------
 
-    def ready_events(self) -> dict[int, list[tuple[int, str]]]:
+    def ready_events(self) -> list[tuple[int, int, str]]:
         """Every pending wake of every process, from the wake map.
 
-        Maps each pid that has a wake to its (fd, name) pairs, ordered by fd
-        index; a pid with none is absent. Exactly one connect wake is
-        surfaced per process, for its lowest AWAIT_ACCEPT descriptor, so a
-        process accepts its pending connections in fd order. Message and EOF
-        wakes are per descriptor; EOF requires a drained channel, message
-        readiness requires the descriptor to have been accepted. A message
-        wake is named by the command of the message at its channel's head.
+        The (pid, fd, name) triples sorted, so by pid, then by fd index.
+        Exactly one connect wake is surfaced per process, for its lowest
+        AWAIT_ACCEPT descriptor, so a process accepts its pending
+        connections in fd order. Message and EOF wakes are per descriptor;
+        EOF requires a drained channel, message readiness requires the
+        descriptor to have been accepted. A message wake is named by the
+        command of the message at its channel's head.
         """
-        wakes = self._wakes
-        events: dict[int, list[tuple[int, str]]] = {}
-        connecting = set()  # pids whose connect wake is already listed
-        for fd in sorted(wakes):
-            pid, name = wakes[fd]
-            if name == EVENT_CONNECT:
-                if pid in connecting:
+        events = []
+        connecting = UNOWNED  # the pid of the last connect wake listed
+        for wake in sorted(self._wakes.values()):
+            if wake[2] == EVENT_CONNECT:
+                if wake[0] == connecting:
                     continue
-                connecting.add(pid)
-            events.setdefault(pid, []).append((fd, name))
+                connecting = wake[0]
+            events.append(wake)
         return events
 
     # -- diagnostics ---------------------------------------------------------

@@ -36,6 +36,7 @@ from ringcheck.sockets import (
     EVENT_EOF,
     FREE,
     INVALID_FD,
+    QUEUE,
     SocketTable,
     UNOWNED,
 )
@@ -159,7 +160,7 @@ class Driver:
             else:
                 assert t.flag_of(fd) == FREE, f"fd {fd} should be free"
                 assert t.owner_of(fd) == UNOWNED, f"free fd {fd} still owned"
-                assert t.queue_of(fd) == (), f"free fd {fd} still holds messages"
+                assert t.peek(fd)[QUEUE] == (), f"free fd {fd} still holds messages"
         # symmetry and duality; peer slot indexes may be reused after a close,
         # so the peer_closed flag, not membership, decides liveness
         for fd, slot in self.slots.items():
@@ -176,7 +177,7 @@ class Driver:
         # conservation, per fd and in total
         queued = 0
         for fd, slot in self.slots.items():
-            got = tuple(m[HOPS] for m in t.queue_of(fd))
+            got = tuple(m[HOPS] for m in t.peek(fd)[QUEUE])
             assert got == tuple(slot.serials), (
                 f"fd {fd} queue {got} != ledger {tuple(slot.serials)}"
             )
@@ -187,10 +188,11 @@ class Driver:
         )
         # wake soundness and completeness, per process, from one table pass
         ready = t.ready_events()
-        assert set(ready) <= set(range(self.n_pids)), f"wakes for unknown pids: {sorted(ready)}"
-        assert all(ready.values()), "a pid is listed with no events"
+        pids = {pid for pid, _, _ in ready}
+        assert pids <= set(range(self.n_pids)), f"wakes for unknown pids: {sorted(pids)}"
+        assert ready == sorted(ready), f"wakes not in pid-then-fd order: {ready}"
         for pid in range(self.n_pids):
-            self._check_wakes(pid, ready.get(pid, []))
+            self._check_wakes(pid, [(fd, name) for owner, fd, name in ready if owner == pid])
         # derived readiness: polling again must be a no-op
         assert t.ready_events() == ready, "ready_events is not idempotent"
         # the table's own structural check must agree

@@ -1,4 +1,5 @@
-"""Shared helpers: an in-process CLI runner and a brute-force BFS oracle."""
+"""Shared helpers: an in-process CLI runner, a brute-force BFS oracle and one
+process's wakes."""
 
 from __future__ import annotations
 
@@ -61,3 +62,8 @@ def bfs_quiescent_encodings(scenario, depth_bound: int = 64) -> set[bytes]:
     raise AssertionError(
         f"paths still alive after {depth_bound} steps; oracle enumeration incomplete"
     )
+
+
+def wakes_of(table, pid: int) -> list[tuple[int, str]]:
+    """pid's (fd, name) wakes as table.ready_events() lists them, in fd order."""
+    return [(fd, name) for owner, fd, name in table.ready_events() if owner == pid]

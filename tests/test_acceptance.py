@@ -38,7 +38,7 @@ from ringcheck.explorer import (
 from ringcheck.messages import A, RHS_INFO_REQUEST, RHS_INFO_RETURN, message
 from ringcheck.properties import check_ring_topology, ring_order
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import SocketTable
+from ringcheck.sockets import QUEUE, SocketTable
 from ringcheck.traceio import read_trace
 
 from conftest import bfs_quiescent_encodings
@@ -179,7 +179,7 @@ def test_criterion_01_sequential_insertion_breaks_the_ring():
     def watch(step, before, after):
         if (step.kind == KIND_EVENT and step.cmd == RHS_INFO_RETURN
                 and step.pid in (2, 3)):
-            received[step.pid] = before.sockets.queue_of(step.fd)[0][A]
+            received[step.pid] = before.sockets.peek(step.fd)[QUEUE][0][A]
 
     final = replay(sc, sched, on_step=watch).final_state
     expected = 1  # the pid of the entry daemon's right-hand neighbor

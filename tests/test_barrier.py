@@ -7,7 +7,9 @@ from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import EVENT_CONNECT, LHS
+from ringcheck.sockets import EVENT_CONNECT, LHS, QUEUE
+
+from conftest import wakes_of
 
 
 def barrier_state(n):
@@ -23,7 +25,7 @@ def lhs_of(g, pid):
 
 
 def deliver(g, pid):
-    evs = g.sockets.ready_events().get(pid, [])
+    evs = wakes_of(g.sockets, pid)
     assert evs, f"manager {pid} has nothing to read"
     handle_event(g, g.procs[pid], *evs[0])
 
@@ -34,7 +36,7 @@ class TestTokens:
         client_reaches_barrier(g, g.procs[0])
         assert g.episode.client_barrier_in == 0b001
         assert g.procs[0].sent_barrier_in
-        q = g.sockets.queue_of(lhs_of(g, 1))
+        q = g.sockets.peek(lhs_of(g, 1))[QUEUE]
         assert [command_of(m) for m in q] == [BARRIER_IN]
 
     def test_follower_arrival_alone_sends_nothing(self):
@@ -51,7 +53,7 @@ class TestTokens:
         assert not g.procs[1].sent_barrier_in
         client_reaches_barrier(g, g.procs[1])
         assert not g.procs[1].holding_barrier_in
-        assert [command_of(m) for m in g.sockets.queue_of(lhs_of(g, 2))] == [BARRIER_IN]
+        assert [command_of(m) for m in g.sockets.peek(lhs_of(g, 2))[QUEUE]] == [BARRIER_IN]
 
     def test_token_passes_straight_through_an_arrived_manager(self):
         scenario, g = barrier_state(3)
@@ -70,7 +72,7 @@ class TestTokens:
             moved = False
             for pid in range(3):
                 before = g.episode.client_barrier_out
-                if g.sockets.ready_events().get(pid, []):
+                if wakes_of(g.sockets, pid):
                     deliver(g, pid)
                     moved = True
                     after = g.episode.client_barrier_out

@@ -506,6 +506,17 @@ def test_cli_matrix_digests_the_same_runs_alike_twice():
     assert replays[0] == replays[1]  # both searches found one counterexample
 
 
+@pytest.mark.slow  # about 17 s: 171 runs, each a child process
+def test_cli_matrix_total_over_every_model_is_pinned():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_matrix.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=1200)
+    assert proc.returncode == 0, proc.stderr
+    # The bytes the command line printed and wrote over the whole matrix;
+    # a change to any of them is a change to the CLI.
+    assert proc.stdout.splitlines()[-1] == "1c37bb2cec57d957 total (171 runs)"
+
+
 def test_unreached_lists_the_failure_code_a_ring_without_failures_never_runs():
     script = Path(__file__).resolve().parent.parent / "scripts" / "unreached.py"
     proc = subprocess.run([sys.executable, str(script), "ring-par", "--size", "1",

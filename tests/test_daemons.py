@@ -41,7 +41,9 @@ from ringcheck.messages import (
     message,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
-from ringcheck.sockets import EVENT_EOF, INVALID_FD, LHS, RHS
+from ringcheck.sockets import EVENT_EOF, INVALID_FD, LHS, QUEUE, RHS
+
+from conftest import wakes_of
 
 
 def ring_state(algorithm, size, inserters=0, **kw):
@@ -51,7 +53,7 @@ def ring_state(algorithm, size, inserters=0, **kw):
 
 def deliver(g, pid, cmd=None):
     """Run the first ready event of pid (optionally the one carrying cmd)."""
-    for fd, name in g.sockets.ready_events().get(pid, []):
+    for fd, name in wakes_of(g.sockets, pid):
         if cmd is not None and name != cmd:
             continue
         handle_event(g, g.procs[pid], fd, name)
@@ -66,7 +68,7 @@ def owned_by(g, pid):
 def queued_cmds(g, pid):
     out = []
     for fd in owned_by(g, pid):
-        out += [command_of(m) for m in g.sockets.queue_of(fd)]
+        out += [command_of(m) for m in g.sockets.peek(fd)[QUEUE]]
     return out
 
 
@@ -90,7 +92,7 @@ class TestBeginInsertion:
         assert d.await_cmd == RECONNECT_RHS
         assert g.sockets.flag_of(d.lhs_fd) == LHS
         assert d.lhs_id == ENTRY_PID
-        entry_queue = g.sockets.queue_of(g.sockets.other_of(d.lhs_fd))
+        entry_queue = g.sockets.peek(g.sockets.other_of(d.lhs_fd))[QUEUE]
         assert [command_of(m) for m in entry_queue] == [NEW_RHS]
         assert entry_queue[0][A] == d.pid
 
@@ -99,7 +101,7 @@ class TestBeginInsertion:
         d = g.procs[2]
         begin_insertion(g, d)
         assert d.await_cmd is None  # select mode keeps reading everything
-        entry_queue = g.sockets.queue_of(g.sockets.other_of(d.lhs_fd))
+        entry_queue = g.sockets.peek(g.sockets.other_of(d.lhs_fd))[QUEUE]
         assert [command_of(m) for m in entry_queue] == [RHS_INFO_REQUEST]
 
     def test_sequential_blocking_mode_awaits_the_answer(self):
@@ -129,7 +131,7 @@ class TestParallelSplice:
         old_rhs_id = entry.rhs_id
         deliver(g, 0, cmd=NEW_RHS)
         # The reply reached the inserter even though the old edge is gone.
-        reply = g.sockets.queue_of(self.inserter.lhs_fd)
+        reply = g.sockets.peek(self.inserter.lhs_fd)[QUEUE]
         assert [command_of(m) for m in reply] == [RECONNECT_RHS]
         assert reply[0][A] == old_rhs_id
         assert not g.sockets.is_allocated(old_rhs_fd)
@@ -142,7 +144,7 @@ class TestParallelSplice:
         deliver(g, 0, cmd=NEW_RHS)
         # Entry pid 0's left neighbor is pid 2; the update is addressed to it.
         updates = [m for fd in owned_by(g, 2)
-                   for m in g.sockets.queue_of(fd) if command_of(m) == RHS2INFO]
+                   for m in g.sockets.peek(fd)[QUEUE] if command_of(m) == RHS2INFO]
         assert len(updates) == 1
         assert updates[0][A] == 2
         assert updates[0][B] == self.inserter.pid
@@ -158,7 +160,7 @@ class TestParallelSplice:
         assert d.rhs_id == 1
         assert g.sockets.flag_of(d.rhs_fd) == RHS
         # The spliced-out neighbor is greeted so it can swap its left side.
-        peer_queue = g.sockets.queue_of(g.sockets.other_of(d.rhs_fd))
+        peer_queue = g.sockets.peek(g.sockets.other_of(d.rhs_fd))[QUEUE]
         assert [command_of(m) for m in peer_queue] == [NEW_LHS]
 
     def test_new_rhs_outside_the_ring_is_a_violation(self):
@@ -214,7 +216,7 @@ class TestNewLhs:
         assert d.lhs_id == 3
         assert g.sockets.flag_of(d.lhs_fd) == LHS
         # The greeter is told its second-right neighbor straight away.
-        reply = g.sockets.queue_of(nfd)
+        reply = g.sockets.peek(nfd)[QUEUE]
         assert [command_of(m) for m in reply] == [RHS2INFO]
         assert reply[0][A] == 3 and reply[0][B] == d.rhs_id
 
@@ -266,7 +268,7 @@ class TestRhs2Info:
         assert str(e.value) == (
             "d1: rhs2info addressed to Identity(host='node0', port=9000)")
         assert g.procs[1].rhs2_id == 0  # unchanged prewiring
-        assert g.sockets.queue_of(g.procs[0].rhs_fd) == ()
+        assert g.sockets.peek(g.procs[0].rhs_fd)[QUEUE] == ()
 
 
 class TestSequentialEntry:
@@ -288,7 +290,7 @@ class TestSequentialEntry:
         assert entry.pending_requesters == ()
         # The overlap hands both inserters the same coordinates.
         answers = [m[A] for pid in (2, 3) for fd in owned_by(g, pid)
-                   for m in g.sockets.queue_of(fd) if command_of(m) == RHS_INFO_RETURN]
+                   for m in g.sockets.peek(fd)[QUEUE] if command_of(m) == RHS_INFO_RETURN]
         assert answers == [1, 1]
 
     def test_query_on_own_lhs_answers_own_identity(self):
@@ -296,7 +298,7 @@ class TestSequentialEntry:
         d = g.procs[1]
         g.sockets.write(0, g.procs[0].rhs_fd, message(RHS_INFO_REQUEST))
         deliver(g, 1, cmd=RHS_INFO_REQUEST)
-        returned = g.sockets.queue_of(g.procs[0].rhs_fd)
+        returned = g.sockets.peek(g.procs[0].rhs_fd)[QUEUE]
         assert [command_of(m) for m in returned] == [RHS_INFO_RETURN]
         assert returned[0][A] == d.pid
 
@@ -347,19 +349,19 @@ class TestFailureRecovery:
         inject_failure(g, 1)
         assert g.procs[1].phase == DEAD
         d = g.procs[0]
-        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
         assert ev and ev[0] == d.rhs_fd
         handle_event(g, d, ev[0], EVENT_EOF)
         assert d.rhs_id == 2
         assert d.rhs2_id == -1  # refreshed by the in-flight query
-        greeting = g.sockets.queue_of(g.sockets.other_of(d.rhs_fd))
+        greeting = g.sockets.peek(g.sockets.other_of(d.rhs_fd))[QUEUE]
         assert [command_of(m) for m in greeting] == [NEW_LHS, RHS_INFO_REQUEST]
 
     def test_left_eof_only_frees_the_slot(self):
         scenario, g = ring_state("recovery", 3)
         inject_failure(g, 1)
         d = g.procs[2]
-        ev = [fd for fd, name in g.sockets.ready_events().get(2, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 2) if name == EVENT_EOF]
         handle_event(g, d, ev[0], EVENT_EOF)
         assert d.lhs_fd == INVALID_FD
         assert d.rhs_id == 0  # untouched
@@ -373,7 +375,7 @@ class TestFailureRecovery:
         stray = g.sockets.other_of(cfd)
         g.sockets.close(2, cfd)
         lhs_fd, rhs_fd = d.lhs_fd, d.rhs_fd
-        assert (stray, EVENT_EOF) in g.sockets.ready_events()[0]
+        assert (stray, EVENT_EOF) in wakes_of(g.sockets, 0)
         handle_event(g, d, stray, EVENT_EOF)
         assert not g.sockets.is_allocated(stray)
         assert (d.lhs_fd, d.rhs_fd) == (lhs_fd, rhs_fd)
@@ -383,7 +385,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("ring-seq", 3)
         inject_failure(g, 1)
         d = g.procs[0]
-        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
         handle_event(g, d, ev[0], EVENT_EOF)
         assert d.rhs_fd == INVALID_FD
         assert queued_cmds(g, 2) == []  # no bridge was attempted
@@ -392,7 +394,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = -1
         inject_failure(g, 1)
-        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="no rhs2"):
             handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
@@ -400,7 +402,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 3)
         g.procs[0].rhs2_id = len(g.procs)  # names no daemon of this scenario
         inject_failure(g, 1)
-        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="unknown identity"):
             handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
@@ -408,7 +410,7 @@ class TestFailureRecovery:
         scenario, g = ring_state("recovery", 4)
         inject_failure(g, 1)
         inject_failure(g, 2)
-        ev = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+        ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
         with pytest.raises(ProtocolViolation, match="both right-hand neighbors"):
             handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
@@ -417,12 +419,12 @@ class TestFailureRecovery:
         inject_failure(g, 1)
         d = g.procs[0]
         for _ in range(2):  # EOF on both sides of the dead neighbor
-            evs = [fd for fd, name in g.sockets.ready_events().get(0, []) if name == EVENT_EOF]
+            evs = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
             if not evs:
                 break
             handle_event(g, d, evs[0], EVENT_EOF)
         # d reconnected to itself via rhs2; finish its own handshake.
-        while g.sockets.ready_events().get(0, []):
+        while wakes_of(g.sockets, 0):
             deliver(g, 0)
         assert d.rhs_id == d.pid
         assert d.lhs_id == d.pid

@@ -18,6 +18,7 @@ from ringcheck import properties as properties_mod
 from ringcheck.errors import CheckError, ContractViolation, InvariantViolation
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
+    ACT_CLIENT_ARRIVAL,
     ACT_INJECT_FAILURE,
     ACT_START_TRACE,
     EVENT_CONNECT,
@@ -706,6 +707,22 @@ def walk_keys(scenario, seed: int, max_steps: int = 2_000) -> int:
     return max_steps
 
 
+def stored_states(scenario) -> tuple:
+    """explore's report on scenario and every state it checked, which are
+    the states it stored, in the order it checked them."""
+    real = explorer_mod.checked_steps
+    states = []
+
+    def checked_steps(g, props):
+        states.append(g)
+        return real(g, props)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer_mod, "checked_steps", checked_steps)
+        report = explore(scenario, scenario.default_properties())
+    return report, states
+
+
 KEY_MODELS = ENCODING_MODELS + [("recovery", {"size": 4})]
 KEY_WALKS = [
     ("ring-par", {"size": 1, "inserters": 5}),
@@ -759,22 +776,24 @@ class TestIncrementalKey:
             total += sum(h(pos, part) for pos, part in parts.items())
             assert state_key(g, {}) == total % 2**128, algorithm
 
-    def test_each_barrier_part_is_its_index_in_parts(self, monkeypatch):
-        real = explorer_mod.checked_steps
-        episodes = []
-
-        def checked_steps(g, props):
-            episodes.append(g.episode)
-            return real(g, props)
-
-        monkeypatch.setattr(explorer_mod, "checked_steps", checked_steps)
-        sc = scenario_for("barrier", size=5)
-        report = explore(sc, sc.default_properties())
-        assert report.outcome == VERIFIED and len(episodes) == report.states_stored
-        for bits in episodes:
+    def test_each_barrier_part_is_its_index_in_parts(self):
+        report, states = stored_states(scenario_for("barrier", size=5))
+        assert report.outcome == VERIFIED and len(states) == report.states_stored
+        for g in states:
+            bits = g.episode
             parts = bits.parts()
             assert len(parts) == 5
             assert all(bits.part(i) == parts[i] for i in range(5))
+
+    def test_the_trace_record_is_its_one_part(self):
+        # No search calls TraceState.part: every trace step reads the record
+        # through read_episode, so step_delta compares parts() whole.
+        report, states = stored_states(scenario_for("trace", size=3))
+        assert report.outcome == VERIFIED and len(states) == report.states_stored
+        for g in states:
+            parts = g.episode.parts()
+            assert parts == (g.episode.canon(),)
+            assert g.episode.part(0) == parts[0]
 
     def test_a_barrier_write_of_another_managers_bits_needs_the_audit(self, monkeypatch):
         # step_delta keys an unlogged episode swap at the acting manager's
@@ -1269,9 +1288,10 @@ class TestIncrementalChecks:
             check_incrementally(scenario_for("recovery", size=4))
 
 
-def scan_ready_events(table) -> dict:
-    """The wakes by one pass over every slot, as ready_events once found them."""
-    events: dict = {}
+def scan_ready_events(table) -> list:
+    """The wakes by one pass over every slot, as ready_events once found them,
+    sorted into its (pid, fd, name) list."""
+    events = []
     connecting = set()
     for fd, (other, pid, flag, q) in enumerate(table.slots):
         if flag == FREE:
@@ -1287,8 +1307,41 @@ def scan_ready_events(table) -> dict:
             name = EVENT_EOF
         else:
             continue
-        events.setdefault(pid, []).append((fd, name))
-    return events
+        events.append((pid, fd, name))
+    return sorted(events)
+
+
+def reference_steps(g) -> list:
+    """g's steps by the per-pid loops the protocols once ran, over scanned wakes."""
+    ready: dict = {}
+    for pid, fd, name in scan_ready_events(g.sockets):
+        ready.setdefault(pid, []).append((fd, name))
+    out = []
+    if g.scenario.protocol is barrier_mod:
+        arrived = g.episode.client_barrier_in
+        for m in g.procs:
+            pid = m.pid
+            for fd, name in ready.get(pid, ()):
+                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+            if not (arrived >> pid) & 1:
+                out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+        return out
+    sc = g.scenario
+    dead = g.dead_pids()
+    armed = sc.failure is not None and not dead
+    for pid, p in enumerate(g.procs):
+        for fd, name in ready.get(pid, ()):
+            if p.await_cmd is None or name == p.await_cmd:
+                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+        if p.phase == daemons_mod.IDLE and pid >= sc.n_initial:
+            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
+        if armed and (sc.failure == daemons_mod.FAIL_NONDET or sc.failure == pid):
+            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+    if not out and sc.trace_enabled and not g.episode.started:
+        first = next((pid for pid in range(len(g.procs)) if pid not in dead), None)
+        if first is not None:
+            out.append(ScheduleStep(first, KIND_ACTION, -1, ACT_START_TRACE))
+    return out
 
 
 def walk_ready_events(scenario, seed: int, n_steps: int = 300) -> int:
@@ -1315,6 +1368,27 @@ def walk_ready_events(scenario, seed: int, n_steps: int = 300) -> int:
         else:
             stepped += 1
     return stepped
+
+
+# trace with an inserter: the trace start waits until every insertion settles.
+LISTING_MODELS = REUSE_MODELS + [("recovery", {"size": 4, "fail_pid": 2}),
+                                 ("trace", {"size": 2, "inserters": 1})]
+
+
+class TestListing:
+    """On every state a search stores, a protocol lists the steps that the
+    per-pid loops it once ran list over a scan of the slots, in the same
+    order."""
+
+    @pytest.mark.parametrize("algorithm,kw", LISTING_MODELS,
+                             ids=[f"{a}-{'-'.join(map(str, kw.values()))}"
+                                  for a, kw in LISTING_MODELS])
+    def test_every_stored_state_lists_the_reference_steps(self, algorithm, kw):
+        sc = scenario_for(algorithm, **kw)
+        report, states = stored_states(sc)
+        assert len(states) == report.states_stored > 1
+        for g in states:
+            assert sc.protocol.steps(g) == reference_steps(g), g.dump()
 
 
 READY_MODELS = [

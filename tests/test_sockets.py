@@ -29,6 +29,8 @@ from ringcheck.sockets import (
     SocketTable,
 )
 
+from conftest import wakes_of
+
 
 def make_table(conn_max=8, qsz=4):
     return SocketTable(conn_max, qsz)
@@ -58,7 +60,7 @@ class TestConnectAccept:
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
         t.write(1, cfd, message(NEW_RHS))
-        assert [command_of(m) for m in t.queue_of(sfd)] == [NEW_RHS]
+        assert [command_of(m) for m in t.peek(sfd)[QUEUE]] == [NEW_RHS]
         t.accept(2, sfd)
         assert command_of(t.read(2, sfd)) == NEW_RHS
 
@@ -162,9 +164,9 @@ class TestClose:
         t.write(1, cfd, message(NEW_LHS))   # toward the server
         t.close(1, cfd)
         assert t.flag_of(cfd) == FREE
-        assert t.queue_of(cfd) == ()        # inbound to the closer: gone
+        assert t.peek(cfd)[QUEUE] == ()  # inbound to the closer: gone
         assert t.other_of(sfd) == INVALID_FD
-        assert [command_of(m) for m in t.queue_of(sfd)] == [NEW_LHS]  # survivor keeps its queue
+        assert [command_of(m) for m in t.peek(sfd)[QUEUE]] == [NEW_LHS]  # survivor keeps its queue
 
     def test_eof_only_after_queue_drains(self):
         t = make_table()
@@ -173,9 +175,9 @@ class TestClose:
         t.accept(2, sfd)
         t.write(1, cfd, message(NEW_RHS))
         t.close(1, cfd)
-        assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
+        assert wakes_of(t, 2) == [(sfd, NEW_RHS)]
         t.read(2, sfd)
-        assert t.ready_events().get(2, []) == [(sfd, EVENT_EOF)]
+        assert wakes_of(t, 2) == [(sfd, EVENT_EOF)]
 
     def test_close_wrong_owner_raises(self):
         t = make_table()
@@ -200,7 +202,7 @@ class TestClose:
         t.close(2, sfd)
         assert t.flag_of(sfd) == FREE
         assert t.other_of(cfd) == INVALID_FD
-        assert t.ready_events().get(1, []) == [(cfd, EVENT_EOF)]
+        assert wakes_of(t, 1) == [(cfd, EVENT_EOF)]
 
 
 class TestReadiness:
@@ -209,18 +211,18 @@ class TestReadiness:
         c1 = t.connect(1, 3)
         c2 = t.connect(2, 3)
         s1, s2 = t.other_of(c1), t.other_of(c2)
-        assert t.ready_events().get(3, []) == [(s1, EVENT_CONNECT)]
+        assert wakes_of(t, 3) == [(s1, EVENT_CONNECT)]
         t.accept(3, s1)
-        assert t.ready_events().get(3, []) == [(s2, EVENT_CONNECT)]
+        assert wakes_of(t, 3) == [(s2, EVENT_CONNECT)]
 
     def test_message_not_ready_before_accept(self):
         t = make_table()
         cfd = t.connect(1, 2)
         sfd = t.other_of(cfd)
         t.write(1, cfd, message(NEW_RHS))
-        assert t.ready_events().get(2, []) == [(sfd, EVENT_CONNECT)]
+        assert wakes_of(t, 2) == [(sfd, EVENT_CONNECT)]
         t.accept(2, sfd)
-        assert t.ready_events().get(2, []) == [(sfd, NEW_RHS)]
+        assert wakes_of(t, 2) == [(sfd, NEW_RHS)]
 
     def test_select_is_derived_and_idempotent(self):
         t = make_table()
@@ -228,9 +230,9 @@ class TestReadiness:
         t.accept(2, t.other_of(cfd))
         t.write(2, t.other_of(cfd), message(NEW_RHS))
         first = t.ready_events()
-        assert t.ready_events() == first == {1: [(cfd, NEW_RHS)]}
+        assert t.ready_events() == first == [(1, cfd, NEW_RHS)]
         t.read(1, cfd)
-        assert t.ready_events() == {}
+        assert t.ready_events() == []
 
     def test_events_ordered_by_fd(self):
         t = make_table()
@@ -240,7 +242,7 @@ class TestReadiness:
         t.accept(2, t.other_of(c2))
         t.write(2, t.other_of(c1), message(NEW_RHS))
         t.write(2, t.other_of(c2), message(NEW_RHS))
-        evs = t.ready_events().get(1, [])
+        evs = wakes_of(t, 1)
         assert evs == sorted(evs)
         assert [name for _, name in evs] == [NEW_RHS, NEW_RHS]
 
@@ -253,14 +255,14 @@ class TestCloneAndCanon:
         t.accept(2, sfd)
         u = t.clone()
         t.write(1, cfd, message(NEW_RHS))
-        assert u.queue_of(sfd) == ()
-        assert t.queue_of(sfd) != ()
+        assert u.peek(sfd)[QUEUE] == ()
+        assert t.peek(sfd)[QUEUE] != ()
         # Each side lists its own wakes, whichever of them wrote.
-        assert t.ready_events() == {2: [(sfd, NEW_RHS)]}
-        assert u.ready_events() == {}
+        assert t.ready_events() == [(2, sfd, NEW_RHS)]
+        assert u.ready_events() == []
         u.close(2, sfd)
-        assert u.ready_events() == {1: [(cfd, EVENT_EOF)]}
-        assert t.ready_events() == {2: [(sfd, NEW_RHS)]}
+        assert u.ready_events() == [(1, cfd, EVENT_EOF)]
+        assert t.ready_events() == [(2, sfd, NEW_RHS)]
 
     def test_canon_equal_for_equal_tables(self):
         def build():
