@@ -67,8 +67,7 @@ class ManagerState:
 
     def canon(self) -> tuple:
         # Ring wiring is static; only the episode progress is state.
-        return (int(self.holding_barrier_in), int(self.sent_barrier_in),
-                int(self.sent_barrier_out))
+        return (self.holding_barrier_in, self.sent_barrier_in, self.sent_barrier_out)
 
     def summary(self) -> str:
         return (f"m{self.pid} rank={self.pid} holding={int(self.holding_barrier_in)} "
@@ -82,7 +81,7 @@ class BarrierBits:
     step writes it; the writer, client_reaches_barrier or _on_barrier_out,
     replaces g.episode with a clone first. Its parts for the visited key are
     one per manager, part(pid) being pid's (in, out) bits, and parts() lists
-    them by pid; its encoding column stays the two vectors whole (canon). A
+    them by pid; the state's encoding holds the two vectors whole (canon). A
     barrier step reads and writes its own part unlogged, so step_delta
     hashes that part alone.
     """
@@ -111,9 +110,6 @@ class BarrierBits:
     def parts(self) -> tuple:
         """Every part, part(pid) at index pid."""
         return tuple(map(self.part, range(self.managers)))
-
-    def columns(self) -> tuple:
-        return ((), self.canon())  # the trace column stays empty
 
     def dump(self, g) -> str:
         n = len(g.procs)  # one bit per manager

@@ -53,7 +53,6 @@ from .messages import (
     IDS,
     NEW_LHS,
     NEW_RHS,
-    ORIGIN,
     RECONNECT_RHS,
     RHS2INFO,
     RHS_INFO_REQUEST,
@@ -84,8 +83,8 @@ TRACE_COMPLETION = "trace_completion"
 # Phases.
 IDLE = 0
 ENTERING_LHS = 1
-IN_RING = 3
-DEAD = 4
+IN_RING = 2
+DEAD = 3
 
 PHASE_NAMES = {IDLE: "idle", ENTERING_LHS: "entering_lhs", IN_RING: "in_ring", DEAD: "dead"}
 
@@ -145,9 +144,8 @@ class DaemonState:
             self.lhs_id,
             self.rhs_id,
             self.rhs2_id,
-            self.await_cmd or "",
+            self.await_cmd,
             self.pending_requesters,
-            ABSENT,  # a removed field's slot, kept so every encoding stays the same
         )
 
     def summary(self) -> str:
@@ -191,7 +189,8 @@ class TraceState:
         return t
 
     def canon(self) -> tuple:
-        return (int(self.started), self.initiator, self.collected, int(self.done))
+        # started and done follow from these two, so they are not stored.
+        return (self.initiator, self.collected)
 
     def part(self, i: int) -> tuple:
         """The visited key's episode part i; the record is one part, part 0."""
@@ -199,9 +198,6 @@ class TraceState:
 
     def parts(self) -> tuple:
         return (self.canon(),)
-
-    def columns(self) -> tuple:
-        return (self.canon(), ())  # the trace column; the barrier bits stay empty
 
     def dump(self, g) -> str:
         if not self.started:
@@ -261,9 +257,11 @@ def begin_insertion(g, d: DaemonState) -> None:
         # reply is still queued on it, and the reply would be lost.
         d.await_cmd = RECONNECT_RHS
     else:
+        # No await, even under --blocking: the answer is the only wake the
+        # entering daemon can get. No process has its coordinates yet, and
+        # the entry neither closes this connection nor writes anything else
+        # to it before it answers.
         g.sockets.write(d.pid, fd, message(RHS_INFO_REQUEST))
-        if g.scenario.seq_blocking:
-            d.await_cmd = RHS_INFO_RETURN
     d.phase = ENTERING_LHS
 
 
@@ -280,7 +278,7 @@ def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
     t = g.episode = g.read_episode().clone()
     t.initiator = d.pid
-    g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, origin=d.pid, ids=(d.pid,)))
+    g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, ids=(d.pid,)))
 
 
 def steps(g) -> list[ScheduleStep]:
@@ -379,11 +377,7 @@ def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
         return
     if g.sockets.other_of(d.lhs_fd) == INVALID_FD:
         return
-    g.sockets.write(
-        d.pid,
-        d.lhs_fd,
-        message(RHS2INFO, a=d.lhs_id, b=value, hops=len(g.procs)),
-    )
+    g.sockets.write(d.pid, d.lhs_fd, message(RHS2INFO, a=d.lhs_id, b=value))
 
 
 def _close_if_open(g, d: DaemonState, fd: int) -> None:
@@ -443,7 +437,7 @@ def _on_new_lhs(g, d, fd, msg):
         return
     # The newcomer's second-right neighbor is this daemon's right, known by
     # now: a joiner's await_cmd lets no new_lhs in before its reconnect_rhs.
-    g.sockets.write(d.pid, fd, message(RHS2INFO, a=msg[A], b=d.rhs_id, hops=len(g.procs)))
+    g.sockets.write(d.pid, fd, message(RHS2INFO, a=msg[A], b=d.rhs_id))
 
 
 def _on_rhs2info(g, d, fd, msg):
@@ -494,7 +488,6 @@ def _on_rhs_info_return(g, d, fd, msg):
             raise ProtocolViolation(f"d{d.pid}: returned identity is unknown")
         _attach_right(g, d, target)
         d.phase = IN_RING
-        d.await_cmd = None
     elif fd == d.rhs_fd:
         if not d.pending_requesters:
             raise ProtocolViolation(f"d{d.pid}: rhs_info_return with nobody waiting")
@@ -514,14 +507,11 @@ def _on_trace_req(g, d, fd, msg):
     if t.initiator == d.pid:
         t = g.episode = t.clone()
         t.collected = msg[IDS]
-        g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE, origin=msg[ORIGIN], ids=msg[IDS]))
+        g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE))
         return
     if len(msg[IDS]) >= _live_count(g):
         raise ProtocolViolation(f"d{d.pid}: trace_req circulated past every daemon")
-    g.sockets.write(
-        d.pid, d.rhs_fd,
-        message(TRACE_REQ, origin=msg[ORIGIN], ids=msg[IDS] + (d.pid,)),
-    )
+    g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, ids=msg[IDS] + (d.pid,)))
 
 
 def _on_trace_done(g, d, fd, msg):

@@ -9,16 +9,19 @@ the states already expanded.
 The model already holds its canonical form, in the manner of SPIN's flat
 state vector (Holzmann, "State compression in SPIN", 1997): daemons name
 each other by pid, and a queued message is a plain int tuple
-(cmd index, a, b, origin, ids, hops) with -1 for an absent party. A state's
-encoding is therefore the marshal of its own fields, in four columns:
+(cmd index, a, b, ids) with -1 for an absent party. A state's encoding is
+therefore the marshal of its own fields, in three parts:
 
-    (sockets: (other, owner, flag, queues),
+    (sockets: (one (other, owner, flag, queue) slot per fd),
      processes: (one field tuple per pid),
-     trace: (started, initiator, collected pids, done) or (),
-     barrier bits: (client_barrier_in, client_barrier_out) or ())
+     episode: the trace's (initiator, collected pids)
+              or the barrier's (client_barrier_in, client_barrier_out))
 
-The episode record fills one of the last two columns and leaves the other
-empty (its columns method), so the explorer never names the record's type.
+Each part holds what some handler or property reads and nothing that
+follows from the rest, as SPIN's data-flow pass keeps dead variables out of
+its state vector (Holzmann, "The model checker SPIN", 1997). The episode
+record makes its own part (its canon method), so the explorer never names
+the record's type.
 
 A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
@@ -191,8 +194,8 @@ class GlobalState:
     """Everything mutable in one scenario instant.
 
     episode is the protocol's record of the running episode. It supplies
-    its two encoding columns (columns), its parts for the visited key
-    (parts, a tuple of component tuples, and part(i), its part i alone; see
+    its part of the encoding (canon), its parts for the visited key (parts,
+    a tuple of component tuples, and part(i), its part i alone; see
     state_key and step_delta) and its dump line (dump, "" for none).
 
     derived_dead is the set of dead pids as apply derived it from the
@@ -273,7 +276,7 @@ class GlobalState:
 
     def canon(self) -> tuple:
         return (self.sockets.canon(), tuple([p.canon() for p in self.procs]),
-                *self.episode.columns())
+                self.episode.canon())
 
     def dump(self) -> str:
         lines = [p.summary() for p in self.procs]
@@ -308,7 +311,8 @@ EPISODE_POS = -1
 def _component_hash(pos: int, c: tuple, memo: dict) -> int:
     """128-bit blake2b of one component at its position, memoised in memo.
 
-    Components hold only ints, strs and tuples of them, so equal values as
+    Components hold only ints, strs, None, a manager's bools and tuples of
+    them, and no position holds both a bool and an int, so equal values as
     dict keys are equal marshal bytes.
     """
     item = (pos, c)

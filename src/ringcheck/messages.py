@@ -2,6 +2,7 @@
 
 Messages are flat int tuples that name daemons by pid, so a queued message is
 already in the canonical form a state encoding stores; nothing re-encodes it.
+A message carries only what its handler reads.
 """
 
 from __future__ import annotations
@@ -46,26 +47,25 @@ class Identity(NamedTuple):
     port: int
 
 
-# A message is a plain tuple (CMD_INDEX[cmd], a, b, origin, ids, hops), which
-# is also its canonical form. The parties a, b and origin are daemon pids, -1
-# when absent, and ids is a tuple of pids. Handlers read fields by the
-# position names below. It stays a plain tuple, not a NamedTuple, because
-# marshal rejects tuple subclasses. The payload slots are used per command:
+# A message is a plain tuple (CMD_INDEX[cmd], a, b, ids), which is also its
+# canonical form. The parties a and b are daemon pids, -1 when absent, and
+# ids is a tuple of pids. Handlers read fields by the position names below.
+# It stays a plain tuple, not a NamedTuple, because marshal rejects tuple
+# subclasses. The payload slots are used per command:
 #   new_rhs, new_lhs   a = the sender
 #   reconnect_rhs      a = the daemon to attach to on the right
-#   rhs2info           a = target daemon, b = its new second-right neighbor,
-#                      hops = the number of processes; nothing reads it, but
-#                      queued messages are part of every pinned encoding
+#   rhs2info           a = target daemon, b = its new second-right neighbor
 #   rhs_info_return    a = the daemon being answered
-#   trace_req/done     origin = initiator, ids = daemons collected so far
-CMD, A, B, ORIGIN, IDS, HOPS = range(6)
+#   trace_req          ids = daemons collected so far, the initiator first
+#   trace_done         nothing; the collection is the episode's
+FIELDS = 4  # the length of every message tuple
+CMD, A, B, IDS = range(FIELDS)
 ABSENT = -1
 
 
-def message(cmd: str, a: int = ABSENT, b: int = ABSENT, origin: int = ABSENT,
-            ids: tuple[int, ...] = (), hops: int = 0) -> tuple:
+def message(cmd: str, a: int = ABSENT, b: int = ABSENT, ids: tuple[int, ...] = ()) -> tuple:
     """Build the message tuple for the command named cmd."""
-    return (CMD_INDEX[cmd], a, b, origin, ids, hops)
+    return (CMD_INDEX[cmd], a, b, ids)
 
 
 def command_of(m: tuple) -> str:

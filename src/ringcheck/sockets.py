@@ -27,10 +27,11 @@ before the hangup is observable.
 
 The table is one list, ``slots``, of immutable per-fd tuples (other, owner,
 flag, queue) at positions OTHER to QUEUE; a free slot is exactly FREE_SLOT.
-The explorer hashes each slot whole, and ``canon()`` transposes the slots
-into the canonical encoding's columns. Outside this module only the
-property checks know the layout: ``properties.ring_order`` and
-``check_ring_topology`` unpack the slot tuple that ``peek`` returns.
+The explorer hashes each slot whole, and ``canon()``, the table's part of
+the canonical encoding, is the slots as they stand, one tuple per fd.
+Outside this module only the property checks know the layout:
+``properties.ring_order`` and ``check_ring_topology`` unpack the slot tuple
+that ``peek`` returns.
 
 Every slot write goes through ``_put``, which logs the fd in ``touched``.
 The log starts empty in a new table and in every ``clone()``; a clone is the
@@ -132,8 +133,8 @@ class SocketTable:
         return t
 
     def canon(self) -> tuple:
-        # Columns (other, owner, flag, queues); messages are already canonical.
-        return tuple(zip(*self.slots))
+        # The slots as they stand; messages are already canonical.
+        return tuple(self.slots)
 
     def _put(self, fd: int, slot: tuple) -> None:
         """The one slot write: store slot at fd, log fd in touched, set fd's wake."""

@@ -14,7 +14,7 @@ every operation must log in ``touched`` each fd whose slot it replaced:
   wake soundness    every reported event is justified by the mirror
   wake completeness every event the mirror predicts is reported
 
-Messages carry a unique serial in their hops field so FIFO order and
+Messages carry a unique serial in their a field so FIFO order and
 conservation are checkable without trusting the table's own queues.
 
 With a clone rate, the driver sometimes continues on ``table.clone()``, as
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 
-from ringcheck.messages import HOPS, NEW_RHS, message
+from ringcheck.messages import A, NEW_RHS, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
     EVENT_CONNECT,
@@ -118,7 +118,7 @@ class Driver:
     def op_write(self, pid: int, fd: int) -> None:
         serial = self.next_serial
         self.next_serial += 1
-        self._logged(self.table.write, pid, fd, message(NEW_RHS, hops=serial))
+        self._logged(self.table.write, pid, fd, message(NEW_RHS, a=serial))
         peer = self.slots[fd].peer
         self.slots[peer].serials.append(serial)
         self.sent += 1
@@ -126,8 +126,8 @@ class Driver:
     def op_read(self, pid: int, fd: int) -> None:
         msg = self._logged(self.table.read, pid, fd)
         expect = self.slots[fd].serials.pop(0)
-        assert msg[HOPS] == expect, (
-            f"fd {fd} delivered serial {msg[HOPS]}, FIFO order demands {expect}"
+        assert msg[A] == expect, (
+            f"fd {fd} delivered serial {msg[A]}, FIFO order demands {expect}"
         )
         self.read_count += 1
 
@@ -177,7 +177,7 @@ class Driver:
         # conservation, per fd and in total
         queued = 0
         for fd, slot in self.slots.items():
-            got = tuple(m[HOPS] for m in t.peek(fd)[QUEUE])
+            got = tuple(m[A] for m in t.peek(fd)[QUEUE])
             assert got == tuple(slot.serials), (
                 f"fd {fd} queue {got} != ledger {tuple(slot.serials)}"
             )

@@ -23,7 +23,7 @@ from ringcheck.daemons import (
 )
 from ringcheck import daemons as daemons_mod
 from ringcheck.errors import ProtocolViolation
-from ringcheck.explorer import VERIFIED, explore
+from ringcheck.explorer import EVERY_STATE, VERIFIED, Property, explore
 from ringcheck.messages import (
     BARRIER_IN,
     NEW_LHS,
@@ -36,7 +36,6 @@ from ringcheck.messages import (
     TRACE_REQ,
     A,
     B,
-    HOPS,
     command_of,
     message,
 )
@@ -104,11 +103,28 @@ class TestBeginInsertion:
         entry_queue = g.sockets.peek(g.sockets.other_of(d.lhs_fd))[QUEUE]
         assert [command_of(m) for m in entry_queue] == [RHS_INFO_REQUEST]
 
-    def test_sequential_blocking_mode_awaits_the_answer(self):
-        scenario, g = ring_state("ring-seq", 2, inserters=1, blocking=True)
-        d = g.procs[2]
-        begin_insertion(g, d)
-        assert d.await_cmd == RHS_INFO_RETURN
+    @pytest.mark.parametrize("size,inserters", [(2, 2), (2, 3), (1, 3)],
+                             ids=["2-2", "2-3", "1-3"])
+    def test_blocking_entry_has_no_wake_but_the_answer(self, size, inserters):
+        # Under --blocking an entering daemon awaits nothing: the answer on
+        # its entry connection is the only wake it can get.
+        entering = 0
+
+        def only_the_answer(g):
+            nonlocal entering
+            for d in g.procs:
+                if d.phase == ENTERING_LHS:
+                    entering += 1
+                    assert d.await_cmd is None
+                    wakes = wakes_of(g.sockets, d.pid)
+                    assert set(wakes) <= {(d.lhs_fd, RHS_INFO_RETURN)}, (d.pid, wakes)
+
+        scenario = build_scenario(ScenarioConfig("ring-seq", size=size, inserters=inserters,
+                                                 blocking=True))
+        # Without the default properties, which 1/3 violates, every state is searched.
+        report = explore(scenario, (Property("entering", EVERY_STATE, only_the_answer),))
+        assert report.outcome == VERIFIED
+        assert entering
 
     def test_rejected_outside_idle(self):
         scenario, g = ring_state("ring-par", 2, inserters=1)
@@ -148,7 +164,6 @@ class TestParallelSplice:
         assert len(updates) == 1
         assert updates[0][A] == 2
         assert updates[0][B] == self.inserter.pid
-        assert updates[0][HOPS] == len(g.procs)
 
     def test_inserter_attaches_right_on_reconnect(self):
         g = self.g
@@ -251,8 +266,7 @@ class TestRhs2Info:
     def test_addressed_update_is_applied(self):
         scenario, g = ring_state("ring-par", 3)
         d = g.procs[1]
-        g.sockets.write(2, g.procs[2].lhs_fd, message(
-            RHS2INFO, a=d.pid, b=0, hops=1))
+        g.sockets.write(2, g.procs[2].lhs_fd, message(RHS2INFO, a=d.pid, b=0))
         deliver(g, 1, cmd=RHS2INFO)
         assert d.rhs2_id == 0
 
@@ -260,8 +274,7 @@ class TestRhs2Info:
         # Each update is written to its addressee's own channel; one that
         # names another daemon is not passed on.
         scenario, g = ring_state("ring-par", 3)
-        g.sockets.write(2, g.procs[2].lhs_fd, message(
-            RHS2INFO, a=0, b=2, hops=3))
+        g.sockets.write(2, g.procs[2].lhs_fd, message(RHS2INFO, a=0, b=2))
         with pytest.raises(ProtocolViolation) as e:
             deliver(g, 1, cmd=RHS2INFO)
         # The target pid is rendered as its identity.
@@ -330,15 +343,13 @@ class TestTrace:
         scenario, g = ring_state("trace", 2)
         g.episode.initiator = 0
         ids = (0, 1)
-        g.sockets.write(0, g.procs[0].rhs_fd, message(
-            TRACE_REQ, origin=0, ids=ids))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(TRACE_REQ, ids=ids))
         with pytest.raises(ProtocolViolation, match="past every daemon"):
             deliver(g, 1, cmd=TRACE_REQ)
 
     def test_trace_req_without_episode_is_a_violation(self):
         scenario, g = ring_state("trace", 2)
-        g.sockets.write(0, g.procs[0].rhs_fd, message(
-            TRACE_REQ, origin=0, ids=(0,)))
+        g.sockets.write(0, g.procs[0].rhs_fd, message(TRACE_REQ, ids=(0,)))
         with pytest.raises(ProtocolViolation, match="outside a trace episode"):
             deliver(g, 1, cmd=TRACE_REQ)
 

@@ -8,10 +8,9 @@ from ringcheck.messages import (
     ALL_COMMANDS,
     CMD,
     CMD_INDEX,
-    HOPS,
+    FIELDS,
     IDS,
     NEW_RHS,
-    ORIGIN,
     RHS2INFO,
     TRACE_REQ,
     A,
@@ -85,26 +84,27 @@ def test_registry_names_pids_for_rendering():
 
 
 def test_message_is_a_flat_tuple_of_ints():
-    m = message(TRACE_REQ, origin=1, ids=(1, 2))
-    assert type(m) is tuple
-    assert m == (CMD_INDEX[TRACE_REQ], -1, -1, 1, (1, 2), 0)
-    assert (m[CMD], m[A], m[B], m[ORIGIN], m[IDS], m[HOPS]) == m
+    m = message(TRACE_REQ, ids=(1, 2))
+    assert type(m) is tuple and len(m) == FIELDS
+    assert m == (CMD_INDEX[TRACE_REQ], -1, -1, (1, 2))
+    assert (CMD, A, B, IDS) == tuple(range(FIELDS))
+    assert (m[CMD], m[A], m[B], m[IDS]) == m
     assert command_of(m) == TRACE_REQ == ALL_COMMANDS[m[CMD]]
     assert marshal.loads(marshal.dumps(m)) == m
 
 
 def test_canon_message_separates_distinct_messages():
     reg = Registry(make_identities(3))
-    m1 = message(RHS2INFO, a=0, b=1, hops=2)
-    m2 = message(RHS2INFO, a=0, b=2, hops=2)
-    m3 = message(RHS2INFO, a=0, b=1, hops=1)
+    m1 = message(RHS2INFO, a=0, b=1)
+    m2 = message(RHS2INFO, a=0, b=2)
+    m3 = message(RHS2INFO, a=1, b=1)
     t1, t2, t3 = (canon_message(m, reg) for m in (m1, m2, m3))
     assert len({t1, t2, t3}) == 3
 
 
 def test_canon_message_equal_for_equal_messages():
     reg = Registry(make_identities(2))
-    build = lambda: message(TRACE_REQ, origin=0, ids=(0, 1))
+    build = lambda: message(TRACE_REQ, ids=(0, 1))
     assert canon_message(build(), reg) == canon_message(build(), reg)
 
 

@@ -12,7 +12,7 @@ from ringcheck.errors import (
     InvariantViolation,
     ModelSizingError,
 )
-from ringcheck.messages import HOPS, NEW_LHS, NEW_RHS, command_of, message
+from ringcheck.messages import A, NEW_LHS, NEW_RHS, command_of, message
 from ringcheck.sockets import (
     AWAIT_ACCEPT,
     EVENT_CONNECT,
@@ -124,10 +124,10 @@ class TestReadWrite:
         self.t.accept(2, self.sfd)
 
     def test_fifo_order(self):
-        self.t.write(1, self.cfd, message(NEW_RHS, hops=1))
-        self.t.write(1, self.cfd, message(NEW_LHS, hops=2))
-        assert self.t.read(2, self.sfd)[HOPS] == 1
-        assert self.t.read(2, self.sfd)[HOPS] == 2
+        self.t.write(1, self.cfd, message(NEW_RHS, a=1))
+        self.t.write(1, self.cfd, message(NEW_LHS, a=2))
+        assert self.t.read(2, self.sfd)[A] == 1
+        assert self.t.read(2, self.sfd)[A] == 2
 
     def test_read_empty_raises(self):
         with pytest.raises(ContractViolation):
@@ -140,7 +140,7 @@ class TestReadWrite:
 
     def test_write_full_channel_is_a_sizing_error(self):
         for i in range(self.t.qsz):
-            self.t.write(1, self.cfd, message(NEW_RHS, hops=i))
+            self.t.write(1, self.cfd, message(NEW_RHS, a=i))
         with pytest.raises(ModelSizingError):
             self.t.write(1, self.cfd, message(NEW_RHS))
 
@@ -269,7 +269,7 @@ class TestCloneAndCanon:
             t = make_table()
             c = t.connect(1, 2)
             t.accept(2, t.other_of(c))
-            t.write(1, c, message(NEW_RHS, hops=3))
+            t.write(1, c, message(NEW_RHS, a=3))
             return t
 
         assert build().canon() == build().canon()
