@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ContractViolation, ProtocolViolation
-from .explorer import (ACT_CLIENT_ARRIVAL, EVERY_STATE, KIND_ACTION, KIND_EVENT, QUIESCENCE_ONLY,
+from .explorer import (ACT_CLIENT_ARRIVAL, EVERY_STATE, QUIESCENCE_ONLY,
                        GlobalState, ScheduleStep, schedule_step, step_pid)
 from .messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from .sockets import (EVENT_CONNECT, EVENT_EOF, INVALID_FD, SOCKET_INVARIANTS, SocketTable,
@@ -198,7 +198,7 @@ def steps(g) -> list[ScheduleStep]:
     arrived = g.episode.client_barrier_in
     out = []
     for pid, fd, name in g.sockets.ready_events():
-        out.append(schedule_step(pid, KIND_EVENT, fd, name))
+        out.append(schedule_step(pid, fd, name))
     for bit, arrival in _arrivals(len(g.procs)):
         if not arrived & bit:
             out.append(arrival)
@@ -209,7 +209,7 @@ def steps(g) -> list[ScheduleStep]:
 @functools.cache
 def _arrivals(n: int) -> tuple[tuple[int, ScheduleStep], ...]:
     """Each of n managers' client_barrier_in bit and its client's arrival step."""
-    return tuple((1 << pid, schedule_step(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+    return tuple((1 << pid, schedule_step(pid, -1, ACT_CLIENT_ARRIVAL))
                  for pid in range(n))
 
 

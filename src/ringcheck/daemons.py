@@ -38,8 +38,6 @@ from .explorer import (
     ACT_INJECT_FAILURE,
     ACT_START_TRACE,
     EVERY_STATE,
-    KIND_ACTION,
-    KIND_EVENT,
     QUIESCENCE_ONLY,
     GlobalState,
     ScheduleStep,
@@ -300,7 +298,7 @@ def steps(g) -> list[ScheduleStep]:
         awaited = procs[pid].await_cmd
         # Blocking-read surrogate: an awaiting daemon handles only the reply.
         if awaited is None or awaited == name:
-            out.append(schedule_step(pid, KIND_EVENT, fd, name))
+            out.append(schedule_step(pid, fd, name))
     if sc.n_inserters:
         for insertion in _actions(ACT_BEGIN_INSERTION, sc.n_initial, len(procs)):
             if procs[insertion.pid].phase == IDLE:
@@ -315,14 +313,14 @@ def steps(g) -> list[ScheduleStep]:
         dead = g.dead_pids()
         first = next((pid for pid in range(len(procs)) if pid not in dead), None)
         if first is not None:
-            out.append(schedule_step(first, KIND_ACTION, -1, ACT_START_TRACE))
+            out.append(schedule_step(first, -1, ACT_START_TRACE))
     return out
 
 
 @functools.cache
 def _actions(action: str, first: int, stop: int) -> tuple[ScheduleStep, ...]:
     """The steps of action at pids first up to stop, interned as one tuple."""
-    return tuple(schedule_step(pid, KIND_ACTION, -1, action) for pid in range(first, stop))
+    return tuple(schedule_step(pid, -1, action) for pid in range(first, stop))
 
 
 def act(g, d: DaemonState, action: str) -> None:

@@ -116,13 +116,14 @@ The unit of interleaving is one handler invocation. Like SPIN's search
 engine, the explorer knows nothing of the protocol it runs: the scenario's
 protocol module (daemons or barrier) builds the initial state
 (initial_state), lists the properties to check (properties), lists a
-state's enabled steps in a fixed order (steps) and runs one (act for a
-spontaneous action, handle_event for a wake, whose step cmd is the name the
-socket table gave the wake). A protocol makes its steps with schedule_step,
-which interns them: every listing of a step is one object, built once, not
-once per state. A protocol lists its wakes and its actions each in pid
-order, and a stable sort by step_pid merges them, each wake before its own
-pid's actions.
+state's enabled steps in a fixed order (steps) and runs one. A step is
+(pid, fd, cmd): with fd -1 it is a spontaneous action, which act runs;
+with any other fd it is a wake on that fd, which handle_event runs, its
+cmd the name the socket table gave the wake. A protocol makes its steps
+with schedule_step, which interns them: every listing of a step is one
+object, built once, not once per state. A protocol lists its wakes and
+its actions each in pid order, and a stable sort by step_pid merges them,
+each wake before its own pid's actions.
 Quiescence is the absence of any step at all, and is where the end-state
 properties are evaluated (checked_steps, the one state check of search and
 walk); a state with undeliverable or unconsumed messages is never quiescent
@@ -168,12 +169,20 @@ ACT_START_TRACE = "start_trace"
 
 
 class ScheduleStep(NamedTuple):
-    """One scheduled handler invocation or spontaneous action."""
+    """One scheduled handler invocation or spontaneous action.
+
+    A step is named by its process and what it does, as a line of SPIN's
+    trail names a process and a transition: a step with fd -1 is an action,
+    any other a wake on that fd, so its kind is read off the fd.
+    """
 
     pid: int
-    kind: str
     fd: int  # -1 for actions
     cmd: str  # message command, "connect", "eof", or an action name
+
+    @property
+    def kind(self) -> str:
+        return KIND_ACTION if self.fd < 0 else KIND_EVENT
 
     def render(self) -> str:
         fd = str(self.fd) if self.fd >= 0 else "-"
@@ -207,9 +216,9 @@ class GlobalState:
     explore keeps no entry for such a step (see the module docstring).
     Checks and step listing read the fields directly and log nothing.
 
-    check_memo is what one property check of the state computed for the
-    others to share (properties keeps its ring walk there), or None. A
-    state is not written once its checks have run, so it never goes stale.
+    A state caches nothing its checks compute: each quiescence check that
+    needs the ring walks it again (properties.ring_order), and a search
+    meets few quiescent states.
 
     A state does not hold its visited key: explore keeps each key in the
     DFS frame of its state (see state_key and step_delta).
@@ -223,8 +232,7 @@ class GlobalState:
     to the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read",
-                 "check_memo")
+    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read")
 
     def __init__(self, scenario, sockets, procs, episode):
         self.scenario = scenario  # static, shared across all derived states
@@ -233,7 +241,6 @@ class GlobalState:
         self.episode = episode
         self.derived_dead = None
         self.shared_read = False  # see the class docstring
-        self.check_memo = None
 
     def clone(self) -> "GlobalState":
         """A successor to mutate; records stay shared, see apply."""
@@ -244,7 +251,6 @@ class GlobalState:
         g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
         g.shared_read = False
-        g.check_memo = None
         return g
 
     # A handler reads the shared records through these, which set
@@ -520,7 +526,7 @@ def apply(g: GlobalState, step: ScheduleStep, key: int | None = None,
     pid = step.pid
     p = h.procs[pid] = h.procs[pid].clone()
     dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
-    if step.kind == KIND_ACTION:
+    if step.fd < 0:
         h.scenario.protocol.act(h, p, step.cmd)
     else:
         h.scenario.protocol.handle_event(h, p, step.fd, step.cmd)

@@ -84,17 +84,8 @@ def ring_order(g) -> tuple:
     raise PropertyViolation(f"walk of {len(live)} edges did not close the ring")
 
 
-def _walked_ring(g) -> tuple:
-    """ring_order(g), walked once per state: the topology, neighbour-state
-    and trace checks of a quiescent state share it through g.check_memo."""
-    order = g.check_memo
-    if order is None:
-        order = g.check_memo = ring_order(g)
-    return order
-
-
 def check_ring_topology(g) -> None:
-    _walked_ring(g)
+    ring_order(g)
     # A settled ring has nothing in flight on live connections.
     sock = g.sockets
     dead = g.dead_pids()
@@ -109,7 +100,7 @@ def check_ring_topology(g) -> None:
 
 def check_neighbor_state(g) -> None:
     """Recorded identities must match actual one- and two-hop ring walks."""
-    order = _walked_ring(g)
+    order = ring_order(g)
     name = g.scenario.registry.name
     n = len(order)
     for i, d in enumerate(order):
@@ -137,7 +128,7 @@ def check_trace_completion(g) -> None:
         raise PropertyViolation("trace episode never started")
     if not t.done:
         raise PropertyViolation("trace episode started but never completed")
-    order = _walked_ring(g)
+    order = ring_order(g)
     initiator = g.procs[t.initiator]
     if initiator.phase == DEAD:
         raise PropertyViolation("trace initiator is dead")

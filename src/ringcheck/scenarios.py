@@ -8,6 +8,11 @@ participates in state encoding. The scenario names its protocol module
 and runs its steps, builds the initial state and lists the properties the
 scenario checks.
 
+A Scenario is built from one ScenarioConfig, once build_scenario has
+validated it, and nothing else: the protocol module, the insertion variant,
+whether a trace runs, the failure to inject and the table sizes all follow
+from the config's algorithm and sizes.
+
 Descriptor-table sizing is derived, not guessed: a ring of M daemons uses
 2*M endpoints, each insertion transiently holds its entry connection and its
 new right-hand connection open while the spliced edge still exists, and
@@ -45,25 +50,31 @@ class ScenarioConfig(NamedTuple):
 
 
 class Scenario:
-    """Static description shared by every state of one exploration."""
+    """Static description shared by every state of one exploration.
+
+    Built from one validated ScenarioConfig (build_scenario validates it);
+    every other field follows from the config.
+    """
 
     __slots__ = (
         "protocol", "algorithm", "variant", "n_initial", "n_inserters",
         "seq_blocking", "failure", "trace_enabled", "conn_max", "qsz", "registry",
     )
 
-    def __init__(self, *, protocol, algorithm, variant, n_initial, n_inserters,
-                 seq_blocking, failure, trace_enabled):
-        self.protocol = protocol  # the daemons or barrier module, which owns the model
-        self.algorithm = algorithm
-        self.variant = variant
-        self.n_initial = n_initial
-        self.n_inserters = n_inserters  # pids n_initial and up
-        self.seq_blocking = seq_blocking
-        self.failure = failure
-        self.trace_enabled = trace_enabled
-        total = n_initial + n_inserters
-        self.conn_max = 2 * total + 2 * n_inserters
+    def __init__(self, cfg: ScenarioConfig):
+        algorithm = self.algorithm = cfg.algorithm
+        # The daemons or barrier module, which owns the model.
+        self.protocol = barrier if algorithm == "barrier" else daemons
+        self.variant = SEQUENTIAL if algorithm == "ring-seq" else PARALLEL
+        self.n_initial = cfg.size
+        self.n_inserters = cfg.inserters  # pids n_initial and up
+        self.seq_blocking = cfg.blocking
+        self.failure = None
+        if algorithm == "recovery":
+            self.failure = FAIL_NONDET if cfg.fail_pid is None else cfg.fail_pid
+        self.trace_enabled = algorithm in ("trace", "recovery")
+        total = cfg.size + cfg.inserters
+        self.conn_max = 2 * total + 2 * cfg.inserters
         self.qsz = max(1, total)
         self.registry = Registry(make_identities(total))
 
@@ -107,15 +118,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     if cfg.fail_pid is not None and cfg.algorithm != "recovery":
         raise ScenarioError("fail-pid applies to the recovery scenario only")
 
-    if cfg.algorithm == "barrier":
-        if cfg.inserters:
-            raise ScenarioError("the barrier scenario has no inserters")
-        return Scenario(
-            protocol=barrier, algorithm=cfg.algorithm, variant=None,
-            n_initial=cfg.size, n_inserters=0, seq_blocking=False,
-            failure=None, trace_enabled=False,
-        )
-
+    if cfg.algorithm == "barrier" and cfg.inserters:
+        raise ScenarioError("the barrier scenario has no inserters")
     if cfg.algorithm == "recovery":
         if cfg.inserters:
             raise ScenarioError("the recovery scenario runs on a fixed ring; no inserters")
@@ -123,20 +127,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             raise ScenarioError("recovery needs a ring of at least 2")
         if cfg.fail_pid is not None and not (0 <= cfg.fail_pid < cfg.size):
             raise ScenarioError(f"fail-pid {cfg.fail_pid} is not a ring member")
-        failure = FAIL_NONDET if cfg.fail_pid is None else cfg.fail_pid
-        return Scenario(
-            protocol=daemons, algorithm=cfg.algorithm, variant=PARALLEL,
-            n_initial=cfg.size, n_inserters=0, seq_blocking=False,
-            failure=failure, trace_enabled=True,
-        )
-
-    variant = SEQUENTIAL if cfg.algorithm == "ring-seq" else PARALLEL
-    return Scenario(
-        protocol=daemons, algorithm=cfg.algorithm, variant=variant,
-        n_initial=cfg.size, n_inserters=cfg.inserters,
-        seq_blocking=cfg.blocking, failure=None,
-        trace_enabled=(cfg.algorithm == "trace"),
-    )
+    return Scenario(cfg)
 
 
 def config_from_fields(fields: dict) -> ScenarioConfig:

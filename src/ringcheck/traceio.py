@@ -17,7 +17,9 @@ same rendering ScheduleStep.render produces:
     pid=2 kind=action fd=- cmd=begin_insertion
     ...
 
-outcome and violation are informational; replay re-derives both.
+outcome and violation are informational; replay re-derives both. A step
+is read from its pid, fd and cmd; its kind follows from its fd (fd=- is an
+action), and a line whose kind= says otherwise is not what ringcheck writes.
 
 A file is read only if ringcheck writes exactly these bytes for it:
 parse_trace reads the header and the steps loosely, renders what it read
@@ -80,18 +82,17 @@ def _shown(line: str) -> str:
 
 
 def _parse_step(line: str, lineno: int) -> ScheduleStep:
-    """The step a line names, with its numbers read by int()."""
+    """The step a line names by its pid, fd and cmd, with its numbers read by int().
+
+    The kind= field is not read: the step's kind follows from its fd, so a
+    line whose kind disagrees with its fd does not render back.
+    """
     fields = dict(part.partition("=")[::2] for part in line.split(" "))
     try:
         fd = fields["fd"]
-        step = ScheduleStep(int(fields["pid"]), fields["kind"], -1 if fd == "-" else int(fd),
-                            fields["cmd"])
+        return ScheduleStep(int(fields["pid"]), -1 if fd == "-" else int(fd), fields["cmd"])
     except (KeyError, ValueError) as e:
         raise TraceFormatError(f"line {lineno}: bad step line: {e}") from e
-    # A step of another kind renders back unchanged but names no step the model has.
-    if step.kind not in ("event", "action"):
-        raise TraceFormatError(f"line {lineno}: unknown step kind {step.kind!r}")
-    return step
 
 
 def parse_trace(text: str) -> tuple[Scenario, tuple[ScheduleStep, ...], dict]:

@@ -109,3 +109,12 @@ def test_traced_searches_reach_every_protocol_layer(tracer):
     transitions = sum(v for k, v in metrics.items() if k.startswith("explorer.transitions."))
     assert metrics["explorer.apply.calls"] == transitions > 0
     assert sorted(p.name for p in TRACER.parent.iterdir()) == before
+
+
+def test_every_per_layer_metric_has_a_tracer_value(tracer):
+    # run.py adds bench.traced_verify_s itself; every other per-layer name is
+    # the tracer's, and one it no longer reports would fail run.py's emit().
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in spec["per_layer"]} - {"bench.traced_verify_s"}
+    missing = sorted(names - tracer.Tracer().metrics().keys())
+    assert not missing, f"BENCHMARK.json names per-layer metrics the tracer lacks: {missing}"

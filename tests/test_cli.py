@@ -111,6 +111,23 @@ def test_blocking_flag_fixes_the_sequential_race(run_cli):
     assert "outcome: VERIFIED" in r.out
 
 
+@pytest.mark.parametrize("inserters,stored,depth", [(1, 4, 3), (3, 6, 5)])
+def test_blocking_entry_of_a_ring_of_one_awaits_itself(run_cli, tmp_path, inserters,
+                                                        stored, depth):
+    # A lone entry daemon forwards the first query to itself and then blocks
+    # on the reply only it could send: --blocking verifies rings of two or more.
+    trace = tmp_path / "one.trace"
+    r = run_cli("verify", "ring-seq", "--size", "1", "--inserters", str(inserters),
+                "--blocking", "--stable-output", "--trace-out", str(trace))
+    violation = "ring_topology: d0 still awaits rhs_info_return"
+    assert r.code == 1
+    assert r.out.splitlines()[1].split()[-2:] == [f"{stored}/0", str(depth)]
+    assert f"violation: {violation}\n" in r.out
+    replayed = run_cli("replay", str(trace))
+    assert replayed.code == 1
+    assert replayed.out.endswith(f"\nviolation reproduced at quiescence: {violation}\n")
+
+
 def test_json_report_schema(run_cli):
     r = run_cli("verify", "ring-par", "--size", "1", "--inserters", "1", "--json")
     assert r.code == 0

@@ -84,8 +84,8 @@ class TestEnabledSteps:
         sc = scenario_for("ring-par", size=2, inserters=2)
         steps = enabled_steps(sc.initial_state())
         assert steps == [
-            ScheduleStep(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION),
-            ScheduleStep(3, KIND_ACTION, -1, ACT_BEGIN_INSERTION),
+            ScheduleStep(2, -1, ACT_BEGIN_INSERTION),
+            ScheduleStep(3, -1, ACT_BEGIN_INSERTION),
         ]
 
     def test_order_is_deterministic_and_sorted(self):
@@ -113,28 +113,28 @@ class TestEnabledSteps:
         # Three pending splices at the entry daemon of a ring of one: pid 0
         # has two events, pids 1 and 2 one each, and pid 4 has not started.
         sc = scenario_for("ring-par", size=1, inserters=4)
-        begin = [ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION) for pid in (1, 2, 3)]
+        begin = [ScheduleStep(pid, -1, ACT_BEGIN_INSERTION) for pid in (1, 2, 3)]
         schedule = [
             begin[0], begin[1],
-            ScheduleStep(0, KIND_EVENT, 2, EVENT_CONNECT),
+            ScheduleStep(0, 2, EVENT_CONNECT),
             begin[2],
-            ScheduleStep(0, KIND_EVENT, 4, EVENT_CONNECT),
-            ScheduleStep(0, KIND_EVENT, 4, NEW_RHS),
-            ScheduleStep(0, KIND_EVENT, 2, NEW_RHS),
+            ScheduleStep(0, 4, EVENT_CONNECT),
+            ScheduleStep(0, 4, NEW_RHS),
+            ScheduleStep(0, 2, NEW_RHS),
         ]
         g = replay(sc, schedule).final_state
         assert enabled_steps(g) == [
-            ScheduleStep(0, KIND_EVENT, 0, EVENT_EOF),
-            ScheduleStep(0, KIND_EVENT, 6, EVENT_CONNECT),
-            ScheduleStep(1, KIND_EVENT, 3, RECONNECT_RHS),
-            ScheduleStep(2, KIND_EVENT, 5, RECONNECT_RHS),
-            ScheduleStep(4, KIND_ACTION, -1, ACT_BEGIN_INSERTION),
+            ScheduleStep(0, 0, EVENT_EOF),
+            ScheduleStep(0, 6, EVENT_CONNECT),
+            ScheduleStep(1, 3, RECONNECT_RHS),
+            ScheduleStep(2, 5, RECONNECT_RHS),
+            ScheduleStep(4, -1, ACT_BEGIN_INSERTION),
         ]
 
     def test_awaiting_daemon_sees_only_the_awaited_reply(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         g = sc.initial_state()
-        g = apply(g, ScheduleStep(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
+        g = apply(g, ScheduleStep(2, -1, ACT_BEGIN_INSERTION))
         g = apply(g, enabled_steps(g)[0])  # entry daemon accepts
         g = apply(g, [s for s in enabled_steps(g) if s.pid == 0][0])  # new_rhs
         for step in enabled_steps(g):
@@ -160,14 +160,14 @@ class TestEnabledSteps:
     def test_trace_start_waits_for_everything_else(self):
         sc = scenario_for("trace", size=2)
         g = sc.initial_state()
-        assert enabled_steps(g) == [ScheduleStep(0, KIND_ACTION, -1, ACT_START_TRACE)]
+        assert enabled_steps(g) == [ScheduleStep(0, -1, ACT_START_TRACE)]
         g = apply(g, enabled_steps(g)[0])
         assert all(s.cmd != ACT_START_TRACE for s in enabled_steps(g))
 
     def test_dead_daemons_offer_nothing(self):
         sc = scenario_for("recovery", size=2)
         g = sc.initial_state()
-        g = apply(g, ScheduleStep(1, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+        g = apply(g, ScheduleStep(1, -1, ACT_INJECT_FAILURE))
         assert all(s.pid != 1 for s in enabled_steps(g))
 
     # Per model: the digest of every reachable state's rendered step listing,
@@ -224,13 +224,13 @@ class TestApply:
         g = sc.initial_state()
         h = apply(g, enabled_steps(g)[0])
         assert encode(g) != encode(h)
-        assert enabled_steps(g) == [ScheduleStep(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION)]
+        assert enabled_steps(g) == [ScheduleStep(2, -1, ACT_BEGIN_INSERTION)]
 
     def test_apply_rejects_unknown_actions(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         g = sc.initial_state()
         with pytest.raises(ContractViolation):
-            apply(g, ScheduleStep(0, KIND_ACTION, -1, "reboot"))
+            apply(g, ScheduleStep(0, -1, "reboot"))
 
 
 def check_copy_on_write(scenario) -> int:
@@ -338,19 +338,17 @@ class TestEncoding:
     # consumes the trace_req.
     MESSAGE_DIGESTS = [
         (("ring-par", {"size": 2, "inserters": 1}),
-         [(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION), (0, KIND_EVENT, 4, EVENT_CONNECT)],
+         [(2, -1, ACT_BEGIN_INSERTION), (0, 4, EVENT_CONNECT)],
          "b16f81b5165578a9a69a4262ee7dc5c2"),
         (("ring-par", {"size": 2, "inserters": 1}),
-         [(2, KIND_ACTION, -1, ACT_BEGIN_INSERTION), (0, KIND_EVENT, 4, EVENT_CONNECT),
-          (0, KIND_EVENT, 4, NEW_RHS)],
+         [(2, -1, ACT_BEGIN_INSERTION), (0, 4, EVENT_CONNECT), (0, 4, NEW_RHS)],
          "6d1ca0653923fa50d03a7862f54033d3"),
         (("trace", {"size": 3}),
-         [(0, KIND_ACTION, -1, ACT_START_TRACE), (1, KIND_EVENT, 0, TRACE_REQ),
-          (2, KIND_EVENT, 2, TRACE_REQ)],
+         [(0, -1, ACT_START_TRACE), (1, 0, TRACE_REQ), (2, 2, TRACE_REQ)],
          "1019f8393d391a41f25a2eac8209d9f7"),
         (("trace", {"size": 3}),
-         [(0, KIND_ACTION, -1, ACT_START_TRACE), (1, KIND_EVENT, 0, TRACE_REQ),
-          (2, KIND_EVENT, 2, TRACE_REQ), (0, KIND_EVENT, 4, TRACE_REQ)],
+         [(0, -1, ACT_START_TRACE), (1, 0, TRACE_REQ),
+          (2, 2, TRACE_REQ), (0, 4, TRACE_REQ)],
          "35f27394b51d45fb11928c10b0d4d053"),
     ]
 
@@ -515,7 +513,7 @@ class Star:
     def steps(self, g):
         if g.procs[0].n:
             return []
-        return [ScheduleStep(0, KIND_ACTION, -1, str(n)) for n in range(1, len(self.keys))]
+        return [ScheduleStep(0, -1, str(n)) for n in range(1, len(self.keys))]
 
     def act(self, g, p, cmd):
         p.n = int(cmd)
@@ -1184,7 +1182,6 @@ class TestDerivedKeys:
                  ).final_state
         g.sockets.reads = 0  # the walk's last step and checks ran already
         g.shared_read = False
-        g.check_memo = None
         g.sockets.ready_events()
         explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
         explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)
@@ -1338,9 +1335,9 @@ def reference_steps(g) -> list:
         for m in g.procs:
             pid = m.pid
             for fd, name in ready.get(pid, ()):
-                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+                out.append(ScheduleStep(pid, fd, name))
             if not (arrived >> pid) & 1:
-                out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_CLIENT_ARRIVAL))
+                out.append(ScheduleStep(pid, -1, ACT_CLIENT_ARRIVAL))
         return out
     sc = g.scenario
     dead = g.dead_pids()
@@ -1348,15 +1345,15 @@ def reference_steps(g) -> list:
     for pid, p in enumerate(g.procs):
         for fd, name in ready.get(pid, ()):
             if p.await_cmd is None or name == p.await_cmd:
-                out.append(ScheduleStep(pid, KIND_EVENT, fd, name))
+                out.append(ScheduleStep(pid, fd, name))
         if p.phase == daemons_mod.IDLE and pid >= sc.n_initial:
-            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_BEGIN_INSERTION))
+            out.append(ScheduleStep(pid, -1, ACT_BEGIN_INSERTION))
         if armed and (sc.failure == daemons_mod.FAIL_NONDET or sc.failure == pid):
-            out.append(ScheduleStep(pid, KIND_ACTION, -1, ACT_INJECT_FAILURE))
+            out.append(ScheduleStep(pid, -1, ACT_INJECT_FAILURE))
     if not out and sc.trace_enabled and not g.episode.started:
         first = next((pid for pid in range(len(g.procs)) if pid not in dead), None)
         if first is not None:
-            out.append(ScheduleStep(first, KIND_ACTION, -1, ACT_START_TRACE))
+            out.append(ScheduleStep(first, -1, ACT_START_TRACE))
     return out
 
 
@@ -1529,7 +1526,7 @@ class TestWalk:
     def test_walk_rejects_steps_not_enabled(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
         with pytest.raises(ContractViolation, match="step 1 is not enabled"):
-            walk(sc, (), lambda steps: ScheduleStep(0, KIND_EVENT, 0, "new_rhs"))
+            walk(sc, (), lambda steps: ScheduleStep(0, 0, "new_rhs"))
         # Nothing is enabled after quiescence, so any further step is refused.
         run = simulate(sc, seed=1)
         assert run.quiescent
@@ -1567,7 +1564,7 @@ class TestReplay:
 
     def test_replay_rejects_foreign_steps(self):
         sc = scenario_for("ring-par", size=2, inserters=1)
-        bogus = [ScheduleStep(0, KIND_EVENT, 7, "new_rhs")]
+        bogus = [ScheduleStep(0, 7, "new_rhs")]
         with pytest.raises(ContractViolation, match="not enabled"):
             replay(sc, bogus)
 

@@ -261,32 +261,16 @@ def test_factories_pin_kind_and_evaluation_point():
         assert all(p.fn is props._CHECKS[p.kind] for p in checks)
 
 
-def test_each_quiescent_ring_is_walked_once(monkeypatch):
-    # Topology, neighbour state and trace completion all read the ring order.
-    from ringcheck import properties as props
-    from ringcheck.explorer import Property, explore
-
-    walks, quiescent = [], []
-    walk = props.ring_order
-    monkeypatch.setattr(props, "ring_order", lambda g: walks.append(g) or walk(g))
-    sc = build_scenario(ScenarioConfig("recovery", size=5))
-    counted = Property("count", QUIESCENCE_ONLY, quiescent.append)
-    report = explore(sc, sc.default_properties() + (counted,))
-    assert report.outcome == "VERIFIED" and len(quiescent) > 1
-    assert walks == quiescent
-
-
-def test_the_shared_walk_is_the_states_own():
-    # A state's checks share its walk; another state, or a fresh copy, walks anew.
+def test_a_copy_is_checked_on_its_own_ring_walk():
+    # Each check walks the state it is given; a checked state's walk is no
+    # part of a copy made from it.
     from ringcheck.properties import check_neighbor_state, check_ring_topology
 
     g = build_scenario(ScenarioConfig("ring-seq", size=3)).initial_state()
     check_ring_topology(g)
-    assert [d.pid for d in g.check_memo] == [0, 1, 2]
     h = g.clone()
     d1 = h.procs[1] = h.procs[1].clone()
     d1.rhs_id = 1
-    assert h.check_memo is None
     with pytest.raises(PropertyViolation, match="records rhs"):
         check_neighbor_state(h)
     check_neighbor_state(g)

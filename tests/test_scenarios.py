@@ -2,6 +2,7 @@
 
 import pytest
 
+from ringcheck import barrier, daemons
 from ringcheck.barrier import BarrierBits, all_bits
 from ringcheck.daemons import (ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, TraceState,
                                begin_insertion)
@@ -59,16 +60,27 @@ class TestValidation:
             build_scenario(ScenarioConfig("barrier", size=3, inserters=1))
 
     def test_variant_and_feature_selection(self):
-        assert build_scenario(ScenarioConfig("ring-seq", inserters=1)).variant == SEQUENTIAL
-        assert build_scenario(ScenarioConfig("ring-par", inserters=1)).variant == PARALLEL
-        trace = build_scenario(ScenarioConfig("trace", size=3))
-        assert trace.variant == PARALLEL and trace.trace_enabled
-        rec = build_scenario(ScenarioConfig("recovery", size=3))
-        assert rec.variant == PARALLEL and rec.trace_enabled
-        assert rec.failure == FAIL_NONDET
-        assert build_scenario(ScenarioConfig("recovery", size=3, fail_pid=1)).failure == 1
-        plain = build_scenario(ScenarioConfig("ring-par", size=3))
-        assert plain.failure is None and not plain.trace_enabled
+        # Every value a scenario derives from its config, for each algorithm:
+        # (config, protocol, variant, trace_enabled, failure, conn_max, qsz).
+        # Barrier reads no variant; it gets PARALLEL, as every algorithm but ring-seq.
+        expected = [
+            (ScenarioConfig("ring-seq", size=2, inserters=1),
+             daemons, SEQUENTIAL, False, None, 8, 3),
+            (ScenarioConfig("ring-seq", size=1, inserters=1, blocking=True),
+             daemons, SEQUENTIAL, False, None, 6, 2),
+            (ScenarioConfig("ring-par", size=2, inserters=2), daemons, PARALLEL, False, None, 12, 4),
+            (ScenarioConfig("ring-par", size=3), daemons, PARALLEL, False, None, 6, 3),
+            (ScenarioConfig("trace", size=3), daemons, PARALLEL, True, None, 6, 3),
+            (ScenarioConfig("recovery", size=3), daemons, PARALLEL, True, FAIL_NONDET, 6, 3),
+            (ScenarioConfig("recovery", size=3, fail_pid=1), daemons, PARALLEL, True, 1, 6, 3),
+            (ScenarioConfig("barrier", size=4), barrier, PARALLEL, False, None, 8, 4),
+        ]
+        for cfg, *want in expected:
+            sc = build_scenario(cfg)
+            got = [sc.protocol, sc.variant, sc.trace_enabled, sc.failure, sc.conn_max, sc.qsz]
+            assert got == want, cfg
+            assert (sc.n_initial, sc.n_inserters, sc.seq_blocking) == (cfg.size, cfg.inserters,
+                                                                       cfg.blocking), cfg
 
 
 class TestSizing:

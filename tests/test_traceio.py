@@ -79,7 +79,13 @@ LAST_STEP = "pid=2 kind=event fd=6 cmd=rhs2info"
      differs(1, "ringcheck-trace v999\n", MAGIC + "\n")),
     (lambda t: t.replace("steps=", "steps=x"), differs(7, "steps=x8\n", "steps=8\n")),
     (lambda t: t + "pid=0 kind=event fd=1 cmd=new_rhs\n", differs(7, "steps=8\n", "steps=9\n")),
-    (lambda t: t.replace("kind=action", "kind=oracle"), "line 8: unknown step kind 'oracle'"),
+    (lambda t: t.replace("kind=action", "kind=oracle"),
+     differs(8, FIRST_STEP.replace("action", "oracle") + "\n", FIRST_STEP + "\n")),
+    # A step's kind follows from its fd: a kind= that disagrees does not render back.
+    (lambda t: t.replace("kind=action", "kind=event", 1),
+     differs(8, FIRST_STEP.replace("action", "event") + "\n", FIRST_STEP + "\n")),
+    (lambda t: t[:-len(LAST_STEP) - 1] + LAST_STEP.replace("event", "action") + "\n",
+     differs(15, LAST_STEP.replace("event", "action") + "\n", LAST_STEP + "\n")),
     (lambda t: t.replace("pid=2", "pid=two"), "line 8: bad step line"),
     (lambda t: t.replace("algorithm=ring-par\n", ""),
      "lines 2-6: trace names an unbuildable scenario: incomplete"),
