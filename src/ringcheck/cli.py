@@ -9,6 +9,7 @@ schedule step by step. Exit codes are part of the interface:
     2   a resource limit truncated the search
     64  usage or configuration error, or a trace file that cannot be written
     65  trace file is malformed or does not fit its scenario
+    70  internal error: an exception the checker did not expect
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EX_VIOLATION = 1
 EX_LIMIT = 2
 EX_USAGE = 64
 EX_TRACE = 65
+EX_SOFTWARE = 70
 
 _OUTCOME_EXIT = {VERIFIED: EX_OK, VIOLATION: EX_VIOLATION, RESOURCE_LIMIT: EX_LIMIT}
 
@@ -268,7 +270,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:  # a fault of the checker, not a verdict on the model
+        print(f"ringcheck {args.command}: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -90,6 +90,23 @@ def test_verify_refuses_a_model_past_the_process_bound(run_cli):
     assert r.out == "" and r.err.startswith("ringcheck verify: error: size plus inserters")
 
 
+def test_an_exception_in_the_checker_exits_seventy_not_as_a_violation(run_cli, monkeypatch):
+    from ringcheck import daemons
+
+    def start_trace(g, d):
+        raise KeyError("initiator")
+
+    monkeypatch.setattr(daemons, "start_trace", start_trace)
+    r = run_cli("verify", "trace", "--size", "2")
+    assert r.code == 70
+    assert r.out == ""
+    assert r.err == "ringcheck verify: internal error: KeyError: 'initiator'\n"
+    # A property that fails is still a violation, exit 1.
+    r = run_cli("verify", "ring-seq", "--size", "2", "--inserters", "2",
+                "--trace-out", os.devnull)
+    assert r.code == 1 and "outcome: VIOLATION" in r.out
+
+
 @pytest.mark.parametrize("command,report", [("verify", "outcome: VIOLATION"),
                                             ("simulate", "seed 0: ")], ids=["verify", "simulate"])
 def test_unwritable_trace_out_still_reports_and_exits_sixty_four(run_cli, tmp_path,

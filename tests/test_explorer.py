@@ -449,6 +449,12 @@ def stored_keys(store) -> int:
                             for hi, lo in zip(his, los) if hi or lo)
 
 
+def word_keys(store) -> set:
+    """The keys the store's word arrays hold, read from every used slot."""
+    return {hi << 64 | lo for his, los, _ in store.tables
+            for hi, lo in zip(his, los) if hi or lo}
+
+
 @st.composite
 def key_runs(draw):
     """Keys in runs, each run of one kind, generated from a drawn seed.
@@ -598,6 +604,54 @@ class TestVisitedKeys:
         assert stored == [n for n, fresh in enumerate(new) if fresh]
         assert (report.states_stored, report.states_matched) == (
             len(oracle), len(keys) - len(oracle))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(keys=key_runs())
+    @example(keys=[0, TOP_KEY, 0, 1, 2, 3, TOP_KEY, 0, 1, 4, 5, 6, 7, TOP_KEY, 2])
+    def test_a_tiny_recent_set_clears_often_and_keeps_only_stored_keys(self, keys):
+        """With RECENT_LIMIT at 3, recent is cleared every third new key,
+        and add still answers as a set would, 0 and TOP_KEY included."""
+        store = VisitedKeys()
+        oracle = set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explorer_mod, "RECENT_LIMIT", 3)
+            for n, key in enumerate(keys):
+                assert store.add(key) == (key not in oracle), hex(key)
+                oracle.add(key)
+                # Each new nonzero key enters recent once it is in the words.
+                written = len(oracle) - (0 in oracle)
+                assert len(store.recent) == ((written - 1) % 3 + 1 if written else 0)
+                assert store.recent <= oracle and 0 not in store.recent
+                if n % 64 == 0:
+                    assert store.recent <= word_keys(store)
+        assert store.recent <= word_keys(store) == oracle - {0}
+        assert store.zero == (0 in oracle)
+
+    @pytest.mark.parametrize("limit", [explorer_mod.RECENT_LIMIT, 1024])
+    def test_recent_answers_most_matched_lookups_on_barrier(self, limit, monkeypatch):
+        """A search re-finds the keys it stored last: on barrier 10 at least
+        80 % of the matched lookups are in recent before the probe, also
+        where recent is cleared twice (1,024 keys, 2,057 stored)."""
+        matched = in_recent = 0
+        real_add = VisitedKeys.add
+
+        def add(self, key):
+            nonlocal matched, in_recent
+            hit = key in self.recent
+            new = real_add(self, key)
+            assert not (hit and new)
+            if not new:
+                matched += 1
+                in_recent += hit
+            return new
+
+        monkeypatch.setattr(explorer_mod, "RECENT_LIMIT", limit)
+        monkeypatch.setattr(VisitedKeys, "add", add)
+        sc = scenario_for("barrier", size=10)
+        report = explore(sc, sc.default_properties())
+        assert (report.outcome, report.states_stored, matched) == (
+            VERIFIED, 2057, report.states_matched)
+        assert in_recent >= 0.8 * matched
 
     @pytest.mark.parametrize("algorithm,kw,outcome", [
         ("ring-par", {"size": 1, "inserters": 2}, VERIFIED),
