@@ -1,22 +1,20 @@
 """Manager ring barrier.
 
 N managers sit on a hard-wired ring; a manager's rank is its pid, and
-manager 0 is the leader. Each manager fronts one client, tracked as two
-global bit vectors: client_barrier_in (the client reached the barrier) and
-client_barrier_out (the client was released). The barrier_in token leaves
-the leader when its own client arrives and travels clockwise; a manager
-whose client has not arrived parks the token (holding_barrier_in) and
-releases it on arrival. When the token returns to the leader everyone has
-arrived, and a barrier_out token makes one clockwise circuit releasing each
-client. The leader releases its own client when barrier_out returns, so it
-is the last one out.
+manager 0 is the leader. Each manager fronts one client and keeps its
+client's two flags in its own record: client_in (the client reached the
+barrier) and client_out (the client was released). The barrier_in token
+leaves the leader when its own client arrives and travels clockwise; a
+manager whose client has not arrived parks the token (holding_barrier_in)
+and releases it on arrival. When the token returns to the leader everyone
+has arrived, and a barrier_out token makes one clockwise circuit releasing
+each client. The leader releases its own client last, when barrier_out
+returns.
 
-The bit vectors are the state's episode record. The visited key hashes
-them one part per manager, its (in, out) bits, and a handler reads and
-writes only its own manager's bits, straight from g.episode: like the
-manager's own record, that part is read by no other manager's step. So a
-barrier step's key delta hashes that part alone, and it can be reused past
-the steps of the others (see explorer).
+A handler reads and writes its own manager's record and the slots its
+table logs, nothing else, so the barrier keeps no shared state: its episode
+record (BarrierBits) is empty, and a barrier step's key delta hashes its
+manager's record and its slots alone, like any other step (see explorer).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class ManagerState:
     """Per-manager record."""
 
     __slots__ = ("pid", "rhs_fd", "holding_barrier_in",
-                 "sent_barrier_in", "sent_barrier_out")
+                 "sent_barrier_in", "sent_barrier_out", "client_in", "client_out")
 
     dead = False  # managers never fail
 
@@ -51,6 +49,8 @@ class ManagerState:
         # exactly once per episode; a second send trips a violation.
         self.sent_barrier_in = False
         self.sent_barrier_out = False
+        self.client_in = False  # this manager's client reached the barrier
+        self.client_out = False  # and was released
 
     @property
     def is_leader(self) -> bool:
@@ -63,11 +63,14 @@ class ManagerState:
         m.holding_barrier_in = self.holding_barrier_in
         m.sent_barrier_in = self.sent_barrier_in
         m.sent_barrier_out = self.sent_barrier_out
+        m.client_in = self.client_in
+        m.client_out = self.client_out
         return m
 
     def canon(self) -> tuple:
         # Ring wiring is static; only the episode progress is state.
-        return (self.holding_barrier_in, self.sent_barrier_in, self.sent_barrier_out)
+        return (self.holding_barrier_in, self.sent_barrier_in, self.sent_barrier_out,
+                self.client_in, self.client_out)
 
     def summary(self) -> str:
         return (f"m{self.pid} rank={self.pid} holding={int(self.holding_barrier_in)} "
@@ -75,50 +78,37 @@ class ManagerState:
 
 
 class BarrierBits:
-    """Global client bit vectors for one barrier episode.
+    """A barrier state's episode record, which holds nothing.
 
-    It is a barrier state's episode record. States share one record until a
-    step writes it; the writer, client_reaches_barrier or _on_barrier_out,
-    replaces g.episode with a clone first. Its parts for the visited key are
-    one per manager, part(pid) being pid's (in, out) bits, and parts() lists
-    them by pid; the state's encoding holds the two vectors whole (canon). A
-    barrier step reads and writes its own part unlogged, so step_delta
-    hashes that part alone.
+    The client flags live in the managers' records, so a state's encoding
+    and key have one empty episode part, and no step writes the record.
+    clone, which returns the record itself, is called by no step; it stays
+    because perfbench/tracer.py wraps it by name. The dump line packs the
+    managers' flags into two bit vectors, bit pid being manager pid's
+    client.
     """
 
-    __slots__ = ("client_barrier_in", "client_barrier_out", "managers")
-
-    def __init__(self, managers: int):
-        self.client_barrier_in = 0
-        self.client_barrier_out = 0
-        self.managers = managers  # static: one part per manager
+    __slots__ = ()
 
     def clone(self) -> "BarrierBits":
-        b = BarrierBits.__new__(BarrierBits)
-        b.client_barrier_in = self.client_barrier_in
-        b.client_barrier_out = self.client_barrier_out
-        b.managers = self.managers
-        return b
+        return self
 
     def canon(self) -> tuple:
-        return (self.client_barrier_in, self.client_barrier_out)
-
-    def part(self, pid: int) -> tuple:
-        """The visited key's episode part pid: manager pid's (in, out) bits."""
-        return ((self.client_barrier_in >> pid) & 1, (self.client_barrier_out >> pid) & 1)
-
-    def parts(self) -> tuple:
-        """Every part, part(pid) at index pid."""
-        return tuple(map(self.part, range(self.managers)))
+        return ()
 
     def dump(self, g) -> str:
         n = len(g.procs)  # one bit per manager
-        return f"bits in={self.client_barrier_in:0{n}b} out={self.client_barrier_out:0{n}b}"
+        arrived, released = client_bits(g)
+        return f"bits in={arrived:0{n}b} out={released:0{n}b}"
 
 
-def all_bits(g) -> int:
-    """The bit vector with every manager's client bit set."""
-    return (1 << len(g.procs)) - 1
+def client_bits(g) -> tuple[int, int]:
+    """The managers' client_in and client_out flags as two bit vectors."""
+    arrived = released = 0
+    for m in g.procs:
+        arrived |= m.client_in << m.pid
+        released |= m.client_out << m.pid
+    return arrived, released
 
 
 def initial_state(sc) -> GlobalState:
@@ -126,7 +116,7 @@ def initial_state(sc) -> GlobalState:
     table = SocketTable(sc.conn_max, sc.qsz)
     procs = [ManagerState(i) for i in range(sc.n_initial)]
     wire_ring(table, procs)
-    return GlobalState(sc, table, procs, BarrierBits(sc.n_initial))
+    return GlobalState(sc, table, procs, BarrierBits())
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:
@@ -151,11 +141,9 @@ def _send_token(g, m: ManagerState, cmd: str) -> None:
 
 
 def client_reaches_barrier(g, m: ManagerState) -> None:
-    bits = g.episode = g.episode.clone()
-    bit = 1 << m.pid
-    if bits.client_barrier_in & bit:
+    if m.client_in:
         raise ProtocolViolation(f"m{m.pid}: client arrived twice in one episode")
-    bits.client_barrier_in |= bit
+    m.client_in = True
     if m.is_leader:
         _send_token(g, m, BARRIER_IN)
     elif m.holding_barrier_in:
@@ -167,21 +155,19 @@ def _on_barrier_in(g, m: ManagerState) -> None:
     if m.is_leader:
         # Token returned: every client is in, start releasing.
         _send_token(g, m, BARRIER_OUT)
-    elif g.episode.client_barrier_in & (1 << m.pid):
+    elif m.client_in:
         _send_token(g, m, BARRIER_IN)
     else:
         m.holding_barrier_in = True
 
 
 def _on_barrier_out(g, m: ManagerState) -> None:
-    bits = g.episode = g.episode.clone()
-    bit = 1 << m.pid
-    if bits.client_barrier_out & bit:
+    if m.client_out:
         raise ProtocolViolation(f"m{m.pid}: barrier_out arrived twice")
-    if not m.is_leader and not (bits.client_barrier_in & bit):
+    if not m.is_leader and not m.client_in:
         # Cannot happen: barrier_out only exists after the in-circuit closed.
         raise ProtocolViolation(f"m{m.pid}: released before my client arrived")
-    bits.client_barrier_out |= bit
+    m.client_out = True
     if not m.is_leader:
         _send_token(g, m, BARRIER_OUT)
     # The leader absorbs the token, releasing its own client last.
@@ -195,22 +181,20 @@ def steps(g) -> list[ScheduleStep]:
     sorted from the table and the arrivals from one interned tuple; a
     stable sort by pid merges them, each wake before its manager's arrival.
     """
-    arrived = g.episode.client_barrier_in
     out = []
     for pid, fd, name in g.sockets.ready_events():
         out.append(schedule_step(pid, fd, name))
-    for bit, arrival in _arrivals(len(g.procs)):
-        if not arrived & bit:
+    for m, arrival in zip(g.procs, _arrivals(len(g.procs))):
+        if not m.client_in:
             out.append(arrival)
     out.sort(key=step_pid)
     return out
 
 
 @functools.cache
-def _arrivals(n: int) -> tuple[tuple[int, ScheduleStep], ...]:
-    """Each of n managers' client_barrier_in bit and its client's arrival step."""
-    return tuple((1 << pid, schedule_step(pid, -1, ACT_CLIENT_ARRIVAL))
-                 for pid in range(n))
+def _arrivals(n: int) -> tuple[ScheduleStep, ...]:
+    """Each of n managers' client arrival step, by pid."""
+    return tuple(schedule_step(pid, -1, ACT_CLIENT_ARRIVAL) for pid in range(n))
 
 
 def act(g, m: ManagerState, action: str) -> None:

@@ -190,13 +190,6 @@ class TraceState:
         # started and done follow from these two, so they are not stored.
         return (self.initiator, self.collected)
 
-    def part(self, i: int) -> tuple:
-        """The visited key's episode part i; the record is one part, part 0."""
-        return self.parts()[i]
-
-    def parts(self) -> tuple:
-        return (self.canon(),)
-
     def dump(self, g) -> str:
         if not self.started:
             return ""

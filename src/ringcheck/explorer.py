@@ -13,9 +13,9 @@ each other by pid, and a queued message is a plain int tuple
 therefore the marshal of its own fields, in three parts:
 
     (sockets: (one (other, owner, flag, queue) slot per fd),
-     processes: (one field tuple per pid),
-     episode: the trace's (initiator, collected pids)
-              or the barrier's (client_barrier_in, client_barrier_out))
+     processes: (one field tuple per pid; a manager's holds its client's
+                 in and out flags),
+     episode: the trace's (initiator, collected pids), or the barrier's ())
 
 Each part holds what some handler or property reads and nothing that
 follows from the rest, as SPIN's data-flow pass keeps dead variables out of
@@ -36,17 +36,13 @@ actions, not by visiting every process.
 The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
 tuple (hashed whole; its layout is the socket table's), each process record
-and each part of the episode record, hashed with its position (state_key).
-The record names its parts: the trace record is one part, the barrier bits
-one per manager. A successor's key is its predecessor's plus its step's
-delta (step_delta), the difference of the hashes of the components the step
-replaced: the fds its socket table logged as written, the acting pid's
-record if its canon() changed, and, if the step swapped the episode record
-for a copy, the parts that changed. A step whose handler read the record
-through read_episode may have changed any part, so every part is compared;
-any other step wrote its own pid's part alone (see below), so that part
-alone is hashed, and a barrier step costs the same at any manager count.
-step_delta is the one
+and the episode record, each hashed with its position (state_key). A
+successor's key is its predecessor's plus its step's delta (step_delta),
+the difference of the hashes of the components the step replaced: the fds
+its socket table logged as written, the acting pid's record if its canon()
+changed, and the episode record if the step swapped it for a copy whose
+canon() changed. A barrier step writes its own manager's record and slots
+alone, so it costs the same at any manager count. step_delta is the one
 incremental path; only the initial state's key sums every component. So a
 stored state costs what its step touched, in the manner of Nguyen & Ruys,
 "Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
@@ -83,24 +79,24 @@ changes no answer of add and costs a fixed 310 KB or so on top of the
 The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
 delta. A handler reads its own process record, the socket slots its table
-logs in the read record (SocketTable.reads), its own part of an episode
-record keyed one part per pid, and nothing else of the state but through
-GlobalState.read_episode and read_dead_pids; the scenario is static. A step
-writes only what it read, so in any state where what it read is as it was,
-it writes the same values over the same old ones, and its delta is the
-same. Each DFS frame therefore keeps (delta, footprint),
-the footprint being the table's read record, for the steps tried at its
+logs in the read record (SocketTable.reads), and nothing else of the state
+but through GlobalState.read_episode and read_dead_pids; the scenario is
+static. A step writes only what it read, so in any state where what it read
+is as it was, it writes the same values over the same old ones, and its
+delta is the same. Each DFS frame therefore keeps (delta, footprint), the
+footprint being the table's read record, for the steps tried at its
 state and those its parent passed down, the delta being the very
 step_delta that keyed the step where it ran; descending through a step t,
 a frame passes down the entries of the other pids whose footprint t's
-touched fds leave alone (t wrote its own record and episode part, which
-only the steps of its pid read), in the manner of Godefroid's sleep sets
+touched fds leave alone (t wrote its own record, which only the steps of
+its pid read), in the manner of Godefroid's sleep sets
 ("Partial-Order Methods for the Verification of Concurrent Systems", 1996).
 A step whose handler read a shared record, the episode record through
 read_episode or the dead set, takes no entry; every trace step reads the
 trace record so. A barrier arrival or release reads and writes only its
-own manager's bits, one part of the key, so it takes an entry like any
-other step: barrier 13 matches 90,102 of its 106,509 transitions unrun.
+own manager's record, client flags included, and the slots it logs, so it
+takes an entry like any other step: barrier 13 matches 90,102 of its
+106,509 transitions unrun.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
@@ -212,9 +208,9 @@ class GlobalState:
     """Everything mutable in one scenario instant.
 
     episode is the protocol's record of the running episode. It supplies
-    its part of the encoding (canon), its parts for the visited key (parts,
-    a tuple of component tuples, and part(i), its part i alone; see
-    state_key and step_delta) and its dump line (dump, "" for none).
+    its part of the encoding, which is also its one component of the
+    visited key (canon; see state_key and step_delta), and its dump line
+    (dump, "" for none).
 
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
@@ -266,14 +262,7 @@ class GlobalState:
     # shared_read, as the socket table's accessors log the slots it reads.
 
     def read_episode(self):
-        """The episode record, read by a handler; one that writes it reads it first.
-
-        The one exception: where the record has one part per pid, part i
-        being pid i's, a handler may read and write its own pid's part
-        straight from self.episode (copying the record before it writes),
-        as it does its own process record. A read of any other part goes
-        through here.
-        """
+        """The episode record, read by a handler; one that writes it reads it first."""
         self.shared_read = True
         return self.episode
 
@@ -316,7 +305,7 @@ def state_digest(g: GlobalState) -> bytes:
 
 # The hash memo is cleared at this size: unbounded, it held 4,502 entries
 # and grew peak RSS by 1.0 MB on recovery 48, whose many slot tuples are
-# seldom met twice. barrier 13, keyed one part per manager, needs 142.
+# seldom met twice.
 MEMO_LIMIT = 1024
 
 _KEY_MASK = (1 << 128) - 1
@@ -344,9 +333,9 @@ def state_key(g: GlobalState, memo: dict) -> int:
     """The visited key of g: the sum mod 2**128 of its component hashes.
 
     The components are each fd's slot tuple at position fd, each process
-    record at position len(slots) + pid, and part i of the episode
-    record's parts() at position EPISODE_POS - i: -1, -2, and so on. memo
-    maps (position, component) to its hash; one search shares one memo.
+    record at position len(slots) + pid, and the episode record's canon()
+    at EPISODE_POS. memo maps (position, component) to its hash; one
+    search shares one memo.
     Unequal states collide with chance 2**-128 per pair, below 1e-20
     across even 10**9 stored states, so exhaustiveness is not meaningfully
     weakened. explore sums every component only for the initial state; a
@@ -363,8 +352,7 @@ def state_key(g: GlobalState, memo: dict) -> int:
         key += _component_hash(fd, slot, memo)
     for pid, p in enumerate(g.procs):
         key += _component_hash(base + pid, p.canon(), memo)
-    for i, part in enumerate(g.episode.parts()):
-        key += _component_hash(EPISODE_POS - i, part, memo)
+    key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
     return key & _KEY_MASK
 
 
@@ -373,13 +361,9 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
 
     The one incremental path of the key: the difference is taken at the
     components the step may have replaced, the fds h's table logged in
-    touched, pid's record unless its canon() equals g's, and, if h's episode
-    record is no longer g's object, the episode parts that differ from g's:
-    every part if the handler read the record through read_episode
-    (h.shared_read), else part pid alone, the one part a handler may read
-    and write unlogged (GlobalState.read_episode), so that a barrier step
-    hashes one manager's bits, not all N. The result is not reduced mod
-    2**128; memo is state_key's.
+    touched, pid's record unless its canon() equals g's, and the episode
+    record if it is no longer g's object and its canon() differs from g's.
+    The result is not reduced mod 2**128; memo is state_key's.
     """
     slots = h.sockets.slots
     old = g.sockets.slots
@@ -392,14 +376,11 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
         pos = len(slots) + pid
         delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
     if h.episode is not g.episode:
-        if h.shared_read:
-            changed = enumerate(zip(h.episode.parts(), g.episode.parts()))
-        else:  # the step read and wrote its own part alone
-            changed = ((pid, (h.episode.part(pid), g.episode.part(pid))),)
-        for i, (now, was) in changed:
-            if now != was:
-                pos = EPISODE_POS - i
-                delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
+        now = h.episode.canon()
+        was = g.episode.canon()
+        if now != was:
+            delta += (_component_hash(EPISODE_POS, now, memo)
+                      - _component_hash(EPISODE_POS, was, memo))
     return delta
 
 

@@ -13,7 +13,7 @@ invariants that no reachable state may break.
 
 from __future__ import annotations
 
-from .barrier import BARRIER_END, BARRIER_INVARIANT, all_bits
+from .barrier import BARRIER_END, BARRIER_INVARIANT, client_bits
 from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
 from .errors import PropertyViolation
 from .sockets import FREE, INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
@@ -142,12 +142,11 @@ def check_trace_completion(g) -> None:
 
 
 def check_barrier_end(g) -> None:
-    bits, full = g.episode, all_bits(g)
-    if bits.client_barrier_out != full:
+    if not all(m.client_out for m in g.procs):
         raise PropertyViolation(
-            f"episode ended with release bits {bits.client_barrier_out:0{len(g.procs)}b}"
+            f"episode ended with release bits {client_bits(g)[1]:0{len(g.procs)}b}"
         )
-    if bits.client_barrier_in != full:
+    if not all(m.client_in for m in g.procs):
         raise PropertyViolation("release complete but some client never arrived")
     for m in g.procs:
         if m.holding_barrier_in:
@@ -158,12 +157,14 @@ def check_barrier_end(g) -> None:
 
 def check_barrier_invariant(g) -> None:
     """No client is released until every client has arrived."""
-    bits = g.episode
-    if bits.client_barrier_out == 0:
+    for m in g.procs:  # a plain loop: this runs at every state
+        if m.client_out:
+            break
+    else:
         return
-    if bits.client_barrier_in != all_bits(g):
+    if not all(m.client_in for m in g.procs):
         raise PropertyViolation(
-            f"release began with arrivals {bits.client_barrier_in:0{len(g.procs)}b}"
+            f"release began with arrivals {client_bits(g)[0]:0{len(g.procs)}b}"
         )
     if any(m.holding_barrier_in for m in g.procs):
         raise PropertyViolation("release began while barrier_in is still parked")

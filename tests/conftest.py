@@ -1,5 +1,5 @@
-"""Shared helpers: an in-process CLI runner, a brute-force BFS oracle and one
-process's wakes."""
+"""Shared helpers: an in-process CLI runner, a brute-force BFS oracle, one
+process's wakes and a barrier's client flags set from bit vectors."""
 
 from __future__ import annotations
 
@@ -67,3 +67,11 @@ def bfs_quiescent_encodings(scenario, depth_bound: int = 64) -> set[bytes]:
 def wakes_of(table, pid: int) -> list[tuple[int, str]]:
     """pid's (fd, name) wakes as table.ready_events() lists them, in fd order."""
     return [(fd, name) for owner, fd, name in table.ready_events() if owner == pid]
+
+
+def set_client_bits(g, arrived: int, released: int) -> None:
+    """Set each manager's client_in and client_out from two bit vectors, bit
+    pid being manager pid's, as barrier.client_bits packs them."""
+    for m in g.procs:
+        m.client_in = bool(arrived >> m.pid & 1)
+        m.client_out = bool(released >> m.pid & 1)

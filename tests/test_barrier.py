@@ -2,14 +2,14 @@
 
 import pytest
 
-from ringcheck.barrier import all_bits, client_reaches_barrier, handle_event
+from ringcheck.barrier import client_bits, client_reaches_barrier, handle_event
 from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import EVENT_CONNECT, LHS, QUEUE
 
-from conftest import wakes_of
+from conftest import set_client_bits, wakes_of
 
 
 def barrier_state(n):
@@ -34,7 +34,7 @@ class TestTokens:
     def test_leader_arrival_launches_the_in_token(self):
         scenario, g = barrier_state(3)
         client_reaches_barrier(g, g.procs[0])
-        assert g.episode.client_barrier_in == 0b001
+        assert client_bits(g) == (0b001, 0)
         assert g.procs[0].sent_barrier_in
         q = g.sockets.peek(lhs_of(g, 1))[QUEUE]
         assert [command_of(m) for m in q] == [BARRIER_IN]
@@ -42,7 +42,7 @@ class TestTokens:
     def test_follower_arrival_alone_sends_nothing(self):
         scenario, g = barrier_state(3)
         client_reaches_barrier(g, g.procs[1])
-        assert g.episode.client_barrier_in == 0b010
+        assert client_bits(g) == (0b010, 0)
         assert not g.procs[1].sent_barrier_in
 
     def test_token_parks_until_the_local_client_arrives(self):
@@ -71,17 +71,16 @@ class TestTokens:
         while True:
             moved = False
             for pid in range(3):
-                before = g.episode.client_barrier_out
+                before = client_bits(g)[1]
                 if wakes_of(g.sockets, pid):
                     deliver(g, pid)
                     moved = True
-                    after = g.episode.client_barrier_out
+                    after = client_bits(g)[1]
                     if after != before:
                         release_order.append(pid)
             if not moved:
                 break
-        assert g.episode.client_barrier_in == all_bits(g)
-        assert g.episode.client_barrier_out == all_bits(g)
+        assert client_bits(g) == (0b111, 0b111)
         assert release_order[-1] == 0  # leader absorbs barrier_out, exits last
 
     def test_double_arrival_is_a_violation(self):
@@ -93,8 +92,7 @@ class TestTokens:
     def test_double_out_token_is_a_violation(self):
         scenario, g = barrier_state(2)
         m = g.procs[1]
-        g.episode.client_barrier_in = all_bits(g)
-        g.episode.client_barrier_out = 1 << 1
+        set_client_bits(g, 0b11, 0b10)
         g.sockets.write(0, g.procs[0].rhs_fd, message(BARRIER_OUT))
         with pytest.raises(ProtocolViolation, match="barrier_out arrived twice"):
             deliver(g, 1)
@@ -108,7 +106,7 @@ class TestTokens:
     def test_second_send_on_one_channel_is_a_violation(self):
         scenario, g = barrier_state(2)
         client_reaches_barrier(g, g.procs[0])
-        g.episode.client_barrier_in = 0  # forge a fresh-looking episode
+        g.procs[0].client_in = False  # forge a fresh-looking episode
         with pytest.raises(ProtocolViolation, match="second barrier_in"):
             client_reaches_barrier(g, g.procs[0])
 
@@ -136,9 +134,9 @@ class TestBarrierExploration:
         scenario = build_scenario(ScenarioConfig("barrier", size=3))
 
         def leader_last(g):
-            bits = g.episode
-            if bits.client_barrier_out & 1:
-                assert bits.client_barrier_out == all_bits(g)
+            released = client_bits(g)[1]
+            if released & 1:
+                assert released == 0b111
 
         stack = [scenario.initial_state()]
         seen = set()

@@ -540,6 +540,15 @@ def test_cli_matrix_digests_the_same_runs_alike_twice():
     assert replays[0] == replays[1]  # both searches found one counterexample
 
 
+def test_cli_matrix_total_over_the_barrier_is_pinned():
+    # The barrier's dump line and replays, which the ring models never print.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_matrix.py"
+    proc = subprocess.run([sys.executable, str(script), "barrier-4"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "a10e0ee08938670f total (18 runs)"
+
+
 @pytest.mark.slow  # about 17 s: 171 runs, each a child process
 def test_cli_matrix_total_over_every_model_is_pinned():
     script = Path(__file__).resolve().parent.parent / "scripts" / "cli_matrix.py"

@@ -74,6 +74,8 @@ from ringcheck.sockets import (
     SocketTable,
 )
 
+from conftest import set_client_bits
+
 
 def scenario_for(algorithm, **kw):
     return build_scenario(ScenarioConfig(algorithm, **kw))
@@ -186,7 +188,7 @@ class TestEnabledSteps:
         (("recovery", {"size": 4}),
          "af972d16ab07150c3804725b40295621", "64b9e1a58c8efa4a1df627cd398d026b"),
         (("barrier", {"size": 4}),
-         "f5a78952257fd41f87d05bb5e3f46fd2", "c2977c69c825304f2de433a3c6c9d78b"),
+         "f5a78952257fd41f87d05bb5e3f46fd2", "28fb440079aaa211fa1c768c5b2f21c7"),
     ]
 
     @pytest.mark.parametrize("model,listings,with_encodings", STEP_ORDER_DIGESTS,
@@ -304,17 +306,12 @@ class TestCopyOnWrite:
         with pytest.raises(AssertionError, match="predecessor changed"):
             check_copy_on_write(scenario_for("barrier", size=4))
 
-    @pytest.mark.parametrize("algorithm,kw,record", [
-        ("trace", {"size": 3}, daemons_mod.TraceState),
-        ("barrier", {"size": 4}, barrier_mod.BarrierBits),
-    ], ids=["trace", "bits"])
-    def test_an_episode_record_written_without_a_copy_is_caught(
-            self, monkeypatch, algorithm, kw, record):
+    def test_an_episode_record_written_without_a_copy_is_caught(self, monkeypatch):
         # The writers of g.episode copy the shared record first;
         # with a copy that returns the record itself, they write it in place.
-        monkeypatch.setattr(record, "clone", lambda self: self)
+        monkeypatch.setattr(daemons_mod.TraceState, "clone", lambda self: self)
         with pytest.raises(AssertionError, match="predecessor changed"):
-            check_copy_on_write(scenario_for(algorithm, **kw))
+            check_copy_on_write(scenario_for("trace", size=3))
 
 
 class TestEncoding:
@@ -363,14 +360,14 @@ class TestEncoding:
             "7fe9308e2f7c10c1d66e25f52038a454")
         barrier = scenario_for("barrier", size=2)
         assert state_digest(barrier.initial_state()).hex() == (
-            "295f2387d1c346b303a96758a8749e02")
+            "84a23eb409e5389970826d810e041f12")
         # Rings of one: a daemon, and a manager, wired to itself.
         ring_of_one = scenario_for("ring-par", size=1)
         assert state_digest(ring_of_one.initial_state()).hex() == (
             "529419a1418c6c7459c3d803f55a31eb")
         barrier_of_one = scenario_for("barrier", size=1)
         assert state_digest(barrier_of_one.initial_state()).hex() == (
-            "bb6e32c42ebba32ba7ab09e02dc31919")
+            "16a48ca59aafebf4bca96e1e941fae31")
         for (algorithm, kw), schedule, digest in self.MESSAGE_DIGESTS:
             run = replay(scenario_for(algorithm, **kw), [ScheduleStep(*s) for s in schedule])
             assert len(run.trace) == len(schedule) and run.violation is None
@@ -826,50 +823,23 @@ class TestIncrementalKey:
             data = marshal.dumps((pos, c), 2)
             return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
-        # The trace record is one part at -1, hashed flat; the barrier bits
-        # are one part per manager, pid's (in, out) bits at -1 - pid.
+        # The episode record is one component at -1: the trace record's
+        # (initiator, collected), the barrier's (), whose client flags sit
+        # in the manager records.
         for algorithm, record in [("barrier", barrier_mod.BarrierBits),
                                   ("trace", daemons_mod.TraceState)]:
             g = scenario_for(algorithm, size=3).initial_state()
             t = g.sockets
             assert type(g.episode) is record
             if record is barrier_mod.BarrierBits:
-                g.episode.client_barrier_in = 0b011  # three unequal parts
-                g.episode.client_barrier_out = 0b010
-                parts = {-1: (1, 0), -2: (1, 1), -3: (0, 0)}
-            else:
-                parts = {-1: g.episode.canon()}
+                set_client_bits(g, 0b011, 0b010)  # three unequal managers
+                assert [p.canon()[-2:] for p in g.procs] == [
+                    (True, False), (True, True), (False, False)]
+                assert g.episode.canon() == ()
             total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
             total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
-            total += sum(h(pos, part) for pos, part in parts.items())
+            total += h(-1, g.episode.canon())
             assert state_key(g, {}) == total % 2**128, algorithm
-
-    def test_each_barrier_part_is_its_index_in_parts(self):
-        report, states = stored_states(scenario_for("barrier", size=5))
-        assert report.outcome == VERIFIED and len(states) == report.states_stored
-        for g in states:
-            bits = g.episode
-            parts = bits.parts()
-            assert len(parts) == 5
-            assert all(bits.part(i) == parts[i] for i in range(5))
-
-    def test_the_trace_record_is_its_one_part(self):
-        # No search calls TraceState.part: every trace step reads the record
-        # through read_episode, so step_delta compares parts() whole.
-        report, states = stored_states(scenario_for("trace", size=3))
-        assert report.outcome == VERIFIED and len(states) == report.states_stored
-        for g in states:
-            parts = g.episode.parts()
-            assert parts == (g.episode.canon(),)
-            assert g.episode.part(0) == parts[0]
-
-    def test_a_barrier_write_of_another_managers_bits_needs_the_audit(self, monkeypatch):
-        # step_delta keys an unlogged episode swap at the acting manager's
-        # part alone, so only audit_footprint's write check keeps a handler
-        # from writing another manager's bits; without it, the key is wrong.
-        monkeypatch.setattr(barrier_mod, "_on_barrier_out", releases_the_next_client_too)
-        with pytest.raises(AssertionError, match="differs from a fresh one"):
-            check_keys(scenario_for("barrier", size=4))
 
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
         # The touched-fd socket check cannot see this: a read only shortens
@@ -937,40 +907,13 @@ def bits(n: int) -> set:
     return {i for i in range(n.bit_length()) if n >> i & 1}
 
 
-def other_managers_flipped(bits, pid: int):
-    """A copy of barrier bits with every manager's bits flipped but pid's."""
-    b = bits.clone()
-    others = ((1 << len(bits.parts())) - 1) ^ (1 << pid)
-    b.client_barrier_in ^= others
-    b.client_barrier_out ^= others
-    return b
-
-
-# The episode records a handler may read without a log at its own pid's
-# part, each with a copy of the record that changes every other part.
-OWN_PART_RECORDS = {barrier_mod.BarrierBits: other_managers_flipped}
-
-
-def own_part_effect(g, step):
-    """What step does from g: the failure it raises, or the slots, the
-    acting pid's record and the acting pid's episode part it leaves."""
-    try:
-        h = apply(g, step)
-    except CheckError as e:
-        return type(e), str(e)
-    return tuple(h.sockets.slots), h.procs[step.pid].canon(), h.episode.parts()[step.pid]
-
-
 def audit_footprint(g, step) -> None:
     """Run step on a copy of g that notes what its handler reads.
 
     Every slot it reads must be in the table's read record, it must read no
     process record but its own, and if it reads the episode record or the
     dead set, the state must say so (shared_read); what it writes, it must
-    have read. A handler may read and write the acting pid's part of an
-    OWN_PART_RECORDS record without a log, and no other part: it must write
-    no other part, and must act alike from a copy of g with every other
-    part changed.
+    have read.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
@@ -991,17 +934,8 @@ def audit_footprint(g, step) -> None:
     assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
     others = procs.seen - {step.pid}
     assert not others, f"{name} read the records of {sorted(others)}"
-    if (episode.read or h.episode is not episode) and not h.shared_read:
-        flip = OWN_PART_RECORDS.get(type(g.episode))
-        assert flip is not None, f"{name} read the episode record unlogged"
-        before, after = g.episode.parts(), h.episode.parts()
-        wrote = {i for i, (a, b) in enumerate(zip(after, before)) if a != b} - {step.pid}
-        assert not wrote, f"{name} wrote the episode parts of {sorted(wrote)}"
-        other = g.clone()
-        other.episode = flip(g.episode, step.pid)
-        other.derived_dead = g.derived_dead
-        assert own_part_effect(g, step) == own_part_effect(other, step), (
-            f"{name} read the episode parts of other pids")
+    if episode.read or h.episode is not episode:
+        assert h.shared_read, f"{name} read the episode record unlogged"
     if dead.read:
         assert h.shared_read, f"{name} read the dead set unlogged"
 
@@ -1078,8 +1012,7 @@ DERIVED_MATCHES = [
 
 def on_barrier_in_awaits_the_leader(g, m):
     """_on_barrier_in that also parks the token until the leader's client arrived."""
-    both = 1 << m.pid | 1
-    if m.is_leader or g.episode.client_barrier_in & both == both:
+    if m.is_leader or m.client_in and g.procs[0].client_in:
         barrier_mod._send_token(g, m, BARRIER_OUT if m.is_leader else BARRIER_IN)
     else:
         m.holding_barrier_in = True
@@ -1087,9 +1020,9 @@ def on_barrier_in_awaits_the_leader(g, m):
 
 def releases_the_next_client_too(g, m, release=barrier_mod._on_barrier_out):
     """_on_barrier_out (release, bound before any patch) that also sets the
-    next manager's out bit."""
-    release(g, m)  # which replaced g.episode with a copy
-    g.episode.client_barrier_out |= 1 << (m.pid + 1) % len(g.procs)
+    next manager's client_out, in the record its predecessor shares."""
+    release(g, m)
+    g.procs[(m.pid + 1) % len(g.procs)].client_out = True
 
 
 def trace_req_in_place(g, d, fd, msg):
@@ -1206,28 +1139,22 @@ class TestDerivedKeys:
 
     def test_a_barrier_read_of_another_managers_bits_is_caught(self, monkeypatch):
         # barrier_in reaches a manager only after the leader's client arrived,
-        # so this read of the leader's bit changes no verdict and no key.
+        # so this read of the leader's flag changes no verdict and no key.
         sc = scenario_for("barrier", size=4)
         monkeypatch.setattr(barrier_mod, "_on_barrier_in", on_barrier_in_awaits_the_leader)
-        with pytest.raises(AssertionError, match="read the episode parts of other pids"):
+        with pytest.raises(AssertionError, match="read the records of"):
             check_derived_keys(sc)
         monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
         assert check_derived_keys(sc) > 0
 
     def test_a_barrier_write_of_another_managers_bits_is_caught(self, monkeypatch):
+        # The next manager's record is the predecessor's too, and the
+        # step's key delta covers the acting manager's record alone; the
+        # audit sees the write as a read of that record.
         monkeypatch.setattr(barrier_mod, "_on_barrier_out", releases_the_next_client_too)
-        with pytest.raises(AssertionError, match="wrote the episode parts of"):
-            check_derived_keys(scenario_for("barrier", size=4))
-
-    def test_flat_barrier_parts_give_wrong_keys(self, monkeypatch):
-        # Every part all the bits, flat; parts() is built from part, so it
-        # holds one such copy per manager. An arrival keyed at its own part
-        # alone leaves the other copies stale, and one derived past another
-        # manager's arrival misses that manager's new bit: the derived
-        # search keys states by their paths and ends with other counts.
-        monkeypatch.setattr(barrier_mod.BarrierBits, "part", lambda self, pid: self.canon())
-        monkeypatch.setitem(globals(), "audit_footprint", lambda g, step: None)
-        with pytest.raises(AssertionError, match="states_stored"):
+        with pytest.raises(AssertionError, match="predecessor changed"):
+            check_copy_on_write(scenario_for("barrier", size=4))
+        with pytest.raises(AssertionError, match="read the records of"):
             check_derived_keys(scenario_for("barrier", size=4))
 
     def test_property_checks_and_wake_listing_leave_the_read_record_alone(self):
@@ -1385,12 +1312,11 @@ def reference_steps(g) -> list:
         ready.setdefault(pid, []).append((fd, name))
     out = []
     if g.scenario.protocol is barrier_mod:
-        arrived = g.episode.client_barrier_in
         for m in g.procs:
             pid = m.pid
             for fd, name in ready.get(pid, ()):
                 out.append(ScheduleStep(pid, fd, name))
-            if not (arrived >> pid) & 1:
+            if not m.client_in:
                 out.append(ScheduleStep(pid, -1, ACT_CLIENT_ARRIVAL))
         return out
     sc = g.scenario

@@ -7,7 +7,6 @@ only as good as these rejections.
 
 import pytest
 
-from ringcheck.barrier import all_bits
 from ringcheck.daemons import DEAD, ENTERING_LHS
 from ringcheck.errors import PropertyViolation
 from ringcheck.explorer import EVERY_STATE, QUIESCENCE_ONLY
@@ -22,6 +21,8 @@ from ringcheck.properties import (
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import LHS, RHS
+
+from conftest import set_client_bits
 
 
 def ring(n, algorithm="ring-par"):
@@ -197,38 +198,33 @@ class TestBarrierChecks:
 
     def test_release_before_full_arrival_fails(self):
         g = barrier(3)
-        g.episode.client_barrier_in = 0b011
-        g.episode.client_barrier_out = 0b010
+        set_client_bits(g, 0b011, 0b010)
         with pytest.raises(PropertyViolation, match="release began with arrivals"):
             check_barrier_invariant(g)
 
     def test_release_with_parked_token_fails(self):
         g = barrier(2)
-        g.episode.client_barrier_in = all_bits(g)
-        g.episode.client_barrier_out = 0b01
+        set_client_bits(g, 0b11, 0b01)
         g.procs[1].holding_barrier_in = True
         with pytest.raises(PropertyViolation, match="still parked"):
             check_barrier_invariant(g)
 
     def test_finished_episode_passes_the_end_check(self):
         g = barrier(2)
-        g.episode.client_barrier_in = all_bits(g)
-        g.episode.client_barrier_out = all_bits(g)
+        set_client_bits(g, 0b11, 0b11)
         for m in g.procs:
             m.sent_barrier_in = m.sent_barrier_out = True
         check_barrier_end(g)
 
     def test_unreleased_client_fails_the_end_check(self):
         g = barrier(2)
-        g.episode.client_barrier_in = all_bits(g)
-        g.episode.client_barrier_out = 0b01
+        set_client_bits(g, 0b11, 0b01)
         with pytest.raises(PropertyViolation, match="release bits"):
             check_barrier_end(g)
 
     def test_token_never_passed_fails_the_end_check(self):
         g = barrier(2)
-        g.episode.client_barrier_in = all_bits(g)
-        g.episode.client_barrier_out = all_bits(g)
+        set_client_bits(g, 0b11, 0b11)
         with pytest.raises(PropertyViolation, match="never passed"):
             check_barrier_end(g)
 
