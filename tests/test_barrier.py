@@ -2,7 +2,8 @@
 
 import pytest
 
-from ringcheck.barrier import client_bits, client_reaches_barrier, handle_event
+from ringcheck.barrier import (BarrierBits, ManagerState, client_bits, client_reaches_barrier,
+                               handle_event)
 from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
@@ -120,6 +121,59 @@ class TestTokens:
         scenario, g = barrier_state(2)
         with pytest.raises(ProtocolViolation, match="unexpected"):
             handle_event(g, g.procs[0], 0, EVENT_CONNECT)
+
+
+class TestClientFlags:
+    """Each manager keeps its client's two flags; the episode record is empty."""
+
+    def test_a_managers_flags_are_in_its_canon_and_copied_by_its_clone(self):
+        m = ManagerState(2)
+        m.client_in = True
+        c = m.clone()
+        assert (c.client_in, c.client_out) == (True, False)
+        c.client_out = True
+        assert not m.client_out  # the copy is its own record
+        assert m.canon()[-2:] == (True, False) and c.canon()[-2:] == (True, True)
+        assert m.canon() != c.canon()
+
+    def test_the_episode_record_holds_nothing(self):
+        bits = BarrierBits()
+        assert bits.canon() == ()
+        assert bits.clone() is bits
+        assert not hasattr(bits, "__dict__")
+
+    @pytest.mark.parametrize("n,arrived,released,line", [
+        (1, 0, 0, "bits in=0 out=0"),
+        (4, 0b0101, 0b0001, "bits in=0101 out=0001"),
+        (5, 0b11111, 0b11110, "bits in=11111 out=11110"),
+    ])
+    def test_the_dump_line_packs_the_managers_flags(self, n, arrived, released, line):
+        scenario, g = barrier_state(n)
+        set_client_bits(g, arrived, released)
+        assert client_bits(g) == (arrived, released)
+        assert [(m.client_in, m.client_out) for m in g.procs] == [
+            (bool(arrived >> i & 1), bool(released >> i & 1)) for i in range(n)]
+        assert g.episode.dump(g) == line
+
+    def test_no_step_replaces_the_episode_record(self):
+        # Every handler writes its own manager's record alone, so every
+        # reachable state shares the initial state's empty record.
+        scenario = build_scenario(ScenarioConfig("barrier", size=4))
+        g0 = scenario.initial_state()
+        stack = [g0]
+        seen = set()
+        from ringcheck.explorer import encode
+
+        while stack:
+            g = stack.pop()
+            key = encode(g)
+            if key in seen:
+                continue
+            seen.add(key)
+            assert g.episode is g0.episode
+            for step in enabled_steps(g):
+                stack.append(apply(g, step))
+        assert len(seen) > 10
 
 
 class TestBarrierExploration:

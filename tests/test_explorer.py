@@ -841,6 +841,23 @@ class TestIncrementalKey:
             total += h(-1, g.episode.canon())
             assert state_key(g, {}) == total % 2**128, algorithm
 
+    def test_an_episode_copy_with_equal_canon_adds_nothing(self):
+        # step_delta compares the episode record's canon() whenever the
+        # object changed; a copy that changed nothing keys as the original.
+        report, states = stored_states(scenario_for("trace", size=3))
+        assert report.outcome == VERIFIED and len(states) == report.states_stored
+        memo = {}
+        moved = 0
+        for g in states:
+            for step in enabled_steps(g):
+                h = apply(g, step)
+                delta = step_delta(g, h, step.pid, memo)
+                moved += h.episode.canon() != g.episode.canon()
+                h.episode = h.episode.clone()
+                assert step_delta(g, h, step.pid, memo) == delta
+                assert delta % 2**128 == (state_key(h, memo) - state_key(g, memo)) % 2**128
+        assert moved > 0  # some steps did write the record
+
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
         # The touched-fd socket check cannot see this: a read only shortens
         # a queue, which no invariant can break. The key can.
