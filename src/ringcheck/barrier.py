@@ -12,9 +12,9 @@ each client. The leader releases its own client last, when barrier_out
 returns.
 
 A handler reads and writes its own manager's record and the slots its
-table logs, nothing else, so the barrier keeps no shared state: its episode
-record (BarrierBits) is empty, and a barrier step's key delta hashes its
-manager's record and its slots alone, like any other step (see explorer).
+table logs, nothing else, so the barrier keeps no shared state, and a
+barrier step's key delta hashes its manager's record and its slots alone,
+like any other step (see explorer).
 """
 
 from __future__ import annotations
@@ -78,15 +78,7 @@ class ManagerState:
 
 
 class BarrierBits:
-    """A barrier state's episode record, which holds nothing.
-
-    The client flags live in the managers' records, so a state's encoding
-    and key have one empty episode part, and no step writes the record.
-    clone, which returns the record itself, is called by no step; it stays
-    because perfbench/tracer.py wraps it by name. The dump line packs the
-    managers' flags into two bit vectors, bit pid being manager pid's
-    client.
-    """
+    """No state holds one; it stays because perfbench/tracer.py wraps its methods by name."""
 
     __slots__ = ()
 
@@ -96,10 +88,12 @@ class BarrierBits:
     def canon(self) -> tuple:
         return ()
 
-    def dump(self, g) -> str:
-        n = len(g.procs)  # one bit per manager
-        arrived, released = client_bits(g)
-        return f"bits in={arrived:0{n}b} out={released:0{n}b}"
+
+def dump_line(g) -> str:
+    """The state dump's line of client flags, bit pid being manager pid's client."""
+    n = len(g.procs)  # one bit per manager
+    arrived, released = client_bits(g)
+    return f"bits in={arrived:0{n}b} out={released:0{n}b}"
 
 
 def client_bits(g) -> tuple[int, int]:
@@ -116,7 +110,7 @@ def initial_state(sc) -> GlobalState:
     table = SocketTable(sc.conn_max, sc.qsz)
     procs = [ManagerState(i) for i in range(sc.n_initial)]
     wire_ring(table, procs)
-    return GlobalState(sc, table, procs, BarrierBits())
+    return GlobalState(sc, table, procs)
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:

@@ -12,9 +12,11 @@ Every handler runs atomically between two scheduling points: it consumes one
 ready event, performs its reads, writes, connects and closes, and returns.
 Interleaving happens only between handler invocations. Beyond the acting
 daemon's record and the socket slots it reads through the table, a handler
-reads the trace episode and the set of dead pids only through
-g.read_episode and g.read_dead_pids, which mark the step as one that read
-a shared record (see explorer), and no other daemon's record.
+reads only the set of dead pids, through g.read_dead_pids, which marks the
+step as one that read a shared record (see explorer), and no other
+daemon's record. A ring trace is the initiator's: the daemon that starts
+it keeps what the trace collected in its own record (trace), as MPD's
+daemons share no memory.
 
 Daemons name each other by pid: the neighbor fields, the trace collection
 and every message payload hold pids, -1 for "nobody", so a record's
@@ -95,13 +97,15 @@ class DaemonState:
     new_lhs messages (and from ring construction); it is what makes the
     addressed counterclockwise rhs2info sends expressible. pending_requesters
     is the sequential variant's FIFO of fds awaiting a relayed coordinate
-    answer.
+    answer. trace is None on a daemon that started no ring trace, () once
+    it started one, and the pids the trace collected once its trace_req
+    came back.
     """
 
     __slots__ = (
         "pid", "phase",
         "lhs_fd", "rhs_fd", "lhs_id", "rhs_id", "rhs2_id",
-        "await_cmd", "pending_requesters",
+        "await_cmd", "pending_requesters", "trace",
     )
 
     def __init__(self, pid: int):
@@ -114,6 +118,7 @@ class DaemonState:
         self.rhs2_id = ABSENT
         self.await_cmd: str | None = None
         self.pending_requesters: tuple[int, ...] = ()
+        self.trace: tuple[int, ...] | None = None
 
     def clone(self) -> "DaemonState":
         d = DaemonState.__new__(DaemonState)
@@ -126,6 +131,7 @@ class DaemonState:
         d.rhs2_id = self.rhs2_id
         d.await_cmd = self.await_cmd
         d.pending_requesters = self.pending_requesters
+        d.trace = self.trace
         return d
 
     @property
@@ -144,6 +150,7 @@ class DaemonState:
             self.rhs2_id,
             self.await_cmd,
             self.pending_requesters,
+            self.trace,
         )
 
     def summary(self) -> str:
@@ -158,43 +165,29 @@ class DaemonState:
 
 
 class TraceState:
-    """Bookkeeping for one ring trace episode; collected holds pids.
+    """No state holds one; it stays because perfbench/tracer.py wraps its methods by name."""
 
-    It is a ring state's episode record. States share one record until a
-    step writes it; the writer, start_trace (which sets initiator) or the
-    initiator's _on_trace_req (which sets collected), replaces g.episode
-    with a clone first.
-    """
-
-    __slots__ = ("initiator", "collected")
-
-    def __init__(self):
-        self.initiator = -1
-        self.collected: tuple[int, ...] = ()
-
-    @property
-    def started(self) -> bool:
-        return self.initiator >= 0
-
-    @property
-    def done(self) -> bool:
-        return self.collected != ()  # once set, it holds the initiator's pid at least
+    __slots__ = ()
 
     def clone(self) -> "TraceState":
-        t = TraceState.__new__(TraceState)
-        t.initiator = self.initiator
-        t.collected = self.collected
-        return t
+        return self
 
     def canon(self) -> tuple:
-        # started and done follow from these two, so they are not stored.
-        return (self.initiator, self.collected)
+        return ()
 
-    def dump(self, g) -> str:
-        if not self.started:
-            return ""
-        ids = ",".join(f"n{pid}" for pid in self.collected)
-        return f"trace initiator={self.initiator} done={int(self.done)} collected=[{ids}]"
+
+def trace_initiator(g) -> DaemonState | None:
+    """The daemon that started the ring trace, the one whose record holds it; None before."""
+    return next((d for d in g.procs if d.trace is not None), None)
+
+
+def dump_line(g) -> str:
+    """The state dump's trace line, read off the initiator's record; "" before a trace."""
+    d = trace_initiator(g)
+    if d is None:
+        return ""
+    ids = ",".join(f"n{pid}" for pid in d.trace)
+    return f"trace initiator={d.pid} done={int(d.trace != ())} collected=[{ids}]"
 
 
 def initial_state(sc) -> GlobalState:
@@ -210,7 +203,7 @@ def initial_state(sc) -> GlobalState:
         d.rhs2_id = (i + 2) % m
         d.lhs_id = (i - 1) % m
         d.phase = IN_RING
-    return GlobalState(sc, table, procs, TraceState())
+    return GlobalState(sc, table, procs)
 
 
 def properties(sc) -> tuple[tuple[str, str], ...]:
@@ -267,8 +260,7 @@ def inject_failure(g, pid: int) -> None:
 
 def start_trace(g, d: DaemonState) -> None:
     """Launch a ring trace with daemon d, the lowest-pid live one, as initiator."""
-    t = g.episode = g.read_episode().clone()
-    t.initiator = d.pid
+    d.trace = ()
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, ids=(d.pid,)))
 
 
@@ -281,8 +273,8 @@ def steps(g) -> list[ScheduleStep]:
     scenario has both inserters and a failure. The wakes come sorted from
     the table and the actions from one interned tuple; a stable sort by pid
     merges them. The trace start is a timeout: it is offered, by the
-    lowest-pid live daemon, only when no other step is, so a trace runs on
-    a settled ring.
+    lowest-pid live daemon, only when no other step is and no daemon has
+    started a trace, so a trace runs on a settled ring.
     """
     sc = g.scenario
     procs = g.procs
@@ -302,7 +294,7 @@ def steps(g) -> list[ScheduleStep]:
         out += (_actions(ACT_INJECT_FAILURE, 0, len(procs)) if victim == FAIL_NONDET
                 else _actions(ACT_INJECT_FAILURE, victim, victim + 1))
         out.sort(key=step_pid)
-    if not out and sc.trace_enabled and not g.episode.started:
+    if not out and sc.trace_enabled and trace_initiator(g) is None:
         dead = g.dead_pids()
         first = next((pid for pid in range(len(procs)) if pid not in dead), None)
         if first is not None:
@@ -492,12 +484,8 @@ def _on_rhs_info_return(g, d, fd, msg):
 
 
 def _on_trace_req(g, d, fd, msg):
-    t = g.read_episode()
-    if not t.started:
-        raise ProtocolViolation(f"d{d.pid}: trace_req outside a trace episode")
-    if t.initiator == d.pid:
-        t = g.episode = t.clone()
-        t.collected = msg[IDS]
+    if d.trace is not None:  # back at the initiator: the circuit is closed
+        d.trace = msg[IDS]
         g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE))
         return
     if len(msg[IDS]) >= _live_count(g):
@@ -506,8 +494,8 @@ def _on_trace_req(g, d, fd, msg):
 
 
 def _on_trace_done(g, d, fd, msg):
-    if g.read_episode().initiator == d.pid:
-        return  # completion report absorbed after its full circuit
+    if d.trace is not None:
+        return  # completion report absorbed by the initiator after its full circuit
     g.sockets.write(d.pid, d.rhs_fd, msg)
 
 

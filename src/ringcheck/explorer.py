@@ -1,51 +1,49 @@
 """Explicit-state exploration over the simulated socket world.
 
 A GlobalState carries every mutable piece of a scenario: the descriptor
-table, all per-process records and one episode record, whose fields only its
-protocol module reads. States are canonically encodable; the encoding is
-injective over the scenario's state space, so the visited set prunes exactly
-the states already expanded.
+table and the per-process records. States are canonically encodable; the
+encoding is injective over the scenario's state space, so the visited set
+prunes exactly the states already expanded.
 
 The model already holds its canonical form, in the manner of SPIN's flat
 state vector (Holzmann, "State compression in SPIN", 1997): daemons name
 each other by pid, and a queued message is a plain int tuple
 (cmd index, a, b, ids) with -1 for an absent party. A state's encoding is
-therefore the marshal of its own fields, in three parts:
+therefore the marshal of its own fields, in two parts:
 
     (sockets: (one (other, owner, flag, queue) slot per fd),
      processes: (one field tuple per pid; a manager's holds its client's
-                 in and out flags),
-     episode: the trace's (initiator, collected pids), or the barrier's ())
+                 in and out flags, a daemon's the trace it started))
 
 Each part holds what some handler or property reads and nothing that
 follows from the rest, as SPIN's data-flow pass keeps dead variables out of
-its state vector (Holzmann, "The model checker SPIN", 1997). The episode
-record makes its own part (its canon method), so the explorer never names
-the record's type.
+its state vector (Holzmann, "The model checker SPIN", 1997). There is no
+shared record: as in MPD, whose daemons share no memory, what a protocol
+episode collects lives in the record of the process that runs it, as a
+local variable of that process does in SPIN's state vector. Each record
+makes its own tuple (its canon method), so the explorer never names a
+record's type.
 
 A step costs what it changes, not the number of processes. Handlers only
 ever mutate the acting process, so a successor shares every other process
 record with its predecessor (copy on write: apply copies the acting one).
-The episode record is shared the same way: the few handlers that write it
-copy it first. The ready events of all processes come from the socket
-table's wake map, which a successor's table copies from its predecessor's
-and every slot write keeps current. Sorted, the map lists the wakes by pid,
-so a protocol lists a state's steps by merging that list with its pending
-actions, not by visiting every process.
+The ready events of all processes come from the socket table's wake map,
+which a successor's table copies from its predecessor's and every slot
+write keeps current. Sorted, the map lists the wakes by pid, so a protocol
+lists a state's steps by merging that list with its pending actions, not by
+visiting every process.
 
 The visited store does not hold encodings. It holds a 128-bit key that is
 the sum, mod 2**128, of one hash per component of the state: each fd's slot
-tuple (hashed whole; its layout is the socket table's), each process record
-and the episode record, each hashed with its position (state_key). A
-successor's key is its predecessor's plus its step's delta (step_delta),
-the difference of the hashes of the components the step replaced: the fds
-its socket table logged as written, the acting pid's record if its canon()
-changed, and the episode record if the step swapped it for a copy whose
-canon() changed. A barrier step writes its own manager's record and slots
-alone, so it costs the same at any manager count. step_delta is the one
-incremental path; only the initial state's key sums every component. So a
-stored state costs what its step touched, in the manner of Nguyen & Ruys,
-"Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
+tuple (hashed whole; its layout is the socket table's) and each process
+record, each hashed with its position (state_key). A successor's key is its
+predecessor's plus its step's delta (step_delta), the difference of the
+hashes of the components the step replaced: the fds its socket table logged
+as written and the acting pid's record if its canon() changed. A step
+writes its own record and slots alone, so it costs the same at any process
+count. step_delta is the one incremental path; only the initial state's key
+sums every component. So a stored state costs what its step touched, in the
+manner of Nguyen & Ruys, "Incremental hashing for SPIN" (SPIN 2008). The keys live in the search,
 not in the states: each DFS frame holds its state's key, and a state never
 learns its own.
 encode(g) stays the definition of state equality: two states get one key
@@ -80,7 +78,7 @@ The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
 delta. A handler reads its own process record, the socket slots its table
 logs in the read record (SocketTable.reads), and nothing else of the state
-but through GlobalState.read_episode and read_dead_pids; the scenario is
+but the dead set, through GlobalState.read_dead_pids; the scenario is
 static. A step writes only what it read, so in any state where what it read
 is as it was, it writes the same values over the same old ones, and its
 delta is the same. Each DFS frame therefore keeps (delta, footprint), the
@@ -91,12 +89,12 @@ a frame passes down the entries of the other pids whose footprint t's
 touched fds leave alone (t wrote its own record, which only the steps of
 its pid read), in the manner of Godefroid's sleep sets
 ("Partial-Order Methods for the Verification of Concurrent Systems", 1996).
-A step whose handler read a shared record, the episode record through
-read_episode or the dead set, takes no entry; every trace step reads the
-trace record so. A barrier arrival or release reads and writes only its
-own manager's record, client flags included, and the slots it logs, so it
-takes an entry like any other step: barrier 13 matches 90,102 of its
-106,509 transitions unrun.
+A step whose handler read the dead set takes no entry: a failure
+recovery's bridge, and a trace_req passed on, which counts the live
+daemons. A trace's initiator keeps its collection in its own record, and a
+barrier manager its client's flags, so their steps read and write only
+their own record and the slots they log, and take an entry like any other
+step: barrier 13 matches 90,102 of its 106,509 transitions unrun.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
@@ -121,7 +119,8 @@ The unit of interleaving is one handler invocation. Like SPIN's search
 engine, the explorer knows nothing of the protocol it runs: the scenario's
 protocol module (daemons or barrier) builds the initial state
 (initial_state), lists the properties to check (properties), lists a
-state's enabled steps in a fixed order (steps) and runs one. A step is
+state's enabled steps in a fixed order (steps), runs one, and renders the
+protocol's line of a state dump (dump_line). A step is
 (pid, fd, cmd): with fd -1 it is a spontaneous action, which act runs;
 with any other fd it is a wake on that fd, which handle_event runs, its
 cmd the name the socket table gave the wake. A protocol makes its steps
@@ -205,21 +204,17 @@ step_pid = itemgetter(0)  # a ScheduleStep's pid, the sort key that merges liste
 
 
 class GlobalState:
-    """Everything mutable in one scenario instant.
-
-    episode is the protocol's record of the running episode. It supplies
-    its part of the encoding, which is also its one component of the
-    visited key (canon; see state_key and step_delta), and its dump line
-    (dump, "" for none).
+    """Everything mutable in one scenario instant: the socket table and the
+    process records.
 
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
 
     shared_read is True if the handler of the step that made the state read
-    the episode record (read_episode) or the dead set (read_dead_pids);
-    explore keeps no entry for such a step (see the module docstring).
-    Checks and step listing read the fields directly and log nothing.
+    the dead set (read_dead_pids); explore keeps no entry for such a step
+    (see the module docstring). Checks and step listing read the fields
+    directly and log nothing.
 
     A state caches nothing its checks compute: each quiescence check that
     needs the ring walks it again (properties.ring_order), and a search
@@ -237,13 +232,12 @@ class GlobalState:
     to the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "episode", "derived_dead", "shared_read")
+    __slots__ = ("scenario", "sockets", "procs", "derived_dead", "shared_read")
 
-    def __init__(self, scenario, sockets, procs, episode):
+    def __init__(self, scenario, sockets, procs):
         self.scenario = scenario  # static, shared across all derived states
         self.sockets = sockets
         self.procs = procs
-        self.episode = episode
         self.derived_dead = None
         self.shared_read = False  # see the class docstring
 
@@ -253,21 +247,13 @@ class GlobalState:
         g.scenario = self.scenario
         g.sockets = self.sockets.clone()
         g.procs = self.procs[:]
-        g.episode = self.episode  # copied by the handler that writes it
         g.derived_dead = None
         g.shared_read = False
         return g
 
-    # A handler reads the shared records through these, which set
-    # shared_read, as the socket table's accessors log the slots it reads.
-
-    def read_episode(self):
-        """The episode record, read by a handler; one that writes it reads it first."""
-        self.shared_read = True
-        return self.episode
-
     def read_dead_pids(self) -> frozenset[int]:
-        """dead_pids(), read by a handler."""
+        """dead_pids(), read by a handler: sets shared_read, as the socket
+        table's accessors log the slots they read."""
         self.shared_read = True
         return self.dead_pids()
 
@@ -279,12 +265,12 @@ class GlobalState:
         return dead
 
     def canon(self) -> tuple:
-        return (self.sockets.canon(), tuple([p.canon() for p in self.procs]),
-                self.episode.canon())
+        return (self.sockets.canon(), tuple([p.canon() for p in self.procs]))
 
     def dump(self) -> str:
         lines = [p.summary() for p in self.procs]
-        lines += [part for part in (self.episode.dump(self), self.sockets.dump()) if part]
+        lines += [part for part in (self.scenario.protocol.dump_line(self), self.sockets.dump())
+                  if part]
         return "\n".join(lines)
 
 
@@ -309,7 +295,6 @@ def state_digest(g: GlobalState) -> bytes:
 MEMO_LIMIT = 1024
 
 _KEY_MASK = (1 << 128) - 1
-EPISODE_POS = -1
 
 
 def _component_hash(pos: int, c: tuple, memo: dict) -> int:
@@ -332,9 +317,8 @@ def _component_hash(pos: int, c: tuple, memo: dict) -> int:
 def state_key(g: GlobalState, memo: dict) -> int:
     """The visited key of g: the sum mod 2**128 of its component hashes.
 
-    The components are each fd's slot tuple at position fd, each process
-    record at position len(slots) + pid, and the episode record's canon()
-    at EPISODE_POS. memo maps (position, component) to its hash; one
+    The components are each fd's slot tuple at position fd and each process
+    record at position len(slots) + pid. memo maps (position, component) to its hash; one
     search shares one memo.
     Unequal states collide with chance 2**-128 per pair, below 1e-20
     across even 10**9 stored states, so exhaustiveness is not meaningfully
@@ -352,7 +336,6 @@ def state_key(g: GlobalState, memo: dict) -> int:
         key += _component_hash(fd, slot, memo)
     for pid, p in enumerate(g.procs):
         key += _component_hash(base + pid, p.canon(), memo)
-    key += _component_hash(EPISODE_POS, g.episode.canon(), memo)
     return key & _KEY_MASK
 
 
@@ -360,10 +343,8 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
     """state_key(h) - state_key(g) mod 2**128, h made from g by a step of pid.
 
     The one incremental path of the key: the difference is taken at the
-    components the step may have replaced, the fds h's table logged in
-    touched, pid's record unless its canon() equals g's, and the episode
-    record if it is no longer g's object and its canon() differs from g's.
-    The result is not reduced mod 2**128; memo is state_key's.
+    components the step may have replaced: the fds h's table logged in
+    touched, and pid's record unless its canon() equals g's. The result is not reduced mod 2**128; memo is state_key's.
     """
     slots = h.sockets.slots
     old = g.sockets.slots
@@ -375,12 +356,6 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
     if now != was:
         pos = len(slots) + pid
         delta += _component_hash(pos, now, memo) - _component_hash(pos, was, memo)
-    if h.episode is not g.episode:
-        now = h.episode.canon()
-        was = g.episode.canon()
-        if now != was:
-            delta += (_component_hash(EPISODE_POS, now, memo)
-                      - _component_hash(EPISODE_POS, was, memo))
     return delta
 
 

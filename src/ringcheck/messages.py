@@ -57,7 +57,7 @@ class Identity(NamedTuple):
 #   rhs2info           a = target daemon, b = its new second-right neighbor
 #   rhs_info_return    a = the daemon being answered
 #   trace_req          ids = daemons collected so far, the initiator first
-#   trace_done         nothing; the collection is the episode's
+#   trace_done         nothing; the initiator's record holds the collection
 FIELDS = 4  # the length of every message tuple
 CMD, A, B, IDS = range(FIELDS)
 ABSENT = -1

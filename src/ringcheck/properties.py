@@ -14,7 +14,8 @@ invariants that no reachable state may break.
 from __future__ import annotations
 
 from .barrier import BARRIER_END, BARRIER_INVARIANT, client_bits
-from .daemons import DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION
+from .daemons import (DEAD, IN_RING, NEIGHBOR_STATE, PHASE_NAMES, RING_TOPOLOGY, TRACE_COMPLETION,
+                      trace_initiator)
 from .errors import PropertyViolation
 from .sockets import FREE, INVALID_FD, LHS, RHS, SOCKET_INVARIANTS
 
@@ -122,21 +123,20 @@ def check_neighbor_state(g) -> None:
 
 
 def check_trace_completion(g) -> None:
-    """A finished episode carries every live daemon exactly once, in ring order."""
-    t = g.episode
-    if not t.started:
+    """A finished trace carries every live daemon exactly once, in ring order."""
+    initiator = trace_initiator(g)
+    if initiator is None:
         raise PropertyViolation("trace episode never started")
-    if not t.done:
+    if not initiator.trace:
         raise PropertyViolation("trace episode started but never completed")
     order = ring_order(g)
-    initiator = g.procs[t.initiator]
     if initiator.phase == DEAD:
         raise PropertyViolation("trace initiator is dead")
-    i = next(k for k, d in enumerate(order) if d.pid == t.initiator)
+    i = next(k for k, d in enumerate(order) if d is initiator)
     expected = tuple(d.pid for d in order[i:] + order[:i])
-    if t.collected != expected:
+    if initiator.trace != expected:
         name = g.scenario.registry.name
-        got = ",".join(str(name(x)) for x in t.collected)
+        got = ",".join(str(name(x)) for x in initiator.trace)
         want = ",".join(str(name(x)) for x in expected)
         raise PropertyViolation(f"trace collected [{got}] but the ring is [{want}]")
 

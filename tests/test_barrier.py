@@ -3,7 +3,7 @@
 import pytest
 
 from ringcheck.barrier import (BarrierBits, ManagerState, client_bits, client_reaches_barrier,
-                               handle_event)
+                               dump_line, handle_event)
 from ringcheck.errors import ProtocolViolation
 from ringcheck.explorer import VERIFIED, apply, enabled_steps, explore
 from ringcheck.messages import BARRIER_IN, BARRIER_OUT, command_of, message
@@ -124,7 +124,7 @@ class TestTokens:
 
 
 class TestClientFlags:
-    """Each manager keeps its client's two flags; the episode record is empty."""
+    """Each manager keeps its client's two flags; no record is shared."""
 
     def test_a_managers_flags_are_in_its_canon_and_copied_by_its_clone(self):
         m = ManagerState(2)
@@ -136,8 +136,8 @@ class TestClientFlags:
         assert m.canon()[-2:] == (True, False) and c.canon()[-2:] == (True, True)
         assert m.canon() != c.canon()
 
-    def test_the_episode_record_holds_nothing(self):
-        bits = BarrierBits()
+    def test_the_stub_record_holds_nothing(self):
+        bits = BarrierBits()  # no state holds one; it is kept for the benchmark's tracer
         assert bits.canon() == ()
         assert bits.clone() is bits
         assert not hasattr(bits, "__dict__")
@@ -153,27 +153,8 @@ class TestClientFlags:
         assert client_bits(g) == (arrived, released)
         assert [(m.client_in, m.client_out) for m in g.procs] == [
             (bool(arrived >> i & 1), bool(released >> i & 1)) for i in range(n)]
-        assert g.episode.dump(g) == line
-
-    def test_no_step_replaces_the_episode_record(self):
-        # Every handler writes its own manager's record alone, so every
-        # reachable state shares the initial state's empty record.
-        scenario = build_scenario(ScenarioConfig("barrier", size=4))
-        g0 = scenario.initial_state()
-        stack = [g0]
-        seen = set()
-        from ringcheck.explorer import encode
-
-        while stack:
-            g = stack.pop()
-            key = encode(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            assert g.episode is g0.episode
-            for step in enabled_steps(g):
-                stack.append(apply(g, step))
-        assert len(seen) > 10
+        assert dump_line(g) == line
+        assert line in g.dump().splitlines()
 
 
 class TestBarrierExploration:

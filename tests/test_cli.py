@@ -201,8 +201,9 @@ def test_replay_of_a_simulated_schedule_is_clean(run_cli, tmp_path):
     assert "  | " not in quiet.out
 
 
-# Full replay output of two seed-1 walks: the episode lines (bits, trace)
-# sit between the process summaries and the socket dump.
+# Full replay output of two seed-1 walks: the protocol's dump line (the
+# barrier's bits, the trace read off its initiator's record) sits between
+# the process summaries and the socket dump.
 REPLAY_GOLDEN = {
     "barrier": """\
 step 1: pid=0 kind=action fd=- cmd=client_arrival

@@ -16,14 +16,27 @@ from ringcheck.daemons import (
     IN_RING,
     PARALLEL,
     SEQUENTIAL,
+    DaemonState,
+    TraceState,
     begin_insertion,
+    dump_line,
     handle_event,
     inject_failure,
     start_trace,
+    trace_initiator,
 )
 from ringcheck import daemons as daemons_mod
 from ringcheck.errors import ProtocolViolation
-from ringcheck.explorer import EVERY_STATE, VERIFIED, Property, explore
+from ringcheck.explorer import (
+    ACT_START_TRACE,
+    EVERY_STATE,
+    VERIFIED,
+    Property,
+    apply,
+    enabled_steps,
+    encode,
+    explore,
+)
 from ringcheck.messages import (
     BARRIER_IN,
     NEW_LHS,
@@ -36,6 +49,7 @@ from ringcheck.messages import (
     TRACE_REQ,
     A,
     B,
+    IDS,
     command_of,
     message,
 )
@@ -324,34 +338,99 @@ class TestSequentialEntry:
 
 
 class TestTrace:
+    """A ring trace is its initiator's: only that daemon's record holds it."""
+
     def test_full_circuit_collects_identities_in_ring_order(self):
         scenario, g = ring_state("trace", 3)
         start_trace(g, g.procs[0])
-        assert g.episode.started and g.episode.initiator == 0
+        assert [d.trace for d in g.procs] == [(), None, None]
         deliver(g, 1, cmd=TRACE_REQ)
         deliver(g, 2, cmd=TRACE_REQ)
+        assert [d.trace for d in g.procs] == [(), None, None]  # the others pass it on
         deliver(g, 0, cmd=TRACE_REQ)
-        assert g.episode.done
-        assert g.episode.collected == (0, 1, 2)
+        assert [d.trace for d in g.procs] == [(0, 1, 2), None, None]
         # The completion report circulates once and is absorbed.
         deliver(g, 1, cmd=TRACE_DONE)
         deliver(g, 2, cmd=TRACE_DONE)
         deliver(g, 0, cmd=TRACE_DONE)
         assert queued_cmds(g, 0) == queued_cmds(g, 1) == queued_cmds(g, 2) == []
+        assert [d.trace for d in g.procs] == [(0, 1, 2), None, None]
+
+    def test_the_dump_line_reads_the_initiators_record(self):
+        scenario, g = ring_state("trace", 3)
+        assert dump_line(g) == ""
+        assert not any(line.startswith("trace") for line in g.dump().splitlines())
+        start_trace(g, g.procs[0])
+        assert dump_line(g) == "trace initiator=0 done=0 collected=[]"
+        deliver(g, 1, cmd=TRACE_REQ)
+        deliver(g, 2, cmd=TRACE_REQ)
+        assert dump_line(g) == "trace initiator=0 done=0 collected=[]"
+        deliver(g, 0, cmd=TRACE_REQ)
+        assert dump_line(g) == "trace initiator=0 done=1 collected=[n0,n1,n2]"
+        assert "trace initiator=0 done=1 collected=[n0,n1,n2]" in g.dump().splitlines()
+
+    def test_a_daemons_trace_is_in_its_canon_and_copied_by_its_clone(self):
+        d = DaemonState(0)
+        assert d.trace is None
+        d.trace = ()
+        c = d.clone()
+        assert c.trace == ()
+        c.trace = (0, 1, 2)
+        assert d.trace == ()  # the copy is its own record
+        assert d.canon() != c.canon()
+        assert c.canon() != DaemonState(0).canon() != d.canon()
+
+    def test_the_stub_record_holds_nothing(self):
+        stub = TraceState()  # no state holds one; it is kept for the benchmark's tracer
+        assert stub.canon() == ()
+        assert stub.clone() is stub
+        assert not hasattr(stub, "__dict__")
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_only_the_initiators_record_holds_a_trace_in_every_reachable_state(self, size):
+        scenario, g0 = ring_state("trace", size)
+        stack = [g0]
+        seen = set()
+        collected = set()
+        while stack:
+            g = stack.pop()
+            key = encode(g)
+            if key in seen:
+                continue
+            seen.add(key)
+            holders = [d for d in g.procs if d.trace is not None]
+            assert len(holders) <= 1
+            assert trace_initiator(g) is (holders[0] if holders else None)
+            if holders:
+                assert holders[0].pid == 0  # the lowest-pid live daemon
+                if holders[0].trace:
+                    collected.add(holders[0].trace)
+            offered = [s for s in enabled_steps(g) if s.cmd == ACT_START_TRACE]
+            assert len(offered) <= (0 if holders else 1)
+            for step in enabled_steps(g):
+                stack.append(apply(g, step))
+        assert collected == {tuple(range(size))}
+        assert len(seen) > size
 
     def test_overlong_circulation_is_a_violation(self):
         scenario, g = ring_state("trace", 2)
-        g.episode.initiator = 0
+        g.procs[0].trace = ()
         ids = (0, 1)
         g.sockets.write(0, g.procs[0].rhs_fd, message(TRACE_REQ, ids=ids))
         with pytest.raises(ProtocolViolation, match="past every daemon"):
             deliver(g, 1, cmd=TRACE_REQ)
 
     def test_trace_req_without_episode_is_a_violation(self):
+        # No daemon started a trace, so none absorbs the stray trace_req;
+        # it gains one pid per hop and trips the circulation guard within
+        # one circuit.
         scenario, g = ring_state("trace", 2)
         g.sockets.write(0, g.procs[0].rhs_fd, message(TRACE_REQ, ids=(0,)))
-        with pytest.raises(ProtocolViolation, match="outside a trace episode"):
-            deliver(g, 1, cmd=TRACE_REQ)
+        deliver(g, 1, cmd=TRACE_REQ)
+        assert [m[IDS] for m in g.sockets.peek(g.procs[0].lhs_fd)[QUEUE]] == [(0, 1)]
+        with pytest.raises(ProtocolViolation, match="past every daemon"):
+            deliver(g, 0, cmd=TRACE_REQ)
+        assert [d.trace for d in g.procs] == [None, None]
 
 
 class TestFailureRecovery:

@@ -58,10 +58,8 @@ from ringcheck.messages import (
     NEW_RHS,
     RECONNECT_RHS,
     RHS_INFO_RETURN,
-    TRACE_DONE,
     TRACE_REQ,
     command_of,
-    message,
 )
 from ringcheck.scenarios import ScenarioConfig, build_scenario
 from ringcheck.sockets import (
@@ -180,15 +178,15 @@ class TestEnabledSteps:
     # another order. The second digest also moves when the encoding does.
     STEP_ORDER_DIGESTS = [
         (("ring-par", {"size": 1, "inserters": 2}),
-         "67c40f4c0454f92564791c9e2d0160eb", "672043df25ba70fac80695b0f75a9d98"),
+         "67c40f4c0454f92564791c9e2d0160eb", "24bd6e33a97f9eecbc2bbc7ab12dc684"),
         (("ring-seq", {"size": 2, "inserters": 2, "blocking": True}),
-         "600b751b0ccd9a734c35d381e4c1c64c", "f45251c647d8faf405f44e6340ae2f93"),
+         "600b751b0ccd9a734c35d381e4c1c64c", "f5c65ac4523162ac624a60d6d46b7db6"),
         (("trace", {"size": 3}),
-         "8a444ea7dd55903df5c33cc6ace2a2ad", "a0808073c5a0a1e33d85e0253380d313"),
+         "8a444ea7dd55903df5c33cc6ace2a2ad", "5ebe8711a446d3249b56b720b1965226"),
         (("recovery", {"size": 4}),
-         "af972d16ab07150c3804725b40295621", "64b9e1a58c8efa4a1df627cd398d026b"),
+         "af972d16ab07150c3804725b40295621", "9dd5b9a6e193a1254377052454815cd2"),
         (("barrier", {"size": 4}),
-         "f5a78952257fd41f87d05bb5e3f46fd2", "28fb440079aaa211fa1c768c5b2f21c7"),
+         "f5a78952257fd41f87d05bb5e3f46fd2", "725fd65a4bf250ae5d77e2970a2ca48d"),
     ]
 
     @pytest.mark.parametrize("model,listings,with_encodings", STEP_ORDER_DIGESTS,
@@ -306,13 +304,6 @@ class TestCopyOnWrite:
         with pytest.raises(AssertionError, match="predecessor changed"):
             check_copy_on_write(scenario_for("barrier", size=4))
 
-    def test_an_episode_record_written_without_a_copy_is_caught(self, monkeypatch):
-        # The writers of g.episode copy the shared record first;
-        # with a copy that returns the record itself, they write it in place.
-        monkeypatch.setattr(daemons_mod.TraceState, "clone", lambda self: self)
-        with pytest.raises(AssertionError, match="predecessor changed"):
-            check_copy_on_write(scenario_for("trace", size=3))
-
 
 class TestEncoding:
     def test_equal_construction_equal_bytes(self):
@@ -336,17 +327,17 @@ class TestEncoding:
     MESSAGE_DIGESTS = [
         (("ring-par", {"size": 2, "inserters": 1}),
          [(2, -1, ACT_BEGIN_INSERTION), (0, 4, EVENT_CONNECT)],
-         "b16f81b5165578a9a69a4262ee7dc5c2"),
+         "c11c625bf334221e80b4b48685d90c77"),
         (("ring-par", {"size": 2, "inserters": 1}),
          [(2, -1, ACT_BEGIN_INSERTION), (0, 4, EVENT_CONNECT), (0, 4, NEW_RHS)],
-         "6d1ca0653923fa50d03a7862f54033d3"),
+         "ebb7428c74075a8ccc05cfa404142a26"),
         (("trace", {"size": 3}),
          [(0, -1, ACT_START_TRACE), (1, 0, TRACE_REQ), (2, 2, TRACE_REQ)],
-         "1019f8393d391a41f25a2eac8209d9f7"),
+         "2ca7962c3f9f436f53d7ec58fd9bbaec"),
         (("trace", {"size": 3}),
          [(0, -1, ACT_START_TRACE), (1, 0, TRACE_REQ),
           (2, 2, TRACE_REQ), (0, 4, TRACE_REQ)],
-         "35f27394b51d45fb11928c10b0d4d053"),
+         "ed067ec4e9dc0b789bc739621d19c1ce"),
     ]
 
     def test_digest_regression_values(self):
@@ -357,17 +348,17 @@ class TestEncoding:
         # whether it did.
         ring = scenario_for("ring-par", size=2, inserters=1)
         assert state_digest(ring.initial_state()).hex() == (
-            "7fe9308e2f7c10c1d66e25f52038a454")
+            "34e0800f9d1879ccc2bc97636b6cbab3")
         barrier = scenario_for("barrier", size=2)
         assert state_digest(barrier.initial_state()).hex() == (
-            "84a23eb409e5389970826d810e041f12")
+            "d280004695c5ad1fc4c8597a053f41b4")
         # Rings of one: a daemon, and a manager, wired to itself.
         ring_of_one = scenario_for("ring-par", size=1)
         assert state_digest(ring_of_one.initial_state()).hex() == (
-            "529419a1418c6c7459c3d803f55a31eb")
+            "694932ca9135899fbfbc2f350517b290")
         barrier_of_one = scenario_for("barrier", size=1)
         assert state_digest(barrier_of_one.initial_state()).hex() == (
-            "16a48ca59aafebf4bca96e1e941fae31")
+            "9093eaa19000224a5408d68661b7e891")
         for (algorithm, kw), schedule, digest in self.MESSAGE_DIGESTS:
             run = replay(scenario_for(algorithm, **kw), [ScheduleStep(*s) for s in schedule])
             assert len(run.trace) == len(schedule) and run.violation is None
@@ -511,7 +502,7 @@ class Star:
         self.protocol = self
 
     def initial_state(self):
-        return GlobalState(self, Star.Table(), [Star.Record(0)], None)
+        return GlobalState(self, Star.Table(), [Star.Record(0)])
 
     def steps(self, g):
         if g.procs[0].n:
@@ -536,22 +527,21 @@ class Star:
 # so the budgets move when the encoding does; the counts at each budget were
 # checked against a search at the budget by the code before that change.
 GROWTH_EDGE_COUNTS = {
-    360: (413, 30), 361: (414, 30), 362: (415, 30), 363: (415, 30), 364: (415, 30),
-    365: (415, 30), 395: (435, 30), 396: (436, 30), 397: (437, 30), 410: (451, 30),
-    411: (452, 30), 412: (453, 30), 708: (818, 30), 709: (818, 30), 710: (818, 30),
-    744: (854, 30), 745: (858, 30), 746: (859, 30), 770: (888, 30), 771: (892, 30),
-    772: (894, 30), 809: (946, 30), 810: (946, 30), 811: (946, 30), 1501: (2367, 30),
-    1502: (2370, 30), 1503: (2376, 30), 1505: (2379, 30), 1506: (2379, 30), 1507: (2380, 30),
-    1585: (2566, 30), 1586: (2566, 30), 1587: (2567, 30), 1596: (2574, 30), 1597: (2578, 30),
-    1598: (2580, 30), 3019: (5373, 30), 3020: (5377, 30), 3021: (5379, 30), 3045: (5421, 30),
-    3046: (5422, 30), 3047: (5424, 30), 3103: (5554, 30), 3104: (5557, 30), 3105: (5566, 30),
-    3143: (5662, 30), 3144: (5662, 30), 3145: (5663, 30), 6000: (11403, 30), 6001: (11407, 30),
-    6002: (11412, 30), 6099: (11557, 30), 6100: (11557, 30), 6101: (11558, 30),
-    6225: (11703, 30), 6226: (11703, 30), 6227: (11703, 30), 6234: (11712, 30),
-    6235: (11714, 30), 6236: (11716, 30), 12007: (24286, 30), 12008: (24290, 30),
-    12009: (24293, 30), 12193: (24741, 30), 12194: (24743, 30), 12195: (24743, 30),
-    12427: (25336, 30), 12428: (25338, 30), 12429: (25340, 30), 12495: (25565, 30),
-    12496: (25570, 30), 12497: (25572, 30),
+    351: (408, 30), 352: (409, 30), 353: (410, 30), 382: (419, 30), 383: (420, 30), 384: (420, 30),
+    400: (444, 30), 401: (447, 30), 402: (449, 30), 404: (451, 30), 405: (451, 30), 406: (451, 30),
+    739: (843, 30), 740: (844, 30), 741: (848, 30), 758: (882, 30), 759: (882, 30), 760: (882, 30),
+    790: (928, 30), 791: (933, 30), 792: (936, 30), 797: (943, 30), 798: (943, 30), 799: (943, 30),
+    1503: (2376, 30), 1504: (2376, 30), 1505: (2379, 30), 1545: (2471, 30), 1546: (2474, 30),
+    1547: (2480, 30), 1570: (2548, 30), 1571: (2548, 30), 1572: (2548, 30), 1593: (2571, 30),
+    1594: (2572, 30), 1595: (2573, 30), 2963: (5289, 30), 2964: (5292, 30), 2965: (5295, 30),
+    3046: (5422, 30), 3047: (5424, 30), 3048: (5427, 30), 3079: (5496, 30), 3080: (5498, 30),
+    3081: (5500, 30), 3163: (5683, 30), 3164: (5684, 30), 3165: (5685, 30), 6051: (11512, 30),
+    6052: (11512, 30), 6053: (11513, 30), 6121: (11578, 30), 6122: (11579, 30), 6123: (11581, 30),
+    6159: (11653, 30), 6160: (11654, 30), 6161: (11655, 30), 6230: (11706, 30), 6231: (11707, 30),
+    6232: (11708, 30), 12038: (24405, 30), 12039: (24408, 30), 12040: (24411, 30),
+    12067: (24462, 30), 12068: (24463, 30), 12069: (24464, 30), 12447: (25394, 30),
+    12448: (25396, 30), 12449: (25399, 30), 12654: (25890, 30), 12655: (25891, 30),
+    12656: (25891, 30),
 }
 
 
@@ -697,10 +687,12 @@ class TestVisitedKeys:
 class KeyCheck:
     """Checks the key change of each step it is given.
 
-    A step's step_delta added to its predecessor's key must give, mod
+    A step's step_delta added to its predecessor's key, as that key was when
+    the predecessor was checked, before any step of it ran, must give, mod
     2**128, the key of its successor, which sums every component with a memo
     of its own; and two states checked here must share a key exactly when
-    their encodings are equal.
+    their encodings are equal. Keyed before its steps, a predecessor whose
+    record a step wrote in place keys apart from its successor's fresh key.
     """
 
     def __init__(self):
@@ -709,19 +701,20 @@ class KeyCheck:
         self.by_key = {}
         self.by_encoding = {}
 
-    def __call__(self, h, where, g=None, pid=None) -> bool:
-        """Check h, made from g by a step of pid if g is given; True if its
-        encoding was not seen before."""
+    def __call__(self, h, where, g=None, g_key=None, pid=None) -> tuple[int, bool]:
+        """Check h, made by a step of pid from g, which was checked under
+        g_key, if g is given. Returns h's key and whether its encoding was
+        not seen before."""
         key = state_key(h, self.reference)
         if g is not None:
-            stepped = (state_key(g, self.memo) + step_delta(g, h, pid, self.memo)) % 2**128
+            stepped = (g_key + step_delta(g, h, pid, self.memo)) % 2**128
             assert len(self.memo) <= explorer_mod.MEMO_LIMIT
             assert stepped == key, f"{where}: the incremental key differs from a fresh one"
         code = encode(h)
         new = code not in self.by_encoding
         assert self.by_key.setdefault(key, code) == code, f"{where}: two encodings, one key"
         assert self.by_encoding.setdefault(code, key) == key, f"{where}: one encoding, two keys"
-        return new
+        return key, new
 
 
 def check_keys(scenario) -> int:
@@ -732,17 +725,17 @@ def check_keys(scenario) -> int:
     """
     check = KeyCheck()
     init = scenario.initial_state()
-    check(init, "the initial state")
-    stack = [init]
+    stack = [(init, check(init, "the initial state")[0])]
     while stack:
-        g = stack.pop()
+        g, g_key = stack.pop()
         for step in enabled_steps(g):
             try:
                 h = apply(g, step)
             except CheckError:
                 continue
-            if check(h, f"after {step.render()}", g, step.pid):
-                stack.append(h)
+            key, new = check(h, f"after {step.render()}", g, g_key, step.pid)
+            if new:
+                stack.append((h, key))
     return len(check.by_encoding)
 
 
@@ -755,7 +748,7 @@ def walk_keys(scenario, seed: int, max_steps: int = 2_000) -> int:
     rng = random.Random(seed)
     check = KeyCheck()
     g = scenario.initial_state()
-    check(g, "the initial state")
+    g_key = check(g, "the initial state")[0]
     for taken in range(max_steps):
         steps = enabled_steps(g)
         rng.shuffle(steps)
@@ -764,7 +757,7 @@ def walk_keys(scenario, seed: int, max_steps: int = 2_000) -> int:
                 h = apply(g, step)
             except CheckError:
                 continue
-            check(h, f"after step {taken + 1}, {step.render()}", g, step.pid)
+            g_key = check(h, f"after step {taken + 1}, {step.render()}", g, g_key, step.pid)[0]
             g = h
             break
         else:
@@ -823,40 +816,23 @@ class TestIncrementalKey:
             data = marshal.dumps((pos, c), 2)
             return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
 
-        # The episode record is one component at -1: the trace record's
-        # (initiator, collected), the barrier's (), whose client flags sit
-        # in the manager records.
-        for algorithm, record in [("barrier", barrier_mod.BarrierBits),
-                                  ("trace", daemons_mod.TraceState)]:
+        # The components are the slots and the process records, nothing
+        # else: a manager's record holds its client's flags, and a daemon's
+        # the trace it started.
+        for algorithm in ("barrier", "trace"):
             g = scenario_for(algorithm, size=3).initial_state()
             t = g.sockets
-            assert type(g.episode) is record
-            if record is barrier_mod.BarrierBits:
+            if algorithm == "barrier":
                 set_client_bits(g, 0b011, 0b010)  # three unequal managers
                 assert [p.canon()[-2:] for p in g.procs] == [
                     (True, False), (True, True), (False, False)]
-                assert g.episode.canon() == ()
+            else:
+                g.procs[1].trace = (1, 2, 0)  # a finished trace, started by d1
+                assert [p.canon()[-1] for p in g.procs] == [None, (1, 2, 0), None]
             total = sum(h(fd, t.slots[fd]) for fd in range(t.conn_max))
             total += sum(h(t.conn_max + pid, p.canon()) for pid, p in enumerate(g.procs))
-            total += h(-1, g.episode.canon())
             assert state_key(g, {}) == total % 2**128, algorithm
-
-    def test_an_episode_copy_with_equal_canon_adds_nothing(self):
-        # step_delta compares the episode record's canon() whenever the
-        # object changed; a copy that changed nothing keys as the original.
-        report, states = stored_states(scenario_for("trace", size=3))
-        assert report.outcome == VERIFIED and len(states) == report.states_stored
-        memo = {}
-        moved = 0
-        for g in states:
-            for step in enabled_steps(g):
-                h = apply(g, step)
-                delta = step_delta(g, h, step.pid, memo)
-                moved += h.episode.canon() != g.episode.canon()
-                h.episode = h.episode.clone()
-                assert step_delta(g, h, step.pid, memo) == delta
-                assert delta % 2**128 == (state_key(h, memo) - state_key(g, memo)) % 2**128
-        assert moved > 0  # some steps did write the record
+            assert encode(g) == marshal.dumps((t.canon(), tuple(p.canon() for p in g.procs)), 2)
 
     def test_a_read_that_does_not_log_its_fd_is_caught(self, monkeypatch):
         # The touched-fd socket check cannot see this: a read only shortens
@@ -890,18 +866,6 @@ class SpyList(list):
             yield list.__getitem__(self, i)
 
 
-class SpiedRecord:
-    """A stand-in for a shared record that notes whether it was read."""
-
-    def __init__(self, real):
-        self.real = real
-        self.read = False
-
-    def __getattr__(self, name):  # any attribute but real and read
-        self.read = True
-        return getattr(self.real, name)
-
-
 class SpiedSet(frozenset):
     """A dead set that notes whether it was read."""
 
@@ -928,15 +892,13 @@ def audit_footprint(g, step) -> None:
     """Run step on a copy of g that notes what its handler reads.
 
     Every slot it reads must be in the table's read record, it must read no
-    process record but its own, and if it reads the episode record or the
-    dead set, the state must say so (shared_read); what it writes, it must
-    have read.
+    process record but its own, and if it reads the dead set, the state must
+    say so (shared_read); what it writes, it must have read.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
     h.sockets.slots = slots = SpyList(h.sockets.slots)
     h.procs = procs = SpyList(h.procs)
-    h.episode = episode = SpiedRecord(g.episode)
     h.derived_dead = dead = SpiedSet(g.dead_pids())
     try:
         if step.kind == KIND_ACTION:
@@ -951,15 +913,13 @@ def audit_footprint(g, step) -> None:
     assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
     others = procs.seen - {step.pid}
     assert not others, f"{name} read the records of {sorted(others)}"
-    if episode.read or h.episode is not episode:
-        assert h.shared_read, f"{name} read the episode record unlogged"
     if dead.read:
         assert h.shared_read, f"{name} read the dead set unlogged"
 
 
 def run_every_step(mp) -> None:
-    """Log an episode read for every step, so that explore keeps no entry,
-    derives no key and runs every step."""
+    """Mark every step as one that read a shared record, so that explore
+    keeps no entry, derives no key and runs every step."""
     real = explorer_mod.apply
 
     def apply(g, step, key=None, add=None):
@@ -1042,14 +1002,13 @@ def releases_the_next_client_too(g, m, release=barrier_mod._on_barrier_out):
     g.procs[(m.pid + 1) % len(g.procs)].client_out = True
 
 
-def trace_req_in_place(g, d, fd, msg):
-    """_on_trace_req writing the shared episode record instead of a copy."""
-    t = g.episode
-    if t.started and t.initiator == d.pid:
-        t.collected = msg[IDS]
-        g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE))
-        return
-    daemons_mod._on_trace_req(g, d, fd, msg)
+def trace_req_noted_at_the_initiator(g, d, fd, msg, forward=daemons_mod._on_trace_req):
+    """_on_trace_req (forward, bound before any patch) that, passing the
+    trace on, also writes the ids so far into the initiator's trace, in the
+    record its predecessor shares."""
+    forward(g, d, fd, msg)
+    if d.trace is None:
+        g.procs[msg[IDS][0]].trace = msg[IDS] + (d.pid,)
 
 
 class PoppedSteps(list):
@@ -1108,8 +1067,7 @@ class TestDerivedKeys:
                                   for a, kw in REUSE_MODELS])
     def test_derived_keys_are_the_keys_of_the_steps_they_skip(self, algorithm, kw):
         derived = check_derived_keys(scenario_for(algorithm, **kw))
-        # Every trace step reads the trace record through read_episode, so
-        # takes no entry, and trace 3 matches no state at all.
+        # trace 3 is one path, so it matches no state at all.
         assert (derived > 0) == (algorithm != "trace"), derived
 
     @pytest.mark.parametrize("algorithm,kw,max_states,derived", DERIVED_MATCHES,
@@ -1134,18 +1092,11 @@ class TestDerivedKeys:
         with pytest.raises(AssertionError):
             check_derived_keys(sc)
 
-    @pytest.mark.parametrize("accessor,algorithm,kw,what", [
-        ("read_dead_pids", "recovery", {"size": 4}, "dead set"),
-        ("read_episode", "trace", {"size": 3}, "episode"),
-    ], ids=["dead-set-recovery", "episode-trace"])
-    def test_a_read_that_bypasses_the_state_read_record_is_caught(
-            self, monkeypatch, accessor, algorithm, kw, what):
-        # The accessor as a handler would read the field directly.
-        unlogged = {"read_episode": lambda g: g.episode,
-                    "read_dead_pids": lambda g: g.dead_pids()}[accessor]
-        monkeypatch.setattr(GlobalState, accessor, unlogged)
-        with pytest.raises(AssertionError, match=f"read the {what}.* unlogged"):
-            check_derived_keys(scenario_for(algorithm, **kw))
+    def test_a_read_that_bypasses_the_state_read_record_is_caught(self, monkeypatch):
+        # The dead set as a handler would read it directly.
+        monkeypatch.setattr(GlobalState, "read_dead_pids", lambda g: g.dead_pids())
+        with pytest.raises(AssertionError, match="read the dead set unlogged"):
+            check_derived_keys(scenario_for("recovery", size=4))
 
     def test_a_read_of_another_daemons_record_is_caught(self, monkeypatch):
         # The dead set as a handler would find it by scanning every record.
@@ -1173,6 +1124,19 @@ class TestDerivedKeys:
             check_copy_on_write(scenario_for("barrier", size=4))
         with pytest.raises(AssertionError, match="read the records of"):
             check_derived_keys(scenario_for("barrier", size=4))
+        with pytest.raises(AssertionError, match="differs from a fresh one"):
+            check_keys(scenario_for("barrier", size=4))
+
+    def test_a_trace_write_of_the_initiators_record_is_caught(self, monkeypatch):
+        # The initiator's record is the predecessor's too, and the step's
+        # key delta covers the forwarding daemon's record alone.
+        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_noted_at_the_initiator)
+        with pytest.raises(AssertionError, match="predecessor changed"):
+            check_copy_on_write(scenario_for("trace", size=3))
+        with pytest.raises(AssertionError, match="read the records of"):
+            check_derived_keys(scenario_for("trace", size=3))
+        with pytest.raises(AssertionError, match="differs from a fresh one"):
+            check_keys(scenario_for("trace", size=3))
 
     def test_property_checks_and_wake_listing_leave_the_read_record_alone(self):
         sc = scenario_for("trace", size=3)
@@ -1198,8 +1162,8 @@ class TestKeyRecheck:
         assert popped == report.states_stored or report.outcome == VIOLATION
         assert popped > 1 and drifted == 0
 
-    def test_an_episode_written_in_place_is_caught(self, monkeypatch):
-        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_in_place)
+    def test_a_record_written_in_place_is_caught(self, monkeypatch):
+        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_noted_at_the_initiator)
         report, popped, drifted = recheck_keys(scenario_for("trace", size=3))
         assert (report.states_stored, popped, drifted) == (8, 8, 7)
 
@@ -1347,7 +1311,7 @@ def reference_steps(g) -> list:
             out.append(ScheduleStep(pid, -1, ACT_BEGIN_INSERTION))
         if armed and (sc.failure == daemons_mod.FAIL_NONDET or sc.failure == pid):
             out.append(ScheduleStep(pid, -1, ACT_INJECT_FAILURE))
-    if not out and sc.trace_enabled and not g.episode.started:
+    if not out and sc.trace_enabled and all(p.trace is None for p in g.procs):
         first = next((pid for pid in range(len(g.procs)) if pid not in dead), None)
         if first is not None:
             out.append(ScheduleStep(first, -1, ACT_START_TRACE))

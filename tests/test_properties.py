@@ -152,22 +152,25 @@ class TestNeighborState:
 class TestTraceCompletion:
     def setup_method(self):
         self.g = ring(3)
-        t = self.g.episode
-        t.initiator = 0
-        t.collected = tuple(d.pid for d in self.g.procs)
+        self.g.procs[0].trace = tuple(d.pid for d in self.g.procs)
+
+    def move_trace(self, pid):
+        """Make pid the initiator, with the collection d0 held."""
+        procs = self.g.procs
+        procs[pid].trace, procs[0].trace = procs[0].trace, None
 
     def test_complete_episode_passes(self):
         check_trace_completion(self.g)
 
     def test_rotation_must_start_at_the_initiator(self):
-        self.g.episode.initiator = 1
+        self.move_trace(1)
         with pytest.raises(PropertyViolation, match="trace collected"):
             check_trace_completion(self.g)
-        self.g.episode.collected = (1, 2, 0)
+        self.g.procs[1].trace = (1, 2, 0)
         check_trace_completion(self.g)
 
     def test_violation_text_lists_identities(self):
-        self.g.episode.initiator = 1
+        self.move_trace(1)
         with pytest.raises(PropertyViolation) as e:
             check_trace_completion(self.g)
         assert str(e.value) == (
@@ -177,17 +180,17 @@ class TestTraceCompletion:
             "Identity(host='node2', port=9002),Identity(host='node0', port=9000)]")
 
     def test_unstarted_episode_fails(self):
-        self.g.episode.initiator = -1
+        self.g.procs[0].trace = None
         with pytest.raises(PropertyViolation, match="never started"):
             check_trace_completion(self.g)
 
     def test_unfinished_episode_fails(self):
-        self.g.episode.collected = ()
+        self.g.procs[0].trace = ()
         with pytest.raises(PropertyViolation, match="never completed"):
             check_trace_completion(self.g)
 
     def test_missing_daemon_fails(self):
-        self.g.episode.collected = self.g.episode.collected[:-1]
+        self.g.procs[0].trace = self.g.procs[0].trace[:-1]
         with pytest.raises(PropertyViolation, match="trace collected"):
             check_trace_completion(self.g)
 

@@ -3,9 +3,8 @@
 import pytest
 
 from ringcheck import barrier, daemons
-from ringcheck.barrier import BarrierBits, client_bits
-from ringcheck.daemons import (ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, TraceState,
-                               begin_insertion)
+from ringcheck.barrier import client_bits
+from ringcheck.daemons import ENTRY_PID, IDLE, IN_RING, PARALLEL, SEQUENTIAL, begin_insertion
 from ringcheck.errors import ScenarioError
 from ringcheck.scenarios import (
     ALGORITHMS,
@@ -131,7 +130,6 @@ class TestInitialState:
         sc = build_scenario(ScenarioConfig("barrier", size=4))
         g = sc.initial_state()
         assert len(g.procs) == 4
-        assert type(g.episode) is BarrierBits
         assert client_bits(g) == (0, 0)
         for i, m in enumerate(g.procs):
             peer = g.sockets.other_of(m.rhs_fd)
@@ -142,7 +140,7 @@ class TestInitialState:
     def test_ring_states_carry_a_trace_slot(self):
         sc = build_scenario(ScenarioConfig("ring-par", size=2))
         g = sc.initial_state()
-        assert type(g.episode) is TraceState and not g.episode.started
+        assert [d.trace for d in g.procs] == [None, None]  # no daemon started a trace
 
 
 class TestConfigRoundtrip:
