@@ -179,9 +179,9 @@ def check_socket_invariants(g) -> None:
     """
     dead = g.derived_dead
     if dead is None:
-        g.sockets.check_invariants(dead_pids=g.dead_pids())
+        g.sockets.check_invariants(g.dead_pids())
     else:
-        g.sockets.check_touched(dead_pids=dead)
+        g.sockets.check_touched(dead)
 
 
 # The check of each property kind; the protocol modules list which kinds a

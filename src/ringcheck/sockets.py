@@ -43,6 +43,11 @@ only the slot, its peer's slot and whether its owner is dead, so an
 unwritten fd u can only break through a written peer p. Before the step p
 linked back to u; if it still does, p's own link check covers u's, and if
 it no longer does, the close that unlinked them wrote u's slot too.
+``check_touched`` makes one pass over the log and reads each written slot
+once, with its peer's slot inline; it still runs the peer's own checks, so
+that a handler writing a peer's slot without logging it is caught. Only a
+pass that finds a failure names it, through ``_check_fds``, the routine of
+``check_invariants``, so its text is the whole-table check's.
 
 The explorer's visited key relies on the same log: it re-hashes only the
 logged slots, so a read is logged too, though a read breaks no invariant.
@@ -347,15 +352,35 @@ class SocketTable:
 
         Sound only on a clone of a table that passed check_invariants, when
         the step that wrote it left dead_pids unchanged (see the module
-        docstring). Fds are checked in index order, so the first failure
-        found is the one the whole-table check would report first among them.
+        docstring). One pass over touched reads each written slot once: its
+        own checks, then its link, then the peer's own owner, dead-owner and
+        queue checks. The peer's checks stay because a slot's link check
+        reads only whether its peer links back, so a peer slot written
+        without being logged would otherwise pass unseen. The pass fails
+        exactly when check_invariants would fail on the written fds and
+        their peers; only then are those fds checked again, in index order,
+        by the routine check_invariants runs, so the failure reported is the
+        one the whole-table check reports first among them, in its words.
         """
-        touched = self.touched
-        if not touched:
+        slots, qsz, n = self.slots, self.qsz, len(self.slots)
+        for fd in self.touched:
+            slot = slots[fd]
+            if slot == FREE_SLOT:
+                continue
+            peer, owner, flag, q = slot
+            if flag == FREE or owner == UNOWNED or owner in dead_pids or len(q) > qsz:
+                break  # a free slot that is not clean, or one of fd's own checks
+            if peer == INVALID_FD:
+                continue
+            if not 0 <= peer < n:
+                break
+            back, owner, flag, q = slots[peer]
+            if back != fd or flag == FREE or owner == UNOWNED or owner in dead_pids or len(q) > qsz:
+                break  # fd's link, or one of the peer's own checks
+        else:
             return
-        slots, n = self.slots, len(self.slots)
-        fds = set(touched)
-        for fd in touched:
+        fds = set(self.touched)
+        for fd in self.touched:
             peer = slots[fd][OTHER]
             if 0 <= peer < n:
                 fds.add(peer)

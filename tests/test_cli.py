@@ -506,6 +506,54 @@ def test_run_tables_quick_sweep_prints_one_row_per_configuration():
     assert seq_blocking[-1] == "VERIFIED"
 
 
+# A stand-in for perfbench/run.py: it notes its checkout and seed in a log
+# beside the checkouts and prints one result line, faster on the change side
+# except at seed 43, with equal transition rates on both sides.
+FAKE_RUN = '''
+import argparse, json, os
+ap = argparse.ArgumentParser()
+ap.add_argument("--workload"); ap.add_argument("--seed", type=int); ap.add_argument("--trace")
+args = ap.parse_args()
+side = os.path.basename(os.getcwd())
+with open("../log", "a") as fh:
+    fh.write(f"{side} {args.workload} {args.seed} {args.trace}\\n")
+verify = 1 + args.seed / 100 - (0.1 if side == "change" and args.seed != 43 else 0)
+print("progress")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "verify_s": {"value": verify, "unit": "s"},
+    "transitions_per_s": {"value": 1000.0, "unit": "1/s"}}}))
+'''
+
+
+def test_bench_pairs_alternates_the_sides_and_counts_the_changes_wins(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "verify_s", "better": "lower"},
+        {"name": "transitions_per_s", "better": "higher"}]}))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    proc = subprocess.run([sys.executable, str(script), "parent", "change", "--workload", "barrier",
+                           "--pairs", "4", "--out", "pairs.json"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "log").read_text().split("\n")[:-1] == [
+        f"{side} barrier {seed} 0" for side, seed in [
+            ("parent", 41), ("change", 41), ("change", 42), ("parent", 42),
+            ("parent", 43), ("change", 43), ("change", 44), ("parent", 44)]]
+    out = json.loads((tmp_path / "pairs.json").read_text())
+    block = out["pairs"]["barrier"]
+    assert (block["pairs"], block["failed_ops"], block["attempted_ops"], block["correct"]) == (
+        4, {"parent": 0, "change": 0}, {"parent": 12, "change": 12}, True)
+    verify = block["verify_s"]
+    assert verify["parent"] == {"median": 1.425, "q1": 1.4175, "q3": 1.4325}
+    assert verify["change"] == {"median": 1.33, "q1": 1.3175, "q3": 1.3625}
+    assert (verify["change_over_parent"], verify["change_wins"], verify["gap"]) == (0.9333, 3, 0.095)
+    assert block["transitions_per_s"]["change_wins"] == 0  # a tie wins for neither side
+    assert out["runs"]["barrier"]["verify_s"]["change"] == pytest.approx([1.31, 1.32, 1.43, 1.34])
+    assert "verify_s: parent 1.425 [1.4175, 1.4325]  change 1.33" in proc.stdout
+
+
 def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
     path = tmp_path / "mixed.py"
     path.write_text(

@@ -15,7 +15,7 @@ from ringcheck import barrier as barrier_mod
 from ringcheck import daemons as daemons_mod
 from ringcheck import explorer as explorer_mod
 from ringcheck import properties as properties_mod
-from ringcheck.errors import CheckError, ContractViolation, InvariantViolation
+from ringcheck.errors import CheckError, ContractViolation, InvariantViolation, PropertyViolation
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
     ACT_CLIENT_ARRIVAL,
@@ -69,6 +69,7 @@ from ringcheck.sockets import (
     INVALID_FD,
     OTHER,
     QUEUE,
+    SOCKET_INVARIANTS,
     SocketTable,
 )
 
@@ -1481,6 +1482,69 @@ class TestSimulate:
         assert again.trace == r.trace
         assert again.violation == r.violation
         assert afters[-1] is None and None not in afters[:-1]
+
+
+class TestCheckedSteps:
+    """checked_steps, the one state check: every-state properties in their
+    listed order, then, on a state with no step, the quiescence ones."""
+
+    @staticmethod
+    def noting(ran, kind, when, fails=False):
+        def check(g):
+            ran.append(kind)
+            if fails:
+                raise InvariantViolation(f"{kind} broke")
+        return Property(kind, when, check)
+
+    def test_every_state_properties_run_in_order_before_any_quiescence_one(self):
+        quiet = scenario_for("ring-par", size=1).initial_state()  # no step at all
+        busy = scenario_for("ring-par", size=1, inserters=1).initial_state()
+        assert not enabled_steps(quiet) and enabled_steps(busy)
+        ran = []
+        props = (self.noting(ran, "q1", QUIESCENCE_ONLY), self.noting(ran, "e1", EVERY_STATE),
+                 self.noting(ran, "q2", QUIESCENCE_ONLY), self.noting(ran, "e2", EVERY_STATE))
+        assert explorer_mod.checked_steps(quiet, props) == []
+        assert ran == ["e1", "e2", "q1", "q2"]
+        ran.clear()
+        assert explorer_mod.checked_steps(busy, props) == enabled_steps(busy)
+        assert ran == ["e1", "e2"]
+
+    @pytest.mark.parametrize("failing", ["e1", "e2", "q1"])
+    def test_the_first_failure_carries_its_kind_and_stops_the_check(self, failing):
+        quiet = scenario_for("ring-par", size=1).initial_state()
+        ran = []
+        props = tuple(self.noting(ran, kind, when, kind == failing)
+                      for kind, when in [("q1", QUIESCENCE_ONLY), ("e1", EVERY_STATE),
+                                         ("e2", EVERY_STATE), ("q2", QUIESCENCE_ONLY)])
+        with pytest.raises(PropertyViolation) as e:
+            explorer_mod.checked_steps(quiet, props)
+        assert str(e.value) == f"{failing}: {failing} broke"
+        assert isinstance(e.value.__cause__, InvariantViolation)
+        order = ["e1", "e2", "q1", "q2"]
+        assert ran == order[:order.index(failing) + 1]
+
+    def test_a_check_rebound_before_default_properties_is_the_one_that_runs(self, monkeypatch):
+        # As perfbench's tracer wraps each check: rebind it in _CHECKS, then
+        # build the scenario's properties.
+        real = properties_mod._CHECKS[SOCKET_INVARIANTS]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            real(g)
+
+        monkeypatch.setitem(properties_mod._CHECKS, SOCKET_INVARIANTS, counted)
+        sc = scenario_for("ring-par", size=2, inserters=1)
+        report = explore(sc, sc.default_properties())
+        assert report.outcome == VERIFIED and len(calls) == report.states_stored
+
+        def broken(g):
+            raise InvariantViolation("rebound")
+
+        monkeypatch.setitem(properties_mod._CHECKS, SOCKET_INVARIANTS, broken)
+        report = explore(sc, sc.default_properties())
+        assert (report.outcome, report.violation, report.trace) == (
+            VIOLATION, f"{SOCKET_INVARIANTS}: rebound", ())
 
 
 class TestWalk:

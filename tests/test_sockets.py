@@ -1,6 +1,7 @@
 """Unit tests for the descriptor table: one scenario per operation contract."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ringcheck import sockets as sockets_mod
 from ringcheck.errors import (
     BrokenConnectionError,
+    CheckError,
     ContractViolation,
     InvariantViolation,
     ModelSizingError,
@@ -17,7 +19,9 @@ from ringcheck.sockets import (
     AWAIT_ACCEPT,
     EVENT_CONNECT,
     EVENT_EOF,
+    FLAG,
     FREE,
+    FREE_SLOT,
     INVALID_FD,
     LHS,
     NEW,
@@ -376,6 +380,160 @@ class TestInvariantChecker:
         poke(t, 5, OWNER, 3)
         with pytest.raises(InvariantViolation):
             t.check_invariants()
+
+
+def violation(check, dead: frozenset) -> str:
+    """The text of the InvariantViolation check(dead) raises."""
+    with pytest.raises(InvariantViolation) as e:
+        check(dead)
+    return str(e.value)
+
+
+def log_writes(base, t) -> None:
+    """Log in t's touched every fd whose slot differs from base's, as _put
+    would have: a poke becomes a write the step logged."""
+    t.touched += [fd for fd in range(t.conn_max)
+                  if t.slots[fd] != base.slots[fd] and fd not in t.touched]
+
+
+def checked_clone(corrupt):
+    """A clone of a checked fresh table, corrupted, its writes logged."""
+    base = make_table()
+    base.check_invariants()
+    t = base.clone()
+    corrupt(t)
+    log_writes(base, t)
+    return t
+
+
+def fd_and_peer_check(t, dead) -> None:
+    """The touched-fd check as one list: _check_fds over the written fds and
+    their in-range peers, in index order."""
+    fds = set(t.touched)
+    fds.update(p for p in (t.slots[fd][OTHER] for fd in t.touched) if 0 <= p < t.conn_max)
+    t._check_fds(sorted(fds), dead)
+
+
+def random_legal_table(rng) -> SocketTable:
+    """A table built by legal operations alone, so it passes check_invariants."""
+    t = SocketTable(rng.randint(4, 8), rng.randint(1, 3))
+    for _ in range(rng.randint(0, 10)):
+        random_op(t, rng)
+    return t
+
+
+def random_op(t, rng) -> None:
+    """One operation on random arguments; one the table refuses changes nothing."""
+    pid = rng.randrange(4)
+    fd = rng.randrange(t.conn_max)
+    op = rng.choice(["connect", "connect", "accept", "write", "read", "close", "fail"])
+    try:
+        if op == "connect":
+            t.connect(pid, rng.randrange(4), rng.choice([NEW, LHS, RHS]))
+        elif op == "accept":
+            t.accept(t.slots[fd][OWNER], fd)
+        elif op == "write":
+            t.write(t.slots[fd][OWNER], fd, message(NEW_RHS))
+        elif op == "read":
+            t.read(t.slots[fd][OWNER], fd)
+        elif op == "close":
+            t.close(t.slots[fd][OWNER], fd)
+        else:
+            t.inject_failure(pid)
+    except CheckError:
+        pass
+
+
+def random_poke(t, rng) -> None:
+    """Overwrite one field of a random slot with a value in or out of range,
+    logged or not."""
+    fd = rng.randrange(t.conn_max)
+    pos = rng.randrange(4)
+    value = [lambda: rng.randint(-2, t.conn_max), lambda: rng.randint(-1, 3),
+             lambda: rng.randint(FREE, RHS),
+             lambda: (message(NEW_RHS),) * rng.randint(0, t.qsz + 1)][pos]()
+    poke(t, fd, pos, value)
+    if rng.random() < 0.5:
+        t.touched.append(fd)
+
+
+class TestTouchedCheck:
+    """check_touched, the one pass over the written fds, fails where the
+    whole-table check fails on them, and names the failure in its words."""
+
+    @pytest.mark.parametrize("corrupt,dead,text", CORRUPTIONS,
+                             ids=[c[2] for c in CORRUPTIONS])
+    def test_each_violation_reads_as_the_whole_table_check_reads_it(self, corrupt, dead, text):
+        t = checked_clone(corrupt)
+        assert t.touched
+        assert violation(t.check_touched, dead) == violation(t.check_invariants, dead) == text
+
+    def test_first_failure_wins_by_fd_then_check(self):
+        t = checked_clone(lambda t: (_dirty_free_slot(t), _asymmetric_link(t)))
+        t.touched.sort(reverse=True)  # the pass meets the dirty fd 5 first
+        assert t.touched[0] == 5
+        assert violation(t.check_touched, frozenset()) == "asymmetric link 0 -> 1"
+        # One fd failing two checks reports the earlier one.
+        u = checked_clone(_overfull_channel)
+        assert violation(u.check_touched, frozenset([2])) == "fd 0 owned by dead pid 2"
+
+    @pytest.mark.parametrize("pos,value,dead,text", [
+        (OWNER, UNOWNED, frozenset(), "allocated fd 1 has no owner"),
+        (OWNER, 3, frozenset([3]), "fd 1 owned by dead pid 3"),
+        (QUEUE, (message(NEW_RHS),) * 5, frozenset(), "channel of fd 1 over capacity"),
+        (OTHER, INVALID_FD, frozenset(), "asymmetric link 0 -> 1"),
+        (FLAG, FREE, frozenset(), "fd 0 links to unallocated fd 1"),
+    ], ids=["no-owner", "dead-owner", "over-capacity", "no-link-back", "freed"])
+    def test_a_peer_changed_without_a_log_is_caught(self, pos, value, dead, text):
+        t = make_table()
+        cfd = t.connect(1, 2)
+        sfd = t.other_of(cfd)
+        t.accept(2, sfd)
+        t.check_invariants()
+        u = t.clone()
+        u.write(1, cfd, message(NEW_RHS))  # writes the server's slot alone
+        assert u.touched == [sfd]
+        poke(u, cfd, pos, value)  # the written fd's peer, unlogged
+        assert violation(u.check_touched, dead) == violation(u.check_invariants, dead) == text
+
+    def test_the_one_pass_fails_exactly_where_the_fd_and_peer_check_fails(self, monkeypatch):
+        # On any table, logged or not: the same verdict and the same text, and
+        # a pass that finds nothing names nothing.
+        real = SocketTable._check_fds
+        named = []
+
+        def spied(self, fds, dead):
+            named.append(fds)
+            return real(self, fds, dead)
+
+        outcomes = {True: 0, False: 0}
+        for seed in range(1500):
+            rng = random.Random(seed)
+            base = random_legal_table(rng)
+            base.check_invariants()
+            t = base.clone()
+            for _ in range(rng.randint(0, 3)):
+                random_op(t, rng)
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                random_poke(t, rng)
+            dead = frozenset([rng.randrange(4)]) if rng.random() < 0.2 else frozenset()
+            try:
+                fd_and_peer_check(t, dead)
+                want = None
+            except InvariantViolation as e:
+                want = str(e)
+            named.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(SocketTable, "_check_fds", spied)
+                try:
+                    t.check_touched(dead)
+                    got = None
+                except InvariantViolation as e:
+                    got = str(e)
+            assert got == want, (seed, t.slots, t.touched, dead)
+            assert bool(named) == (want is not None), seed
+            outcomes[want is None] += 1
+        assert min(outcomes.values()) >= 250, outcomes
 
 
 def test_put_is_the_only_slot_write():
