@@ -2,19 +2,19 @@
 """Run the benchmark in two checkouts in alternating pairs and compare them.
 
 Usage:
-    python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10]
-                                   [--out FILE]
+    python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--out FILE]
 
 PARENT and CHANGE are checkout directories, each with its own
-perfbench/run.py. For each workload in turn, pair i runs
+perfbench/run.py. For each workload in turn, each of ten pairs i runs
 
     python3 perfbench/run.py --workload W --seed 41+i --trace 0
 
 once in each checkout, at run.py's own run length and one run at a time:
 the parent first on even pairs, the change first on odd ones. For every
 end-to-end metric it prints each side's median and quartiles, the ratio of
-the medians and how many pairs the change won; a tie wins for neither side,
-and which way is better is read from PARENT's BENCHMARK.json. Quartiles are
+the medians and how many pairs the change won; a tie wins for neither side.
+The workloads (by default all of them) and which way each metric is better
+are read from PARENT's BENCHMARK.json. Quartiles are
 statistics.quantiles(method="inclusive").
 
 With --out it writes one JSON object: "command", the run.py command line;
@@ -32,8 +32,8 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("barrier", "recovery-wide", "insert-seq", "race-replay")
 SIDES = ("parent", "change")
+PAIRS = 10
 FIRST_SEED = 41
 
 
@@ -72,22 +72,22 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def bench_workload(checkouts: dict, workload: str, pairs: int) -> tuple[dict, dict]:
+def bench_workload(checkouts: dict, workload: str) -> tuple[dict, dict]:
     """(the workload's pairs block, its runs: metric -> side -> values)."""
     results = {side: [] for side in SIDES}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             r = run_once(checkouts[side], workload, FIRST_SEED + i)
             results[side].append(r)
-            print(f"  {workload} pair {i + 1}/{pairs} {side}: "
+            print(f"  {workload} pair {i + 1}/{PAIRS} {side}: "
                   + " ".join(f"{k}={v['value']:.6g}" for k, v in r["metrics"].items()),
                   file=sys.stderr, flush=True)
     metrics = list(results["parent"][0]["metrics"])
     runs = {m: {side: [r["metrics"][m]["value"] for r in results[side]] for side in SIDES}
             for m in metrics}
     block = {
-        "pairs": pairs,
+        "pairs": PAIRS,
         "failed_ops": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "attempted_ops": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "correct": all(r["correct"] for side in SIDES for r in results[side]),
@@ -99,26 +99,28 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout directory of the parent commit")
     ap.add_argument("change", help="checkout directory of the change")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="a workload to run (repeatable; default: all four)")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append",
+                    help="a workload to run (repeatable; default: all of BENCHMARK.json's)")
     ap.add_argument("--out", help="write the pairs and runs here as JSON")
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2: quartiles need two values")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    for workload in args.workload or ():
+        if workload not in workloads:
+            ap.error(f"unknown workload {workload!r}: BENCHMARK.json lists {', '.join(workloads)}")
 
     out = {
-        "command": (f"python3 perfbench/run.py --workload W --seed S --trace 0, {args.pairs} "
+        "command": (f"python3 perfbench/run.py --workload W --seed S --trace 0, {PAIRS} "
                     f"alternating pairs per workload (parent first on even pairs), seeds "
-                    f"{FIRST_SEED}-{FIRST_SEED + args.pairs - 1}"),
+                    f"{FIRST_SEED}-{FIRST_SEED + PAIRS - 1}"),
         "pairs": {},
         "runs": {},
     }
-    for workload in args.workload or WORKLOADS:
-        block, runs = bench_workload(checkouts, workload, args.pairs)
+    for workload in args.workload or workloads:
+        block, runs = bench_workload(checkouts, workload)
         print(f"{workload}: {block['pairs']} pairs, failed operations "
               f"{block['failed_ops']['parent']}/{block['failed_ops']['change']} "
               f"(parent/change), {'all correct' if block['correct'] else 'SOME WRONG'}")
@@ -128,7 +130,7 @@ def main() -> int:
             print(f"  {metric}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
                   f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
                   f"ratio {row['change_over_parent']}  change won {row['change_wins']}"
-                  f"/{args.pairs}")
+                  f"/{PAIRS}")
         out["pairs"][workload] = block
         out["runs"][workload] = runs
     if args.out:

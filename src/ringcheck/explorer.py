@@ -114,10 +114,10 @@ successor's socket table logs the fds the step wrote, so the every-state
 socket check is one pass over those fds that reads each, and its peer,
 once (SocketTable.check_touched), instead of the whole table. A state that
 apply did not make, or whose step killed a process, is checked whole. The
-key goes the same way: step_delta reads the written slots' hashes from the
-memo and hashes a slot only on a miss. So the work a new state costs, its
-check and its key, follows what its step wrote, as SPIN's checks follow
-what a transition changed.
+key goes the same way: step_delta re-hashes only the written slots, most
+of them found in its memo. So the work a new state costs, its check and
+its key, follows what its step wrote, as SPIN's checks follow what a
+transition changed.
 
 The unit of interleaving is one handler invocation. Like SPIN's search
 engine, the explorer knows nothing of the protocol it runs: the scenario's
@@ -352,16 +352,9 @@ def step_delta(g: GlobalState, h: GlobalState, pid: int, memo: dict) -> int:
     """
     slots = h.sockets.slots
     old = g.sockets.slots
-    get = memo.get  # nearly every slot hash is memoised: _component_hash only on a miss
     delta = 0
     for fd in set(h.sockets.touched):
-        after = get((fd, slots[fd]))
-        if after is None:
-            after = _component_hash(fd, slots[fd], memo)
-        before = get((fd, old[fd]))
-        if before is None:
-            before = _component_hash(fd, old[fd], memo)
-        delta += after - before
+        delta += _component_hash(fd, slots[fd], memo) - _component_hash(fd, old[fd], memo)
     now = h.procs[pid].canon()
     was = g.procs[pid].canon()
     if now != was:
@@ -572,19 +565,13 @@ def checked_steps(g: GlobalState, properties: Iterable[Property]) -> list[Schedu
     The every-state properties run on every state, the quiescence ones only
     on a state with no step, in the order properties lists them. A failure
     raises PropertyViolation, its text prefixed by the property's kind.
-    The every-state pass is run_properties written out in a loop of its own,
-    which saves a call on every state. It calls each property's own fn: one
-    that Scenario.default_properties built holds the check properties._CHECKS
-    held then, so a check rebound there beforehand (perfbench's tracer wraps
-    each one so) is the one that runs.
+    It calls each property's own fn: one that Scenario.default_properties
+    built holds the check properties._CHECKS held then, so a check rebound
+    there beforehand (perfbench's tracer wraps each one so) is the one that
+    runs.
     """
     steps = enabled_steps(g)
-    for prop in properties:  # run_properties over EVERY_STATE, without its call
-        if prop.when == EVERY_STATE:
-            try:
-                prop.fn(g)
-            except CheckError as e:
-                raise PropertyViolation(f"{prop.kind}: {e}") from e
+    run_properties(g, properties, EVERY_STATE)
     if not steps:
         run_properties(g, properties, QUIESCENCE_ONLY)
     return steps
@@ -699,11 +686,8 @@ def explore(
                     for fd in succ.sockets.touched:
                         writes |= 1 << fd
                     pid = step.pid
-                    passed = {}  # a loop, not a comprehension, which builds a frame per call
-                    for u, e in known.items():
-                        if u.pid != pid and not e[1] & writes:
-                            passed[u] = e
-                    known = passed
+                    known = {u: e for u, e in known.items()
+                             if u.pid != pid and not e[1] & writes}
                 else:
                     known = {}
                 state = succ

@@ -387,6 +387,7 @@ class SocketTable:
         self._check_fds(sorted(fds), dead_pids)
 
     def _check_fds(self, fds, dead_pids: frozenset[int]) -> None:
+        # check_touched's one pass tests these same conditions: change both together.
         slots, qsz, n = self.slots, self.qsz, len(self.slots)
         for fd in fds:
             peer, owner, flag, q = slot = slots[fd]

@@ -529,29 +529,34 @@ def test_bench_pairs_alternates_the_sides_and_counts_the_changes_wins(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "verify_s", "better": "lower"},
-        {"name": "transitions_per_s", "better": "higher"}]}))
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "insert-seq"}, {"name": "barrier"}],
+        "end_to_end": [{"name": "verify_s", "better": "lower"},
+                       {"name": "transitions_per_s", "better": "higher"}]}))
     script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    unknown = subprocess.run([sys.executable, str(script), "parent", "change", "--workload", "ring"],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert unknown.returncode == 2
+    assert "unknown workload 'ring': BENCHMARK.json lists insert-seq, barrier" in unknown.stderr
     proc = subprocess.run([sys.executable, str(script), "parent", "change", "--workload", "barrier",
-                           "--pairs", "4", "--out", "pairs.json"],
+                           "--out", "pairs.json"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    sides = [("parent", "change"), ("change", "parent")]
     assert (tmp_path / "log").read_text().split("\n")[:-1] == [
-        f"{side} barrier {seed} 0" for side, seed in [
-            ("parent", 41), ("change", 41), ("change", 42), ("parent", 42),
-            ("parent", 43), ("change", 43), ("change", 44), ("parent", 44)]]
+        f"{side} barrier {41 + i} 0" for i in range(10) for side in sides[i % 2]]
     out = json.loads((tmp_path / "pairs.json").read_text())
     block = out["pairs"]["barrier"]
     assert (block["pairs"], block["failed_ops"], block["attempted_ops"], block["correct"]) == (
-        4, {"parent": 0, "change": 0}, {"parent": 12, "change": 12}, True)
+        10, {"parent": 0, "change": 0}, {"parent": 30, "change": 30}, True)
     verify = block["verify_s"]
-    assert verify["parent"] == {"median": 1.425, "q1": 1.4175, "q3": 1.4325}
-    assert verify["change"] == {"median": 1.33, "q1": 1.3175, "q3": 1.3625}
-    assert (verify["change_over_parent"], verify["change_wins"], verify["gap"]) == (0.9333, 3, 0.095)
+    assert verify["parent"] == {"median": 1.455, "q1": 1.4325, "q3": 1.4775}
+    assert verify["change"] == {"median": 1.365, "q1": 1.3425, "q3": 1.3875}
+    assert (verify["change_over_parent"], verify["change_wins"], verify["gap"]) == (0.9381, 9, 0.09)
     assert block["transitions_per_s"]["change_wins"] == 0  # a tie wins for neither side
-    assert out["runs"]["barrier"]["verify_s"]["change"] == pytest.approx([1.31, 1.32, 1.43, 1.34])
-    assert "verify_s: parent 1.425 [1.4175, 1.4325]  change 1.33" in proc.stdout
+    assert out["runs"]["barrier"]["verify_s"]["change"][:4] == pytest.approx(
+        [1.31, 1.32, 1.43, 1.34])
+    assert "verify_s: parent 1.455 [1.4325, 1.4775]  change 1.365" in proc.stdout
 
 
 def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
