@@ -10,13 +10,14 @@ entry daemon and closes the race.
 
 Every handler runs atomically between two scheduling points: it consumes one
 ready event, performs its reads, writes, connects and closes, and returns.
-Interleaving happens only between handler invocations. Beyond the acting
-daemon's record and the socket slots it reads through the table, a handler
-reads only the set of dead pids, through g.read_dead_pids, which marks the
-step as one that read a shared record (see explorer), and no other
-daemon's record. A ring trace is the initiator's: the daemon that starts
-it keeps what the trace collected in its own record (trace), as MPD's
-daemons share no memory.
+Interleaving happens only between handler invocations. A handler reads the
+acting daemon's record and the socket slots it reads through the table,
+and nothing else: no other daemon's record and not the set of dead pids.
+As in MPD, whose daemons share no memory, a daemon learns of a failed
+neighbour only through EOF on its socket. A ring trace is the initiator's:
+the daemon that starts it keeps what the trace collected in its own record
+(trace), and a daemon that finds its own pid among the ids a trace_req
+carries knows the request went round the ring without its initiator.
 
 Daemons name each other by pid: the neighbor fields, the trace collection
 and every message payload hold pids, -1 for "nobody", so a record's
@@ -341,10 +342,6 @@ def handle_event(g, d: DaemonState, fd: int, name: str) -> None:
     handler(g, d, fd, msg)
 
 
-def _live_count(g) -> int:
-    return len(g.procs) - len(g.read_dead_pids())
-
-
 def _send_rhs2_to_lhs(g, d: DaemonState, value: int) -> None:
     """Tell the daemon on d's left that its second-right neighbor is now value.
 
@@ -488,7 +485,7 @@ def _on_trace_req(g, d, fd, msg):
         d.trace = msg[IDS]
         g.sockets.write(d.pid, d.rhs_fd, message(TRACE_DONE))
         return
-    if len(msg[IDS]) >= _live_count(g):
+    if d.pid in msg[IDS]:  # passed me once already, so no initiator absorbed it
         raise ProtocolViolation(f"d{d.pid}: trace_req circulated past every daemon")
     g.sockets.write(d.pid, d.rhs_fd, message(TRACE_REQ, ids=msg[IDS] + (d.pid,)))
 
@@ -519,15 +516,15 @@ def _recover_rhs(g, d):
     The new right-hand daemon is greeted with new_lhs, queried for its own
     right neighbor (refreshing d.rhs2), and d's left neighbor is told that
     its second-right hop has changed. The known-neighbors record is thereby
-    repaired for every daemon the failure affected.
+    repaired for every daemon the failure affected. d cannot tell whether
+    rhs2 is alive: a bridge to a dead daemon plants a slot that daemon owns,
+    which the every-state socket check reports at the state it makes.
     """
     target = d.rhs2_id
     if target < 0:
         raise ProtocolViolation(f"d{d.pid}: right neighbor lost with no rhs2 recorded")
     if target >= len(g.procs):
         raise ProtocolViolation(f"d{d.pid}: recorded rhs2 is an unknown identity")
-    if target in g.read_dead_pids():
-        raise ProtocolViolation(f"d{d.pid}: both right-hand neighbors failed")
     d.rhs_id = target
     d.rhs2_id = ABSENT  # refreshed by the query below
     _attach_right(g, d, target)

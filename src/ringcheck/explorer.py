@@ -76,25 +76,23 @@ changes no answer of add and costs a fixed 310 KB or so on top of the
 
 The search runs no step whose successor key it can derive. A step changes
 the key by the hashes of the components it writes, new minus old: its
-delta. A handler reads its own process record, the socket slots its table
-logs in the read record (SocketTable.reads), and nothing else of the state
-but the dead set, through GlobalState.read_dead_pids; the scenario is
-static. A step writes only what it read, so in any state where what it read
-is as it was, it writes the same values over the same old ones, and its
-delta is the same. Each DFS frame therefore keeps (delta, footprint), the
-footprint being the table's read record, for the steps tried at its
-state and those its parent passed down, the delta being the very
-step_delta that keyed the step where it ran; descending through a step t,
-a frame passes down the entries of the other pids whose footprint t's
-touched fds leave alone (t wrote its own record, which only the steps of
-its pid read), in the manner of Godefroid's sleep sets
-("Partial-Order Methods for the Verification of Concurrent Systems", 1996).
-A step whose handler read the dead set takes no entry: a failure
-recovery's bridge, and a trace_req passed on, which counts the live
-daemons. A trace's initiator keeps its collection in its own record, and a
-barrier manager its client's flags, so their steps read and write only
-their own record and the slots they log, and take an entry like any other
-step: barrier 13 matches 90,102 of its 106,509 transitions unrun.
+delta. A handler reads its own process record and the socket slots its
+table logs in the read record (SocketTable.reads), and nothing else of the
+state: not another process's record, and not the dead set, of which a
+daemon learns only through EOF on its sockets; the scenario is static.
+A step writes only what it read, so in any state where what it read is as
+it was, it writes the same values over the same old ones, and its delta is
+the same. Each DFS frame therefore keeps (delta, footprint), the footprint
+being the table's read record, for every step tried at its state and those
+its parent passed down, the delta being the very step_delta that keyed
+the step where it ran; descending through a step t, a frame passes down
+the entries of the other pids whose footprint t's touched fds leave alone
+(t wrote its own record, which only the steps of its pid read), in the
+manner of Godefroid's sleep sets ("Partial-Order Methods for the
+Verification of Concurrent Systems", 1996). A trace's initiator keeps its
+collection in its own record, and a barrier manager its client's flags, so
+their steps too read and write only their own record and the slots they
+log: barrier 13 matches 90,102 of its 106,509 transitions unrun.
 Only a step its state lists uses an entry, so whether a step is enabled,
 and under which name (its fd, say: a connect wake names the lowest pending
 fd), is decided where it would run. Its key is then the state's key plus
@@ -214,11 +212,7 @@ class GlobalState:
     derived_dead is the set of dead pids as apply derived it from the
     predecessor's. It is None on a state apply did not make, and on one
     whose step changed the set; such a state scans its records for it.
-
-    shared_read is True if the handler of the step that made the state read
-    the dead set (read_dead_pids); explore keeps no entry for such a step
-    (see the module docstring). Checks and step listing read the fields
-    directly and log nothing.
+    Only checks and step listing read the set (dead_pids); no handler does.
 
     A state caches nothing its checks compute: each quiescence check that
     needs the ring walks it again (properties.ring_order), and a search
@@ -236,14 +230,13 @@ class GlobalState:
     to the encoding or the key.
     """
 
-    __slots__ = ("scenario", "sockets", "procs", "derived_dead", "shared_read")
+    __slots__ = ("scenario", "sockets", "procs", "derived_dead")
 
     def __init__(self, scenario, sockets, procs):
         self.scenario = scenario  # static, shared across all derived states
         self.sockets = sockets
         self.procs = procs
         self.derived_dead = None
-        self.shared_read = False  # see the class docstring
 
     def clone(self) -> "GlobalState":
         """A successor to mutate; records stay shared, see apply."""
@@ -252,14 +245,7 @@ class GlobalState:
         g.sockets = self.sockets.clone()
         g.procs = self.procs[:]
         g.derived_dead = None
-        g.shared_read = False
         return g
-
-    def read_dead_pids(self) -> frozenset[int]:
-        """dead_pids(), read by a handler: sets shared_read, as the socket
-        table's accessors log the slots they read."""
-        self.shared_read = True
-        return self.dead_pids()
 
     def dead_pids(self) -> frozenset[int]:
         """The pids of the processes that have failed."""
@@ -514,7 +500,7 @@ def apply(g: GlobalState, step: ScheduleStep, key: int | None = None,
     h = g.clone()
     pid = step.pid
     p = h.procs[pid] = h.procs[pid].clone()
-    dead = h.derived_dead = g.dead_pids()  # what the handler sees of the others
+    dead = h.derived_dead = g.dead_pids()  # for h's checks; no handler reads it
     if step.fd < 0:
         h.scenario.protocol.act(h, p, step.cmd)
     else:
@@ -667,8 +653,7 @@ def explore(
                         break  # apply stored the new derived key
                     delta = step_delta(state, succ, step.pid, memo)
                     key = (base_key + delta) & mask
-                    if not succ.shared_read:  # see the docstring
-                        known[step] = (delta, succ.sockets.reads)
+                    known[step] = (delta, succ.sockets.reads)
                     if add(key):
                         break
                     matched += 1

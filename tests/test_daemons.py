@@ -26,7 +26,7 @@ from ringcheck.daemons import (
     trace_initiator,
 )
 from ringcheck import daemons as daemons_mod
-from ringcheck.errors import ProtocolViolation
+from ringcheck.errors import InvariantViolation, ProtocolViolation
 from ringcheck.explorer import (
     ACT_START_TRACE,
     EVERY_STATE,
@@ -259,7 +259,9 @@ class TestNewLhs:
         # _on_new_lhs sends the greeter this daemon's rhs_id as its rhs2 at
         # once: a joiner's await_cmd keeps every new_lhs out until its
         # reconnect_rhs has set rhs_id. Over whole searches, no new_lhs
-        # finds rhs_id unknown.
+        # finds rhs_id unknown. A new_lhs the search matches by a derived key
+        # does not run here, but it stands for a run that met this daemon's
+        # record as it was where the step last ran.
         real = daemons_mod._DISPATCH[NEW_LHS]
         calls = []
 
@@ -267,7 +269,6 @@ class TestNewLhs:
             assert d.rhs_id >= 0, f"d{d.pid} greeted before it knew its right side"
             calls.append(d.pid)
             real(g, d, fd, msg)
-            g.shared_read = True  # derive no new_lhs key, so every one runs here
 
         monkeypatch.setitem(daemons_mod._DISPATCH, NEW_LHS, checked)
         scenario = build_scenario(ScenarioConfig(algorithm, size=size, inserters=inserters))
@@ -420,6 +421,15 @@ class TestTrace:
         with pytest.raises(ProtocolViolation, match="past every daemon"):
             deliver(g, 1, cmd=TRACE_REQ)
 
+    def test_a_trace_req_that_passed_the_receiver_is_a_violation_there(self):
+        # The guard is the receiver's own: its pid among the ids, however few
+        # pids they hold against the four live daemons.
+        scenario, g = ring_state("trace", 4)
+        g.procs[0].trace = ()
+        g.sockets.write(0, g.procs[0].rhs_fd, message(TRACE_REQ, ids=(0, 1)))
+        with pytest.raises(ProtocolViolation, match="d1: trace_req circulated past every daemon"):
+            deliver(g, 1, cmd=TRACE_REQ)
+
     def test_trace_req_without_episode_is_a_violation(self):
         # No daemon started a trace, so none absorbs the stray trace_req;
         # it gains one pid per hop and trips the circulation guard within
@@ -497,12 +507,20 @@ class TestFailureRecovery:
             handle_event(g, g.procs[0], ev[0], EVENT_EOF)
 
     def test_dead_rhs2_is_a_violation(self):
+        # d0 cannot tell that its rhs2 failed too: it bridges to it, and the
+        # slot it plants for that daemon breaks the socket invariant.
         scenario, g = ring_state("recovery", 4)
         inject_failure(g, 1)
         inject_failure(g, 2)
+        g.sockets.check_invariants(g.dead_pids())
+        d = g.procs[0]
         ev = [fd for fd, name in wakes_of(g.sockets, 0) if name == EVENT_EOF]
-        with pytest.raises(ProtocolViolation, match="both right-hand neighbors"):
-            handle_event(g, g.procs[0], ev[0], EVENT_EOF)
+        handle_event(g, d, ev[0], EVENT_EOF)
+        assert d.rhs_id == 2
+        planted = g.sockets.other_of(d.rhs_fd)
+        assert g.sockets.owner_of(planted) == 2
+        with pytest.raises(InvariantViolation, match=f"^fd {planted} owned by dead pid 2$"):
+            g.sockets.check_invariants(g.dead_pids())
 
     def test_ring_of_two_collapses_to_self_loop(self):
         scenario, g = ring_state("recovery", 2)

@@ -15,7 +15,8 @@ from ringcheck import barrier as barrier_mod
 from ringcheck import daemons as daemons_mod
 from ringcheck import explorer as explorer_mod
 from ringcheck import properties as properties_mod
-from ringcheck.errors import CheckError, ContractViolation, InvariantViolation, PropertyViolation
+from ringcheck.errors import (CheckError, ContractViolation, InvariantViolation,
+                              PropertyViolation, ProtocolViolation)
 from ringcheck.explorer import (
     ACT_BEGIN_INSERTION,
     ACT_CLIENT_ARRIVAL,
@@ -382,8 +383,8 @@ class TestEncodingIsTheState:
     encoding must give the counts state_key gives, no two encodings may share
     a digest, and every encoding must be the marshal of the state's own
     plain tuples. A digest is no sum of component hashes, so a successor
-    key cannot be derived from it: the digest search re-runs every step,
-    and its step_delta is the difference of the two digests.
+    key cannot be derived from it: the digest search is reference_search,
+    which runs every step and keys each state from scratch.
     """
 
     @pytest.mark.parametrize("algorithm,kw", ENCODING_MODELS,
@@ -408,14 +409,8 @@ class TestEncodingIsTheState:
             assert encodings.setdefault(digest, code) == code, "two encodings, one digest"
             return int.from_bytes(digest, "little")
 
-        def digest_delta(g, h, pid, memo):
-            # g was keyed by full_key when it was stored; h is new here.
-            return full_key(h, memo) - int.from_bytes(state_digest(g), "little")
-
         monkeypatch.setattr(explorer_mod, "state_key", full_key)
-        monkeypatch.setattr(explorer_mod, "step_delta", digest_delta)
-        run_every_step(monkeypatch)
-        by_encoding = explore(sc, sc.default_properties())
+        by_encoding = reference_search(sc, sc.default_properties())[0]
         assert (by_encoding.outcome, by_encoding.states_stored, by_encoding.states_matched,
                 by_encoding.max_depth) == (by_key.outcome, by_key.states_stored,
                                            by_key.states_matched, by_key.max_depth)
@@ -892,9 +887,9 @@ def bits(n: int) -> set:
 def audit_footprint(g, step) -> None:
     """Run step on a copy of g that notes what its handler reads.
 
-    Every slot it reads must be in the table's read record, it must read no
-    process record but its own, and if it reads the dead set, the state must
-    say so (shared_read); what it writes, it must have read.
+    Every slot it reads must be in the table's read record, and it must read
+    no process record but its own and not the dead set; what it writes, it
+    must have read.
     """
     h = g.clone()
     p = h.procs[step.pid] = h.procs[step.pid].clone()
@@ -914,68 +909,93 @@ def audit_footprint(g, step) -> None:
     assert not set(h.sockets.touched) - bits(reads), f"{name} wrote fds it did not read"
     others = procs.seen - {step.pid}
     assert not others, f"{name} read the records of {sorted(others)}"
-    if dead.read:
-        assert h.shared_read, f"{name} read the dead set unlogged"
+    assert not dead.read, f"{name} read the dead set"
 
 
-def run_every_step(mp) -> None:
-    """Mark every step as one that read a shared record, so that explore
-    keeps no entry, derives no key and runs every step."""
-    real = explorer_mod.apply
+def reference_search(scenario, props, max_states: int = 50_000_000) -> tuple:
+    """explore's depth-first search with every step run: each state is keyed
+    by explorer_mod.state_key from scratch and looked up in a plain set.
 
-    def apply(g, step, key=None, add=None):
-        h = real(g, step, key, add)
-        h.shared_read = True
-        return h
+    Returns the report explore gives (elapsed None) and the keys looked up,
+    in order. explore's budget and trace rules hold; there is no depth
+    budget, as no caller sets one.
+    """
+    memo, seen, keys, path = {}, set(), [], []
+    stored, matched, deepest = 1, 0, 0
 
-    mp.setattr(explorer_mod, "apply", apply)
+    def lookup(g) -> bool:
+        key = explorer_mod.state_key(g, memo)
+        keys.append(key)
+        new = key not in seen
+        seen.add(key)
+        return new
+
+    def expand(g) -> bool:  # False once the state budget is spent
+        nonlocal stored, matched, deepest
+        steps = explorer_mod.checked_steps(g, props)
+        if stored >= max_states:
+            return False
+        for step in steps:
+            path.append(step)
+            h = apply(g, step)
+            if lookup(h):
+                stored += 1
+                deepest = max(deepest, len(path))
+                if not expand(h):
+                    return False
+            else:
+                matched += 1
+            path.pop()
+        return True
+
+    init = scenario.initial_state()
+    lookup(init)
+    outcome, violation = VERIFIED, None
+    try:
+        if not expand(init):
+            outcome, violation = RESOURCE_LIMIT, "state budget exhausted"
+    except CheckError as e:
+        outcome, violation = VIOLATION, str(e)
+    trace = None if outcome == VERIFIED else tuple(path)
+    return VerificationReport(outcome, stored, matched, deepest, None, violation, trace), keys
 
 
 def check_derived_keys(scenario, max_states: int = 50_000_000) -> int:
-    """Search scenario with derived keys and with none; the matches derived.
+    """Search scenario with explore and with reference_search; the matches
+    explore derived.
 
-    The two searches must end alike and call VisitedKeys.add with the same
-    keys in the same order, so each derived key is the key of
-    state_key(apply(state, step)) for the step it stands for; and every
-    step the first search runs must pass audit_footprint. Returns how many
-    steps the first search matched without running them.
+    The two searches must end alike and look up the same keys in the same
+    order, so each derived key is the key of state_key(apply(state, step))
+    for the step it stands for; and every step explore runs must pass
+    audit_footprint. Returns how many steps explore matched without running
+    them.
     """
     props = scenario.default_properties()
-    real_add = VisitedKeys.add
+    real_add, real_apply = VisitedKeys.add, explorer_mod.apply
+    keys, skipped = [], []
 
-    def search(derive):
-        keys, skipped = [], []
+    def add(self, key):
+        keys.append(key)
+        return real_add(self, key)
 
-        def add(self, key):
-            keys.append(key)
-            return real_add(self, key)
+    def audited_apply(g, step, key=None, add=None):
+        if key is None:
+            audit_footprint(g, step)
+        h = real_apply(g, step, key, add)
+        if h is None:
+            skipped.append(step)
+        return h
 
-        with pytest.MonkeyPatch.context() as mp:
-            if derive:
-                real = explorer_mod.apply
-
-                def apply(g, step, key=None, add=None):
-                    if key is None:
-                        audit_footprint(g, step)
-                    h = real(g, step, key, add)
-                    if h is None:
-                        skipped.append(step)
-                    return h
-
-                mp.setattr(explorer_mod, "apply", apply)
-            else:
-                run_every_step(mp)
-            mp.setattr(VisitedKeys, "add", add)
-            report = explore(scenario, props, max_states=max_states)
-        return report._replace(elapsed=None), keys, len(skipped)
-
-    derived, keys, skipped = search(True)
-    full, full_keys, none_skipped = search(False)
-    assert derived == full and none_skipped == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer_mod, "apply", audited_apply)
+        mp.setattr(VisitedKeys, "add", add)
+        derived = explore(scenario, props, max_states=max_states)
+    full, full_keys = reference_search(scenario, props, max_states)
+    assert derived._replace(elapsed=None) == full
     assert len(keys) == len(full_keys) == full.states_stored + full.states_matched
     for n, (key, fresh) in enumerate(zip(keys, full_keys)):
         assert key == fresh, f"add call {n + 1}: the derived key is not the step's key"
-    return skipped
+    return len(skipped)
 
 
 REUSE_MODELS = KEY_MODELS + [("barrier", {"size": 5}), ("barrier", {"size": 8})]
@@ -985,6 +1005,7 @@ DERIVED_MATCHES = [
     ("ring-seq", {"size": 2, "inserters": 3, "blocking": True}, 20_000, 32_519),
     ("ring-par", {"size": 2, "inserters": 2}, 50_000_000, 10_528),
     ("barrier", {"size": 10}, 50_000_000, 8_185),
+    ("recovery", {"size": 24}, 50_000_000, 228),
 ]
 
 
@@ -1001,6 +1022,21 @@ def releases_the_next_client_too(g, m, release=barrier_mod._on_barrier_out):
     next manager's client_out, in the record its predecessor shares."""
     release(g, m)
     g.procs[(m.pid + 1) % len(g.procs)].client_out = True
+
+
+def trace_req_counting_the_live(g, d, fd, msg, forward=daemons_mod._on_trace_req):
+    """_on_trace_req (forward, bound before any patch) that first counts the
+    live daemons through the dead set, as its circulation guard once did."""
+    if d.trace is None and len(msg[IDS]) >= len(g.procs) - len(g.dead_pids()):
+        raise ProtocolViolation(f"d{d.pid}: trace_req circulated past every daemon")
+    forward(g, d, fd, msg)
+
+
+def trace_req_scanning_for_the_dead(g, d, fd, msg, forward=daemons_mod._on_trace_req):
+    """trace_req_counting_the_live, finding the dead by the records' phase."""
+    if d.trace is None and len(msg[IDS]) >= sum(not p.dead for p in g.procs):
+        raise ProtocolViolation(f"d{d.pid}: trace_req circulated past every daemon")
+    forward(g, d, fd, msg)
 
 
 def trace_req_noted_at_the_initiator(g, d, fd, msg, forward=daemons_mod._on_trace_req):
@@ -1072,7 +1108,7 @@ class TestDerivedKeys:
         assert (derived > 0) == (algorithm != "trace"), derived
 
     @pytest.mark.parametrize("algorithm,kw,max_states,derived", DERIVED_MATCHES,
-                             ids=["insert-seq", "ring-par-2-2", "barrier-10"])
+                             ids=["insert-seq", "ring-par-2-2", "barrier-10", "recovery-24"])
     def test_derived_matches_keep_their_counts(self, algorithm, kw, max_states, derived):
         assert check_derived_keys(scenario_for(algorithm, **kw), max_states) == derived
 
@@ -1093,18 +1129,19 @@ class TestDerivedKeys:
         with pytest.raises(AssertionError):
             check_derived_keys(sc)
 
-    def test_a_read_that_bypasses_the_state_read_record_is_caught(self, monkeypatch):
-        # The dead set as a handler would read it directly.
-        monkeypatch.setattr(GlobalState, "read_dead_pids", lambda g: g.dead_pids())
-        with pytest.raises(AssertionError, match="read the dead set unlogged"):
-            check_derived_keys(scenario_for("recovery", size=4))
+    @pytest.mark.parametrize("algorithm,size", [("trace", 3), ("recovery", 4)])
+    def test_a_handler_that_reads_the_dead_set_is_caught(self, monkeypatch, algorithm, size):
+        # Each trace_req passed on reads the dead set; the check stops at the first.
+        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_counting_the_live)
+        with pytest.raises(AssertionError, match="read the dead set"):
+            check_derived_keys(scenario_for(algorithm, size=size))
 
-    def test_a_read_of_another_daemons_record_is_caught(self, monkeypatch):
-        # The dead set as a handler would find it by scanning every record.
-        monkeypatch.setattr(GlobalState, "read_dead_pids",
-                            lambda g: frozenset(p.pid for p in g.procs if p.dead))
+    @pytest.mark.parametrize("algorithm,size", [("trace", 3), ("recovery", 4)])
+    def test_a_handler_that_scans_the_records_for_the_dead_is_caught(self, monkeypatch,
+                                                                     algorithm, size):
+        monkeypatch.setitem(daemons_mod._DISPATCH, TRACE_REQ, trace_req_scanning_for_the_dead)
         with pytest.raises(AssertionError, match="read the records of"):
-            check_derived_keys(scenario_for("recovery", size=4))
+            check_derived_keys(scenario_for(algorithm, size=size))
 
     def test_a_barrier_read_of_another_managers_bits_is_caught(self, monkeypatch):
         # barrier_in reaches a manager only after the leader's client arrived,
@@ -1144,11 +1181,10 @@ class TestDerivedKeys:
         g = walk(sc, sc.default_properties(), lambda steps: steps[0] if steps else None
                  ).final_state
         g.sockets.reads = 0  # the walk's last step and checks ran already
-        g.shared_read = False
         g.sockets.ready_events()
         explorer_mod.run_properties(g, sc.default_properties(), QUIESCENCE_ONLY)
         explorer_mod.run_properties(g, sc.default_properties(), EVERY_STATE)
-        assert g.sockets.reads == 0 and not g.shared_read
+        assert g.sockets.reads == 0
 
 
 class TestKeyRecheck:
